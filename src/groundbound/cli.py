@@ -258,6 +258,7 @@ def _cmd_graph_family(args) -> Report:
 
 def _cmd_search_pairs(args) -> Report:
     from .pairs import PairKind, search
+    from .reproduce import tail_record
 
     kind = PairKind[args.kind.upper()]
     result = search(kind, k_max=args.kmax, jobs=args.jobs)
@@ -267,6 +268,8 @@ def _cmd_search_pairs(args) -> Report:
             Record(pipeline="search-pairs", case="max surviving k", inputs={},
                    result=max((r.k for r in result.survivors), default=0),
                    paper_expected=None, match=None)]
+    if result.tail is not None:
+        rows.append(tail_record("search-pairs", result.tail))
     report.add_section("search", rows)
     if args.pairs_out:
         with open(args.pairs_out, "w") as fh:

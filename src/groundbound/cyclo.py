@@ -287,11 +287,6 @@ def _generator_power_images(n: int, a: int) -> tuple:
 # -- trigonometric constructors ---------------------------------------
 
 
-def cos_pi_over(l: int, n: int) -> CycloElement:
-    """cos(pi/l) in Q(cos 2pi/n); requires 2l | n."""
-    return CycloElement.cos2pi(1, 2 * l, n)
-
-
 def cos2_pi_over(l: int, n: int) -> CycloElement:
     """cos^2(pi/l) = (1 + cos(2pi/l))/2 in Q(cos 2pi/n); requires l | n."""
     return (CycloElement.cos2pi(1, l, n) + 1) / 2

@@ -12,11 +12,15 @@ by Method A over F_{k,s}; non-exceptional pairs survive only when
     (ln C - ln sin(pi/k) - ln sin(pi/s)) / c(k, s) > phi([k,s]) / (2 rho)
 
 with C = 7 for the path family and C = 8 for the star family.  The
-search scans k up to k_max with a conservative float pre-filter (wide
+search sieves phi and g = ln gamma / phi up to TAIL_START = 4096 and scans
+k up to min(k_max, 4096) with a conservative float pre-filter (wide
 safety margins; every reported survivor and every near-boundary discard
 is re-certified with interval arithmetic), then computes the two floor
 bounds per survivor with certified rounding and refines any bound above
-120 through the least-N solver.
+120 through the least-N solver.  Pairs with 4096 < k <= k_max are ruled
+out by `tail_certificate`: the Rosser-Schoenfeld lower bound for phi
+(1962, Thm 15, with the constant 2.51) exceeds the survival budget on
+every dyadic block, each block decided by one certified comparison.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ from math import gcd, isqrt, log, pi, sin
 import numpy as np
 
 from . import balls
-from .balls import PI, AlgConst, Const, E, Expr, Ln, Sin, Sqrt, certify_sign
+from .balls import (
+    PI, AlgConst, Const, E, Expr, Ln, Sin, Sqrt,
+    certify_compare, certify_sign, eval_ball, mpf_to_fraction,
+)
 from .bounds import BoundProblem, solve
 from .cyclo import euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, UndecidableError
@@ -43,6 +50,17 @@ REFINE_THRESHOLD = 120
 # 1e-6 cushion certifies discards far beyond rounding error
 FILTER_ABS = 1e-6
 FILTER_REL = 1e-9
+# the sieve and the pair scan stop here; tail_certificate covers larger k
+TAIL_START = 4096
+# Rosser-Schoenfeld, "Approximate formulas for some functions of prime
+# numbers", Illinois J. Math. 6 (1962), Thm 15: for n >= 3,
+#     phi(n) > n / (e^gamma ln ln n + 2.50637 / ln ln n)
+# except n = 223092870; the constant 2.51 covers every n >= 3.
+RS_CONSTANT = Fraction(251, 100)
+# rational upper bound for e^gamma = 1.7810724179901979... (gamma =
+# 0.5772156649015328..., OEIS A001620); a larger e^gamma only weakens
+# the lower bound for phi
+EXP_GAMMA_UPPER = Fraction(17811, 10000)
 
 
 class PairKind(enum.Enum):
@@ -203,8 +221,6 @@ def _all_exceptional_pairs() -> tuple:
 def certified_floor_ratio(num: Expr, den: Expr, cap_bits: int = 4096) -> int:
     """floor(num/den) with directed rounding; precision rises until the
     enclosure stays inside one integer step."""
-    from .balls import eval_ball, mpf_to_fraction
-
     ratio = num / den
     bits = 64
     while bits <= cap_bits:
@@ -297,15 +313,9 @@ def exceptional_bound(k: int, s: int, kind: PairKind) -> tuple[int, int]:
 
 # -- sieves ------------------------------------------------------------------
 
-_SIEVE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 
 def sieve_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(phi, g) arrays for 0..limit: Euler totients and ln gamma / phi."""
-    for cached in sorted(_SIEVE_CACHE):
-        if cached >= limit:
-            phi, g = _SIEVE_CACHE[cached]
-            return phi, g
     phi = np.arange(limit + 1, dtype=np.int64)
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
@@ -323,10 +333,84 @@ def sieve_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
         while q <= limit:
             g[q] = log(int(p)) / int(phi[q])
             q *= int(p)
-    if len(_SIEVE_CACHE) > 2:
-        _SIEVE_CACHE.clear()
-    _SIEVE_CACHE[limit] = (phi, g)
     return phi, g
+
+
+# -- the tail k > TAIL_START -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TailCertificate:
+    """No pair with start < k <= k_max survives.
+
+    `blocks` is the number of dyadic blocks, one certified comparison
+    each; `min_slack` is the floor of the least certified lower bound of
+    lhs - rhs (see `tail_certificate`) over the blocks.
+    """
+
+    start: int
+    k_max: int
+    blocks: int
+    min_slack: int
+
+
+def _tail_block_sides(kind: PairKind, a: int, b: int) -> tuple[Expr, Expr]:
+    """(lhs, rhs) with lhs > rhs ruling out every pair with a <= k <= b."""
+    ka = Const(Fraction(a))
+    half_b = Ln(Const(Fraction(b, 2)))
+    c_low = Ln(Const(Fraction(2))) - Ln(Const(Fraction(3))) / 2 - 2 * Ln(ka) / ka
+    rhs_max = Ln(Const(Fraction(kind.log_constant))) + half_b
+    rhs_max += half_b if kind is PairKind.GAMMA5 else Ln(Const(Fraction(5, 2)))
+    rs_denominator = EXP_GAMMA_UPPER * Ln(Ln(Const(Fraction(b)))) + RS_CONSTANT / Ln(Ln(ka))
+    return ka * c_low, 4 * rhs_max * rs_denominator
+
+
+def tail_certificate(kind: PairKind, k_max: int, start: int = TAIL_START) -> TailCertificate:
+    """Certify that no pair with start < k <= k_max survives.
+
+    A pair (k, s) of either family with c(k, s) > 0 survives only if
+    phi([k,s]) / (2 rho) < rhs(k, s) / c(k, s).  Since phi(k) divides
+    phi([k,s]) and rho <= 2, survival implies
+
+        phi(k) < 4 rhs_max(k) / c_low(k),
+
+    where sin(pi/x) >= 2/x and s <= k (path) or s <= 5 (star) give
+    rhs <= rhs_max(k) = ln 7 + 2 ln(k/2), resp. ln 8 + ln(k/2) + ln(5/2),
+    and g(s) <= ln 3/2 for s >= 3 and g(k) <= 2 ln k / k give
+    c(k, s) >= c_low(k) = ln 2 - ln 3/2 - 2 ln k / k.  Rosser-Schoenfeld
+    gives phi(k) > k / (e^gamma ln ln k + 2.51 / ln ln k) for k >= 3.
+
+    On a block a <= k <= b every monotone piece is replaced by its worst
+    endpoint: k, c_low(k) and 2.51 / ln ln k at a; rhs_max(k) and
+    e^gamma ln ln k at b.  So when
+
+        a c_low(a) > 4 rhs_max(b) (E ln ln b + 2.51 / ln ln a),   E >= e^gamma,
+
+    which forces c(k, s) >= c_low(a) > 0 (no pair in the block is
+    exceptional), no k in the block survives.  The blocks
+    [start, 2 start], [2 start, 4 start], ... cover (start, k_max], and
+    each is decided by one `certify_compare`; a block that is not
+    certified GREATER raises UndecidableError.
+    """
+    if start < 3 or k_max <= start:
+        raise ValueError("the tail needs 3 <= start < k_max")
+    blocks = 0
+    min_slack = None
+    a = start
+    while a < k_max:
+        b = min(2 * a, k_max)
+        lhs, rhs = _tail_block_sides(kind, a, b)
+        if certify_compare(lhs, rhs) != balls.GREATER:
+            raise UndecidableError(f"{kind.value} tail block [{a}, {b}] not certified")
+        lower = mpf_to_fraction(eval_ball(lhs - rhs).lower)
+        slack = lower.numerator // lower.denominator
+        min_slack = slack if min_slack is None else min(min_slack, slack)
+        blocks += 1
+        a = b
+    return TailCertificate(start=start, k_max=k_max, blocks=blocks, min_slack=min_slack)
+
+
+# -- the search ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -337,42 +421,45 @@ class SearchResult:
     exceptional: tuple
     candidate_k_count: int
     checked_pairs: int
+    tail: TailCertificate | None  # covers TAIL_START < k <= k_max
 
 
-def _candidate_ks(kind: PairKind, k_max: int) -> np.ndarray:
-    """k values that could possibly carry a surviving pair.
+def _candidate_ks(kind: PairKind, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """k values up to the sieve limit that could carry a surviving pair.
 
     Uses sin(pi/x) >= 2/x, phi([k,s]) >= phi(k), and the per-k minimum
     coefficient ln 2 - g(k) - ln(3)/2; discards are conservative by a wide
     float margin.
     """
-    phi, g = sieve_tables(k_max)
+    limit = len(phi) - 1
     lo = 3 if kind is PairKind.GAMMA5 else 7
-    k = np.arange(lo, k_max + 1, dtype=np.int64)
-    cmin = LN2 - g[lo : k_max + 1] - LN3_HALF
+    k = np.arange(lo, limit + 1, dtype=np.int64)
+    cmin = LN2 - g[lo:] - LN3_HALF
     if kind is PairKind.GAMMA5:
         rhs_max = log(kind.log_constant) + 2.0 * np.log(k / 2.0)
     else:
         rhs_max = log(kind.log_constant) + np.log(k / 2.0) + log(5.0 / 2.0)
     budget = 4.0 * rhs_max * (1.0 + FILTER_REL) + FILTER_ABS
-    keep = (cmin <= FILTER_ABS) | (phi[lo : k_max + 1].astype(np.float64) * cmin < budget)
+    keep = (cmin <= FILTER_ABS) | (phi[lo:].astype(np.float64) * cmin < budget)
     return k[keep]
 
 
 def search(kind: PairKind, k_max: int = 10**7, jobs: int = 1) -> SearchResult:
     """All non-exceptional pairs passing the survival inequality.
 
-    The float phase only prunes with wide margins; every reported
-    survivor is certified by interval arithmetic, and near-boundary pairs
-    are certified individually before being kept or discarded.  Results
-    are deterministic and independent of `jobs` (workers only parallelize
-    the certification step).
+    Pairs with k <= min(k_max, TAIL_START) are scanned: the float phase
+    only prunes with wide margins; every reported survivor is certified
+    by interval arithmetic, and near-boundary pairs are certified
+    individually before being kept or discarded.  Larger k up to k_max
+    are covered by `tail_certificate`.  Results are deterministic and
+    independent of `jobs` (workers only parallelize the certification
+    step).
     """
     if k_max < 31:
         raise ValueError("k_max must cover the known argmax (>= 31)")
-    phi, g = sieve_tables(k_max)
+    phi, g = sieve_tables(min(k_max, TAIL_START))
     exceptional = set(exceptional_pairs(kind))
-    candidates = _candidate_ks(kind, k_max)
+    candidates = _candidate_ks(kind, phi, g)
     near: list[tuple[int, int]] = []
     checked = 0
     for k in candidates.tolist():
@@ -407,6 +494,7 @@ def search(kind: PairKind, k_max: int = 10**7, jobs: int = 1) -> SearchResult:
         kind=kind, k_max=k_max, survivors=tuple(survivors),
         exceptional=tuple(sorted(exceptional, key=lambda p: (p[1], p[0]))),
         candidate_k_count=len(candidates), checked_pairs=checked,
+        tail=tail_certificate(kind, k_max) if k_max > TAIL_START else None,
     )
 
 
@@ -473,19 +561,3 @@ def global_bound(kind: PairKind, k_max: int = 10**7, jobs: int = 1) -> GlobalBou
                        exceptional_bounds=tuple(exc_rows),
                        method_a_small_k_max=small_k_max)
 
-
-def tail_void_certificate(k_max: int = 10**7) -> dict:
-    """Why no pair with k > k_max survives: phi(k) >= 0.19439 k / ln ln k
-    for k >= 6, the minimum non-exceptional coefficient is the (23, 3)
-    value, and the survival inequality forces phi(k) below a logarithmic
-    budget.  Returns the two sides at k = k_max (slack must be > 1)."""
-    c_min = _coefficient_float(23, 3)
-    phi_lower = 0.19439 * k_max / log(log(k_max))
-    budget = 4.0 * (log(8) + 2.0 * log(k_max / 2.0)) / c_min
-    return {
-        "k_max": k_max,
-        "phi_lower_bound": phi_lower,
-        "survival_budget": budget,
-        "void": phi_lower > budget,
-        "min_nonexceptional_coefficient": c_min,
-    }

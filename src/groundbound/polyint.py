@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 Poly = tuple  # coefficient tuple, low degree first
@@ -106,18 +105,6 @@ def pgcd(p: Poly, q: Poly) -> Poly:
 
 def is_squarefree(p: Poly) -> bool:
     return degree(pgcd(p, pderiv(p))) <= 0
-
-
-def content_primitive(p: Poly) -> tuple:
-    """(content, primitive part) of an integer polynomial."""
-    if not p:
-        return 0, ()
-    g = 0
-    for c in p:
-        g = gcd(g, int(c))
-    sign = 1 if p[-1] > 0 else -1
-    g *= sign
-    return g, tuple(c // g for c in p)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import datasets, polytopes
 from .balls import PI, Const, Mul, Div
 from .graphs import Family, FamilyTable, family_bound, PUBLISHED_FAMILY_MAXIMA
-from .pairs import PairKind, global_bound
+from .pairs import PairKind, TailCertificate, global_bound
 from .report import Record, Report
 
 PUBLISHED_N14 = 120
@@ -117,6 +117,16 @@ def family_records(table: FamilyTable) -> list[Record]:
     return out
 
 
+def tail_record(pipeline: str, tail: TailCertificate) -> Record:
+    """The certified statement that no pair with tail.start < k <= tail.k_max survives."""
+    return Record(pipeline=pipeline, case=f"tail certificate ({tail.start} < k <= {tail.k_max})",
+                  inputs={"comparisons": tail.blocks, "min_slack": tail.min_slack},
+                  result="void", paper_expected=None, match=None,
+                  note=("phi(k) > k/(e^gamma ln ln k + 2.51/ln ln k) (Rosser-Schoenfeld 1962, "
+                        "Thm 15; e^gamma <= 1.7811) exceeds the survival budget "
+                        "4 rhs_max(k)/c_low(k) on every dyadic block of k"))
+
+
 def pair_records(kind: PairKind, k_max: int, jobs: int) -> tuple[list[Record], int]:
     gb = global_bound(kind, k_max=k_max, jobs=jobs)
     out = []
@@ -128,6 +138,8 @@ def pair_records(kind: PairKind, k_max: int, jobs: int) -> tuple[list[Record], i
     out.append(Record(pipeline=f"pairs-{kind.value}",
                       case=f"surviving non-exceptional pairs (k <= {k_max})",
                       inputs={}, result=len(result.survivors), paper_expected=None, match=None))
+    if result.tail is not None:
+        out.append(tail_record(f"pairs-{kind.value}", result.tail))
     for r in result.survivors:
         if r.published_bound_kf is not None or r.bound_k > 120:
             note = ""

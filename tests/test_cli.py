@@ -104,6 +104,20 @@ def test_search_pairs_command(tmp_path, capsys):
     assert by_pair[(31, 3)]["final_bound"] == 120
     assert by_pair[(31, 3)]["refined_KF"] == 8
     assert by_pair[(23, 3)]["bound_K"] == 3091
+    assert "tail certificate" not in out
+
+
+def test_search_pairs_prints_tail_certificate(capsys):
+    code, out, _ = run_cli(
+        ["search-pairs", "--kind", "gamma4", "--kmax", "10000000", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    records = {r["case"]: r for s in json.loads(out)["sections"] for r in s["records"]}
+    tail = records["tail certificate (4096 < k <= 10000000)"]
+    assert tail["result"] == "void"
+    assert tail["inputs"]["comparisons"]["exact"] == "12"
+    assert records["survivors"]["result"] == 265
 
 
 def test_fekete_command(capsys):

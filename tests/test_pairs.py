@@ -1,9 +1,11 @@
 import random
 import pytest
 
-from groundbound.errors import ExceptionalPair
+from groundbound import pairs
+from groundbound.errors import ExceptionalPair, UndecidableError
 from groundbound.pairs import (
     PUBLISHED_EXCEPTIONAL_GAMMA5,
+    TAIL_START,
     PairKind,
     coefficient_sign,
     exceptional_bound,
@@ -14,7 +16,7 @@ from groundbound.pairs import (
     refine,
     search,
     survives,
-    tail_void_certificate,
+    tail_certificate,
     _coefficient_float,
 )
 
@@ -151,9 +153,37 @@ def test_pruning_soundness(gamma5_search):
 
 
 def test_tail_certificate():
-    cert = tail_void_certificate(10**7)
-    assert cert["void"]
-    assert cert["phi_lower_bound"] > cert["survival_budget"]
+    for kind in (G5, G4):
+        for k_max, blocks in ((10**7, 12), (10**12, 28)):
+            cert = tail_certificate(kind, k_max)
+            assert (cert.start, cert.k_max, cert.blocks) == (TAIL_START, k_max, blocks)
+            assert cert.min_slack > 0
+
+
+def test_tail_certificate_below_crossover_raises():
+    # the path-family block [1024, 2048] fails the comparison (float
+    # sizing: lhs ~133 against rhs ~311); it must raise, never report void
+    with pytest.raises(UndecidableError):
+        tail_certificate(G5, 10**7, start=1024)
+
+
+@pytest.mark.parametrize("kind", [G5, G4])
+def test_search_sieves_only_to_tail_start(kind, monkeypatch):
+    limits = []
+    real_sieve = pairs.sieve_tables
+
+    def spy(limit):
+        limits.append(limit)
+        return real_sieve(limit)
+
+    monkeypatch.setattr(pairs, "sieve_tables", spy)
+    full = search(kind, k_max=10**7)
+    assert limits and max(limits) <= TAIL_START
+    scanned = search(kind, k_max=TAIL_START)
+    assert full.survivors == scanned.survivors
+    assert full.candidate_k_count == scanned.candidate_k_count
+    assert full.checked_pairs == scanned.checked_pairs
+    assert full.tail.k_max == 10**7 and scanned.tail is None
 
 
 def test_global_bounds(gamma5_global, gamma4_global):
