@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
-from mpmath import iv, mp
+from mpmath import mp
+from mpmath.ctx_iv import MPIntervalContext
 
 from .algreal import AlgebraicReal
 from .cyclo import CycloElement
@@ -300,65 +302,116 @@ def sin(x) -> Expr:
 
 
 # -- interval evaluation -------------------------------------------------
+#
+# Every evaluation runs on a private interval context fixed at one working
+# precision, so the global `mpmath.iv` is never read or changed.  Pure
+# leaves (rationals, 2cos(2pi/n), ln q and sin(pi/q) for rational q) are
+# memoized per precision in bounded caches.  A memoized enclosure comes from
+# the same interval operations at the same precision as an uncached one
+# would, so it has the same endpoints.
+
+LEAF_CACHE_SIZE = 2048
 
 
-def _iv_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+@lru_cache(maxsize=16)
+def _context(prec: int) -> MPIntervalContext:
+    iv = MPIntervalContext()
+    iv.prec = prec
+    return iv
 
 
-def _iv_cyclo(x: CycloElement):
-    beta = 2 * iv.cos(2 * iv.pi / x.n)
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
+def _iv_ratio(num: int, den: int, prec: int):
+    iv = _context(prec)
+    return iv.mpf(num) / iv.mpf(den)
+
+
+def _iv_fraction(q: Fraction, iv):
+    return _iv_ratio(q.numerator, q.denominator, iv.prec)
+
+
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
+def _iv_beta(n: int, prec: int):
+    """2cos(2pi/n)."""
+    iv = _context(prec)
+    return 2 * iv.cos(2 * iv.pi / n)
+
+
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
+def _iv_ln_ratio(num: int, den: int, prec: int):
+    if num <= 0:
+        raise DomainError("ln of a certified-nonpositive value")
+    return _context(prec).log(_iv_ratio(num, den, prec))
+
+
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
+def _iv_sin_pi_over(num: int, den: int, prec: int):
+    """sin(pi / (num/den)) for num != 0."""
+    iv = _context(prec)
+    return iv.sin(+iv.pi / _iv_ratio(num, den, prec))
+
+
+def _iv_cyclo(x: CycloElement, iv):
+    beta = _iv_beta(x.n, iv.prec)
     acc = iv.mpf(0)
     for c in reversed(x.coeffs):
-        acc = acc * beta + _iv_fraction(c)
+        acc = acc * beta + _iv_fraction(c, iv)
     return acc
 
 
-def _iv_eval(expr: Expr, bits: int):
+def _iv_eval(expr: Expr, iv, bits: int):
     if isinstance(expr, Const):
-        return _iv_fraction(expr.value)
+        return _iv_fraction(expr.value, iv)
     if isinstance(expr, AlgConst):
-        return _iv_cyclo(expr.value)
+        return _iv_cyclo(expr.value, iv)
     if isinstance(expr, RootConst):
         lo, hi = expr.value.refine_bits(bits + 8)
-        return iv.mpf([_iv_fraction(lo).a, _iv_fraction(hi).b])
+        return iv.mpf([_iv_fraction(lo, iv).a, _iv_fraction(hi, iv).b])
     if isinstance(expr, _PiConst):
         return +iv.pi
     if isinstance(expr, _EConst):
         return +iv.e
     if isinstance(expr, Add):
-        return _iv_eval(expr.left, bits) + _iv_eval(expr.right, bits)
+        return _iv_eval(expr.left, iv, bits) + _iv_eval(expr.right, iv, bits)
     if isinstance(expr, Sub):
-        return _iv_eval(expr.left, bits) - _iv_eval(expr.right, bits)
+        return _iv_eval(expr.left, iv, bits) - _iv_eval(expr.right, iv, bits)
     if isinstance(expr, Mul):
-        return _iv_eval(expr.left, bits) * _iv_eval(expr.right, bits)
+        return _iv_eval(expr.left, iv, bits) * _iv_eval(expr.right, iv, bits)
     if isinstance(expr, Div):
-        denom = _iv_eval(expr.right, bits)
+        denom = _iv_eval(expr.right, iv, bits)
         if denom.a <= 0 <= denom.b:
             raise _Inconclusive("division by an interval containing zero")
-        return _iv_eval(expr.left, bits) / denom
+        return _iv_eval(expr.left, iv, bits) / denom
     if isinstance(expr, Neg):
-        return -_iv_eval(expr.arg, bits)
+        return -_iv_eval(expr.arg, iv, bits)
     if isinstance(expr, Sqrt):
-        arg = _iv_eval(expr.arg, bits)
+        arg = _iv_eval(expr.arg, iv, bits)
         if arg.b < 0:
             raise DomainError("sqrt of a certified-negative value")
         if arg.a < 0:
             raise _Inconclusive("sqrt argument not certified nonnegative")
         return iv.sqrt(arg)
     if isinstance(expr, Ln):
-        arg = _iv_eval(expr.arg, bits)
+        if isinstance(expr.arg, Const):
+            q = expr.arg.value
+            return _iv_ln_ratio(q.numerator, q.denominator, iv.prec)
+        arg = _iv_eval(expr.arg, iv, bits)
         if arg.b <= 0:
             raise DomainError("ln of a certified-nonpositive value")
         if arg.a <= 0:
             raise _Inconclusive("ln argument not certified positive")
         return iv.log(arg)
     if isinstance(expr, ExpNode):
-        return iv.exp(_iv_eval(expr.arg, bits))
+        return iv.exp(_iv_eval(expr.arg, iv, bits))
     if isinstance(expr, Sin):
-        return iv.sin(_iv_eval(expr.arg, bits))
+        arg = expr.arg
+        if isinstance(arg, Div) and isinstance(arg.left, _PiConst) \
+                and isinstance(arg.right, Const) and arg.right.value != 0:
+            q = arg.right.value
+            return _iv_sin_pi_over(q.numerator, q.denominator, iv.prec)
+        return iv.sin(_iv_eval(arg, iv, bits))
     if isinstance(expr, Pow):
-        arg = _iv_eval(expr.arg, bits)
+        arg = _iv_eval(expr.arg, iv, bits)
         e = expr.exponent
         if e.denominator == 1:
             k = e.numerator
@@ -371,7 +424,7 @@ def _iv_eval(expr: Expr, bits: int):
             raise DomainError("rational power of a certified-negative value")
         if arg.a <= 0:
             raise _Inconclusive("rational power argument not certified positive")
-        return iv.exp(iv.log(arg) * _iv_fraction(e))
+        return iv.exp(iv.log(arg) * _iv_fraction(e, iv))
     raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -391,19 +444,16 @@ def eval_ball(expr: Expr, precision_bits: int = DEFAULT_START_BITS) -> Ball:
     bits = precision_bits
     last_exc = None
     while bits <= max(DEFAULT_CAP_BITS, precision_bits):
-        old = iv.prec
         try:
-            iv.prec = bits + 16
-            val = _iv_eval(expr, bits)
-            # make_mpf keeps the exact endpoint mantissas (no rounding)
-            lo_raw, hi_raw = val._mpi_
-            return Ball(lower=mp.make_mpf(lo_raw), upper=mp.make_mpf(hi_raw),
-                        precision_bits=bits)
+            val = _iv_eval(expr, _context(bits + 16), bits)
         except _Inconclusive as exc:
             last_exc = exc
             bits *= 2
-        finally:
-            iv.prec = old
+            continue
+        # make_mpf keeps the exact endpoint mantissas (no rounding)
+        lo_raw, hi_raw = val._mpi_
+        return Ball(lower=mp.make_mpf(lo_raw), upper=mp.make_mpf(hi_raw),
+                    precision_bits=bits)
     raise UndecidableError(f"evaluation failed below the precision cap: {last_exc}")
 
 

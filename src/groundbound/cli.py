@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: bound-solve, fekete, graph-case, graph-family, search-pairs,
-refine-pair, polytope, datasets, reproduce-all.  Reports go to stdout or
---out, in text, json or csv form, and are byte-identical across runs and
-worker counts for the same configuration.
+refine-pair, polytope, datasets, reproduce-all.  Every subcommand takes
+--format {text,json,csv}, --out PATH, --jobs N and --verbose; bound-solve
+also takes --precision-cap BITS.  Reports go to stdout or --out and are
+byte-identical across runs and worker counts for the same configuration.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 undecidable at the
 precision cap, 3 usage error.
@@ -335,8 +336,7 @@ def _cmd_datasets(args) -> Report:
 
 
 def _cmd_reproduce_all(args) -> Report:
-    config = RunConfig(k_max=args.kmax, jobs=args.jobs,
-                       precision_cap_bits=args.precision_cap)
+    config = RunConfig(k_max=args.kmax, jobs=args.jobs)
     return reproduce_all(config)
 
 
@@ -349,7 +349,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None, help="write the report to PATH")
-    common.add_argument("--precision-cap", type=int, default=4096)
     common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -360,6 +359,8 @@ def build_parser() -> _Parser:
     p.add_argument("--R", required=True)
     p.add_argument("--S", required=True)
     p.add_argument("--m", type=int, default=1)
+    p.add_argument("--precision-cap", type=int, default=balls.DEFAULT_CAP_BITS,
+                   help="give up as undecidable above this many bits")
     p.set_defaults(func=_cmd_bound_solve)
 
     p = sub.add_parser("fekete", help="construct a small-sup-norm integer polynomial", parents=[common])

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, log, pi, sin
 
 import numpy as np
@@ -200,19 +201,12 @@ def exceptional_pairs(kind: PairKind) -> list[tuple[int, int]]:
     return [(k, r) for k, r in found if r in (3, 4, 5) and k >= 7]
 
 
-_EXCEPTIONAL_CACHE: tuple | None = None
-
-
+@cache
 def _all_exceptional_pairs() -> tuple:
-    global _EXCEPTIONAL_CACHE
-    if _EXCEPTIONAL_CACHE is None:
-        pps = _prime_powers(_EXCEPTIONAL_SCAN_LIMIT)
-        found = [
-            (k, s) for s in pps for k in pps if k >= s and is_exceptional(k, s)
-        ]
-        found.sort(key=lambda p: (p[1], p[0]))
-        _EXCEPTIONAL_CACHE = tuple(found)
-    return _EXCEPTIONAL_CACHE
+    pps = _prime_powers(_EXCEPTIONAL_SCAN_LIMIT)
+    found = [(k, s) for s in pps for k in pps if k >= s and is_exceptional(k, s)]
+    found.sort(key=lambda p: (p[1], p[0]))
+    return tuple(found)
 
 
 # -- certified floors and per-pair bounds ------------------------------------

@@ -24,8 +24,6 @@ PUBLISHED_N14 = 120
 class RunConfig:
     k_max: int = 10**7
     jobs: int = 1
-    precision_cap_bits: int = 4096
-    output_format: str = "text"
 
 
 def dataset_records() -> list[Record]:

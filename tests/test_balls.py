@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from groundbound import balls
 from groundbound.balls import (
     EQUAL,
     GREATER,
@@ -25,7 +26,8 @@ from groundbound.balls import (
     mpf_to_fraction,
 )
 from groundbound.algreal import AlgebraicReal
-from groundbound.balls import RootConst
+from groundbound.balls import AlgConst, RootConst
+from groundbound.cyclo import CycloElement
 from groundbound.errors import DomainError
 
 # frozen oracle value: ln(4/3) at 60 digits via mpmath
@@ -119,3 +121,71 @@ def test_exp_identity():
     assert exact_value(ExpNode(Const(Fraction(0)))) == 1
     ball = eval_ball(ExpNode(Const(Fraction(1))) - E, 64)
     assert ball.contains(Fraction(0))
+
+
+LEAF_MEMOS = (balls._iv_ratio, balls._iv_beta, balls._iv_ln_ratio, balls._iv_sin_pi_over)
+
+
+def _leafy_expr():
+    """Every memoized leaf kind: rationals, 2cos(2pi/n), ln q, sin(pi/q)."""
+    return (
+        Ln(Const(Fraction(7, 3)))
+        - Sin(Div(PI, Const(Fraction(31))))
+        + AlgConst(CycloElement.cos2pi(1, 7))
+        + Const(Fraction(-5, 11)) * Ln(Sin(Div(PI, Const(Fraction(9)))))
+    )
+
+
+def _endpoints(ball):
+    return mpf_to_fraction(ball.lower), mpf_to_fraction(ball.upper)
+
+
+def test_global_interval_precision_untouched(monkeypatch):
+    from mpmath.ctx_iv import MPIntervalContext
+
+    writes = []
+    prec = MPIntervalContext.prec
+
+    def recording_setter(ctx, n):
+        if ctx is mpmath.iv:
+            writes.append(n)
+        prec.fset(ctx, n)
+
+    monkeypatch.setattr(MPIntervalContext, "prec", property(prec.fget, recording_setter))
+    before = mpmath.iv.prec
+    eval_ball(_leafy_expr(), 256)
+    assert certify_compare(_leafy_expr(), Const(Fraction(1, 3))) in (LESS, GREATER)
+    assert certify_compare(Ln(Const(Fraction(4))), Const(Fraction(2)) * Ln(Const(Fraction(2))),
+                           cap_bits=256) == UNDECIDED
+    assert writes == []
+    assert mpmath.iv.prec == before
+
+
+def test_endpoints_independent_of_global_interval_precision():
+    old = mpmath.iv.prec
+    try:
+        seen = set()
+        for prec in (10, 53, 300, 2000):
+            mpmath.iv.prec = prec
+            for bits in (64, 192):
+                seen.add((bits, _endpoints(eval_ball(_leafy_expr(), bits))))
+        assert len(seen) == 2
+    finally:
+        mpmath.iv.prec = old
+
+
+def test_memoized_leaves_match_fresh_evaluation():
+    expr = _leafy_expr()
+    warm = [_endpoints(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
+    warm_again = [_endpoints(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
+    for memo in LEAF_MEMOS:
+        memo.cache_clear()
+    cold = [_endpoints(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
+    assert warm == warm_again == cold
+    assert all(lo < hi for lo, hi in cold)
+
+
+def test_leaf_caches_are_bounded():
+    for memo in LEAF_MEMOS:
+        assert memo.cache_info().maxsize == balls.LEAF_CACHE_SIZE
+    assert balls._context.cache_info().maxsize is not None

@@ -15,8 +15,9 @@ from groundbound.balls import (
     eval_ball,
     exact_value,
 )
+from groundbound import balls, bounds
 from groundbound.bounds import BoundProblem, IntervalSystem, assemble, solve
-from groundbound.errors import HypothesisViolated
+from groundbound.errors import HypothesisViolated, UndecidableError
 from groundbound.fields import RealCyclotomicField
 
 
@@ -132,3 +133,83 @@ def test_m2_division():
     s1 = Const(F(32)) * E
     r = solve(prob(1, 1, Const(F(1, 2)), Mul(s1, s1), m=2))
     assert r.least_n == 19 and r.degree_bound == 9
+
+
+def _scan_least_n(problem):
+    """Oracle: the least N by a linear certified scan N = 1, 2, ..."""
+    ln_s = balls.Ln(problem.s_factor)
+    if balls.certify_compare(problem.s_factor, Const(F(1))) != balls.GREATER:
+        ln_s = Const(F(0))
+    for n in range(1, bounds.SOLVE_LIMIT + 1):
+        lhs = (
+            Const(F(n)) * -balls.Ln(problem.r_ratio)
+            - Const(F(problem.m_field_degree)) * balls.Ln(Const(F(2 * n + 2)))
+            - balls.Ln(problem.b_disc_root)
+            - ln_s
+        )
+        sign = balls.certify_sign(lhs)
+        assert sign != balls.UNDECIDED
+        if sign != balls.LESS:
+            return n
+    raise AssertionError("no solution below SOLVE_LIMIT")
+
+
+def _oracle_problems():
+    rng = random.Random(20261018)
+    out = []
+    for M in (1, 2, 5, 15):
+        for _ in range(3):
+            r = F(rng.randint(2, 95), 100)
+            b = rng.choice([F(rng.randint(2, 60)), F(1, rng.randint(2, 60))])
+            s = rng.choice([Const(F(rng.randint(2, 400))) * E, Const(F(1, rng.randint(2, 50)))])
+            out.append(prob(M, Const(b), Const(r), s))
+    out.append(prob(1, Const(F(1, 10**6)), Const(F(1, 50)), Const(F(3))))  # N = 1
+    out.append(prob(2, Const(F(5)), Const(F(19, 20)), Const(F(1, 7))))  # S <= 1 clamped
+    out.append(prob(1, Const(F(1)), Const(F(9, 10)), Const(F(1))))  # S = 1 exactly
+    return out
+
+
+def test_solve_matches_linear_scan():
+    answers = []
+    for problem in _oracle_problems():
+        answers.append(solve(problem).least_n)
+        assert answers[-1] == _scan_least_n(problem)
+    assert answers[-3] == 1
+    assert max(answers) > 100
+
+
+def test_solve_at_most_five_comparisons(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return balls.certify_compare(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "certify_compare", counting)
+    for problem in _oracle_problems():
+        calls.clear()
+        solve(problem)
+        assert 3 <= len(calls) <= 5
+
+
+def test_solve_corrects_a_wrong_proposal(monkeypatch):
+    problem = prob(1, 1, Const(F(1)) / Sqrt(Const(F(2))), Const(F(16)) * E)
+    for proposal in (2, 13, 21, 23, 40):
+        monkeypatch.setattr(bounds, "_propose", lambda *args, n=proposal: n)
+        assert solve(problem).least_n == 22
+
+
+def test_solve_limit(monkeypatch):
+    problem = prob(1, 1, Const(F(1)) / Sqrt(Const(F(2))), Const(F(16)) * E)
+    monkeypatch.setattr(bounds, "SOLVE_LIMIT", 22)
+    assert solve(problem).least_n == 22
+    monkeypatch.setattr(bounds, "SOLVE_LIMIT", 21)
+    with pytest.raises(UndecidableError):
+        solve(problem)
+
+
+def test_exact_tie_is_undecidable():
+    # f(5) = 5 ln 2 - ln 12 - ln(8/3) = ln(32/32) = 0 exactly
+    problem = prob(1, 1, Const(F(1, 2)), Const(F(8, 3)))
+    with pytest.raises(UndecidableError, match="N=5"):
+        solve(problem)

@@ -169,6 +169,18 @@ def test_undecidable_exit_code(capsys):
     assert "undecidable" in err.lower()
 
 
+def test_precision_cap_only_on_bound_solve(capsys):
+    code, out, _ = run_cli(
+        ["bound-solve", "--M", "1", "--B", "1", "--R", "1/sqrt(2)", "--S", "16*e",
+         "--precision-cap", "128"],
+        capsys,
+    )
+    assert code == 0 and "result=22" in out
+    for args in (["datasets"], ["polytope", "--nmax", "20"], ["reproduce-all", "--kmax", "100"]):
+        code, _, err = run_cli([*args, "--precision-cap", "512"], capsys)
+        assert code == 3 and "--precision-cap" in err
+
+
 def test_invalid_expression(capsys):
     code, out, err = run_cli(
         ["bound-solve", "--M", "1", "--B", "1", "--R", "1/$", "--S", "16*e"],
