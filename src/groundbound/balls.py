@@ -3,9 +3,11 @@
 Expressions are immutable trees over exact leaves (rationals, cyclotomic
 elements, algebraic reals, pi, e) with ln/exp/sqrt/sin and rational-power
 nodes.  `eval_ball` encloses the exact value in an outward-rounded interval
-computed with mpmath's interval arithmetic; `certify_compare` decides
-orderings adaptively, doubling precision up to a cap, with an exact path
-for algebraic equalities.
+computed with mpmath's interval arithmetic; it is the one precision loop,
+doubling the working precision until its caller accepts the enclosure,
+never above the caller's cap.  `certify_compare` decides orderings with
+it (with an exact path for algebraic equalities) and `certified_floor`
+rounds down with it.
 """
 
 from __future__ import annotations
@@ -432,29 +434,55 @@ class _Inconclusive(Exception):
     """Internal: the interval is too wide to evaluate at this precision."""
 
 
-def eval_ball(expr: Expr, precision_bits: int = DEFAULT_START_BITS) -> Ball:
+def _excludes_zero(ball: Ball) -> bool:
+    return ball.certainly_positive() or ball.certainly_negative()
+
+
+def _floor_of(x) -> int:
+    """Exact floor of an mpf, which is man * 2^exponent."""
+    sign, man, exponent, _ = x._mpf_
+    man = -man if sign else man
+    return man << exponent if exponent >= 0 else man >> -exponent
+
+
+def _within_one_integer_step(ball: Ball) -> bool:
+    return _floor_of(ball.lower) == _floor_of(ball.upper)
+
+
+def eval_ball(
+    expr: Expr,
+    precision_bits: int = DEFAULT_START_BITS,
+    cap_bits: int = DEFAULT_CAP_BITS,
+    accept=None,
+) -> Ball:
     """Enclose the exact value of `expr` in a `Ball`.
 
-    Raises DomainError when a sub-expression is certified outside its
-    domain and UndecidableError when the enclosure cannot be computed at
-    any precision up to the cap (e.g. sqrt of an exact zero approached
-    from below).
+    This is the one place where the working precision rises: starting at
+    `precision_bits`, the precision doubles while the evaluation is
+    inconclusive or `accept(ball)` is false, and no evaluation runs above
+    `cap_bits`.  Raises DomainError when a sub-expression is certified
+    outside its domain and UndecidableError when no evaluation at or below
+    the cap gives an acceptable ball (e.g. sqrt of an exact zero
+    approached from below).
     """
     expr = as_expr(expr)
     bits = precision_bits
-    last_exc = None
-    while bits <= max(DEFAULT_CAP_BITS, precision_bits):
+    reason = "the start precision is above the cap"
+    while bits <= cap_bits:
         try:
             val = _iv_eval(expr, _context(bits + 16), bits)
         except _Inconclusive as exc:
-            last_exc = exc
-            bits *= 2
-            continue
-        # make_mpf keeps the exact endpoint mantissas (no rounding)
-        lo_raw, hi_raw = val._mpi_
-        return Ball(lower=mp.make_mpf(lo_raw), upper=mp.make_mpf(hi_raw),
-                    precision_bits=bits)
-    raise UndecidableError(f"evaluation failed below the precision cap: {last_exc}")
+            reason = exc
+        else:
+            # make_mpf keeps the exact endpoint mantissas (no rounding)
+            lo_raw, hi_raw = val._mpi_
+            ball = Ball(lower=mp.make_mpf(lo_raw), upper=mp.make_mpf(hi_raw),
+                        precision_bits=bits)
+            if accept is None or accept(ball):
+                return ball
+            reason = "the enclosure is too wide"
+        bits *= 2
+    raise UndecidableError(f"evaluation failed below the precision cap: {reason}")
 
 
 # -- exact simplification ----------------------------------------------
@@ -577,15 +605,10 @@ def _algebraic_sign(value, cap_bits: int) -> int:
     if value.is_rational():
         q = value.as_rational()
         return (q > 0) - (q < 0)
-    bits = DEFAULT_START_BITS
-    while bits <= cap_bits * 16:  # nonzero algebraic: guaranteed to separate
-        ball = eval_ball(AlgConst(value), bits)
-        if ball.certainly_positive():
-            return 1
-        if ball.certainly_negative():
-            return -1
-        bits *= 2
-    raise UndecidableError("sign of cyclotomic value did not separate")
+    # a nonzero algebraic value is guaranteed to separate from zero, so it
+    # may use sixteen times the comparison cap
+    ball = eval_ball(AlgConst(value), DEFAULT_START_BITS, 16 * cap_bits, _excludes_zero)
+    return 1 if ball.certainly_positive() else -1
 
 
 def certify_compare(
@@ -606,22 +629,27 @@ def certify_compare(
     if exact is not None:
         sign = _algebraic_sign(exact, cap_bits)
         return EQUAL if sign == 0 else (GREATER if sign > 0 else LESS)
-    bits = start_bits
-    while bits <= cap_bits:
-        try:
-            ball = eval_ball(diff, bits)
-        except UndecidableError:
-            return UNDECIDED
-        if ball.certainly_positive():
-            return GREATER
-        if ball.certainly_negative():
-            return LESS
-        bits *= 2
-    return UNDECIDED
+    try:
+        ball = eval_ball(diff, start_bits, cap_bits, _excludes_zero)
+    except UndecidableError:
+        return UNDECIDED
+    return GREATER if ball.certainly_positive() else LESS
 
 
 def certify_sign(expr, start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS) -> str:
     return certify_compare(expr, Const(Fraction(0)), start_bits, cap_bits)
+
+
+def certified_floor(expr) -> int:
+    """floor(expr): exact for an exactly rational value, otherwise from an
+    enclosure certified inside one integer step; raises UndecidableError
+    when the value sits on an integer that interval arithmetic cannot
+    separate."""
+    expr = as_expr(expr)
+    exact = exact_value(expr)
+    if isinstance(exact, Fraction):
+        return exact.numerator // exact.denominator
+    return _floor_of(eval_ball(expr, accept=_within_one_integer_step).lower)
 
 
 def ball_str(expr, digits: int = 12, bits: int = 192) -> str:

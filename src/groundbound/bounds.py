@@ -160,7 +160,7 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
 
     if reaches(1):
         return result(1)
-    n = _propose(_approx(ln_inv_r), m_deg, _approx(ln_b + ln_s))
+    n = _propose(_approx(ln_inv_r, precision_cap), m_deg, _approx(ln_b + ln_s, precision_cap))
     low = 1  # the largest n with f(n) < 0 certified so far
     while n <= SOLVE_LIMIT and not reaches(n):
         low, n = n, n + 1
@@ -172,9 +172,10 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
     return result(n)
 
 
-def _approx(expr: Expr) -> float:
-    """Floating-point value of `expr`, the midpoint of a 64-bit enclosure."""
-    return float(balls.eval_ball(expr).center)
+def _approx(expr: Expr, cap_bits: int) -> float:
+    """Floating-point value of `expr`, the midpoint of its first enclosure
+    from 64 bits up (never above `cap_bits`)."""
+    return float(balls.eval_ball(expr, cap_bits=cap_bits).center)
 
 
 def _propose(ln_inv_r: float, m_deg: int, ln_bs: float) -> int:

@@ -2,9 +2,10 @@
 
 Subcommands: bound-solve, fekete, graph-case, graph-family, search-pairs,
 refine-pair, polytope, datasets, reproduce-all.  Every subcommand takes
---format {text,json,csv}, --out PATH, --jobs N and --verbose; bound-solve
-also takes --precision-cap BITS.  Reports go to stdout or --out and are
-byte-identical across runs and worker counts for the same configuration.
+--format {text,json,csv} and --out PATH; bound-solve also takes
+--precision-cap BITS and polytope also takes --verbose.  Reports go to
+stdout or --out and are byte-identical across runs for the same
+configuration.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 undecidable at the
 precision cap, 3 usage error.
@@ -22,7 +23,7 @@ from .bounds import BoundProblem, solve
 from .errors import GroundboundError, UndecidableError
 from .fields import RealCyclotomicField
 from .report import Record, Report, case_table_csv, pair_table_lines
-from .reproduce import RunConfig, reproduce_all
+from .reproduce import reproduce_all
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -262,7 +263,7 @@ def _cmd_search_pairs(args) -> Report:
     from .reproduce import tail_record
 
     kind = PairKind[args.kind.upper()]
-    result = search(kind, k_max=args.kmax, jobs=args.jobs)
+    result = search(kind, k_max=args.kmax)
     report = Report(title=f"pair search {kind.value}, k <= {args.kmax}")
     rows = [Record(pipeline="search-pairs", case="survivors", inputs={},
                    result=len(result.survivors), paper_expected=None, match=None),
@@ -336,8 +337,7 @@ def _cmd_datasets(args) -> Report:
 
 
 def _cmd_reproduce_all(args) -> Report:
-    config = RunConfig(k_max=args.kmax, jobs=args.jobs)
-    return reproduce_all(config)
+    return reproduce_all(args.kmax)
 
 
 # -- driver --------------------------------------------------------------------
@@ -349,8 +349,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None, help="write the report to PATH")
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("bound-solve", help="solve the least-N inequality", parents=[common])
@@ -401,6 +399,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("polytope", help="dimension elimination and Fuchsian bounds", parents=[common])
     p.add_argument("--nmax", type=int, default=10**4)
+    p.add_argument("--verbose", action="store_true",
+                   help="also print the counting-argument intermediates")
     p.set_defaults(func=_cmd_polytope)
 
     p = sub.add_parser("datasets", help="verify the static datasets", parents=[common])

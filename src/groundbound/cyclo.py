@@ -219,7 +219,10 @@ class CycloElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        # Tr(x) / [K : Q] does not depend on the modulus that holds x, and it
+        # is x itself for a rational x, so equal elements hash alike
+        traces = _power_traces(self.n)
+        return hash(sum(c * t for c, t in zip(self.coeffs, traces)) / len(traces))
 
     def __repr__(self):
         return f"CycloElement(n={self.n}, coeffs={self.coeffs})"
@@ -285,6 +288,18 @@ def _generator_power_images(n: int, a: int) -> tuple:
 
 
 # -- trigonometric constructors ---------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _power_traces(n: int) -> tuple:
+    """Tr(b^i) from Q(cos 2pi/n) to Q for 0 <= i < [Q(cos 2pi/n) : Q]: the
+    power sums of the roots of b's minimal polynomial, by Newton's identities."""
+    a = P.cos_minpoly(n)  # monic; a[j] is the coefficient of x^j
+    d = len(a) - 1
+    sums = [d]
+    for i in range(1, d):
+        sums.append(-i * a[d - i] - sum(a[d - j] * sums[i - j] for j in range(1, i)))
+    return tuple(sums)
 
 
 def cos2_pi_over(l: int, n: int) -> CycloElement:

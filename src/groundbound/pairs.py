@@ -36,7 +36,7 @@ import numpy as np
 from . import balls
 from .balls import (
     PI, AlgConst, Const, E, Expr, Ln, Sin, Sqrt,
-    certify_compare, certify_sign, eval_ball, mpf_to_fraction,
+    certified_floor, certify_compare, certify_sign, eval_ball, mpf_to_fraction,
 )
 from .bounds import BoundProblem, solve
 from .cyclo import euler_phi, gamma_norm_constant
@@ -212,20 +212,9 @@ def _all_exceptional_pairs() -> tuple:
 # -- certified floors and per-pair bounds ------------------------------------
 
 
-def certified_floor_ratio(num: Expr, den: Expr, cap_bits: int = 4096) -> int:
-    """floor(num/den) with directed rounding; precision rises until the
-    enclosure stays inside one integer step."""
-    ratio = num / den
-    bits = 64
-    while bits <= cap_bits:
-        ball = eval_ball(ratio, bits)
-        lo = mpf_to_fraction(ball.lower)
-        hi = mpf_to_fraction(ball.upper)
-        flo, fhi = lo.numerator // lo.denominator, hi.numerator // hi.denominator
-        if flo == fhi:
-            return int(flo)
-        bits *= 2
-    raise UndecidableError("floor of pair ratio straddles an integer")
+def certified_floor_ratio(num: Expr, den: Expr) -> int:
+    """floor(num/den), certified (see `balls.certified_floor`)."""
+    return certified_floor(num / den)
 
 
 def pair_report(k: int, s: int, kind: PairKind, refine_above: int = REFINE_THRESHOLD) -> PairReport:
@@ -438,16 +427,14 @@ def _candidate_ks(kind: PairKind, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
     return k[keep]
 
 
-def search(kind: PairKind, k_max: int = 10**7, jobs: int = 1) -> SearchResult:
+def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     """All non-exceptional pairs passing the survival inequality.
 
     Pairs with k <= min(k_max, TAIL_START) are scanned: the float phase
     only prunes with wide margins; every reported survivor is certified
     by interval arithmetic, and near-boundary pairs are certified
     individually before being kept or discarded.  Larger k up to k_max
-    are covered by `tail_certificate`.  Results are deterministic and
-    independent of `jobs` (workers only parallelize the certification
-    step).
+    are covered by `tail_certificate`.  Results are deterministic.
     """
     if k_max < 31:
         raise ValueError("k_max must cover the known argmax (>= 31)")
@@ -478,32 +465,13 @@ def search(kind: PairKind, k_max: int = 10**7, jobs: int = 1) -> SearchResult:
             if (k, si) not in exceptional:
                 if not is_exceptional(k, si):
                     near.append((k, si))
-    survivors = []
-    confirm = _certify_batch(near, kind, jobs)
-    for (k, si), ok in sorted(zip(near, confirm)):
-        if ok:
-            survivors.append(pair_report(k, si, kind))
-    survivors.sort(key=lambda r: (r.k, r.s))
+    survivors = [pair_report(k, si, kind) for k, si in sorted(near) if survives(k, si, kind)]
     return SearchResult(
         kind=kind, k_max=k_max, survivors=tuple(survivors),
         exceptional=tuple(sorted(exceptional, key=lambda p: (p[1], p[0]))),
         candidate_k_count=len(candidates), checked_pairs=checked,
         tail=tail_certificate(kind, k_max) if k_max > TAIL_START else None,
     )
-
-
-def _certify_batch(pairs, kind: PairKind, jobs: int) -> list[bool]:
-    if jobs <= 1 or len(pairs) < 8:
-        return [survives(k, s, kind) for k, s in pairs]
-    import concurrent.futures as cf
-
-    with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_survives_star, [(k, s, kind.value) for k, s in pairs]))
-
-
-def _survives_star(args) -> bool:
-    k, s, kind_value = args
-    return survives(k, s, PairKind(kind_value))
 
 
 # -- global bounds -------------------------------------------------------------
@@ -519,7 +487,7 @@ class GlobalBound:
     method_a_small_k_max: int | None = None
 
 
-def global_bound(kind: PairKind, k_max: int = 10**7, jobs: int = 1) -> GlobalBound:
+def global_bound(kind: PairKind, k_max: int = 10**7) -> GlobalBound:
     """Family maximum over exceptional pairs (Method A) and surviving
     non-exceptional pairs (Method B, refined when above 120)."""
     if kind is PairKind.GAMMA4 and k_max < 7:
@@ -547,7 +515,7 @@ def global_bound(kind: PairKind, k_max: int = 10**7, jobs: int = 1) -> GlobalBou
         if table.maximum > best:
             case = table.argmax
             best, arg = table.maximum, (case.k, case.s, case.r)
-    result = search(kind, k_max=k_max, jobs=jobs)
+    result = search(kind, k_max=k_max)
     for report in result.survivors:
         if report.final_bound > best:
             best, arg = report.final_bound, (report.k, report.s)

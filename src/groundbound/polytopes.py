@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .balls import PI, Const, Ln, Pow, as_expr, eval_ball, exact_value
-from .errors import InadmissibleQuery, InadmissibleSignature, UndecidableError
+from .balls import PI, Const, Ln, Pow, as_expr, certified_floor, exact_value
+from .errors import InadmissibleQuery, InadmissibleSignature
 
 TAKEUCHI_A = Fraction("29.099")
 TAKEUCHI_B = Fraction("8.3185")
@@ -190,26 +190,3 @@ def _rational_over_pi(expr) -> Fraction | None:
     if isinstance(expr, balls._PiConst):
         return Fraction(1)
     return None
-
-
-def certified_floor(expr, cap_bits: int = 4096) -> int:
-    """floor(expr) with the enclosing interval certified inside one integer
-    step; raises UndecidableError when the value sits on an integer that
-    interval arithmetic cannot separate."""
-    expr = as_expr(expr)
-    exact = exact_value(expr)
-    if isinstance(exact, Fraction):
-        return exact.numerator // exact.denominator
-    bits = 64
-    while bits <= cap_bits:
-        ball = eval_ball(expr, bits)
-        from .balls import mpf_to_fraction
-
-        lo = mpf_to_fraction(ball.lower)
-        hi = mpf_to_fraction(ball.upper)
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi:
-            return int(flo)
-        bits *= 2
-    raise UndecidableError("floor straddles an integer below the precision cap")

@@ -2,8 +2,8 @@
 
 Every numeric cell is either an exact integer/rational string or a
 fixed-precision decimal computed from a certified enclosure midpoint at a
-fixed bit count, so byte-identical output across runs and worker counts
-is a property of the data, not of formatting luck.
+fixed bit count, so byte-identical output across runs is a property of
+the data, not of formatting luck.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ global bounds and the final summary of family maxima.  The output is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import datasets, polytopes
@@ -18,12 +17,6 @@ from .pairs import PairKind, TailCertificate, global_bound
 from .report import Record, Report
 
 PUBLISHED_N14 = 120
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    k_max: int = 10**7
-    jobs: int = 1
 
 
 def dataset_records() -> list[Record]:
@@ -125,8 +118,8 @@ def tail_record(pipeline: str, tail: TailCertificate) -> Record:
                         "4 rhs_max(k)/c_low(k) on every dyadic block of k"))
 
 
-def pair_records(kind: PairKind, k_max: int, jobs: int) -> tuple[list[Record], int]:
-    gb = global_bound(kind, k_max=k_max, jobs=jobs)
+def pair_records(kind: PairKind, k_max: int) -> tuple[list[Record], int]:
+    gb = global_bound(kind, k_max=k_max)
     out = []
     result = gb.search_result
     out.append(Record(pipeline=f"pairs-{kind.value}", case="exceptional pair count",
@@ -168,7 +161,7 @@ def pair_records(kind: PairKind, k_max: int, jobs: int) -> tuple[list[Record], i
     return out, gb.maximum
 
 
-def reproduce_all(config: RunConfig = RunConfig()) -> Report:
+def reproduce_all(k_max: int = 10**7) -> Report:
     report = Report(title="groundbound reproduction report")
     report.add_section("datasets", dataset_records())
     report.add_section("polytope dimension elimination", polytope_records())
@@ -183,9 +176,9 @@ def reproduce_all(config: RunConfig = RunConfig()) -> Report:
     g4_table = family_bound(Family.G4, range(2, 7))
     report.add_section("family Gamma4 (2 <= k <= 6)", family_records(g4_table))
 
-    g5_records, g5_max = pair_records(PairKind.GAMMA5, config.k_max, config.jobs)
+    g5_records, g5_max = pair_records(PairKind.GAMMA5, k_max)
     report.add_section("pair search (path family, ln 7)", g5_records)
-    g4_records, g4_max = pair_records(PairKind.GAMMA4, config.k_max, config.jobs)
+    g4_records, g4_max = pair_records(PairKind.GAMMA4, k_max)
     report.add_section("pair search (star family, ln 8)", g4_records)
     maxima[Family.G4] = g4_max
     maxima[Family.G5] = g5_max

@@ -28,7 +28,7 @@ from groundbound.balls import (
 from groundbound.algreal import AlgebraicReal
 from groundbound.balls import AlgConst, RootConst
 from groundbound.cyclo import CycloElement
-from groundbound.errors import DomainError
+from groundbound.errors import DomainError, UndecidableError
 
 # frozen oracle value: ln(4/3) at 60 digits via mpmath
 LN_4_3 = Fraction("0.287682072451780927439219005993827431503509710897761056506666")
@@ -189,3 +189,85 @@ def test_leaf_caches_are_bounded():
     for memo in LEAF_MEMOS:
         assert memo.cache_info().maxsize == balls.LEAF_CACHE_SIZE
     assert balls._context.cache_info().maxsize is not None
+
+
+# pi - q with q the 50-digit truncation of pi is about 5.8e-51, so its
+# enclosure straddles zero below about 170 bits and sqrt is inconclusive
+PI_TRUNCATION = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
+
+
+def _recording_contexts(monkeypatch):
+    asked = []
+    original = balls._context
+
+    def recording(prec):
+        asked.append(prec)
+        return original(prec)
+
+    monkeypatch.setattr(balls, "_context", recording)
+    return asked
+
+
+def test_no_evaluation_above_the_compare_cap(monkeypatch):
+    asked = _recording_contexts(monkeypatch)
+    near_zero = Sqrt(PI - Const(PI_TRUNCATION))
+    tie = (Ln(Const(Fraction(4))), Const(Fraction(2)) * Ln(Const(Fraction(2))))
+    for cap in (64, 128, 256, 512):
+        asked.clear()
+        expected = UNDECIDED if cap < 256 else GREATER
+        assert certify_compare(near_zero, 0, cap_bits=cap) == expected
+        assert certify_compare(*tie, cap_bits=cap) == UNDECIDED
+        assert asked and max(asked) <= cap + 16
+
+
+def test_one_evaluation_settles_a_compare(monkeypatch):
+    # sqrt(pi - q) with q = pi to 30 digits is inconclusive at 64 bits; c
+    # agrees with it to 35 digits, so the difference straddles zero at 128
+    # bits and separates at 256: no evaluation is done twice on the way
+    with mpmath.workdps(120):
+        q = Fraction(int(mpmath.pi * 10**30), 10**30)
+        c = Fraction(mpmath.nstr(mpmath.sqrt(mpmath.pi - mpmath.mpf(q.numerator) / q.denominator), 35))
+    calls = []
+    original = balls.eval_ball
+
+    def spy(*args, **kwargs):
+        ball = original(*args, **kwargs)
+        calls.append(ball.precision_bits)
+        return ball
+
+    monkeypatch.setattr(balls, "eval_ball", spy)
+    assert certify_compare(Sqrt(PI - Const(q)), Const(c)) in (LESS, GREATER)
+    assert calls == [256]
+
+
+def test_eval_ball_accept_and_cap():
+    near_zero = PI - Const(PI_TRUNCATION)
+    ball = eval_ball(near_zero, 64, accept=lambda b: b.certainly_positive())
+    assert ball.certainly_positive() and ball.precision_bits == 256
+    with pytest.raises(UndecidableError):
+        eval_ball(near_zero, 64, cap_bits=128, accept=lambda b: b.certainly_positive())
+    with pytest.raises(UndecidableError):
+        eval_ball(Sqrt(near_zero), 64, cap_bits=128)
+    with pytest.raises(UndecidableError):
+        eval_ball(PI, 256, cap_bits=128)
+
+
+def test_exact_algebraic_sign_may_exceed_the_cap():
+    # 2cos(2pi/7) > 0 is an exact algebraic sign: it separates at 64 bits
+    # even under a 32-bit cap, within the sixteenfold allowance
+    beta7 = AlgConst(CycloElement.generator(7))
+    assert certify_compare(beta7, 0, cap_bits=32) == GREATER
+    assert certify_compare(Ln(Const(Fraction(2))), 0, cap_bits=32) == UNDECIDED
+
+
+def test_certified_floor_shared_by_pairs_and_polytopes():
+    from groundbound import pairs, polytopes
+
+    assert polytopes.certified_floor is balls.certified_floor
+    num, den = Ln(Const(Fraction(100))), Ln(Const(Fraction(3)))
+    assert pairs.certified_floor_ratio(num, den) == balls.certified_floor(num / den) == 4
+    assert balls.certified_floor(Const(Fraction(-7, 2))) == -4
+    # an exact integer is floored on the exact path; an interval cannot
+    assert balls.certified_floor(Sqrt(Const(Fraction(16)))) == 4
+    with pytest.raises(UndecidableError):
+        balls.certified_floor(Ln(Const(Fraction(4))) / Ln(Const(Fraction(2))))

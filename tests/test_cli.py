@@ -181,6 +181,52 @@ def test_precision_cap_only_on_bound_solve(capsys):
         assert code == 3 and "--precision-cap" in err
 
 
+# a valid invocation of each subcommand; with an unknown flag appended,
+# parsing fails before anything runs
+SUBCOMMANDS = (
+    ["bound-solve", "--M", "1", "--B", "1", "--R", "1/2", "--S", "2"],
+    ["fekete", "--degree", "2", "--interval", "0,1"],
+    ["graph-case", "--family", "g2", "--s", "3", "--k", "3", "--p", "3"],
+    ["graph-family", "--family", "g1"],
+    ["search-pairs", "--kind", "gamma4", "--kmax", "100"],
+    ["refine-pair", "--kind", "gamma5", "--k", "31", "--s", "3"],
+    ["polytope", "--nmax", "20"],
+    ["datasets"],
+    ["reproduce-all", "--kmax", "100"],
+)
+
+
+def test_jobs_is_a_usage_error(capsys):
+    for args in SUBCOMMANDS:
+        code, _, err = run_cli([*args, "--jobs", "2"], capsys)
+        assert code == 3 and "--jobs" in err, args
+
+
+def test_verbose_only_on_polytope(capsys):
+    code, out, _ = run_cli(["polytope", "--nmax", "20", "--verbose"], capsys)
+    assert code == 0
+    assert "counting-argument intermediates" in out and "counting chain at n=10" in out
+    code, out, _ = run_cli(["polytope", "--nmax", "20"], capsys)
+    assert code == 0 and "counting chain" not in out
+    for args in SUBCOMMANDS:
+        if args[0] != "polytope":
+            code, _, err = run_cli([*args, "--verbose"], capsys)
+            assert code == 3 and "--verbose" in err, args
+
+
+# S - 1 = sqrt(pi - q) with q the 50-digit truncation of pi, about 7.6e-26:
+# the sqrt argument straddles zero below about 170 bits
+NEAR_ZERO_S = "1 + sqrt(pi - 314159265358979323846264338327950288419716939937510/10^50)"
+
+
+def test_precision_cap_bounds_inconclusive_evaluations(capsys):
+    args = ["bound-solve", "--M", "1", "--B", "1", "--R", "1/2", "--S", NEAR_ZERO_S]
+    code, _, err = run_cli([*args, "--precision-cap", "64"], capsys)
+    assert code == 2 and "undecidable" in err.lower()
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+
+
 def test_invalid_expression(capsys):
     code, out, err = run_cli(
         ["bound-solve", "--M", "1", "--B", "1", "--R", "1/$", "--S", "16*e"],
@@ -193,10 +239,10 @@ def test_reproduce_all_small_deterministic(tmp_path):
     # run via subprocess to exercise the entry point end to end
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"
-    for out, jobs in ((out1, "1"), (out2, "2")):
+    for out in (out1, out2):
         proc = subprocess.run(
             [sys.executable, "-m", "groundbound.cli", "reproduce-all",
-             "--kmax", "2000", "--jobs", jobs, "--out", str(out)],
+             "--kmax", "2000", "--out", str(out)],
             capture_output=True, text=True, timeout=900,
         )
         assert proc.returncode == 1  # documented divergences are reported

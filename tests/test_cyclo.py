@@ -81,3 +81,26 @@ def test_arithmetic_matches_float(n, data):
 def test_norm_of_rational_in_bigger_field():
     x = CycloElement.rational(7, Fraction(7, 3))
     assert x.is_rational() and x.as_rational() == Fraction(7, 3)
+
+
+def test_hash_agrees_with_equality():
+    a = CycloElement.cos2pi(1, 5)
+    b = a.to_modulus(10)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({a, a.to_modulus(60), CycloElement.cos2pi(1, 5, 15)}) == 1
+    assert CycloElement.rational(5, 3) == 3
+    assert hash(CycloElement.rational(5, 3)) == hash(3)
+    assert hash(CycloElement.rational(12, Fraction(-2, 7))) == hash(Fraction(-2, 7))
+    assert {CycloElement.generator(6): "one"}[1] == "one"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 4), st.data())
+def test_hash_is_independent_of_modulus(n, factor, data):
+    d = field_degree(n)
+    coeffs = data.draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                                min_size=d, max_size=d))
+    x = CycloElement(n, coeffs)
+    y = x.to_modulus(n * factor)
+    assert x == y and hash(x) == hash(y)

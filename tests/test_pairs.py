@@ -113,13 +113,6 @@ def test_search_structure(gamma5_search):
     assert max(r.final_bound for r in result.survivors) == 120
 
 
-def test_search_deterministic_under_jobs():
-    seq = search(G5, k_max=600, jobs=1)
-    par = search(G5, k_max=600, jobs=2)
-    assert [(r.k, r.s, r.final_bound) for r in seq.survivors] == \
-        [(r.k, r.s, r.final_bound) for r in par.survivors]
-
-
 def test_search_rejects_tiny_kmax():
     with pytest.raises(ValueError):
         search(G5, k_max=30)
