@@ -9,7 +9,8 @@ Layers, bottom up:
 * ``fields`` -- invariants of the fields Q(cos^2(pi/l), ...): degrees,
   embeddings, exact norms, conductor-discriminant discriminants;
 * ``bounds`` -- the least-N solver for the key inequality
-  N ln(1/R) - M ln(2N+2) - ln B >= ln S;
+  N ln(1/R) - M ln(2N+2) - ln B >= ln S, and the one Method-A derivation
+  of (M, B, R, S) from an interval width;
 * ``fekete`` -- constructive small-sup-norm integer polynomials with
   exact Chebyshev-coefficient certificates;
 * ``graphs`` -- the five 4-vertex edge-graph families: enumeration, Gram
@@ -22,7 +23,7 @@ Layers, bottom up:
 """
 
 from .balls import Ball, certify_compare, eval_ball
-from .bounds import BoundProblem, BoundResult, IntervalSystem, assemble, solve
+from .bounds import BoundProblem, BoundResult, method_a_problem, solve
 from .cyclo import CycloElement
 from .algreal import AlgebraicReal
 from .fields import RealCyclotomicField, field_discriminant, field_norm
@@ -33,13 +34,12 @@ __all__ = [
     "BoundProblem",
     "BoundResult",
     "CycloElement",
-    "IntervalSystem",
     "RealCyclotomicField",
-    "assemble",
     "certify_compare",
     "eval_ball",
     "field_discriminant",
     "field_norm",
+    "method_a_problem",
     "solve",
 ]
 

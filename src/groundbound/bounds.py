@@ -14,17 +14,22 @@ is convex in N (its second derivative is M/(N + 1)^2 > 0), so the N >= 1
 with f(N) < 0 form an interval that starts at 1 when it is not empty.
 The solver therefore certifies only f(1), f(N - 1) and f(N) around a
 floating-point proposal for N, not every N below the answer.
+
+`method_a_problem` is the one place that derives (M, B, R, S): every
+edge-graph case and every pair refinement supplies the squared width W of
+its admissible interval and the radius r of its exceptional interval.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 
 from . import balls
-from .balls import Const, Expr, Ln, certify_compare, sqrt
-from .errors import HypothesisViolated, UndecidableError
+from .balls import Const, E, Expr, Ln, Pow, Sqrt, as_expr, certify_compare
+from .cyclo import CycloElement
+from .errors import HypothesisViolated, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, field_discriminant
 
 SOLVE_LIMIT = 1_000_000
@@ -44,9 +49,9 @@ class BoundProblem:
 
     def __post_init__(self):
         if self.m_field_degree < 1:
-            raise ValueError("M must be >= 1")
+            raise InvalidInput("M must be >= 1")
         if self.exceptional_count < 1:
-            raise ValueError("m must be >= 1")
+            raise InvalidInput("m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,58 +61,34 @@ class BoundResult:
     problem: BoundProblem
 
 
-@dataclass(frozen=True)
-class IntervalSystem:
-    """Rational base intervals per embedding plus exceptional intervals.
+def method_a_problem(
+    field: RealCyclotomicField,
+    width_sq: CycloElement | Fraction,
+    width_sq_norm: Fraction,
+    radius: int,
+    m: int = 1,
+) -> BoundProblem:
+    """(M, B, R, S) of Method A for an admissible interval of squared width W.
 
-    `base` maps each embedding of the field to a rational interval
-    [a_sigma, b_sigma]; `exceptional` lists (embedding, [s_i, t_i]) pairs
-    for the embeddings of F(alpha) that escape their base interval.
+    `width_sq` is W in F at the identity embedding: the interval where the
+    variant value must lie has length sqrt(sigma(W)) at the embedding
+    sigma, and `width_sq_norm` is N(W), the product of those sigma(W).
+    `radius` is the radius r of the exceptional interval.  Then
+
+        M = [F:Q],   B = sqrt(|disc F|),
+        R^2 = prod_sigma sqrt(sigma(W)) / 4,  i.e.  R = (N(W) / 16^M)^(1/4),
+        S = (2 r e / sqrt(W))^m.
+
+    R is built as two square roots of a rational, which `exact_value`
+    reduces when N(W) / 16^M is a rational fourth power.
     """
-
-    field: RealCyclotomicField
-    base: dict
-    exceptional: list = field(default_factory=list)
-
-    def __post_init__(self):
-        embeddings = self.field.embeddings()
-        if set(self.base) != set(embeddings):
-            raise ValueError("base intervals must cover every embedding exactly once")
-        if len(self.exceptional) < 1:
-            raise ValueError("at least one exceptional interval is required")
-
-
-def assemble(system: IntervalSystem) -> BoundProblem:
-    """Build (M, B, R, S) from rational interval data.
-
-    R^2 = prod (b-a)/4 (must be certified < 1); S multiplies one factor
-    2 e r_i / (b_sigma_i - a_sigma_i) per exceptional interval, with
-    r_i = max(|t_i - a_sigma_i|, |b_sigma_i - s_i|).
-    """
-    prod = Fraction(1)
-    for emb, (a, b) in system.base.items():
-        a, b = Fraction(a), Fraction(b)
-        if b <= a:
-            raise ValueError(f"empty base interval for {emb}")
-        prod *= (b - a) / 4
-    if prod >= 1:
-        raise HypothesisViolated(f"prod (b-a)/4 = {prod} >= 1")
-    r_expr = sqrt(Const(prod))
-
-    s_rational = Fraction(1)
-    for emb, (s_i, t_i) in system.exceptional:
-        a, b = map(Fraction, system.base[emb])
-        r_i = max(abs(Fraction(t_i) - a), abs(b - Fraction(s_i)))
-        s_rational *= 2 * r_i / (b - a)
-    m = len(system.exceptional)
-    s_expr = Const(s_rational) * balls.ExpNode(Const(Fraction(m)))
-
-    disc = field_discriminant(system.field)
+    M = field.degree
+    s_one = Const(Fraction(2 * radius)) * E / Sqrt(as_expr(width_sq))
     return BoundProblem(
-        m_field_degree=system.field.degree,
-        b_disc_root=sqrt(Const(Fraction(disc))),
-        r_ratio=r_expr,
-        s_factor=s_expr,
+        m_field_degree=M,
+        b_disc_root=Sqrt(Const(Fraction(field_discriminant(field)))),
+        r_ratio=Sqrt(Sqrt(Const(Fraction(width_sq_norm) / 16**M))),
+        s_factor=s_one if m == 1 else Pow(s_one, Fraction(m)),
         exceptional_count=m,
     )
 

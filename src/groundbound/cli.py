@@ -8,7 +8,8 @@ stdout or --out and are byte-identical across runs for the same
 configuration.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 undecidable at the
-precision cap, 3 usage error.
+precision cap, 3 usage error (a bad flag, or an argument out of range:
+`errors.InvalidInput` and the other package errors).
 """
 
 from __future__ import annotations
@@ -103,13 +104,15 @@ def _parse_factor(tokens, pos):
     expr, pos = _parse_atom(tokens, pos)
     if pos < len(tokens) and tokens[pos] == "^":
         pos += 1
-        if tokens[pos] == "(":
+        if _token(tokens, pos) == "(":
             num, pos = _expect_number(tokens, pos + 1)
             exponent = Fraction(num)
             if pos < len(tokens) and tokens[pos] == "/":
                 den, pos = _expect_number(tokens, pos + 1)
+                if den == 0:
+                    raise UsageError("zero denominator in exponent")
                 exponent /= Fraction(den)
-            if tokens[pos] != ")":
+            if _token(tokens, pos) != ")":
                 raise UsageError("expected ')' after exponent")
             pos += 1
         else:
@@ -119,16 +122,29 @@ def _parse_factor(tokens, pos):
     return expr, pos
 
 
+def _token(tokens, pos) -> str:
+    if pos >= len(tokens):
+        raise UsageError("unexpected end of expression")
+    return tokens[pos]
+
+
+def _number(tok: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except ValueError:
+        raise UsageError(f"bad number {tok!r}") from None
+
+
 def _expect_number(tokens, pos):
-    tok = tokens[pos]
+    tok = _token(tokens, pos)
     neg = False
     if tok == "-":
         neg = True
         pos += 1
-        tok = tokens[pos]
+        tok = _token(tokens, pos)
     if not (tok[0].isdigit() or tok[0] == "."):
         raise UsageError(f"expected a number, got {tok!r}")
-    value = Fraction(tok)
+    value = _number(tok)
     return (-value if neg else value), pos + 1
 
 
@@ -136,10 +152,10 @@ _FUNCS = {"sqrt": Sqrt, "ln": Ln, "exp": ExpNode, "sin": Sin}
 
 
 def _parse_atom(tokens, pos):
-    tok = tokens[pos]
+    tok = _token(tokens, pos)
     if tok == "(":
         expr, pos = _parse_sum(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ")":
+        if _token(tokens, pos) != ")":
             raise UsageError("unbalanced parentheses")
         return expr, pos + 1
     if tok == "-":
@@ -150,14 +166,14 @@ def _parse_atom(tokens, pos):
     if tok == "e":
         return E, pos + 1
     if tok in _FUNCS:
-        if tokens[pos + 1] != "(":
+        if _token(tokens, pos + 1) != "(":
             raise UsageError(f"{tok} needs parentheses")
         inner, newpos = _parse_sum(tokens, pos + 2)
-        if tokens[newpos] != ")":
+        if _token(tokens, newpos) != ")":
             raise UsageError("unbalanced parentheses")
         return _FUNCS[tok](inner), newpos + 1
     if tok[0].isdigit() or tok[0] == ".":
-        return Const(Fraction(tok)), pos + 1
+        return Const(_number(tok)), pos + 1
     raise UsageError(f"unexpected token {tok!r}")
 
 
@@ -197,12 +213,19 @@ def _cmd_bound_solve(args) -> Report:
     return report
 
 
+def _interval(text: str) -> tuple[Fraction, Fraction]:
+    ends = text.split(",")
+    if len(ends) != 2:
+        raise UsageError(f"interval {text!r} is not of the form a,b")
+    return _number(ends[0]), _number(ends[1])
+
+
 def _cmd_fekete(args) -> Report:
     from .fekete import find_small_polynomial
 
     field = _field_from_name(args.field)
     embeddings = field.embeddings()
-    raw = [tuple(Fraction(x) for x in item.split(",")) for item in args.interval]
+    raw = [_interval(item) for item in args.interval]
     if len(raw) != len(embeddings):
         raise UsageError(f"field {args.field} needs {len(embeddings)} interval(s)")
     intervals = dict(zip(embeddings, raw))

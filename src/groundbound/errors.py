@@ -5,6 +5,10 @@ class GroundboundError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidInput(GroundboundError, ValueError):
+    """An argument outside the range a function accepts (the CLI exits 3)."""
+
+
 class DomainError(GroundboundError):
     """An expression is certified outside a function's domain."""
 

@@ -21,7 +21,7 @@ from math import isqrt
 from . import balls
 from .balls import AlgConst, Const, Expr, Pow, certify_compare, certify_sign
 from .cyclo import CycloElement
-from .errors import GroundboundError, SearchExhausted
+from .errors import GroundboundError, InvalidInput, SearchExhausted
 from .fields import Embedding, RealCyclotomicField, field_discriminant
 
 
@@ -255,6 +255,11 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
     """
     if field.degree > 2:
         raise GroundboundError("search implemented for fields of degree <= 2")
+    if n < 0:
+        raise InvalidInput(f"degree {n} < 0")
+    for emb, (a, b) in intervals.items():
+        if Fraction(a) >= Fraction(b):
+            raise InvalidInput(f"interval [{a}, {b}] at {emb} is empty")
     if weights is not None:
         total = Fraction(1)
         for w in weights.values():

@@ -10,9 +10,11 @@ is half of what any Gram pattern attains -- there the printed closed
 form is what the published numbers follow, so it is what the bound
 pipeline uses (see the repository notes on divergences).
 
-For every admissible case the module produces the Method-A data
-(M, B, R, S), feeds it to the least-N solver, and assembles per-family
-bound tables.  Quadratic families carry a discriminant-like quantity D
+For every admissible case `method_a_width` gives the squared width W of
+the interval where the variant value must lie and the exceptional radius
+r; `bounds.method_a_problem` turns (F, W, N(W), r) into (M, B, R, S), the
+least-N solver bounds the degree, and `family_bound` assembles the
+per-family tables.  Quadratic families carry a discriminant-like quantity D
 whose certified signs drive the feasibility trichotomy:
 
 * identity sign negative  -> the ground field equals F (exact degree);
@@ -30,17 +32,18 @@ from math import lcm
 
 from . import balls
 from .algreal import AlgebraicReal
-from .balls import AlgConst, Const, E, Expr, Pow, Sqrt, as_expr, certify_sign
-from .bounds import BoundProblem, solve
+from .balls import AlgConst, Const, as_expr, certify_sign
+from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import CycloElement
 from .errors import (
     GroundboundError,
     InfeasibleCase,
+    InvalidInput,
     MissingRange,
     SizeExceeded,
     UndecidableError,
 )
-from .fields import Embedding, RealCyclotomicField, field_discriminant, field_norm
+from .fields import RealCyclotomicField, field_norm
 from . import polyint as P
 
 MINIMALITY = 14
@@ -60,6 +63,16 @@ class Variant(enum.Enum):
     U_TILDE = "u_tilde"
 
 
+# the parameters of each family, in `EdgeGraphCase.params` order
+_FAMILY_PARAMS = {
+    Family.G1: ("s", "k", "r", "p"),
+    Family.G2: ("s", "k", "p"),
+    Family.G3: ("s", "k", "r"),
+    Family.G4: ("s", "k", "r"),
+    Family.G5: ("s", "k"),
+}
+
+
 class Feasibility(enum.Enum):
     FEASIBLE = "FEASIBLE"
     FORCES_FIELD_EQUALS_F = "FORCES_FIELD_EQUALS_F"
@@ -73,6 +86,14 @@ class EdgeGraphCase:
     k: int | None = None
     r: int | None = None
     p: int | None = None
+
+    def __post_init__(self):
+        names = _FAMILY_PARAMS[self.family]
+        given = tuple(n for n in ("s", "k", "r", "p") if getattr(self, n) is not None)
+        if given != names or any(getattr(self, n) < 2 for n in names):
+            raise InvalidInput(
+                f"{self.family.value} takes exactly {', '.join(names)}, each >= 2"
+            )
 
     def params(self) -> tuple:
         out = []
@@ -421,165 +442,52 @@ def feasibility(case: EdgeGraphCase) -> Feasibility:
     return Feasibility.FEASIBLE
 
 
-EMPTY = "EMPTY"
-
-
-@dataclass(frozen=True)
-class AdmissibleInterval:
-    lower: Expr
-    upper: Expr
-    length: Expr
-
-
-def admissible_interval(case: EdgeGraphCase, embedding: Embedding, variant: Variant):
-    """Open interval where the conjugated variant value must lie, or EMPTY.
-
-    For quadratic variants the interval is EMPTY when the conjugated
-    discriminant is certified nonpositive (for the u variant the returned
-    endpoints fix one extension of the embedding; only the length is
-    canonical).
-    """
-    F = field_of(case)
-    d = embedding.apply(discriminant_like(case))
-    f = case.family
-    if f in (Family.G1, Family.G2, Family.G3) and variant == Variant.U:
-        sign = certify_sign(AlgConst(d))
-        if sign != balls.GREATER:
-            return EMPTY
-        n = F.n
-        amb = ambient_modulus(case)
-        lift = _lift_embedding(embedding, amb)
-
-        def cpi(x):
-            return CycloElement.cos2pi(1, 2 * x, amb)
-
-        if f == Family.G1:
-            center = -2 * (cpi(case.r) * cpi(case.p) + cpi(case.k) * cpi(case.s))
-            center = center.conjugate(lift) if amb > 1 else center
-            half = Sqrt(AlgConst(d))
-            return AdmissibleInterval(
-                lower=AlgConst(center) - half,
-                upper=AlgConst(center) + half,
-                length=2 * half,
-            )
-        if f == Family.G2:
-            lead = embedding.apply(F.sin2(case.p))
-            top = -4 * cpi(case.s) * cpi(case.k)
-        else:
-            lead = embedding.apply(F.sin2(case.r))
-            top = -2 * cpi(case.s) * cpi(case.k) * cpi(case.r)
-        top = top.conjugate(lift) if amb > 1 else top
-        den = 2 * AlgConst(lead)
-        half = Sqrt(AlgConst(d)) / den
-        return AdmissibleInterval(
-            lower=AlgConst(top) / den - half,
-            upper=AlgConst(top) / den + half,
-            length=2 * half,
-        )
-    if f == Family.G3 and variant == Variant.U_SQUARED:
-        if case.s != 2:
-            raise GroundboundError("u^2 variant applies to the s = 2 cases only")
-        sign = certify_sign(AlgConst(d))
-        if sign != balls.GREATER:
-            return EMPTY
-        lead = embedding.apply(F.sin2(case.r))
-        top = AlgConst(d) / (4 * AlgConst(lead) * AlgConst(lead))
-        return AdmissibleInterval(lower=Const(Fraction(0)), upper=top, length=top)
-    if f == Family.G4 and variant == Variant.U_TILDE:
-        sign = certify_sign(AlgConst(d))
-        if sign != balls.GREATER:
-            return EMPTY
-        lo = 4 * embedding.apply(_cos2_in(F, case.s)) * embedding.apply(F.sin2(case.k))
-        hi = 4 * embedding.apply(F.sin2(case.r)) * embedding.apply(F.sin2(case.k))
-        return AdmissibleInterval(
-            lower=AlgConst(lo), upper=AlgConst(hi), length=AlgConst(hi - lo)
-        )
-    if f == Family.G5 and variant == Variant.U_SQUARED:
-        top = AlgConst(embedding.apply(d))
-        return AdmissibleInterval(lower=Const(Fraction(0)), upper=top, length=top)
-    raise GroundboundError(f"variant {variant} undefined for {case.label()}")
-
-
-def _cos2_in(F: RealCyclotomicField, x: int) -> CycloElement:
-    if x in (2, 3, 4, 6):
-        return CycloElement.rational(
-            F.n, {2: Fraction(0), 3: Fraction(1, 4), 4: Fraction(1, 2), 6: Fraction(3, 4)}[x]
-        )
-    return (1 + CycloElement.cos2pi(1, x, F.n)) / 2
-
-
-def _lift_embedding(embedding: Embedding, amb: int) -> int:
-    """Representative of the embedding class coprime to the ambient modulus."""
-    from math import gcd
-
-    n = embedding.field.n
-    if n == 1:
-        return 1
-    a = embedding.representative
-    while gcd(a, amb) != 1:
-        a += n
-    return a
-
-
 # -- Method-A problem assembly ---------------------------------------------
 
 
+def method_a_width(case: EdgeGraphCase, variant: Variant) -> tuple[CycloElement, int]:
+    """(W, r) for the case's variant value.
+
+    W in F is the squared width of the interval where the variant value
+    must lie, at the identity embedding (its conjugates give the widths at
+    the other embeddings), and r is the radius of the exceptional
+    interval.  With D = `discriminant_like(case)` and lead the leading
+    u^2 coefficient of -d(u)/4 (sin^2(pi/p) for G2, sin^2(pi/r) for G3):
+
+        G1 u: 4D, 16              G2 u, G3 u: D / lead^2, 16
+        G3 u^2: (D / (4 lead^2))^2, 14^2
+        G4 u-tilde: 16 D^2, 16^2  G5 u^2: D^2, 14^2
+    """
+    d = discriminant_like(case)
+    f = case.family
+    if f in (Family.G2, Family.G3):
+        lead = field_of(case).sin2(case.p if f == Family.G2 else case.r)
+    if f == Family.G1 and variant == Variant.U:
+        return 4 * d, 16
+    if f in (Family.G2, Family.G3) and variant == Variant.U:
+        return d / (lead * lead), 16
+    if f == Family.G3 and variant == Variant.U_SQUARED:
+        if case.s != 2:
+            raise GroundboundError("u^2 variant applies to the s = 2 cases only")
+        top = d / (4 * lead * lead)
+        return top * top, MINIMALITY**2
+    if f == Family.G4 and variant == Variant.U_TILDE:
+        return 16 * d * d, 16**2
+    if f == Family.G5 and variant == Variant.U_SQUARED:
+        return d * d, MINIMALITY**2
+    raise GroundboundError(f"variant {variant} undefined for {case.label()}")
+
+
 def bound_problem(case: EdgeGraphCase, variant: Variant | None = None, m: int = 1) -> BoundProblem:
-    """(M, B, R, S, m) for the case, with exact norms throughout."""
+    """Method-A (M, B, R, S, m) for the case, with exact norms throughout."""
     if variant is None:
         variant = default_variant(case.family)
     feas = feasibility(case)
     if feas != Feasibility.FEASIBLE:
         raise InfeasibleCase(f"{case.label()} is {feas.value}")
     F = field_of(case)
-    M = F.degree
-    disc = field_discriminant(F)
-    b_expr = Sqrt(Const(Fraction(disc)))
-    d = discriminant_like(case)
-    norm_d = field_norm(F, d)
-    f = case.family
-    if f == Family.G1 and variant == Variant.U:
-        r_expr = Pow(Const(norm_d), Fraction(1, 4)) / Pow(Const(Fraction(2)), Fraction(M, 2))
-        s_one = Const(Fraction(16)) * E / Sqrt(AlgConst(d))
-        s_expr = s_one if m == 1 else Pow(s_one, Fraction(m))
-    elif f in (Family.G2, Family.G3) and variant == Variant.U:
-        lead = F.sin2(case.p if f == Family.G2 else case.r)
-        norm_lead = field_norm(F, lead)
-        r_expr = Pow(Const(norm_d), Fraction(1, 4)) / (
-            Pow(Const(norm_lead), Fraction(1, 2)) * Const(Fraction(2**M))
-        )
-        s_expr = Const(Fraction(32)) * E * AlgConst(lead) / Sqrt(AlgConst(d))
-        if m != 1:
-            s_expr = Pow(s_expr, Fraction(m))
-    elif f == Family.G3 and variant == Variant.U_SQUARED:
-        if case.s != 2:
-            raise GroundboundError("u^2 variant applies to the s = 2 cases only")
-        lead = F.sin2(case.r)
-        norm_lead = field_norm(F, lead)
-        r_expr = Pow(Const(norm_d), Fraction(1, 2)) / Const(norm_lead * 4**M)
-        s_expr = (
-            Const(Fraction(2 * MINIMALITY**2 * 4))
-            * E
-            * AlgConst(lead * lead)
-            / AlgConst(d)
-        )
-    elif f == Family.G4 and variant == Variant.U_TILDE:
-        r_expr = Sqrt(Const(norm_d))
-        s_expr = Const(Fraction(2 * 16**2)) * E / (4 * AlgConst(d))
-    elif f == Family.G5 and variant == Variant.U_SQUARED:
-        # D = 4 sin^2 sin^2 here; R = sqrt(N(sin^2 sin^2))
-        quarter = d / 4
-        r_expr = Sqrt(Const(field_norm(F, quarter)))
-        s_expr = Const(Fraction(MINIMALITY**2)) * E / (2 * AlgConst(quarter))
-    else:
-        raise GroundboundError(f"variant {variant} undefined for {case.label()}")
-    return BoundProblem(
-        m_field_degree=M,
-        b_disc_root=b_expr,
-        r_ratio=r_expr,
-        s_factor=s_expr,
-        exceptional_count=m,
-    )
+    width_sq, radius = method_a_width(case, variant)
+    return method_a_problem(F, width_sq, field_norm(F, width_sq), radius, m)
 
 
 def default_variant(family: Family) -> Variant:
@@ -716,6 +624,8 @@ def family_bound(family: Family, k_range=None) -> FamilyTable:
             finals[case] = row.bound
     else:
         raise ValueError(family)
+    if not finals:
+        raise InvalidInput(f"no {family.value} case in the k range")
     argmax = max(finals, key=lambda c: (finals[c], c.params()))
     return FamilyTable(family=family, rows=tuple(rows),
                        maximum=finals[argmax], argmax=argmax)

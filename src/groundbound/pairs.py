@@ -35,13 +35,13 @@ import numpy as np
 
 from . import balls
 from .balls import (
-    PI, AlgConst, Const, E, Expr, Ln, Sin, Sqrt,
+    PI, Const, Expr, Ln, Sin,
     certified_floor, certify_compare, certify_sign, eval_ball, mpf_to_fraction,
 )
-from .bounds import BoundProblem, solve
+from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import euler_phi, gamma_norm_constant
-from .errors import ExceptionalPair, UndecidableError
-from .fields import RealCyclotomicField, field_discriminant, norm_4sin2_closed_form
+from .errors import ExceptionalPair, InvalidInput, UndecidableError
+from .fields import RealCyclotomicField, norm_4sin2_closed_form
 
 LN2 = log(2.0)
 LN3_HALF = log(3.0) / 2
@@ -222,7 +222,7 @@ def pair_report(k: int, s: int, kind: PairKind, refine_above: int = REFINE_THRES
     if k < s and kind is PairKind.GAMMA5:
         k, s = s, k
     if kind is PairKind.GAMMA4 and (s not in (3, 4, 5) or k < 7):
-        raise ValueError("star-family pairs need r in {3, 4, 5} and k >= 7")
+        raise InvalidInput("star-family pairs need r in {3, 4, 5} and k >= 7")
     if is_exceptional(k, s):
         raise ExceptionalPair(f"({k}, {s})")
     deg = pair_field_degree(k, s)
@@ -257,29 +257,19 @@ def _coefficient_float(k: int, s: int) -> float:
 
 
 def refinement_problem(k: int, s: int, kind: PairKind) -> BoundProblem:
-    """Method-A data over F = F_{k,s}:
+    """Method-A data over F = F_{k,s}: the admissible interval has width
+    4 sin^2(pi/k) sin^2(pi/s), so W = (4 sin^2(pi/k) sin^2(pi/s))^2, and
+    the exceptional radius is `kind.minimality_square`.
 
-    R = sqrt(N(sin^2(pi/k) sin^2(pi/s))),   B = sqrt(|disc F|),
-    S = C^2 e / (2 sin^2(pi/k) sin^2(pi/s)),  C = 14 or 16.
+    N(W) comes from the closed form for N(4 sin^2); the conjugate product
+    in `field_norm` is far too slow at these degrees.
     """
     F = RealCyclotomicField([x for x in (k, s) if x > 2])
-    M = F.degree
-    norm = (
-        norm_4sin2_closed_form(F, k) * norm_4sin2_closed_form(F, s) / Fraction(16) ** M
+    width = 4 * F.sin2(k) * F.sin2(s)
+    norm_width = (
+        norm_4sin2_closed_form(F, k) * norm_4sin2_closed_form(F, s) / Fraction(4) ** F.degree
     )
-    r_expr = Sqrt(Const(norm))
-    sin2k, sin2s = F.sin2(k), F.sin2(s)
-    prod = sin2k * sin2s
-    denom = AlgConst(prod) if not prod.is_rational() else Const(prod.as_rational())
-    s_expr = Const(Fraction(kind.minimality_square)) * E / (2 * denom)
-    disc = field_discriminant(F)
-    return BoundProblem(
-        m_field_degree=M,
-        b_disc_root=Sqrt(Const(Fraction(disc))),
-        r_ratio=r_expr,
-        s_factor=s_expr,
-        exceptional_count=1,
-    )
+    return method_a_problem(F, width * width, norm_width**2, kind.minimality_square)
 
 
 def refine(k: int, s: int, kind: PairKind) -> int:
@@ -437,7 +427,7 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     are covered by `tail_certificate`.  Results are deterministic.
     """
     if k_max < 31:
-        raise ValueError("k_max must cover the known argmax (>= 31)")
+        raise InvalidInput("k_max must cover the known argmax (>= 31)")
     phi, g = sieve_tables(min(k_max, TAIL_START))
     exceptional = set(exceptional_pairs(kind))
     candidates = _candidate_ks(kind, phi, g)

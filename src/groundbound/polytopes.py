@@ -64,17 +64,6 @@ def narrow_face_note(n: int) -> str:
 
 
 @dataclass(frozen=True)
-class TakeuchiInput:
-    genus: int
-    periods: int
-    a: Fraction = TAKEUCHI_A
-    b: Fraction = TAKEUCHI_B
-
-    def weight(self) -> int:
-        return 2 * self.genus + self.periods - 2
-
-
-@dataclass(frozen=True)
 class ExistenceCheck:
     n: int
     lhs: Fraction

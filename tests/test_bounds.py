@@ -16,7 +16,8 @@ from groundbound.balls import (
     exact_value,
 )
 from groundbound import balls, bounds
-from groundbound.bounds import BoundProblem, IntervalSystem, assemble, solve
+from groundbound.bounds import BoundProblem, method_a_problem, solve
+from groundbound.cyclo import CycloElement
 from groundbound.errors import HypothesisViolated, UndecidableError
 from groundbound.fields import RealCyclotomicField
 
@@ -58,48 +59,35 @@ def test_minimality_certified():
     assert certify_sign(lhs(n - 1)) == LESS
 
 
-def test_assemble_g5_exceptional_example():
-    field = RealCyclotomicField.rationals()
-    emb = field.identity_embedding()
-    system = IntervalSystem(field, {emb: (F(0), F(9, 4))}, [(emb, (F(4), F(196)))])
-    p = assemble(system)
-    assert p.m_field_degree == 1
-    assert exact_value(p.r_ratio) == F(3, 4)
-    ball = eval_ball(p.s_factor - Const(F(1568, 9)) * E, 64)
-    assert ball.contains(F(0))
+def test_solve_hypothesis_violated():
+    # R^2 = prod (b-a)/4 = 1 for the base interval (-2, 2): the theorem needs R < 1
+    for r in (Const(F(1)), Const(F(3, 2))):
+        with pytest.raises(HypothesisViolated):
+            solve(prob(1, 1, r, Const(F(28)) * E))
 
 
-def test_assemble_hypothesis_violated():
-    field = RealCyclotomicField.rationals()
-    emb = field.identity_embedding()
-    with pytest.raises(HypothesisViolated):
-        assemble(IntervalSystem(field, {emb: (F(-2), F(2))}, [(emb, (F(2), F(14)))]))
-
-
-def test_assemble_quadratic_field_example():
+def test_method_a_problem_quadratic_field():
+    # F = Q(sqrt 5), W = 2 + 2cos(2pi/5) = phi^2 with conjugate 1/phi^2, so
+    # N(W) = 1, R = (1/16^2)^(1/4) = 1/4 and S = 2 * 14 * e / phi
     field = RealCyclotomicField([5])
-    e0, e1 = field.embeddings()
-    system = IntervalSystem(
-        field, {e0: (F(1), F(2)), e1: (F(0), F(1))}, [(e0, (F(2), F(14)))]
-    )
-    p = assemble(system)
-    assert p.m_field_degree == 2
+    width_sq = CycloElement.cos2pi(1, 5) * 2 + 2
+    p = method_a_problem(field, width_sq, F(1), 14)
+    assert p.m_field_degree == 2 and p.exceptional_count == 1
     assert exact_value(p.r_ratio) == F(1, 4)
-    ball = eval_ball(p.s_factor - Const(F(26)) * E, 64)
-    assert ball.contains(F(0))
+    phi = (Const(F(1)) + Sqrt(Const(F(5)))) / Const(F(2))
+    assert eval_ball(p.s_factor - Const(F(28)) * E / phi, 64).contains(F(0))
     assert eval_ball(p.b_disc_root * p.b_disc_root, 64).contains(F(5))
+    p2 = method_a_problem(field, width_sq, F(1), 14, m=2)
+    assert eval_ball(p2.s_factor - p.s_factor * p.s_factor, 64).contains(F(0))
+    assert p2.exceptional_count == 2
 
 
 def test_s_clamped_to_one():
-    # a tiny exceptional interval can push S below 1; the solver clamps
-    field = RealCyclotomicField.rationals()
-    emb = field.identity_embedding()
-    system = IntervalSystem(
-        field, {emb: (F(0), F(2))}, [(emb, (F(0), F(1, 100)))]
-    )
-    p = assemble(system)
-    result = solve(p)
-    assert result.least_n >= 1
+    # S <= 1 would make ln S negative; the solver replaces it by 1
+    r = Const(F(1)) / Sqrt(Const(F(2)))
+    clamped = solve(prob(1, 3, r, Const(F(1, 100)))).least_n
+    assert clamped == solve(prob(1, 3, r, Const(F(1)))).least_n
+    assert clamped < solve(prob(1, 3, r, Const(F(3)))).least_n
 
 
 def test_monotonicity_random():

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from groundbound.cli import main, parse_expr
 from groundbound.balls import eval_ball
 from fractions import Fraction
@@ -225,6 +227,35 @@ def test_precision_cap_bounds_inconclusive_evaluations(capsys):
     assert code == 2 and "undecidable" in err.lower()
     code, out, _ = run_cli(args, capsys)
     assert code == 0
+
+
+BAD_SOLVE = ["bound-solve", "--M", "1", "--B", "1", "--S", "2"]
+
+
+@pytest.mark.parametrize("args", [
+    [*BAD_SOLVE, "--R", "1/"],
+    [*BAD_SOLVE, "--R", "sqrt(2"],
+    [*BAD_SOLVE, "--R", "2^"],
+    [*BAD_SOLVE, "--R", "2^(1/0)"],
+    [*BAD_SOLVE, "--R", "1.2.3"],
+    [*BAD_SOLVE, "--R", "1/2", "--m", "0"],
+    ["bound-solve", "--M", "0", "--B", "1", "--R", "1/2", "--S", "2"],
+    ["graph-case", "--family", "g1", "--s", "3", "--k", "3", "--r", "3", "--p", "3", "--m", "0"],
+    ["graph-case", "--family", "g5", "--s", "3"],
+    ["graph-case", "--family", "g5", "--s", "3", "--k", "3", "--p", "4"],
+    ["graph-family", "--family", "g4", "--kmin", "5", "--kmax-family", "3"],
+    ["reproduce-all", "--kmax", "5"],
+    ["search-pairs", "--kind", "gamma4", "--kmax", "10"],
+    ["refine-pair", "--kind", "gamma4", "--k", "5", "--s", "3"],
+    ["fekete", "--degree", "2", "--interval=1,0"],
+    ["fekete", "--degree", "2", "--interval=0,0"],
+    ["fekete", "--degree", "2", "--interval=1"],
+    ["fekete", "--degree", "2", "--interval=a,b"],
+    ["fekete", "--degree", "-1", "--interval=0,1"],
+], ids=lambda args: " ".join(args))
+def test_bad_input_is_a_usage_error(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 3 and "Traceback" not in err
 
 
 def test_invalid_expression(capsys):

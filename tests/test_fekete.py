@@ -173,6 +173,19 @@ def test_weighted_variant():
         find_small_polynomial(F5, ivs, 2, weights={embs[0]: F(2), embs[1]: F(2)})
 
 
+def test_empty_interval_is_an_input_error():
+    from groundbound.errors import InvalidInput
+
+    q = RealCyclotomicField.rationals()
+    emb = q.identity_embedding()
+    for a, b in ((F(1), F(0)), (F(0), F(0))):
+        with pytest.raises(InvalidInput):
+            find_small_polynomial(q, {emb: (a, b)}, 2)
+    embs = F5.embeddings()
+    with pytest.raises(InvalidInput):
+        find_small_polynomial(F5, {embs[0]: (F(0), F(1)), embs[1]: (F(1, 4), F(-1, 4))}, 2)
+
+
 def test_lagrange_examples():
     g = lagrange_growth_bound(1, -1, 1, 1, 2)
     assert g.factorial_bound == 3  # dominates |T(2)| = 2

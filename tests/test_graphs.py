@@ -4,28 +4,30 @@ from fractions import Fraction as F
 import pytest
 
 from groundbound.algreal import AlgebraicReal
-from groundbound.balls import eval_ball, exact_value
+from groundbound.balls import AlgConst, Const, E, Sqrt, certify_sign, eval_ball, exact_value
 from groundbound.cyclo import CycloElement
-from groundbound.errors import InfeasibleCase, MissingRange, SizeExceeded
+from groundbound.errors import (
+    GroundboundError, InfeasibleCase, InvalidInput, MissingRange, SizeExceeded,
+)
 from groundbound.graphs import (
     EdgeGraphCase,
     Family,
     Feasibility,
     Variant,
-    admissible_interval,
     ambient_modulus,
     bound_problem,
     case_bound,
     cyclic_products,
     determinant_closed_form,
     determinant_value,
+    discriminant_like,
     enumerate_cases,
     feasibility,
     field_of,
     gram_matrix,
     is_varithmetic,
+    method_a_width,
     symbolic_determinant,
-    EMPTY,
 )
 from groundbound import polyint as P
 
@@ -161,47 +163,95 @@ def test_forced_cases_bypass_solver():
         bound_problem(EdgeGraphCase(Family.G3, s=4, k=5, r=3), Variant.U)
 
 
-def test_admissible_interval_examples():
-    case = EdgeGraphCase(Family.G5, s=3, k=3)
-    emb = field_of(case).identity_embedding()
-    iv = admissible_interval(case, emb, Variant.U_SQUARED)
-    assert exact_value(iv.upper) == F(9, 4) and exact_value(iv.lower) == 0
+def _independent_length(case, a):
+    """Float length of the interval where the variant value must lie at the
+    embedding cos(2pi/x) -> cos(2pi a/x), from the coefficients of the
+    quadratic -d(u)/4 or the interval's endpoints, not from `discriminant_like`."""
+    import math
 
-    # forced case: non-identity interval exists, identity-extension is empty
-    case = EdgeGraphCase(Family.G3, s=4, k=5, r=3)
-    embs = field_of(case).embeddings()
-    assert admissible_interval(case, embs[0], Variant.U) == EMPTY
-    assert admissible_interval(case, embs[1], Variant.U) != EMPTY
+    def s2(x):  # conjugated sin^2(pi/x); rational for x in {2, 3, 4, 6}
+        return math.sin(math.pi / x) ** 2 if x in (2, 3, 4, 6) else math.sin(math.pi * a / x) ** 2
+
+    def c2(x):
+        return 1 - s2(x)
+
+    f, s, k, r, p = case.family, case.s, case.k, case.r, case.p
+    if f == Family.G1:
+        # -d/4 = (u + center)^2 - (cos 2pi/k + cos 2pi/p)(cos 2pi/r + cos 2pi/s)
+        half_sq = (1 - 2 * s2(k) + 1 - 2 * s2(p)) * (1 - 2 * s2(r) + 1 - 2 * s2(s))
+        return 2 * math.sqrt(half_sq) if half_sq > 0 else None
+    if f == Family.G2:  # lead u^2 + b u + c, b^2 = 16 cos^2 cos^2
+        lead, b_sq, c = s2(p), 16 * c2(s) * c2(k), 4 * (c2(s) + c2(k) + c2(p) - 1)
+    elif f == Family.G3:
+        lead, b_sq, c = s2(r), 4 * c2(s) * c2(k) * c2(r), 4 * c2(r) - 4 * s2(s) * s2(k)
+    elif f == Family.G4:  # u-tilde in (4 cos^2(pi/s) sin^2(pi/k), 4 sin^2(pi/r) sin^2(pi/k))
+        return 4 * s2(r) * s2(k) - 4 * c2(s) * s2(k)
+    else:  # G5: u^2 in (0, 4 sin^2 sin^2)
+        return 4 * s2(k) * s2(s)
+    disc = b_sq - 4 * lead * c
+    return math.sqrt(disc) / lead if disc > 0 else None
+
+
+def _width_cases():
+    out = [(c, Variant.U) for f in (Family.G1, Family.G2, Family.G3) for c in enumerate_cases(f)]
+    out += [(c, Variant.U_SQUARED) for c in enumerate_cases(Family.G3) if c.s == 2]
+    out += [(c, Variant.U_TILDE) for c in enumerate_cases(Family.G4, range(2, 7))]
+    out += [(c, Variant.U_SQUARED) for c in enumerate_cases(Family.G5, range(3, 8))]
+    return out
 
 
 def test_admissible_interval_length_formula():
-    # length of the u-variant interval is 2 sqrt(sigma(D)) / (2 sigma(sin^2)):
-    # cross-checked numerically against the conjugated closed form, where the
-    # conjugate embedding replaces cos(2pi/5) by cos(4pi/5)
-    import math
-
-    def angle_sq(x, conjugated):
-        if x == 5 and conjugated:
-            return math.sin(2 * math.pi / 5) ** 2
-        return math.sin(math.pi / x) ** 2
-
-    for tpl in [(2, 3, 3), (3, 3, 3), (3, 5, 3), (2, 5, 3), (2, 3, 5)]:
-        case = EdgeGraphCase(Family.G3, s=tpl[0], k=tpl[1], r=tpl[2])
+    # sqrt(sigma(W)) is the interval length at sigma wherever sigma(D) > 0
+    checked = set()
+    for case, variant in _width_cases():
+        width_sq, _ = method_a_width(case, variant)
+        d = discriminant_like(case)
         for emb in field_of(case).embeddings():
-            iv = admissible_interval(case, emb, Variant.U)
-            if iv == EMPTY:
+            if certify_sign(AlgConst(emb.apply(d))) != "GREATER":
                 continue
-            conj = not emb.is_identity
-            s2s = angle_sq(case.s, conj)
-            s2k = angle_sq(case.k, conj)
-            s2r = angle_sq(case.r, conj)
-            c2s, c2k, c2r = 1 - s2s, 1 - s2k, 1 - s2r
-            d_num = 4 * c2s * c2k * c2r + 16 * s2s * s2k * s2r - 16 * s2r * c2r
-            if d_num <= 0:
-                continue
-            length = 2 * math.sqrt(d_num) / (2 * s2r)
-            got = eval_ball(iv.length, 96)
-            assert abs(float(got.center) - length) < 1e-9, (tpl, emb.representative)
+            length = _independent_length(case, emb.representative)
+            if case.family == Family.G3 and variant == Variant.U_SQUARED:
+                # u^2 in (0, -c/lead) for s = 2, where the u term vanishes
+                length = length**2 / 4
+            got = eval_ball(Sqrt(AlgConst(emb.apply(width_sq))), 96)
+            assert abs(float(got.center) - length) < 1e-9, (case.label(), variant, emb)
+            checked.add((case.family, variant, emb.is_identity))
+    assert len(checked) == 12  # six variants, identity and conjugate embeddings
+
+
+def test_admissible_interval_examples():
+    case = EdgeGraphCase(Family.G5, s=3, k=3)
+    assert method_a_width(case, Variant.U_SQUARED) == (F(81, 16), 196)  # u^2 in (0, 9/4)
+    # u-tilde in (4 cos^2(pi/3), 4 sin^2(pi/3)) = (1, 3)
+    assert method_a_width(EdgeGraphCase(Family.G4, s=3, k=2, r=3), Variant.U_TILDE) == (4, 256)
+    with pytest.raises(GroundboundError):
+        method_a_width(case, Variant.U)
+    with pytest.raises(GroundboundError):
+        method_a_width(EdgeGraphCase(Family.G3, s=3, k=3, r=3), Variant.U_SQUARED)
+    # forced case: the identity interval is empty, the conjugate one is not
+    case = EdgeGraphCase(Family.G3, s=4, k=5, r=3)
+    d = discriminant_like(case)
+    signs = [certify_sign(AlgConst(emb.apply(d))) for emb in field_of(case).embeddings()]
+    assert signs == ["LESS", "GREATER"]
+
+
+def test_bound_problem_g5_exceptional_example():
+    # u^2 in (0, 9/4) over Q with exceptional radius 14^2:
+    # R = sqrt((9/4)/4) = 3/4 and S = 2 * 196 * e / (9/4) = 1568 e / 9
+    p = bound_problem(EdgeGraphCase(Family.G5, s=3, k=3))
+    assert p.m_field_degree == 1 and p.exceptional_count == 1
+    assert exact_value(p.r_ratio) == F(3, 4)
+    assert eval_ball(p.s_factor - Const(F(1568, 9)) * E, 64).contains(F(0))
+    assert exact_value(p.b_disc_root) == 1
+
+
+def test_case_parameters_validated():
+    with pytest.raises(InvalidInput):
+        EdgeGraphCase(Family.G5, s=3)
+    with pytest.raises(InvalidInput):
+        EdgeGraphCase(Family.G5, s=3, k=3, p=4)
+    with pytest.raises(InvalidInput):
+        EdgeGraphCase(Family.G2, s=1, k=3, p=3)
 
 
 def test_bound_problem_g1_values():

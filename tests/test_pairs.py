@@ -193,3 +193,24 @@ def test_gamma4_restricted_range():
 
     gb = global_bound(G4, k_max=6)
     assert gb.maximum == 31 and gb.argmax == (2, 3, 3)
+
+
+def test_refinement_matches_g5_case():
+    # the closed-form norm (pairs) and the conjugate product (graphs) give the
+    # same Method-A problem for the path family's G5 cases
+    from groundbound.balls import ball_str
+    from groundbound.bounds import solve
+    from groundbound.graphs import EdgeGraphCase, Family, Feasibility, bound_problem, feasibility
+
+    compared = 0
+    for k in range(3, 11):
+        for s in range(3, k + 1):
+            case = EdgeGraphCase(Family.G5, s=s, k=k)
+            if is_exceptional(k, s) or feasibility(case) != Feasibility.FEASIBLE:
+                continue
+            ours, theirs = pairs.refinement_problem(k, s, G5), bound_problem(case)
+            assert solve(ours).least_n == solve(theirs).least_n, (k, s)
+            for attr in ("b_disc_root", "r_ratio", "s_factor"):
+                assert ball_str(getattr(ours, attr)) == ball_str(getattr(theirs, attr)), (k, s, attr)
+            compared += 1
+    assert compared == 26
