@@ -2,10 +2,13 @@
 
 The existence statement is proved via Minkowski's theorem on the linear
 forms A_{k,sigma} given by the Chebyshev coefficients of P^sigma on
-[a_sigma, b_sigma]; here the witness is actually constructed: lattice
-reduction proposes small integer coefficient vectors, every candidate is
-certified exactly (the coefficient-sum bound sum_k |A_{k,sigma}| is an
-exact algebraic number), and a bounded box search backs up the reduction.
+[a_sigma, b_sigma]; here the witness is actually constructed.  The exact
+forms are scaled by 2^p and rounded to an integer matrix, p chosen so that
+the smallest Chebyshev diagonal entry 2((b-a)/4)^n keeps LLL_MARGIN_BITS
+bits; an exact integral LLL (Cohen, GTM 138, Alg. 2.6.7) on its columns
+proposes small integer coefficient vectors, every candidate is certified
+exactly (the coefficient-sum bound sum_k |A_{k,sigma}| is an exact
+algebraic number), and a bounded box search backs up the reduction.
 A certificate whose sup bounds exceed the theoretical bound is never
 returned; exhausting the box raises SearchExhausted, which the theory
 says cannot happen and is treated as a bug signal.
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 
 from . import balls
 from .balls import AlgConst, Const, Expr, Pow, certify_compare, certify_sign
@@ -24,6 +27,10 @@ from .cyclo import CycloElement
 from .errors import GroundboundError, InvalidInput, SearchExhausted
 from .fields import Embedding, RealCyclotomicField, field_discriminant
 
+# Bits kept below the smallest Chebyshev diagonal entry when the exact
+# forms are scaled to integers, and the Lovasz constant of the reduction.
+LLL_MARGIN_BITS = 64
+LLL_DELTA = Fraction(99, 100)
 
 # -- Chebyshev expansions ----------------------------------------------------
 
@@ -115,15 +122,28 @@ class ChebyshevForms:
     def col_indices(self):
         return [(i, j) for i in range(self.degree_n + 1) for j in range(len(self.basis))]
 
-    def float_matrix(self) -> list[list[float]]:
-        rows = []
-        for k, s in self.row_indices():
-            row = []
-            for i, j in self.col_indices():
-                v = self.entry(k, s, i, j)
-                row.append(v.eval_float())
-            rows.append(row)
-        return rows
+    def scaled_matrix(self) -> list[list[int]]:
+        """round(2^p * c_{k sigma i j}) for every row (k, sigma) and column (i, j).
+
+        p = LLL_MARGIN_BITS + max(0, ceil(-log2 d)), d the smallest diagonal
+        entry 2((b-a)/4)^n, so even the smallest form keeps LLL_MARGIN_BITS
+        bits after rounding.  Chebyshev values are used exactly; an
+        irrational gamma_j^sigma is enclosed once, at p + LLL_MARGIN_BITS bits.
+        """
+        n = self.degree_n
+        p = LLL_MARGIN_BITS + (ceil(1 / min(cheb[n][n] for cheb in self.cheb)) - 1).bit_length()
+        bits = p + LLL_MARGIN_BITS
+
+        def gamma(emb, g) -> Fraction:
+            v = emb.apply(g)
+            if v.is_rational():
+                return v.as_rational()
+            ball = balls.eval_ball(AlgConst(v), bits, max(bits, balls.DEFAULT_CAP_BITS))
+            return balls.mpf_to_fraction(ball.center)
+
+        gammas = [[gamma(emb, g) * (1 << p) for g in self.basis] for emb, _ in self.intervals]
+        return [[round(self.cheb[s][i][k] * gammas[s][j]) for i, j in self.col_indices()]
+                for k, s in self.row_indices()]
 
     def exact_determinant(self):
         """det over the ambient cyclotomic field, computed by fraction-free
@@ -247,7 +267,8 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
     """Nonzero integral polynomial of degree <= n with certified sup norms
     below the theoretical bound on every embedding's interval.
 
-    Search: LLL on the columns of the Chebyshev-form matrix, then small
+    Search: integral LLL on the columns of the exactly scaled
+    Chebyshev-form matrix (`ChebyshevForms.scaled_matrix`), then small
     integer combinations of the reduced basis, then an exhaustive box
     over the shortest reduced vectors.  `weights` optionally supplies the
     per-embedding factors of the weighted statement (product must be 1);
@@ -298,7 +319,7 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
         return cert
 
     dim = (n + 1) * field.degree
-    matrix = forms.float_matrix()
+    matrix = forms.scaled_matrix()
     reduced, transform = _lll(matrix)
     col_idx = forms.col_indices()
 
@@ -356,63 +377,83 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
     )
 
 
-def _norm2(v) -> float:
+def _norm2(v) -> int:
     return sum(x * x for x in v)
 
 
-def _max_form(matrix, alpha) -> float:
-    worst = 0.0
+def _max_form(matrix, alpha) -> int:
+    worst = 0
     for row in matrix:
         val = abs(sum(r * a for r, a in zip(row, alpha)))
         worst = max(worst, val)
     return worst
 
 
-def _lll(matrix, delta: float = 0.99):
-    """Floating-point LLL on the column lattice of `matrix`.
+def _lll(matrix):
+    """Integral LLL (Cohen, GTM 138, Alg. 2.6.7) on the columns of `matrix`.
 
-    Returns (reduced_vectors, transform): reduced_vectors[i] is the image
-    of integer vector transform[i].  Proposals only; all certification is
+    Exact throughout: d_i = prod_{l <= i} |b*_l|^2 and lambda_{i,j} =
+    d_j mu_{i,j} are integers, updated incrementally by size reduction
+    (REDI) and swaps (SWAPI), with Lovasz constant LLL_DELTA.  Returns
+    (reduced_vectors, transform): reduced_vectors[i] is the image of the
+    integer vector transform[i].  Proposals only; all certification is
     exact downstream.
     """
-    dim = len(matrix)
-    cols = [[matrix[r][c] for r in range(dim)] for c in range(len(matrix[0]))]
-    basis = [list(col) for col in cols]
-    transform = [[1 if i == j else 0 for j in range(len(cols))] for i in range(len(cols))]
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
+    size = len(matrix[0])
+    basis = [[row[c] for row in matrix] for c in range(size)]
+    transform = [[int(i == j) for j in range(size)] for i in range(size)]
+    d = [1] * (size + 1)  # d[i + 1] is d_i of the 0-based vectors 0..i
+    lam = [[0] * size for _ in range(size)]
 
-    def gso(bs):
-        ortho, mu = [], [[0.0] * len(bs) for _ in range(len(bs))]
-        for i, b in enumerate(bs):
-            w = list(b)
-            for j in range(i):
-                denom = _norm2(ortho[j])
-                mu[i][j] = 0.0 if denom == 0 else _dot(b, ortho[j]) / denom
-                w = [x - mu[i][j] * y for x, y in zip(w, ortho[j])]
-            ortho.append(w)
-        return ortho, mu
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
 
-    k = 1
-    guard = 0
-    while k < len(basis) and guard < 10000:
-        guard += 1
-        ortho, mu = gso(basis)
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                transform[k] = [x - q * y for x, y in zip(transform[k], transform[j])]
-                ortho, mu = gso(basis)
-        if _norm2(ortho[k]) >= (delta - mu[k][k - 1] ** 2) * _norm2(ortho[k - 1]):
-            k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            transform[k], transform[k - 1] = transform[k - 1], transform[k]
+    def redi(k, l):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        basis[k] = [x - q * y for x, y in zip(basis[k], basis[l])]
+        transform[k] = [x - q * y for x, y in zip(transform[k], transform[l])]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swapi(k, k_max):
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        transform[k], transform[k - 1] = transform[k - 1], transform[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    d[1] = dot(basis[0], basis[0])
+    k, k_max = 1, 0
+    while k < size:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = dot(basis[k], basis[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        redi(k, k - 1)
+        if den * d[k + 1] * d[k - 1] < num * d[k] ** 2 - den * lam[k][k - 1] ** 2:
+            swapi(k, k_max)
             k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                redi(k, l)
+            k += 1
     return basis, transform
-
-
-def _dot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
 
 
 # -- Lagrange growth ----------------------------------------------------------

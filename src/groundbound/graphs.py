@@ -485,6 +485,11 @@ def bound_problem(case: EdgeGraphCase, variant: Variant | None = None, m: int = 
     feas = feasibility(case)
     if feas != Feasibility.FEASIBLE:
         raise InfeasibleCase(f"{case.label()} is {feas.value}")
+    return _feasible_problem(case, variant, m)
+
+
+def _feasible_problem(case: EdgeGraphCase, variant: Variant, m: int) -> BoundProblem:
+    """`bound_problem` for a case already certified FEASIBLE."""
     F = field_of(case)
     width_sq, radius = method_a_width(case, variant)
     return method_a_problem(F, width_sq, field_norm(F, width_sq), radius, m)
@@ -565,7 +570,7 @@ def case_bound(case: EdgeGraphCase, variant: Variant | None = None, m: int = 1,
                          published_bound=published_bound, problem=None)
     if feas == Feasibility.IMPOSSIBLE:
         raise InfeasibleCase(f"{case.label()} admits no V-arithmetic instance")
-    problem = bound_problem(case, variant, m)
+    problem = _feasible_problem(case, variant, m)
     result = solve(problem)
     return CaseBound(case=case, variant=variant, m=m, mechanism="solver",
                      field_degree=F.degree, least_n=result.least_n,

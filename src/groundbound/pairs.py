@@ -417,6 +417,12 @@ def _candidate_ks(kind: PairKind, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
     return k[keep]
 
 
+def check_k_max(k_max: int) -> None:
+    """Raise InvalidInput unless the search range covers the known argmax k = 31."""
+    if k_max < 31:
+        raise InvalidInput("k_max must cover the known argmax (>= 31)")
+
+
 def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     """All non-exceptional pairs passing the survival inequality.
 
@@ -426,8 +432,7 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     individually before being kept or discarded.  Larger k up to k_max
     are covered by `tail_certificate`.  Results are deterministic.
     """
-    if k_max < 31:
-        raise InvalidInput("k_max must cover the known argmax (>= 31)")
+    check_k_max(k_max)
     phi, g = sieve_tables(min(k_max, TAIL_START))
     exceptional = set(exceptional_pairs(kind))
     candidates = _candidate_ks(kind, phi, g)

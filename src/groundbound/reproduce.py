@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import datasets, polytopes
 from .balls import PI, Const, Mul, Div
 from .graphs import Family, FamilyTable, family_bound, PUBLISHED_FAMILY_MAXIMA
-from .pairs import PairKind, TailCertificate, global_bound
+from .pairs import PairKind, TailCertificate, check_k_max, global_bound
 from .report import Record, Report
 
 PUBLISHED_N14 = 120
@@ -162,6 +162,7 @@ def pair_records(kind: PairKind, k_max: int) -> tuple[list[Record], int]:
 
 
 def reproduce_all(k_max: int = 10**7) -> Report:
+    check_k_max(k_max)
     report = Report(title="groundbound reproduction report")
     report.add_section("datasets", dataset_records())
     report.add_section("polytope dimension elimination", polytope_records())

@@ -258,6 +258,17 @@ def test_bad_input_is_a_usage_error(args, capsys):
     assert code == 3 and "Traceback" not in err
 
 
+def test_reproduce_all_rejects_small_kmax_before_any_section(monkeypatch, capsys):
+    import groundbound.reproduce as reproduce
+
+    def family_bound(*args, **kwargs):
+        raise AssertionError("a report section was built before the k_max check")
+
+    monkeypatch.setattr(reproduce, "family_bound", family_bound)
+    code, _, err = run_cli(["reproduce-all", "--kmax", "5"], capsys)
+    assert code == 3 and "k_max" in err
+
+
 def test_invalid_expression(capsys):
     code, out, err = run_cli(
         ["bound-solve", "--M", "1", "--B", "1", "--R", "1/$", "--S", "16*e"],

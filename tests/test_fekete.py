@@ -6,6 +6,8 @@ import pytest
 from groundbound.balls import AlgConst, GREATER, certify_compare, eval_ball
 from groundbound.cyclo import CycloElement
 from groundbound.fekete import (
+    LLL_DELTA,
+    _lll,
     chebyshev_coefficients,
     chebyshev_linear_forms,
     certify_sup_norm,
@@ -160,6 +162,79 @@ def test_random_certificates_over_q_and_f5():
         assert not cert.is_zero(), (trial, ivs, n)
         for sup in cert.sup_bounds:
             assert certify_compare(AlgConst(sup), cert.theoretical_bound) != GREATER
+
+
+# (degree, centre) at width 1/10 where rounding the forms to floats loses the
+# short vectors: the degree-12 diagonal is about 1e-19
+NARROW_Q_CASES = (
+    [(10, F(c, 5)) for c in (8, -8)]
+    + [(11, F(c, 5)) for c in (6, -6, 8, -8)]
+    + [(12, F(c, 5)) for c in (4, -4, 6, -6, 8, -8)]
+)
+
+
+@pytest.mark.parametrize("n, center", NARROW_Q_CASES,
+                         ids=[f"n{n}@{float(c)}" for n, c in NARROW_Q_CASES])
+def test_narrow_q_width_certifies(n, center):
+    width = F(1, 10)
+    cert = find_small_polynomial(Q, {Q.identity_embedding(): (center - width / 2, center + width / 2)}, n)
+    assert not cert.is_zero()
+    for sup in cert.sup_bounds:
+        assert certify_compare(AlgConst(sup), cert.theoretical_bound) != GREATER
+
+
+def _exact_gram_schmidt(vectors):
+    """mu[i][j] and |b*_i|^2 in exact Fractions."""
+    ortho, mu = [], []
+    for b in vectors:
+        w = [F(x) for x in b]
+        row = []
+        for o in ortho:
+            m = sum(x * y for x, y in zip(b, o)) / sum(y * y for y in o)
+            row.append(m)
+            w = [x - m * y for x, y in zip(w, o)]
+        ortho.append(w)
+        mu.append(row)
+    return mu, [sum(x * x for x in o) for o in ortho]
+
+
+def _exact_det(rows):
+    m = [[F(x) for x in r] for r in rows]
+    det = F(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def test_integral_lll_against_exact_gram_schmidt():
+    rng = random.Random(1982)
+    for dim in range(2, 15):
+        for trial in range(2):
+            while True:
+                # rows at scales 2^0 .. 2^60 mimic the Chebyshev forms' spread
+                scales = [rng.randint(0, 60) if trial else 0 for _ in range(dim)]
+                matrix = [[rng.randint(-50, 50) << s for _ in range(dim)] for s in scales]
+                if _exact_det(matrix):
+                    break
+            reduced, transform = _lll(matrix)
+            assert (reduced, transform) == _lll(matrix)
+            columns = [[row[c] for row in matrix] for c in range(dim)]
+            for vec, coeffs in zip(reduced, transform):
+                assert vec == [sum(t * col[r] for t, col in zip(coeffs, columns)) for r in range(dim)]
+            assert abs(_exact_det(transform)) == 1
+            mu, norms = _exact_gram_schmidt(reduced)
+            for i in range(1, dim):
+                assert all(abs(m) <= F(1, 2) for m in mu[i]), (dim, trial, i)
+                assert norms[i] >= (LLL_DELTA - mu[i][i - 1] ** 2) * norms[i - 1], (dim, trial, i)
 
 
 def test_weighted_variant():

@@ -332,6 +332,21 @@ def _compose_shift(poly, c):
     return tuple(int(x) for x in out)
 
 
+def test_case_bound_certifies_feasibility_once(monkeypatch):
+    import groundbound.graphs as graphs
+
+    real = graphs.feasibility
+    calls = []
+    monkeypatch.setattr(graphs, "feasibility", lambda case: calls.append(case) or real(case))
+    rows = 0
+    for family in (Family.G1, Family.G2, Family.G3, Family.G4):
+        start = len(calls)
+        table = graphs.family_bound(family)
+        assert len(calls) - start == len(table.rows), family
+        rows += len(table.rows)
+    assert rows == 62
+
+
 def test_family_tables(g1_table, g2_table, g3_table, g4_table):
     assert g1_table.maximum == 24
     assert (g1_table.argmax.s, g1_table.argmax.k, g1_table.argmax.r, g1_table.argmax.p) == (3, 3, 5, 3)
