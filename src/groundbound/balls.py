@@ -3,11 +3,12 @@
 Expressions are immutable trees over exact leaves (rationals, cyclotomic
 elements, algebraic reals, pi, e) with ln/exp/sqrt/sin and rational-power
 nodes.  `eval_ball` encloses the exact value in an outward-rounded interval
-computed with mpmath's interval arithmetic; it is the one precision loop,
-doubling the working precision until its caller accepts the enclosure,
-never above the caller's cap.  `certify_compare` decides orderings with
-it (with an exact path for algebraic equalities) and `certified_floor`
-rounds down with it.
+computed on raw `mpmath.libmp` interval tuples (`libmpi` calls on (lo, hi)
+pairs of raw mpfs); it never touches `mpmath.iv`.  It is the one precision
+loop, doubling the working precision until its caller accepts the
+enclosure, never above the caller's cap.  `certify_compare` decides
+orderings with it (with an exact path for algebraic equalities) and
+`certified_floor` rounds down with it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp
-from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import (
+    from_int, from_rational, fzero, mpf_e, mpf_pi, mpf_sign,
+    mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
+    mpi_sin, mpi_sqrt, mpi_sub, round_ceiling, round_floor,
+)
 
 from .algreal import AlgebraicReal
 from .cyclo import CycloElement
@@ -76,10 +81,10 @@ class Ball:
         return mpf_to_fraction(self.lower) <= q <= mpf_to_fraction(self.upper)
 
     def certainly_positive(self) -> bool:
-        return self.lower > 0
+        return mpf_sign(self.lower._mpf_) > 0
 
     def certainly_negative(self) -> bool:
-        return self.upper < 0
+        return mpf_sign(self.upper._mpf_) < 0
 
     def __repr__(self):
         return f"Ball({mpmath.nstr(self.center, 17)} +/- {mpmath.nstr(self.radius, 5)}, bits={self.precision_bits})"
@@ -305,128 +310,137 @@ def sin(x) -> Expr:
 
 # -- interval evaluation -------------------------------------------------
 #
-# Every evaluation runs on a private interval context fixed at one working
-# precision, so the global `mpmath.iv` is never read or changed.  Pure
-# leaves (rationals, 2cos(2pi/n), ln q and sin(pi/q) for rational q) are
-# memoized per precision in bounded caches.  A memoized enclosure comes from
-# the same interval operations at the same precision as an uncached one
-# would, so it has the same endpoints.
+# An enclosure is a raw libmp interval: a (lo, hi) pair of raw mpf tuples.
+# Every node makes the libmpi call mpmath's interval context would make at
+# the working precision `prec`, so the endpoints are the ones `mpmath.iv`
+# gives, without its object layer and without reading or changing the
+# global `mpmath.iv`.  Pure leaves (rationals, 2cos(2pi/n), ln q and
+# sin(pi/q) for rational q) are memoized per precision in bounded caches; a
+# memoized enclosure comes from the same calls at the same precision as an
+# uncached one would, so it has the same endpoints.
 
 LEAF_CACHE_SIZE = 2048
 
 
-@lru_cache(maxsize=16)
-def _context(prec: int) -> MPIntervalContext:
-    iv = MPIntervalContext()
-    iv.prec = prec
-    return iv
+def _point(n: int, prec: int):
+    """The integer n rounded outward to `prec` bits."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def _pi(prec: int):
+    return mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
-def _iv_ratio(num: int, den: int, prec: int):
-    iv = _context(prec)
-    return iv.mpf(num) / iv.mpf(den)
+def _ratio(num: int, den: int, prec: int):
+    if abs(num).bit_length() <= prec and den.bit_length() <= prec:
+        return (from_rational(num, den, prec, round_floor),
+                from_rational(num, den, prec, round_ceiling))
+    # mpmath.iv rounds a wider integer outward before dividing, which gives
+    # a wider enclosure than rounding num/den once; keep its endpoints
+    return mpi_div(_point(num, prec), _point(den, prec), prec)
 
 
-def _iv_fraction(q: Fraction, iv):
-    return _iv_ratio(q.numerator, q.denominator, iv.prec)
+def _fraction(q: Fraction, prec: int):
+    return _ratio(q.numerator, q.denominator, prec)
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
-def _iv_beta(n: int, prec: int):
+def _beta(n: int, prec: int):
     """2cos(2pi/n)."""
-    iv = _context(prec)
-    return 2 * iv.cos(2 * iv.pi / n)
+    two = _point(2, prec)
+    angle = mpi_div(mpi_mul(two, _pi(prec), prec), _point(n, prec), prec)
+    return mpi_mul(two, mpi_cos(angle, prec), prec)
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
-def _iv_ln_ratio(num: int, den: int, prec: int):
+def _ln_ratio(num: int, den: int, prec: int):
     if num <= 0:
         raise DomainError("ln of a certified-nonpositive value")
-    return _context(prec).log(_iv_ratio(num, den, prec))
+    return mpi_log(_ratio(num, den, prec), prec)
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
-def _iv_sin_pi_over(num: int, den: int, prec: int):
+def _sin_pi_over(num: int, den: int, prec: int):
     """sin(pi / (num/den)) for num != 0."""
-    iv = _context(prec)
-    return iv.sin(+iv.pi / _iv_ratio(num, den, prec))
+    return mpi_sin(mpi_div(_pi(prec), _ratio(num, den, prec), prec), prec)
 
 
-def _iv_cyclo(x: CycloElement, iv):
-    beta = _iv_beta(x.n, iv.prec)
-    acc = iv.mpf(0)
+def _cyclo(x: CycloElement, prec: int):
+    beta = _beta(x.n, prec)
+    acc = (fzero, fzero)
     for c in reversed(x.coeffs):
-        acc = acc * beta + _iv_fraction(c, iv)
+        acc = mpi_add(mpi_mul(acc, beta, prec), _fraction(c, prec), prec)
     return acc
 
 
-def _iv_eval(expr: Expr, iv, bits: int):
-    if isinstance(expr, Const):
-        return _iv_fraction(expr.value, iv)
-    if isinstance(expr, AlgConst):
-        return _iv_cyclo(expr.value, iv)
-    if isinstance(expr, RootConst):
-        lo, hi = expr.value.refine_bits(bits + 8)
-        return iv.mpf([_iv_fraction(lo, iv).a, _iv_fraction(hi, iv).b])
-    if isinstance(expr, _PiConst):
-        return +iv.pi
-    if isinstance(expr, _EConst):
-        return +iv.e
-    if isinstance(expr, Add):
-        return _iv_eval(expr.left, iv, bits) + _iv_eval(expr.right, iv, bits)
-    if isinstance(expr, Sub):
-        return _iv_eval(expr.left, iv, bits) - _iv_eval(expr.right, iv, bits)
-    if isinstance(expr, Mul):
-        return _iv_eval(expr.left, iv, bits) * _iv_eval(expr.right, iv, bits)
-    if isinstance(expr, Div):
-        denom = _iv_eval(expr.right, iv, bits)
-        if denom.a <= 0 <= denom.b:
+def _iv_eval(expr: Expr, prec: int, bits: int):
+    """Enclosure of `expr` at working precision `prec`; `bits` sets how far
+    algebraic-real leaves are refined."""
+    t = type(expr)
+    if t is Const:
+        return _fraction(expr.value, prec)
+    if t is Add:
+        return mpi_add(_iv_eval(expr.left, prec, bits), _iv_eval(expr.right, prec, bits), prec)
+    if t is Sub:
+        return mpi_sub(_iv_eval(expr.left, prec, bits), _iv_eval(expr.right, prec, bits), prec)
+    if t is Mul:
+        return mpi_mul(_iv_eval(expr.left, prec, bits), _iv_eval(expr.right, prec, bits), prec)
+    if t is Div:
+        denom = _iv_eval(expr.right, prec, bits)
+        if mpf_sign(denom[0]) <= 0 <= mpf_sign(denom[1]):
             raise _Inconclusive("division by an interval containing zero")
-        return _iv_eval(expr.left, iv, bits) / denom
-    if isinstance(expr, Neg):
-        return -_iv_eval(expr.arg, iv, bits)
-    if isinstance(expr, Sqrt):
-        arg = _iv_eval(expr.arg, iv, bits)
-        if arg.b < 0:
-            raise DomainError("sqrt of a certified-negative value")
-        if arg.a < 0:
-            raise _Inconclusive("sqrt argument not certified nonnegative")
-        return iv.sqrt(arg)
-    if isinstance(expr, Ln):
-        if isinstance(expr.arg, Const):
+        return mpi_div(_iv_eval(expr.left, prec, bits), denom, prec)
+    if t is Ln:
+        if type(expr.arg) is Const:
             q = expr.arg.value
-            return _iv_ln_ratio(q.numerator, q.denominator, iv.prec)
-        arg = _iv_eval(expr.arg, iv, bits)
-        if arg.b <= 0:
+            return _ln_ratio(q.numerator, q.denominator, prec)
+        arg = _iv_eval(expr.arg, prec, bits)
+        if mpf_sign(arg[1]) <= 0:
             raise DomainError("ln of a certified-nonpositive value")
-        if arg.a <= 0:
+        if mpf_sign(arg[0]) <= 0:
             raise _Inconclusive("ln argument not certified positive")
-        return iv.log(arg)
-    if isinstance(expr, ExpNode):
-        return iv.exp(_iv_eval(expr.arg, iv, bits))
-    if isinstance(expr, Sin):
+        return mpi_log(arg, prec)
+    if t is Sin:
         arg = expr.arg
-        if isinstance(arg, Div) and isinstance(arg.left, _PiConst) \
-                and isinstance(arg.right, Const) and arg.right.value != 0:
+        if type(arg) is Div and type(arg.left) is _PiConst \
+                and type(arg.right) is Const and arg.right.value != 0:
             q = arg.right.value
-            return _iv_sin_pi_over(q.numerator, q.denominator, iv.prec)
-        return iv.sin(_iv_eval(arg, iv, bits))
-    if isinstance(expr, Pow):
-        arg = _iv_eval(expr.arg, iv, bits)
+            return _sin_pi_over(q.numerator, q.denominator, prec)
+        return mpi_sin(_iv_eval(arg, prec, bits), prec)
+    if t is Neg:
+        return mpi_neg(_iv_eval(expr.arg, prec, bits), prec)
+    if t is Pow:
+        arg = _iv_eval(expr.arg, prec, bits)
         e = expr.exponent
         if e.denominator == 1:
             k = e.numerator
-            if k >= 0:
-                return arg**k
-            if arg.a <= 0 <= arg.b:
+            if k < 0 and mpf_sign(arg[0]) <= 0 <= mpf_sign(arg[1]):
                 raise _Inconclusive("negative power of an interval containing zero")
-            return arg**k
-        if arg.b < 0:
+            return mpi_pow(arg, _point(k, prec), prec)
+        if mpf_sign(arg[1]) < 0:
             raise DomainError("rational power of a certified-negative value")
-        if arg.a <= 0:
+        if mpf_sign(arg[0]) <= 0:
             raise _Inconclusive("rational power argument not certified positive")
-        return iv.exp(iv.log(arg) * _iv_fraction(e, iv))
+        return mpi_exp(mpi_mul(mpi_log(arg, prec), _fraction(e, prec), prec), prec)
+    if t is Sqrt:
+        arg = _iv_eval(expr.arg, prec, bits)
+        if mpf_sign(arg[1]) < 0:
+            raise DomainError("sqrt of a certified-negative value")
+        if mpf_sign(arg[0]) < 0:
+            raise _Inconclusive("sqrt argument not certified nonnegative")
+        return mpi_sqrt(arg, prec)
+    if t is ExpNode:
+        return mpi_exp(_iv_eval(expr.arg, prec, bits), prec)
+    if t is AlgConst:
+        return _cyclo(expr.value, prec)
+    if t is RootConst:
+        lo, hi = expr.value.refine_bits(bits + 8)
+        return _fraction(lo, prec)[0], _fraction(hi, prec)[1]
+    if t is _PiConst:
+        return _pi(prec)
+    if t is _EConst:
+        return mpf_e(prec, round_floor), mpf_e(prec, round_ceiling)
     raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -470,12 +484,11 @@ def eval_ball(
     reason = "the start precision is above the cap"
     while bits <= cap_bits:
         try:
-            val = _iv_eval(expr, _context(bits + 16), bits)
+            lo_raw, hi_raw = _iv_eval(expr, bits + 16, bits)
         except _Inconclusive as exc:
             reason = exc
         else:
             # make_mpf keeps the exact endpoint mantissas (no rounding)
-            lo_raw, hi_raw = val._mpi_
             ball = Ball(lower=mp.make_mpf(lo_raw), upper=mp.make_mpf(hi_raw),
                         precision_bits=bits)
             if accept is None or accept(ball):

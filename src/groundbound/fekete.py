@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, isqrt
 
 from . import balls
@@ -35,11 +36,13 @@ LLL_DELTA = Fraction(99, 100)
 # -- Chebyshev expansions ----------------------------------------------------
 
 
-def chebyshev_coefficients(a: Fraction, b: Fraction, n: int) -> list[tuple]:
+@lru_cache(maxsize=256)
+def chebyshev_coefficients(a: Fraction, b: Fraction, n: int) -> tuple[tuple, ...]:
     """Row i holds the exact T_k coefficients of ((a+b)/2 + ((b-a)/2) x)^i.
 
     Multiplication by x in the Chebyshev basis sends T_k to
-    (T_{k+1} + T_{|k-1|}) / 2.
+    (T_{k+1} + T_{|k-1|}) / 2.  Memoized: `certify_sup_norm` reuses the
+    table `chebyshev_linear_forms` built for the same problem.
     """
     alpha, beta = (Fraction(a) + Fraction(b)) / 2, (Fraction(b) - Fraction(a)) / 2
     rows = [(Fraction(1),)]
@@ -53,7 +56,7 @@ def chebyshev_coefficients(a: Fraction, b: Fraction, n: int) -> list[tuple]:
             out[k + 1] += beta * c / 2
             out[abs(k - 1)] += beta * c / 2
         rows.append(tuple(out))
-    return [tuple(row) + (Fraction(0),) * (n + 1 - len(row)) for row in rows]
+    return tuple(row + (Fraction(0),) * (n + 1 - len(row)) for row in rows)
 
 
 def integral_basis(field: RealCyclotomicField) -> tuple[CycloElement, ...]:
@@ -178,7 +181,7 @@ def chebyshev_linear_forms(field: RealCyclotomicField, intervals: dict, n: int) 
     embeddings = field.embeddings()
     ordered = tuple((emb, (Fraction(intervals[emb][0]), Fraction(intervals[emb][1])))
                     for emb in embeddings)
-    cheb = tuple(tuple(chebyshev_coefficients(a, b, n)) for _, (a, b) in ordered)
+    cheb = tuple(chebyshev_coefficients(a, b, n) for _, (a, b) in ordered)
     return ChebyshevForms(field=field, degree_n=n, intervals=ordered,
                           basis=integral_basis(field), cheb=cheb)
 
@@ -225,14 +228,16 @@ def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
     n = len(coeffs) - 1
     cheb = chebyshev_coefficients(a, b, n)
     field_n = embedding.field.n
+    images = [embedding.apply(c if isinstance(c, CycloElement)
+                              else CycloElement.rational(field_n, c))
+              for c in coeffs]
     total = CycloElement.rational(field_n, 0)
     for k in range(n + 1):
         a_k = CycloElement.rational(field_n, 0)
-        for i, c in enumerate(coeffs):
+        for i, image in enumerate(images):
             if cheb[i][k] == 0:
                 continue
-            c_el = c if isinstance(c, CycloElement) else CycloElement.rational(field_n, c)
-            a_k = a_k + embedding.apply(c_el) * cheb[i][k]
+            a_k = a_k + image * cheb[i][k]
         total = total + _abs_exact(a_k)
     return total
 
@@ -342,18 +347,23 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
         seen.add(key)
         candidates.append((score, key))
 
-    for idx, col in enumerate(transform):
-        push(col, _max_form(matrix, col))
+    # a candidate's score is max |matrix . vec|; reduced[i] is the image of
+    # transform[i], so a combination's image is the same combination of images
+    for col, image in zip(transform, reduced):
+        push(col, max(map(abs, image)))
     short = sorted(range(len(transform)), key=lambda i: _norm2(reduced[i]))[:4]
     for coeffs_combo in itertools.product((-1, 0, 1), repeat=len(short)):
         if not any(coeffs_combo):
             continue
         vec = [0] * dim
+        image = [0] * len(matrix)
         for c, i in zip(coeffs_combo, short):
             if c:
                 for t in range(dim):
                     vec[t] += c * transform[i][t]
-        push(vec, _max_form(matrix, vec))
+                for t in range(len(matrix)):
+                    image[t] += c * reduced[i][t]
+        push(vec, max(map(abs, image)))
     candidates.sort(key=lambda item: (item[0], item[1]))
     for _, vec in candidates:
         cert = certify(vec_to_alpha(vec))
@@ -379,14 +389,6 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
 
 def _norm2(v) -> int:
     return sum(x * x for x in v)
-
-
-def _max_form(matrix, alpha) -> int:
-    worst = 0
-    for row in matrix:
-        val = abs(sum(r * a for r, a in zip(row, alpha)))
-        worst = max(worst, val)
-    return worst
 
 
 def _lll(matrix):

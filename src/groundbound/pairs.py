@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, log, pi, sin
 
 import numpy as np
@@ -134,9 +134,12 @@ def coefficient_expr(k: int, s: int) -> Expr:
     return expr if expr is not None else Const(Fraction(0))
 
 
+@lru_cache(maxsize=4096)
 def coefficient_sign(k: int, s: int) -> str:
     """Certified sign of c(k, s); exact zero detected symbolically
-    (logarithms of distinct primes are linearly independent over Q)."""
+    (logarithms of distinct primes are linearly independent over Q).
+    Memoized: the exceptional scan, `survives` and `pair_report` all ask,
+    and the star family repeats pairs of the complete family."""
     combo = _log_combo(k, s)
     if not combo:
         return balls.EQUAL

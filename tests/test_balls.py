@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,12 +12,14 @@ from groundbound.balls import (
     LESS,
     PI,
     UNDECIDED,
+    Add,
     Const,
     Div,
     E,
     ExpNode,
     Ln,
     Mul,
+    Neg,
     Pow,
     Sin,
     Sqrt,
@@ -123,7 +127,7 @@ def test_exp_identity():
     assert ball.contains(Fraction(0))
 
 
-LEAF_MEMOS = (balls._iv_ratio, balls._iv_beta, balls._iv_ln_ratio, balls._iv_sin_pi_over)
+LEAF_MEMOS = (balls._ratio, balls._beta, balls._ln_ratio, balls._sin_pi_over)
 
 
 def _leafy_expr():
@@ -188,7 +192,6 @@ def test_memoized_leaves_match_fresh_evaluation():
 def test_leaf_caches_are_bounded():
     for memo in LEAF_MEMOS:
         assert memo.cache_info().maxsize == balls.LEAF_CACHE_SIZE
-    assert balls._context.cache_info().maxsize is not None
 
 
 # pi - q with q the 50-digit truncation of pi is about 5.8e-51, so its
@@ -196,20 +199,22 @@ def test_leaf_caches_are_bounded():
 PI_TRUNCATION = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
 
 
-def _recording_contexts(monkeypatch):
+def _recording_precisions(monkeypatch):
+    """Working precision of every node evaluation (the evaluator recurses
+    through its module-level name, so every node is recorded)."""
     asked = []
-    original = balls._context
+    original = balls._iv_eval
 
-    def recording(prec):
+    def recording(expr, prec, bits):
         asked.append(prec)
-        return original(prec)
+        return original(expr, prec, bits)
 
-    monkeypatch.setattr(balls, "_context", recording)
+    monkeypatch.setattr(balls, "_iv_eval", recording)
     return asked
 
 
 def test_no_evaluation_above_the_compare_cap(monkeypatch):
-    asked = _recording_contexts(monkeypatch)
+    asked = _recording_precisions(monkeypatch)
     near_zero = Sqrt(PI - Const(PI_TRUNCATION))
     tie = (Ln(Const(Fraction(4))), Const(Fraction(2)) * Ln(Const(Fraction(2))))
     for cap in (64, 128, 256, 512):
@@ -271,3 +276,196 @@ def test_certified_floor_shared_by_pairs_and_polytopes():
     assert balls.certified_floor(Sqrt(Const(Fraction(16)))) == 4
     with pytest.raises(UndecidableError):
         balls.certified_floor(Ln(Const(Fraction(4))) / Ln(Const(Fraction(2))))
+
+
+# -- the mpmath.iv oracle ----------------------------------------------------
+#
+# The evaluator as it ran on mpmath's interval context (`mpmath.ctx_iv`),
+# every node through the ivmpf object layer and every leaf computed afresh.
+# `balls._iv_eval` works on raw libmp tuples and must give the same
+# endpoints and the same inconclusive/domain outcomes.
+
+ORACLE_PRECISIONS = (64, 80, 192, 1040, 4112)
+
+
+@functools.cache
+def _oracle_context(prec):
+    from mpmath.ctx_iv import MPIntervalContext
+
+    iv = MPIntervalContext()
+    iv.prec = prec
+    return iv
+
+
+def _oracle_fraction(q, iv):
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def _oracle_cyclo(x, iv):
+    beta = 2 * iv.cos(2 * iv.pi / x.n)
+    acc = iv.mpf(0)
+    for c in reversed(x.coeffs):
+        acc = acc * beta + _oracle_fraction(c, iv)
+    return acc
+
+
+def _oracle_eval(expr, iv, bits):
+    if isinstance(expr, Const):
+        return _oracle_fraction(expr.value, iv)
+    if isinstance(expr, AlgConst):
+        return _oracle_cyclo(expr.value, iv)
+    if isinstance(expr, RootConst):
+        lo, hi = expr.value.refine_bits(bits + 8)
+        return iv.mpf([_oracle_fraction(lo, iv).a, _oracle_fraction(hi, iv).b])
+    if expr is PI:
+        return +iv.pi
+    if expr is E:
+        return +iv.e
+    if isinstance(expr, Add):
+        return _oracle_eval(expr.left, iv, bits) + _oracle_eval(expr.right, iv, bits)
+    if isinstance(expr, Sub):
+        return _oracle_eval(expr.left, iv, bits) - _oracle_eval(expr.right, iv, bits)
+    if isinstance(expr, Mul):
+        return _oracle_eval(expr.left, iv, bits) * _oracle_eval(expr.right, iv, bits)
+    if isinstance(expr, Div):
+        denom = _oracle_eval(expr.right, iv, bits)
+        if denom.a <= 0 <= denom.b:
+            raise balls._Inconclusive("division by an interval containing zero")
+        return _oracle_eval(expr.left, iv, bits) / denom
+    if isinstance(expr, Neg):
+        return -_oracle_eval(expr.arg, iv, bits)
+    if isinstance(expr, Sqrt):
+        arg = _oracle_eval(expr.arg, iv, bits)
+        if arg.b < 0:
+            raise DomainError("sqrt of a certified-negative value")
+        if arg.a < 0:
+            raise balls._Inconclusive("sqrt argument not certified nonnegative")
+        return iv.sqrt(arg)
+    if isinstance(expr, Ln):
+        if isinstance(expr.arg, Const):
+            if expr.arg.value <= 0:
+                raise DomainError("ln of a certified-nonpositive value")
+            return iv.log(_oracle_fraction(expr.arg.value, iv))
+        arg = _oracle_eval(expr.arg, iv, bits)
+        if arg.b <= 0:
+            raise DomainError("ln of a certified-nonpositive value")
+        if arg.a <= 0:
+            raise balls._Inconclusive("ln argument not certified positive")
+        return iv.log(arg)
+    if isinstance(expr, ExpNode):
+        return iv.exp(_oracle_eval(expr.arg, iv, bits))
+    if isinstance(expr, Sin):
+        arg = expr.arg
+        if isinstance(arg, Div) and arg.left is PI \
+                and isinstance(arg.right, Const) and arg.right.value != 0:
+            return iv.sin(+iv.pi / _oracle_fraction(arg.right.value, iv))
+        return iv.sin(_oracle_eval(arg, iv, bits))
+    if isinstance(expr, Pow):
+        arg = _oracle_eval(expr.arg, iv, bits)
+        e = expr.exponent
+        if e.denominator == 1:
+            k = e.numerator
+            if k < 0 and arg.a <= 0 <= arg.b:
+                raise balls._Inconclusive("negative power of an interval containing zero")
+            return arg**k
+        if arg.b < 0:
+            raise DomainError("rational power of a certified-negative value")
+        if arg.a <= 0:
+            raise balls._Inconclusive("rational power argument not certified positive")
+        return iv.exp(iv.log(arg) * _oracle_fraction(e, iv))
+    raise TypeError(f"unknown expression node {expr!r}")
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except balls._Inconclusive:
+        return "inconclusive"
+    except DomainError:
+        return "domain"
+
+
+# wider than every oracle precision, so the outward-rounded integer path of
+# `balls._ratio` is taken at all of them
+WIDE_RATIONAL = Fraction(3**2700 + 1, 2**4300 + 7)
+# one shared algebraic real: its isolating interval is refined once to the
+# finest precision, not once per leaf
+SQRT2 = AlgebraicReal((-2, 0, 1), (Fraction(1), Fraction(2)))
+
+
+def _random_tree(rng, depth):
+    """A random expression; leaves and operators are drawn so that the
+    corpus reaches zero-straddling denominators, negative ln and sqrt
+    arguments and every special-cased leaf."""
+    leaves = (
+        lambda: Const(Fraction(rng.randint(-9, 9), rng.randint(1, 7))),
+        lambda: Const(rng.choice((PI_TRUNCATION, WIDE_RATIONAL, -WIDE_RATIONAL))),
+        lambda: AlgConst(CycloElement.cos2pi(rng.randint(1, 4), rng.choice((5, 7, 9, 12)))
+                         + Fraction(rng.randint(-3, 3), 2)),
+        lambda: RootConst(SQRT2),
+        lambda: PI,
+        lambda: E,
+        lambda: Ln(Const(Fraction(rng.randint(-2, 40), rng.randint(1, 9)))),
+        lambda: Sin(Div(PI, Const(Fraction(rng.choice((-7, 0, 3, 5, 31)), rng.randint(1, 3))))),
+    )
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)()
+    sub = lambda: _random_tree(rng, depth - 1)  # noqa: E731
+    return rng.choice((
+        lambda: Add(sub(), sub()),
+        lambda: Sub(sub(), sub()),
+        lambda: Mul(sub(), sub()),
+        lambda: Div(sub(), sub()),
+        lambda: Neg(sub()),
+        lambda: Sqrt(sub()),
+        lambda: Ln(sub()),
+        lambda: ExpNode(Div(sub(), Const(Fraction(rng.randint(4, 40))))),
+        lambda: Sin(sub()),
+        lambda: Pow(sub(), Fraction(rng.randint(0, 5))),
+        lambda: Pow(sub(), Fraction(-rng.randint(1, 4))),
+        lambda: Pow(sub(), Fraction(rng.choice((1, -1, 5, 7)), rng.randint(2, 6))),
+    ))()
+
+
+def _node_kinds(expr, out):
+    """The evaluator paths `expr` takes; ln q and sin(pi/q) are leaves."""
+    if isinstance(expr, Ln) and isinstance(expr.arg, Const):
+        out.add("Ln(Const)")
+        return out
+    if isinstance(expr, Sin) and isinstance(expr.arg, Div) and expr.arg.left is PI \
+            and isinstance(expr.arg.right, Const) and expr.arg.right.value != 0:
+        out.add("Sin(pi/q)")
+        return out
+    kind = type(expr).__name__
+    if isinstance(expr, Pow):
+        e = expr.exponent
+        kind = "Pow rational" if e.denominator != 1 else "Pow k<0" if e < 0 else "Pow k>=0"
+    out.add(kind)
+    for child in ("left", "right", "arg"):
+        if hasattr(expr, child):
+            _node_kinds(getattr(expr, child), out)
+    return out
+
+
+def test_tuple_evaluator_matches_the_interval_context_oracle():
+    rng = random.Random(20260)
+    corpus = [_random_tree(rng, 3) for _ in range(120)] + [_leafy_expr()]
+    kinds = set()
+    for expr in corpus:
+        _node_kinds(expr, kinds)
+    assert kinds >= {
+        "Const", "AlgConst", "RootConst", "_PiConst", "_EConst", "Add", "Sub", "Mul",
+        "Div", "Neg", "Sqrt", "Ln", "Ln(Const)", "ExpNode", "Sin", "Sin(pi/q)",
+        "Pow k>=0", "Pow k<0", "Pow rational",
+    }
+    for prec in ORACLE_PRECISIONS:
+        iv = _oracle_context(prec)
+        outcomes = set()
+        for expr in corpus:
+            ours = _outcome(lambda: balls._iv_eval(expr, prec, prec - 16))
+            oracle = _outcome(lambda: _oracle_eval(expr, iv, prec - 16))
+            if not isinstance(oracle, str):
+                oracle = oracle._mpi_
+            assert ours == oracle, (prec, str(expr))
+            outcomes.add(ours if isinstance(ours, str) else "enclosure")
+        assert outcomes == {"enclosure", "inconclusive", "domain"}, prec

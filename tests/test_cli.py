@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -277,18 +278,28 @@ def test_invalid_expression(capsys):
     assert code == 3
 
 
+# sha256 of the `reproduce-all --kmax 2000` reports (written with --out);
+# an evaluator change that moves one printed digit changes them
+REPRODUCE_2000_SHA256 = {
+    "text": "2428e27813c9df9da088fd2fa2a9484d3cdc0d83d4bb5e41b002bdc9f0cb297e",
+    "json": "17f09e33e85bfdff40a8ea406d9d8586bd010355f17ad72aa2d1470a6a14c7f2",
+}
+
+
 def test_reproduce_all_small_deterministic(tmp_path):
-    # run via subprocess to exercise the entry point end to end
-    out1 = tmp_path / "a.txt"
-    out2 = tmp_path / "b.txt"
-    for out in (out1, out2):
+    # run via subprocess to exercise the entry point end to end; every fresh
+    # run must reproduce the pinned bytes of both formats
+    reports = {}
+    for fmt, digest in REPRODUCE_2000_SHA256.items():
+        out = tmp_path / f"report.{fmt}"
         proc = subprocess.run(
             [sys.executable, "-m", "groundbound.cli", "reproduce-all",
-             "--kmax", "2000", "--out", str(out)],
+             "--kmax", "2000", "--format", fmt, "--out", str(out)],
             capture_output=True, text=True, timeout=900,
         )
         assert proc.returncode == 1  # documented divergences are reported
-    assert out1.read_bytes() == out2.read_bytes()
-    text = out1.read_text()
+        reports[fmt] = out.read_bytes()
+        assert hashlib.sha256(reports[fmt]).hexdigest() == digest, fmt
+    text = reports["text"].decode()
     assert "degree bound N(14)" in text
     assert text.count("MISMATCH") == 3

@@ -214,3 +214,35 @@ def test_refinement_matches_g5_case():
                 assert ball_str(getattr(ours, attr)) == ball_str(getattr(theirs, attr)), (k, s, attr)
             compared += 1
     assert compared == 26
+
+
+def test_each_coefficient_certified_once(monkeypatch):
+    # the exceptional scan, `survives`, `pair_report` and the star family's
+    # repeats of complete-family pairs all ask for c(k, s); it is certified
+    # once per distinct pair
+    from collections import Counter
+
+    from groundbound.pairs import coefficient_expr, global_bound
+
+    pairs.coefficient_sign.cache_clear()
+    pairs._all_exceptional_pairs.cache_clear()
+    asked, certified = [], []
+    real_sign, real_certify = pairs.coefficient_sign, pairs.certify_sign
+
+    def sign_spy(k, s):
+        asked.append((k, s))
+        return real_sign(k, s)
+
+    def certify_spy(expr, *args, **kwargs):
+        certified.append(expr)
+        return real_certify(expr, *args, **kwargs)
+
+    monkeypatch.setattr(pairs, "coefficient_sign", sign_spy)
+    monkeypatch.setattr(pairs, "certify_sign", certify_spy)
+    for kind in (G5, G4):
+        global_bound(kind, k_max=2000)
+    distinct = {p for p in set(asked) if pairs._log_combo(*p)}
+    coefficients = {coefficient_expr(*p) for p in distinct}
+    certified_coefficients = Counter(e for e in certified if e in coefficients)
+    assert len(asked) > 2 * len(distinct) > 0
+    assert sum(certified_coefficients.values()) == len(distinct)
