@@ -20,10 +20,11 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
-    from_int, from_rational, fzero, mpf_e, mpf_pi, mpf_sign,
+    from_int, fzero, mpf_e, mpf_sign,
     mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
     mpi_sin, mpi_sqrt, mpi_sub, round_ceiling, round_floor,
 )
+from mpmath.libmp.libmpi import mpi_pi
 
 from .algreal import AlgebraicReal
 from .cyclo import CycloElement
@@ -327,17 +328,8 @@ def _point(n: int, prec: int):
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-def _pi(prec: int):
-    return mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
-
-
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
 def _ratio(num: int, den: int, prec: int):
-    if abs(num).bit_length() <= prec and den.bit_length() <= prec:
-        return (from_rational(num, den, prec, round_floor),
-                from_rational(num, den, prec, round_ceiling))
-    # mpmath.iv rounds a wider integer outward before dividing, which gives
-    # a wider enclosure than rounding num/den once; keep its endpoints
     return mpi_div(_point(num, prec), _point(den, prec), prec)
 
 
@@ -349,7 +341,7 @@ def _fraction(q: Fraction, prec: int):
 def _beta(n: int, prec: int):
     """2cos(2pi/n)."""
     two = _point(2, prec)
-    angle = mpi_div(mpi_mul(two, _pi(prec), prec), _point(n, prec), prec)
+    angle = mpi_div(mpi_mul(two, mpi_pi(prec), prec), _point(n, prec), prec)
     return mpi_mul(two, mpi_cos(angle, prec), prec)
 
 
@@ -363,7 +355,7 @@ def _ln_ratio(num: int, den: int, prec: int):
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
 def _sin_pi_over(num: int, den: int, prec: int):
     """sin(pi / (num/den)) for num != 0."""
-    return mpi_sin(mpi_div(_pi(prec), _ratio(num, den, prec), prec), prec)
+    return mpi_sin(mpi_div(mpi_pi(prec), _ratio(num, den, prec), prec), prec)
 
 
 def _cyclo(x: CycloElement, prec: int):
@@ -438,7 +430,7 @@ def _iv_eval(expr: Expr, prec: int, bits: int):
         lo, hi = expr.value.refine_bits(bits + 8)
         return _fraction(lo, prec)[0], _fraction(hi, prec)[1]
     if t is _PiConst:
-        return _pi(prec)
+        return mpi_pi(prec)
     if t is _EConst:
         return mpf_e(prec, round_floor), mpf_e(prec, round_ceiling)
     raise TypeError(f"unknown expression node {expr!r}")

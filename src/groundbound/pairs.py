@@ -126,24 +126,33 @@ def _log_combo(k: int, s: int) -> dict:
     return {p: q for p, q in combo.items() if q != 0}
 
 
-def coefficient_expr(k: int, s: int) -> Expr:
+def _combo_expr(terms: tuple) -> Expr:
     expr: Expr | None = None
-    for p, q in sorted(_log_combo(k, s).items()):
+    for p, q in terms:
         term = Const(q) * Ln(Const(Fraction(p)))
         expr = term if expr is None else expr + term
     return expr if expr is not None else Const(Fraction(0))
 
 
+def coefficient_expr(k: int, s: int) -> Expr:
+    return _combo_expr(tuple(sorted(_log_combo(k, s).items())))
+
+
 @lru_cache(maxsize=4096)
+def _combo_sign(terms: tuple) -> str:
+    if not terms:
+        return balls.EQUAL
+    return certify_sign(_combo_expr(terms))
+
+
 def coefficient_sign(k: int, s: int) -> str:
     """Certified sign of c(k, s); exact zero detected symbolically
     (logarithms of distinct primes are linearly independent over Q).
-    Memoized: the exceptional scan, `survives` and `pair_report` all ask,
-    and the star family repeats pairs of the complete family."""
-    combo = _log_combo(k, s)
-    if not combo:
-        return balls.EQUAL
-    return certify_sign(coefficient_expr(k, s))
+    The sign depends only on the combination of logarithms, so it is
+    memoized on that: the exceptional scan, `survives` and `pair_report`
+    all ask, the star family repeats pairs of the complete family, and
+    many pairs share one combination."""
+    return _combo_sign(tuple(sorted(_log_combo(k, s).items())))
 
 
 def is_exceptional(k: int, s: int) -> bool:

@@ -385,8 +385,8 @@ def _outcome(evaluate):
         return "domain"
 
 
-# wider than every oracle precision, so the outward-rounded integer path of
-# `balls._ratio` is taken at all of them
+# wider than every oracle precision, so both integers are rounded outward
+# before the division at all of them
 WIDE_RATIONAL = Fraction(3**2700 + 1, 2**4300 + 7)
 # one shared algebraic real: its isolating interval is refined once to the
 # finest precision, not once per leaf
