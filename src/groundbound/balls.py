@@ -537,7 +537,7 @@ def _exact(expr: Expr):
     if isinstance(expr, Neg):
         return -_exact(expr.arg)
     if isinstance(expr, Sin):
-        coeff = _pi_multiple(expr.arg)
+        coeff = pi_multiple(expr.arg)
         if coeff is None:
             raise _NotExact
         # sin(pi*a/b) = cos(2pi*(b-2a)/(4b))
@@ -576,20 +576,25 @@ def _exact(expr: Expr):
     raise _NotExact
 
 
-def _pi_multiple(expr: Expr):
-    """Fraction q with expr == q*pi, else None."""
+def pi_multiple(expr: Expr):
+    """Fraction q with expr == q*pi, else None; q*pi may be written as a
+    product with pi and a quotient by any exactly rational subexpressions."""
     if isinstance(expr, _PiConst):
         return Fraction(1)
     if isinstance(expr, Mul):
         for a, b in ((expr.left, expr.right), (expr.right, expr.left)):
-            if isinstance(a, Const) and isinstance(b, _PiConst):
-                return a.value
-    if isinstance(expr, Div) and isinstance(expr.right, Const):
-        inner = _pi_multiple(expr.left)
-        if inner is not None and expr.right.value != 0:
-            return inner / expr.right.value
+            if isinstance(b, _PiConst):
+                q = exact_value(a)
+                if isinstance(q, Fraction):
+                    return q
+    if isinstance(expr, Div):
+        inner = pi_multiple(expr.left)
+        if inner is not None:
+            q = exact_value(expr.right)
+            if isinstance(q, Fraction) and q != 0:
+                return inner / q
     if isinstance(expr, Neg):
-        inner = _pi_multiple(expr.arg)
+        inner = pi_multiple(expr.arg)
         return None if inner is None else -inner
     return None
 

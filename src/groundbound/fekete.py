@@ -5,13 +5,14 @@ forms A_{k,sigma} given by the Chebyshev coefficients of P^sigma on
 [a_sigma, b_sigma]; here the witness is actually constructed.  The exact
 forms are scaled by 2^p and rounded to an integer matrix, p chosen so that
 the smallest Chebyshev diagonal entry 2((b-a)/4)^n keeps LLL_MARGIN_BITS
-bits; an exact integral LLL (Cohen, GTM 138, Alg. 2.6.7) on its columns
-proposes small integer coefficient vectors, every candidate is certified
-exactly (the coefficient-sum bound sum_k |A_{k,sigma}| is an exact
-algebraic number), and a bounded box search backs up the reduction.
-A certificate whose sup bounds exceed the theoretical bound is never
-returned; exhausting the box raises SearchExhausted, which the theory
-says cannot happen and is treated as a bug signal.
+bits.  An exact integral LLL (Cohen, GTM 138, Alg. 2.6.7) on its columns
+proposes small integer coefficient vectors.  They are certified exactly
+(the coefficient-sum bound sum_k |A_{k,sigma}| is an exact algebraic
+number) in one order: the reduced vectors as LLL returns them, then one
+bounded box of small combinations of the first few.  A certificate whose
+sup bounds exceed the theoretical bound is never returned; exhausting the
+box raises SearchExhausted, which the theory says cannot happen and is
+treated as a bug signal.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isqrt
+from math import ceil, gcd, isqrt
 
 from . import balls
 from .balls import AlgConst, Const, Expr, Pow, certify_compare, certify_sign
@@ -32,6 +33,11 @@ from .fields import Embedding, RealCyclotomicField, field_discriminant
 # forms are scaled to integers, and the Lovasz constant of the reduction.
 LLL_MARGIN_BITS = 64
 LLL_DELTA = Fraction(99, 100)
+
+# The fallback after the reduced vectors: integer combinations of the first
+# BOX_VECTORS of them with coefficients in -BOX_RADIUS..BOX_RADIUS.
+BOX_RADIUS = 2
+BOX_VECTORS = 3
 
 # -- Chebyshev expansions ----------------------------------------------------
 
@@ -267,17 +273,18 @@ def _coefficients_from_alpha(field, basis, alpha):
 
 
 def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
-                          box_radius: int = 2,
                           weights: dict | None = None) -> FeketeCertificate:
     """Nonzero integral polynomial of degree <= n with certified sup norms
     below the theoretical bound on every embedding's interval.
 
     Search: integral LLL on the columns of the exactly scaled
-    Chebyshev-form matrix (`ChebyshevForms.scaled_matrix`), then small
-    integer combinations of the reduced basis, then an exhaustive box
-    over the shortest reduced vectors.  `weights` optionally supplies the
-    per-embedding factors of the weighted statement (product must be 1);
-    the bound pipelines never set them.
+    Chebyshev-form matrix (`ChebyshevForms.scaled_matrix`); the reduced
+    vectors are certified in the order `_lll` returns them, then the box
+    `_box_combinations` over the first BOX_VECTORS of them.  In every
+    problem measured so far the first reduced vector certifies.
+    `weights` optionally supplies the per-embedding factors of the
+    weighted statement (product must be 1); the bound pipelines never
+    set them.
     """
     if field.degree > 2:
         raise GroundboundError("search implemented for fields of degree <= 2")
@@ -294,8 +301,6 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
             raise GroundboundError("embedding weights must multiply to 1")
     forms = chebyshev_linear_forms(field, intervals, n)
     bound = fekete_bound_expr(field, intervals, n)
-    basis = forms.basis
-    emb_intervals = forms.intervals
 
     def bound_for(emb) -> Expr:
         if weights is None:
@@ -303,10 +308,10 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
         return fekete_bound_expr(field, intervals, n, Fraction(weights[emb]))
 
     def certify(alpha) -> FeketeCertificate | None:
-        coeffs = _coefficients_from_alpha(field, basis, alpha)
+        coeffs = _coefficients_from_alpha(field, forms.basis, alpha)
         sups = []
-        for emb, (a, b) in emb_intervals:
-            sup = certify_sup_norm(coeffs, emb, (a, b))
+        for emb, interval in forms.intervals:
+            sup = certify_sup_norm(coeffs, emb, interval)
             cmp = certify_compare(AlgConst(sup), bound_for(emb))
             if cmp == balls.GREATER or cmp == balls.UNDECIDED:
                 return None
@@ -315,80 +320,30 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
                                  coefficients=coeffs, sup_bounds=tuple(sups),
                                  theoretical_bound=bound)
 
-    if n == 0:
-        unit = tuple(tuple(1 if j == 0 else 0 for j in range(field.degree))
-                     for _ in range(1))
-        cert = certify(unit)
-        if cert is None:
-            raise SearchExhausted("constant polynomial 1 failed certification")
-        return cert
-
-    dim = (n + 1) * field.degree
-    matrix = forms.scaled_matrix()
-    reduced, transform = _lll(matrix)
-    col_idx = forms.col_indices()
-
-    def vec_to_alpha(vec) -> tuple:
-        rows = [[0] * field.degree for _ in range(n + 1)]
-        for (i, j), x in zip(col_idx, vec):
-            rows[i][j] = int(x)
-        return tuple(tuple(r) for r in rows)
-
-    candidates = []
-    seen = set()
-
-    def push(vec, score):
-        key = tuple(int(x) for x in vec)
-        if key in seen or not any(key):
-            return
-        neg = tuple(-x for x in key)
-        if neg in seen:
-            return
-        seen.add(key)
-        candidates.append((score, key))
-
-    # a candidate's score is max |matrix . vec|; reduced[i] is the image of
-    # transform[i], so a combination's image is the same combination of images
-    for col, image in zip(transform, reduced):
-        push(col, max(map(abs, image)))
-    short = sorted(range(len(transform)), key=lambda i: _norm2(reduced[i]))[:4]
-    for coeffs_combo in itertools.product((-1, 0, 1), repeat=len(short)):
-        if not any(coeffs_combo):
-            continue
-        vec = [0] * dim
-        image = [0] * len(matrix)
-        for c, i in zip(coeffs_combo, short):
-            if c:
-                for t in range(dim):
-                    vec[t] += c * transform[i][t]
-                for t in range(len(matrix)):
-                    image[t] += c * reduced[i][t]
-        push(vec, max(map(abs, image)))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    for _, vec in candidates:
-        cert = certify(vec_to_alpha(vec))
-        if cert is not None:
-            return cert
-    # exhaustive fallback over the two shortest reduced directions
-    for combo in itertools.product(range(-box_radius, box_radius + 1), repeat=min(3, len(short))):
-        if not any(combo):
-            continue
-        vec = [0] * dim
-        for c, i in zip(combo, short):
-            if c:
-                for t in range(dim):
-                    vec[t] += c * transform[i][t]
-        cert = certify(vec_to_alpha(vec))
+    _, transform = _lll(forms.scaled_matrix())
+    dim, m = len(transform), field.degree
+    units = (tuple(int(i == t) for i in range(dim)) for t in range(dim))
+    for combo in itertools.chain(units, _box_combinations(min(BOX_VECTORS, dim))):
+        # transform's entries follow `col_indices`: (i, j) with j fastest
+        vec = [sum(c * col[t] for c, col in zip(combo, transform) if c) for t in range(dim)]
+        cert = certify(tuple(tuple(vec[i:i + m]) for i in range(0, dim, m)))
         if cert is not None:
             return cert
     raise SearchExhausted(
-        "no certificate inside the search box; this contradicts the existence "
-        "theorem and indicates a bug"
+        "no certificate among the reduced vectors or in the box; this "
+        "contradicts the existence theorem and indicates a bug"
     )
 
 
-def _norm2(v) -> int:
-    return sum(x * x for x in v)
+def _box_combinations(k: int):
+    """Integer combinations of the first k reduced vectors, coefficients in
+    -BOX_RADIUS..BOX_RADIUS: each +- pair once (first nonzero coefficient
+    positive), leaving out the unit vectors, already tried, and the
+    non-primitive ones, whose sup bounds are whole multiples of a
+    combination tried earlier."""
+    for combo in itertools.product(range(-BOX_RADIUS, BOX_RADIUS + 1), repeat=k):
+        if gcd(*combo) == 1 and sum(map(abs, combo)) > 1 and next(c for c in combo if c) > 0:
+            yield combo
 
 
 def _lll(matrix):

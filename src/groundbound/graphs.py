@@ -393,19 +393,13 @@ def discriminant_like(case: EdgeGraphCase) -> CycloElement:
     G2/G3: the discriminant D of the u-quadratic; G4: the interval width
     factor (sin^2(pi/r) - cos^2(pi/s)) sin^2(pi/k); G5: 4 sin^2 sin^2.
     """
-    F = field_of(case)
-    n = F.n
-
-    def cos2pi(x):
-        if x in (3, 4, 6):
-            return CycloElement.rational(n, {3: Fraction(-1, 2), 4: Fraction(0), 6: Fraction(1, 2)}[x])
-        return CycloElement.cos2pi(1, x, n)
+    sin2 = field_of(case).sin2
 
     def cos2(x):
-        return (1 + cos2pi(x)) / 2 if x > 2 else CycloElement.rational(n, 0)
+        return 1 - sin2(x)
 
-    def sin2(x):
-        return (1 - cos2pi(x)) / 2 if x > 2 else CycloElement.rational(n, 1)
+    def cos2pi(x):  # cos(2pi/x) = 1 - 2 sin^2(pi/x)
+        return 1 - 2 * sin2(x)
 
     f, s, k, r, p = case.family, case.s, case.k, case.r, case.p
     if f == Family.G1:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .balls import PI, Const, Ln, Pow, as_expr, certified_floor, exact_value
-from .errors import InadmissibleQuery, InadmissibleSignature
+from .balls import PI, Const, Ln, Pow, as_expr, certified_floor, pi_multiple
+from .errors import GroundboundError, InadmissibleQuery, InadmissibleSignature
 
 TAKEUCHI_A = Fraction("29.099")
 TAKEUCHI_B = Fraction("8.3185")
@@ -113,15 +113,54 @@ def existence_inequality(n: int) -> ExistenceCheck:
     return ExistenceCheck(n=n, lhs=lhs, rhs=rhs, holds=lhs > rhs)
 
 
+# The first four n >= 4 of each parity: degree + 1 sample points for the
+# cubic identities certified below.
+_PARITY_POINTS = (4, 6, 8, 10, 5, 7, 9, 11)
+
+
+def _existence_margin(n: int) -> Fraction:
+    """lhs - rhs of the existence inequality in closed form:
+    (n-1)(10-n)/2 for even n, (n-1)(n-2)(11-n)/(2(n-3)) for odd n."""
+    if n % 2 == 0:
+        return Fraction((n - 1) * (10 - n), 2)
+    return Fraction((n - 1) * (n - 2) * (11 - n), 2 * (n - 3))
+
+
 def max_admissible_dimension(n_max: int) -> int:
-    """Largest n <= n_max for which the existence inequality still holds."""
+    """Largest n <= n_max for which the existence inequality still holds.
+
+    On each parity class, with c = n - 2 (n even) or n - 3 (n odd), both
+    c * (lhs - rhs) and c * `_existence_margin(n)` are polynomials of degree
+    <= 3 in n (c times the vertex bound is linear, the edge terms are
+    quadratic), and c > 0 for n >= 4.  So once lhs - rhs equals the closed
+    form at the four `_PARITY_POINTS` of its class, it equals it for every
+    n >= 4 of that class.  The closed form's sign is that of its linear
+    factor, 10 - n or 11 - n: the inequality fails at every n >= 10, and
+    only n = 4..10 need a scan.
+    """
     if n_max < 10:
         raise InadmissibleQuery(f"n_max = {n_max} < 10")
-    best = 0
-    for n in range(4, n_max + 1):
-        if existence_inequality(n).holds:
-            best = n
-    return best
+    for n in _PARITY_POINTS:
+        check = existence_inequality(n)
+        if check.lhs - check.rhs != _existence_margin(n):
+            raise GroundboundError(f"existence margin closed form fails at n = {n}")
+    return max(n for n in range(4, 11) if existence_inequality(n).holds)
+
+
+def narrow_face_identity() -> bool:
+    """Whether narrow_face_vertex_bound(n) == face_average_bound(0, 2, n - 1)
+    for every n >= 4.
+
+    With m = n - 1 and h = m // 2, linear in n on each parity class,
+    face_average_bound(0, 2, m) = m(m-1) / (C(h, 2) + C(m-h, 2)) is a
+    quotient of quadratics whose denominator is positive for n >= 4, and
+    c * narrow_face_vertex_bound(n), c = n - 2 (n even) or n - 3 (n odd),
+    is linear.  Clearing both denominators turns the identity into a cubic
+    in n per parity class, which vanishes identically once it vanishes at
+    the four `_PARITY_POINTS` of the class.
+    """
+    return all(narrow_face_vertex_bound(n) == face_average_bound(0, 2, n - 1)
+               for n in _PARITY_POINTS)
 
 
 def takeuchi_c(g: int, t: int):
@@ -149,33 +188,8 @@ def fuchsian_t_bound(area_bound) -> int:
     """
     area = as_expr(area_bound)
     # 2 pi (t/2 - 2) <= area  <=>  pi (t - 4) <= area
-    ratio = area / PI + Const(Fraction(4))
-    over_pi = _rational_over_pi(area)
+    over_pi = pi_multiple(area)
     if over_pi is not None:
         q = over_pi + 4
         return int(q.numerator // q.denominator)
-    t = certified_floor(ratio)
-    # floor of an exact integer value cannot be certified by intervals
-    # alone; certified_floor raises in that case, so reaching here is fine
-    return t
-
-
-def _rational_over_pi(expr) -> Fraction | None:
-    """Fraction q with expr == q * pi, if syntactically recognizable."""
-    from . import balls
-
-    if isinstance(expr, balls.Mul):
-        for a, b in ((expr.left, expr.right), (expr.right, expr.left)):
-            if isinstance(b, balls._PiConst):
-                q = exact_value(a)
-                if isinstance(q, Fraction):
-                    return q
-    if isinstance(expr, balls.Div):
-        inner = _rational_over_pi(expr.left)
-        if inner is not None:
-            q = exact_value(expr.right)
-            if isinstance(q, Fraction) and q != 0:
-                return inner / q
-    if isinstance(expr, balls._PiConst):
-        return Fraction(1)
-    return None
+    return certified_floor(area / PI + Const(Fraction(4)))

@@ -49,10 +49,7 @@ def polytope_records(n_max: int = 10**4) -> list[Record]:
                       result="holds" if tie.holds else "fails",
                       paper_expected=None, match=not tie.holds,
                       note="exact tie 180 vs 180 resolved as failure of the strict inequality"))
-    identity_ok = all(
-        polytopes.narrow_face_vertex_bound(n) == polytopes.face_average_bound(0, 2, n - 1)
-        for n in range(4, 201)
-    )
+    identity_ok = polytopes.narrow_face_identity()
     out.append(Record(pipeline="polytope", case="narrow-face bound identity (4 <= n <= 200)",
                       inputs={}, result="exact" if identity_ok else "broken",
                       paper_expected=None, match=identity_ok))

@@ -183,6 +183,75 @@ def test_narrow_q_width_certifies(n, center):
         assert certify_compare(AlgConst(sup), cert.theoretical_bound) != GREATER
 
 
+def _spy_sup_norm(monkeypatch, reject=0):
+    """Count `fekete.certify_sup_norm` calls; the first `reject` of them
+    return a bound far above any theoretical bound, rejecting the candidate
+    at its first embedding."""
+    from groundbound import fekete
+
+    real = fekete.certify_sup_norm
+    calls = []
+
+    def spy(coeffs, embedding, interval):
+        calls.append(coeffs)
+        if len(calls) <= reject:
+            return CycloElement.rational(embedding.field.n, 10**9)
+        return real(coeffs, embedding, interval)
+
+    monkeypatch.setattr(fekete, "certify_sup_norm", spy)
+    return calls
+
+
+WORKED_EXAMPLES = (
+    (Q, {Q.identity_embedding(): (F(-3), F(3))}, 0),
+    (Q, {Q.identity_embedding(): (F(-1, 2), F(1, 2))}, 2),
+    (F5, dict(zip(F5.embeddings(), [(F(-1, 4), F(1, 4))] * 2)), 2),
+) + tuple(
+    (Q, {Q.identity_embedding(): (c - F(1, 20), c + F(1, 20))}, n) for n, c in NARROW_Q_CASES
+)
+
+
+def test_first_reduced_vector_certifies(monkeypatch):
+    # one certify_sup_norm call per embedding: the first candidate, the first
+    # reduced vector, certifies in every worked example and narrow Q case
+    for field, ivs, n in WORKED_EXAMPLES:
+        calls = _spy_sup_norm(monkeypatch)
+        find_small_polynomial(field, ivs, n)
+        assert len(calls) == field.degree, (field, ivs, n)
+
+
+@pytest.mark.parametrize("field, ivs, n", [
+    (Q, {Q.identity_embedding(): (F(-1, 2), F(1, 2))}, 3),
+    (F5, dict(zip(F5.embeddings(), [(F(-1, 4), F(1, 4))] * 2)), 2),
+], ids=["Q-n3", "F5-n2"])
+def test_box_certifies_when_every_reduced_vector_is_rejected(monkeypatch, field, ivs, n):
+    dim = (n + 1) * field.degree
+    calls = _spy_sup_norm(monkeypatch, reject=dim)
+    cert = find_small_polynomial(field, ivs, n)
+    assert len(calls) > dim and not cert.is_zero()
+    monkeypatch.undo()
+    for emb, sup in zip(field.embeddings(), cert.sup_bounds):
+        assert certify_sup_norm(cert.coefficients, emb, ivs[emb]) == sup
+        assert certify_compare(AlgConst(sup), cert.theoretical_bound) != GREATER
+
+
+@pytest.mark.parametrize("field, ivs, n, candidates", [
+    # dim reduced vectors, then the box: of the 5^2 - 1 nonzero combinations
+    # of two vectors 16 are primitive, 8 +- pairs less the 2 units
+    (Q, {Q.identity_embedding(): (F(-1, 2), F(1, 2))}, 1, 2 + 6),
+    # three vectors: 124 nonzero, 98 primitive, 49 pairs less the 3 units
+    (Q, {Q.identity_embedding(): (F(-1, 2), F(1, 2))}, 2, 3 + 46),
+    (F5, dict(zip(F5.embeddings(), [(F(-1, 4), F(1, 4))] * 2)), 2, 6 + 46),
+], ids=["Q-n1", "Q-n2", "F5-n2"])
+def test_search_exhausted_after_bounded_candidates(monkeypatch, field, ivs, n, candidates):
+    from groundbound.errors import SearchExhausted
+
+    calls = _spy_sup_norm(monkeypatch, reject=10**6)
+    with pytest.raises(SearchExhausted):
+        find_small_polynomial(field, ivs, n)
+    assert len(calls) == candidates
+
+
 def _exact_gram_schmidt(vectors):
     """mu[i][j] and |b*_i|^2 in exact Fractions."""
     ortho, mu = [], []

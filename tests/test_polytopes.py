@@ -5,11 +5,13 @@ import pytest
 from groundbound.balls import PI, Const, Div, Mul
 from groundbound.errors import InadmissibleQuery, InadmissibleSignature
 from groundbound.polytopes import (
+    _existence_margin,
     certified_floor,
     existence_inequality,
     face_average_bound,
     fuchsian_t_bound,
     max_admissible_dimension,
+    narrow_face_identity,
     narrow_face_note,
     narrow_face_vertex_bound,
     takeuchi_bound,
@@ -38,6 +40,7 @@ def test_narrow_face_bound():
 def test_identity_with_face_average():
     for n in range(4, 201):
         assert narrow_face_vertex_bound(n) == face_average_bound(0, 2, n - 1)
+    assert narrow_face_identity()
 
 
 def test_existence_inequality_values():
@@ -54,8 +57,12 @@ def test_dimension_elimination_exhaustive():
         assert existence_inequality(n).holds, n
     for n in range(10, 10**4 + 1):
         assert not existence_inequality(n).holds, n
+    for n in range(4, 10**4 + 1):  # the closed form max_admissible_dimension certifies
+        check = existence_inequality(n)
+        assert check.lhs - check.rhs == _existence_margin(n), n
     assert max_admissible_dimension(100) == 9
     assert max_admissible_dimension(10**4) == 9
+    assert max_admissible_dimension(10**100) == 9  # no scan beyond n = 10
     with pytest.raises(InadmissibleQuery):
         max_admissible_dimension(9)
 
@@ -80,6 +87,12 @@ def test_fuchsian_t_bound():
     small = fuchsian_t_bound(Mul(Const(F(1)), PI))
     bigger = fuchsian_t_bound(Mul(Const(F(10)), PI))
     assert small <= bigger  # monotone in the area bound
+
+
+def test_fuchsian_tie_through_exact_subexpressions():
+    two = Const(F(1)) + Const(F(1))
+    assert fuchsian_t_bound(Mul(two, PI)) == 6
+    assert fuchsian_t_bound(Div(Mul(Const(F(4)), PI), two)) == 6
 
 
 def test_counting_chain_intermediates():
