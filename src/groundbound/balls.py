@@ -293,22 +293,6 @@ def as_expr(x) -> Expr:
     raise TypeError(f"cannot build an expression from {x!r}")
 
 
-def ln(x) -> Expr:
-    return Ln(as_expr(x))
-
-
-def exp(x) -> Expr:
-    return ExpNode(as_expr(x))
-
-
-def sqrt(x) -> Expr:
-    return Sqrt(as_expr(x))
-
-
-def sin(x) -> Expr:
-    return Sin(as_expr(x))
-
-
 # -- interval evaluation -------------------------------------------------
 #
 # An enclosure is a raw libmp interval: a (lo, hi) pair of raw mpf tuples.

@@ -24,7 +24,6 @@ from .bounds import BoundProblem, solve
 from .errors import GroundboundError, UndecidableError
 from .fields import RealCyclotomicField
 from .report import Record, Report, case_table_csv, pair_table_lines
-from .reproduce import reproduce_all
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -360,6 +359,8 @@ def _cmd_datasets(args) -> Report:
 
 
 def _cmd_reproduce_all(args) -> Report:
+    from .reproduce import reproduce_all
+
     return reproduce_all(args.kmax)
 
 

@@ -233,12 +233,7 @@ class CycloElement:
         """Apply the automorphism 2cos(2pi/n) -> 2cos(2pi a/n), gcd(a, n) = 1."""
         if gcd(a, self.n) != 1:
             raise InvalidModulus(f"{a} not coprime to {self.n}")
-        image = _generator_power_images(self.n, a % self.n)
-        out = ()
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out = P.padd(out, P.pscale(image[i], c))
-        return CycloElement(self.n, out)
+        return _dickson_substitute(self.coeffs, a % self.n, self.n)
 
     def to_modulus(self, m: int) -> "CycloElement":
         """Embed into Q(cos 2pi/m) for n | m."""
@@ -246,22 +241,8 @@ class CycloElement:
             return self
         if m % self.n:
             raise InvalidModulus(f"{self.n} does not divide {m}")
-        beta = P.dickson(m // self.n)  # 2cos(2pi/n) in terms of 2cos(2pi/m)
-        beta = _reduce(beta, m)
-        out = ()
-        power = (Fraction(1),)
-        for c in self.coeffs:
-            if c:
-                out = P.padd(out, P.pscale(power, c))
-            power = _reduce(P.pmul(power, beta), m)
-        return CycloElement(m, out)
-
-    def eval_float(self) -> float:
-        """Crude float value at the identity embedding (diagnostics only)."""
-        import math
-
-        b = 2 * math.cos(2 * math.pi / self.n)
-        return float(sum(float(c) * b**i for i, c in enumerate(self.coeffs)))
+        # 2cos(2pi/n) = D_{m/n}(2cos(2pi/m))
+        return _dickson_substitute(self.coeffs, m // self.n, m)
 
 
 @lru_cache(maxsize=None)
@@ -277,14 +258,14 @@ def _reduce(coeffs, n: int):
     return _reduce_cached(tuple(coeffs), n)
 
 
-@lru_cache(maxsize=None)
-def _generator_power_images(n: int, a: int) -> tuple:
-    """Powers of D_a(b) mod the minimal polynomial, for conjugation."""
-    img = _reduce(P.dickson(a), n)
-    out = [(Fraction(1),)]
-    for _ in range(field_degree(n) - 1):
-        out.append(_reduce(P.pmul(out[-1], img), n))
-    return tuple(out)
+def _dickson_substitute(coeffs, j: int, m: int) -> CycloElement:
+    """x(D_j(b)) in Q(cos 2pi/m), b = 2cos(2pi/m), for x with power-basis
+    coordinates `coeffs`: Horner's rule modulo b's minimal polynomial."""
+    image = _reduce(P.dickson(j), m)
+    out = ()
+    for c in reversed(P.trim(coeffs)):
+        out = P.padd(_reduce(P.pmul(out, image), m), (c,))
+    return CycloElement(m, out)
 
 
 # -- trigonometric constructors ---------------------------------------

@@ -28,7 +28,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from . import balls
 from .algreal import AlgebraicReal
@@ -63,14 +63,20 @@ class Variant(enum.Enum):
     U_TILDE = "u_tilde"
 
 
-# the parameters of each family, in `EdgeGraphCase.params` order
-_FAMILY_PARAMS = {
-    Family.G1: ("s", "k", "r", "p"),
-    Family.G2: ("s", "k", "p"),
-    Family.G3: ("s", "k", "r"),
-    Family.G4: ("s", "k", "r"),
-    Family.G5: ("s", "k"),
+# the weighted edges of each family, (i, j) -> the parameter x of the entry
+# 2cos(pi/x); e1.e2 = u is the broken edge and every other entry is 0
+_EDGES = {
+    Family.G1: {(0, 2): "s", (0, 3): "r", (1, 2): "k", (1, 3): "p"},
+    Family.G2: {(0, 2): "s", (1, 2): "k", (2, 3): "p"},
+    Family.G3: {(0, 2): "s", (1, 3): "k", (2, 3): "r"},
+    Family.G4: {(0, 2): "s", (0, 3): "r", (1, 2): "k"},
+    Family.G5: {(0, 2): "s", (1, 3): "k"},
 }
+
+
+def _param_names(family: Family) -> tuple:
+    """The family's parameters, in `EdgeGraphCase.params` order."""
+    return tuple(n for n in "skrp" if n in _EDGES[family].values())
 
 
 class Feasibility(enum.Enum):
@@ -88,24 +94,18 @@ class EdgeGraphCase:
     p: int | None = None
 
     def __post_init__(self):
-        names = _FAMILY_PARAMS[self.family]
-        given = tuple(n for n in ("s", "k", "r", "p") if getattr(self, n) is not None)
+        names = _param_names(self.family)
+        given = tuple(n for n in "skrp" if getattr(self, n) is not None)
         if given != names or any(getattr(self, n) < 2 for n in names):
             raise InvalidInput(
                 f"{self.family.value} takes exactly {', '.join(names)}, each >= 2"
             )
 
     def params(self) -> tuple:
-        out = []
-        for name in ("s", "k", "r", "p"):
-            v = getattr(self, name)
-            if v is not None:
-                out.append(v)
-        return tuple(out)
+        return tuple(getattr(self, n) for n in _param_names(self.family))
 
     def label(self) -> str:
-        names = {"s": self.s, "k": self.k, "r": self.r, "p": self.p}
-        inner = ",".join(f"{n}={v}" for n, v in names.items() if v is not None)
+        inner = ",".join(f"{n}={getattr(self, n)}" for n in _param_names(self.family))
         return f"{self.family.value}({inner})"
 
 
@@ -118,10 +118,10 @@ class FundamentalMatrix:
 
     def __post_init__(self):
         for i in range(self.size):
-            if not _is_value(self.entries[i][i], -2):
+            if self.entries[i][i] != -2:
                 raise ValueError("diagonal must be -2")
             for j in range(self.size):
-                if not _entries_equal(self.entries[i][j], self.entries[j][i]):
+                if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError("matrix must be symmetric")
 
     def minimality(self, t: int = MINIMALITY) -> bool:
@@ -136,52 +136,24 @@ class FundamentalMatrix:
         return True
 
 
-def _is_value(x, v) -> bool:
-    if isinstance(x, CycloElement):
-        return x == v
-    return Fraction(x) == v
-
-
-def _entries_equal(a, b) -> bool:
-    if isinstance(a, CycloElement) or isinstance(b, CycloElement):
-        return a == b if isinstance(a, CycloElement) else b == a
-    return Fraction(a) == Fraction(b)
-
-
 # -- parameter enumeration ------------------------------------------------
 
 _G4_SR = ((3, 3), (3, 4), (3, 5), (4, 3), (5, 3))
 
 
 def enumerate_cases(family: Family, k_range=None) -> list[EdgeGraphCase]:
-    """Admissible parameter tuples in the deterministic report order."""
-    if family == Family.G1:
-        cases = [EdgeGraphCase(family, s=3, k=3, r=r, p=p)
-                 for r, p in ((3, 3), (4, 3), (5, 3), (4, 4), (5, 4), (5, 5))]
-        cases += [EdgeGraphCase(family, s=3, k=k, r=r, p=3)
-                  for k, r in ((4, 4), (4, 5), (5, 5))]
-        return cases
-    if family == Family.G2:
-        sk = ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (5, 5))
-        cases = [EdgeGraphCase(family, s=s, k=k, p=3) for s, k in sk]
-        cases += [EdgeGraphCase(family, s=3, k=3, p=p) for p in (4, 5)]
-        return cases
-    if family == Family.G3:
-        tuples = [(2, 3, 3), (2, 3, 4), (2, 3, 5), (2, 4, 3), (2, 5, 3),
-                  (3, 3, 3), (3, 4, 3), (3, 5, 3), (4, 4, 3), (4, 5, 3),
-                  (5, 5, 3), (3, 3, 4), (3, 3, 5)]
-        return [EdgeGraphCase(family, s=s, k=k, r=r) for s, k, r in tuples]
+    """Admissible parameter tuples in the deterministic report order: the
+    order of the published table for G1-G3, k-major for G4 and G5."""
+    if family in _PUBLISHED:
+        names = _param_names(family)
+        return [EdgeGraphCase(family, **dict(zip(names, key))) for key in _PUBLISHED[family]]
+    if k_range is None:
+        raise MissingRange(f"{family.value} needs an explicit k range")
     if family == Family.G4:
-        if k_range is None:
-            raise MissingRange("Gamma4 needs an explicit k range")
         return [EdgeGraphCase(family, s=s, k=k, r=r)
                 for k in k_range for s, r in _G4_SR]
-    if family == Family.G5:
-        if k_range is None:
-            raise MissingRange("Gamma5 needs an explicit k range")
-        return [EdgeGraphCase(family, s=s, k=k)
-                for k in k_range for s in range(3, k + 1)]
-    raise ValueError(family)
+    return [EdgeGraphCase(family, s=s, k=k)
+            for k in k_range for s in range(3, k + 1)]
 
 
 # -- symbolic matrices and determinants ------------------------------------
@@ -218,57 +190,16 @@ def _upoly_mul(a, b, zero):
 
 
 def symbolic_gram(case: EdgeGraphCase) -> tuple:
-    """4x4 matrix of u-polynomials (tuples of cyclotomic coefficients)."""
+    """4x4 matrix of u-polynomials (tuples of cyclotomic coefficients):
+    -2 on the diagonal, u at (0, 1), the `_EDGES` weights, 0 elsewhere."""
     n = ambient_modulus(case)
     zero = CycloElement.rational(n, 0)
-    one = CycloElement.rational(n, 1)
-    mtwo = CycloElement.rational(n, -2)
-
-    def c(x):
-        return _cosent(x, n)
-
-    def const(v):
-        return (v,)
-
-    u = (zero, one)
-    f, s, k, r, p = case.family, case.s, case.k, case.r, case.p
-    if f == Family.G1:
-        rows = [
-            [const(mtwo), u, const(c(s)), const(c(r))],
-            [u, const(mtwo), const(c(k)), const(c(p))],
-            [const(c(s)), const(c(k)), const(mtwo), const(zero)],
-            [const(c(r)), const(c(p)), const(zero), const(mtwo)],
-        ]
-    elif f == Family.G2:
-        rows = [
-            [const(mtwo), u, const(c(s)), const(zero)],
-            [u, const(mtwo), const(c(k)), const(zero)],
-            [const(c(s)), const(c(k)), const(mtwo), const(c(p))],
-            [const(zero), const(zero), const(c(p)), const(mtwo)],
-        ]
-    elif f == Family.G3:
-        rows = [
-            [const(mtwo), u, const(c(s)), const(zero)],
-            [u, const(mtwo), const(zero), const(c(k))],
-            [const(c(s)), const(zero), const(mtwo), const(c(r))],
-            [const(zero), const(c(k)), const(c(r)), const(mtwo)],
-        ]
-    elif f == Family.G4:
-        rows = [
-            [const(mtwo), u, const(c(s)), const(c(r))],
-            [u, const(mtwo), const(c(k)), const(zero)],
-            [const(c(s)), const(c(k)), const(mtwo), const(zero)],
-            [const(c(r)), const(zero), const(zero), const(mtwo)],
-        ]
-    elif f == Family.G5:
-        rows = [
-            [const(mtwo), u, const(c(s)), const(zero)],
-            [u, const(mtwo), const(zero), const(c(k))],
-            [const(c(s)), const(zero), const(mtwo), const(zero)],
-            [const(zero), const(c(k)), const(zero), const(mtwo)],
-        ]
-    else:
-        raise ValueError(f)
+    rows = [[(zero,)] * 4 for _ in range(4)]
+    for i in range(4):
+        rows[i][i] = (CycloElement.rational(n, -2),)
+    rows[0][1] = rows[1][0] = (zero, CycloElement.rational(n, 1))
+    for (i, j), name in _EDGES[case.family].items():
+        rows[i][j] = rows[j][i] = (_cosent(getattr(case, name), n),)
     return tuple(tuple(row) for row in rows)
 
 
@@ -346,35 +277,30 @@ def determinant_closed_form(case: EdgeGraphCase) -> tuple:
     return tuple(-4 * coef for coef in minus_quarter)
 
 
+def _upoly_at(poly, u):
+    """poly(u) by Horner's rule."""
+    acc = poly[-1]
+    for coef in reversed(poly[:-1]):
+        acc = acc * u + coef
+    return acc
+
+
+def _exact_u(case: EdgeGraphCase, u_value) -> CycloElement:
+    if isinstance(u_value, CycloElement):
+        return u_value
+    return CycloElement.rational(ambient_modulus(case), u_value)
+
+
 def gram_matrix(case: EdgeGraphCase, u_value) -> FundamentalMatrix:
     """Numeric Gram matrix with the broken edge set to `u_value`."""
-    n = ambient_modulus(case)
-    u = u_value if isinstance(u_value, CycloElement) else CycloElement.rational(n, u_value)
-    rows = symbolic_gram(case)
-    num = []
-    for row in rows:
-        out = []
-        for poly in row:
-            acc = CycloElement.rational(n, 0)
-            power = CycloElement.rational(n, 1)
-            for coef in poly:
-                acc = acc + coef * power
-                power = power * u
-            out.append(acc)
-        num.append(tuple(out))
-    return FundamentalMatrix(size=4, entries=tuple(num))
+    u = _exact_u(case, u_value)
+    entries = tuple(tuple(_upoly_at(poly, u) for poly in row) for row in symbolic_gram(case))
+    return FundamentalMatrix(size=4, entries=entries)
 
 
 def determinant_value(case: EdgeGraphCase, u_value):
     """d(u_value), exact, from the family closed form."""
-    poly = determinant_closed_form(case)
-    n = ambient_modulus(case)
-    u = u_value if isinstance(u_value, CycloElement) else CycloElement.rational(n, u_value)
-    acc = CycloElement.rational(n, 0)
-    power = CycloElement.rational(n, 1)
-    for coef in poly:
-        acc = acc + coef * power
-        power = power * u
+    acc = _upoly_at(determinant_closed_form(case), _exact_u(case, u_value))
     return acc.as_rational() if acc.is_rational() else acc
 
 
@@ -549,6 +475,10 @@ PUBLISHED_G3_IMPROVED = {
 }
 PUBLISHED_FAMILY_MAXIMA = {Family.G1: 24, Family.G2: 39, Family.G3: 53,
                            Family.G4: 120, Family.G5: 120}
+# the m = 1 table of each family with published per-case bounds; its keys
+# are the family's admissible cases, in report order
+_PUBLISHED = {Family.G1: PUBLISHED_G1_M1, Family.G2: PUBLISHED_G2,
+              Family.G3: PUBLISHED_G3_BASIC}
 
 
 def case_bound(case: EdgeGraphCase, variant: Variant | None = None, m: int = 1,
@@ -575,54 +505,35 @@ def case_bound(case: EdgeGraphCase, variant: Variant | None = None, m: int = 1,
 def family_bound(family: Family, k_range=None) -> FamilyTable:
     """Per-case table and family maximum (Method A only).
 
-    For G3 the final per-case value uses the improved u^2 variant on the
-    s = 2 cases; for G1 the extra m = 2 rows are informational and do not
-    enter the maximum (the conservative m = 1 bounds do).  The global G4
-    and G5 maxima over unbounded k live in the pair-search module.
+    Each case gets one row in the family's default variant with m = 1,
+    checked against `_PUBLISHED`; G4 defaults to 2 <= k <= 6.  Two rules
+    add rows:
+
+    * G1 cases in `PUBLISHED_G1_M2` get an m = 2 row for information only;
+      the conservative m = 1 bound enters the maximum.
+    * G3 cases with s = 2 whose first row came from the solver get the
+      improved u^2 row; their final value is the smaller of the two bounds.
+
+    The global G4 and G5 maxima over unbounded k live in the pair-search
+    module.
     """
+    if family == Family.G4 and k_range is None:
+        k_range = range(2, 7)
+    published = _PUBLISHED.get(family, {})
     rows = []
     finals = {}
-    if family == Family.G1:
-        for case in enumerate_cases(family):
-            key = (case.s, case.k, case.r, case.p)
-            row = case_bound(case, Variant.U, m=1, published_bound=PUBLISHED_G1_M1.get(key))
-            rows.append(row)
-            finals[case] = row.bound
-            if key in PUBLISHED_G1_M2:
-                rows.append(case_bound(case, Variant.U, m=2, published_bound=PUBLISHED_G1_M2[key]))
-    elif family == Family.G2:
-        for case in enumerate_cases(family):
-            key = (case.s, case.k, case.p)
-            row = case_bound(case, Variant.U, m=1, published_bound=PUBLISHED_G2.get(key))
-            rows.append(row)
-            finals[case] = row.bound
-    elif family == Family.G3:
-        for case in enumerate_cases(family):
-            key = (case.s, case.k, case.r)
-            row = case_bound(case, Variant.U, m=1, published_bound=PUBLISHED_G3_BASIC.get(key))
-            rows.append(row)
-            finals[case] = row.bound
-            if case.s == 2 and row.mechanism == "solver":
-                improved = case_bound(case, Variant.U_SQUARED, m=1,
-                                      published_bound=PUBLISHED_G3_IMPROVED.get(key))
-                rows.append(improved)
-                finals[case] = min(finals[case], improved.bound)
-    elif family == Family.G4:
-        if k_range is None:
-            k_range = range(2, 7)
-        for case in enumerate_cases(family, k_range):
-            row = case_bound(case, Variant.U_TILDE, m=1)
-            rows.append(row)
-            finals[case] = row.bound
-    elif family == Family.G5:
-        if k_range is None:
-            raise MissingRange("Gamma5 needs an explicit k range")
-        for case in enumerate_cases(family, k_range):
-            row = case_bound(case, Variant.U_SQUARED, m=1)
-            rows.append(row)
-            finals[case] = row.bound
-    else:
-        raise ValueError(family)
+    for case in enumerate_cases(family, k_range):
+        key = case.params()
+        row = case_bound(case, published_bound=published.get(key))
+        rows.append(row)
+        finals[case] = row.bound
+        if family == Family.G1 and key in PUBLISHED_G1_M2:
+            rows.append(case_bound(case, m=2, published_bound=PUBLISHED_G1_M2[key]))
+        if family == Family.G3 and case.s == 2 and row.mechanism == "solver":
+            improved = case_bound(case, Variant.U_SQUARED,
+                                  published_bound=PUBLISHED_G3_IMPROVED.get(key))
+            rows.append(improved)
+            finals[case] = min(row.bound, improved.bound)
     if not finals:
         raise InvalidInput(f"no {family.value} case in the k range")
     argmax = max(finals, key=lambda c: (finals[c], c.params()))
@@ -763,11 +674,9 @@ def _distinct_square_values(poly) -> list[AlgebraicReal]:
 
 
 def _clear_denominators(poly) -> tuple:
-    from math import lcm as _lcm
-
     denom = 1
     for c in poly:
-        denom = _lcm(denom, Fraction(c).denominator)
+        denom = lcm(denom, Fraction(c).denominator)
     return tuple(int(Fraction(c) * denom) for c in poly)
 
 
@@ -797,8 +706,6 @@ def _mod_p_irreducible_screen(poly) -> bool:
     if n == 2:
         a, b, c = poly[2], poly[1], poly[0]
         disc = b * b - 4 * a * c
-        from math import isqrt
-
         return disc < 0 or isqrt(disc) ** 2 != disc
     for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
         if poly[-1] % q and P.is_irreducible_mod_p(poly, q):

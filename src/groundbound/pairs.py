@@ -35,13 +35,14 @@ import numpy as np
 
 from . import balls
 from .balls import (
-    PI, Const, Expr, Ln, Sin,
-    certified_floor, certify_compare, certify_sign, eval_ball, mpf_to_fraction,
+    PI, Ball, Const, Expr, Ln, Sin,
+    certified_floor, certify_sign, eval_ball, mpf_to_fraction,
 )
 from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, norm_4sin2_closed_form
+from .graphs import Family, FamilyTable, family_bound
 
 LN2 = log(2.0)
 LN3_HALF = log(3.0) / 2
@@ -374,8 +375,9 @@ def tail_certificate(kind: PairKind, k_max: int, start: int = TAIL_START) -> Tai
     which forces c(k, s) >= c_low(a) > 0 (no pair in the block is
     exceptional), no k in the block survives.  The blocks
     [start, 2 start], [2 start, 4 start], ... cover (start, k_max], and
-    each is decided by one `certify_compare`; a block that is not
-    certified GREATER raises UndecidableError.
+    each is decided by one enclosure of lhs - rhs, which also gives the
+    block's slack; a block whose enclosure is not certified positive
+    below the precision cap raises UndecidableError.
     """
     if start < 3 or k_max <= start:
         raise ValueError("the tail needs 3 <= start < k_max")
@@ -385,9 +387,11 @@ def tail_certificate(kind: PairKind, k_max: int, start: int = TAIL_START) -> Tai
     while a < k_max:
         b = min(2 * a, k_max)
         lhs, rhs = _tail_block_sides(kind, a, b)
-        if certify_compare(lhs, rhs) != balls.GREATER:
-            raise UndecidableError(f"{kind.value} tail block [{a}, {b}] not certified")
-        lower = mpf_to_fraction(eval_ball(lhs - rhs).lower)
+        try:
+            ball = eval_ball(lhs - rhs, accept=Ball.certainly_positive)
+        except UndecidableError:
+            raise UndecidableError(f"{kind.value} tail block [{a}, {b}] not certified") from None
+        lower = mpf_to_fraction(ball.lower)
         slack = lower.numerator // lower.denominator
         min_slack = slack if min_slack is None else min(min_slack, slack)
         blocks += 1
@@ -491,20 +495,24 @@ class GlobalBound:
     argmax: tuple
     search_result: SearchResult | None
     exceptional_bounds: tuple
-    method_a_small_k_max: int | None = None
+    # GAMMA4: the Method-A family table over 2 <= k <= min(k_max, 6)
+    method_a_small_k_table: FamilyTable | None = None
+
+    @property
+    def method_a_small_k_max(self) -> int | None:
+        table = self.method_a_small_k_table
+        return None if table is None else table.maximum
 
 
 def global_bound(kind: PairKind, k_max: int = 10**7) -> GlobalBound:
     """Family maximum over exceptional pairs (Method A) and surviving
     non-exceptional pairs (Method B, refined when above 120)."""
     if kind is PairKind.GAMMA4 and k_max < 7:
-        from .graphs import Family, family_bound
-
         table = family_bound(Family.G4, range(2, k_max + 1))
         case = table.argmax
         return GlobalBound(kind=kind, maximum=table.maximum,
                            argmax=(case.k, case.s, case.r), search_result=None,
-                           exceptional_bounds=(), method_a_small_k_max=table.maximum)
+                           exceptional_bounds=(), method_a_small_k_table=table)
     best = 0
     arg = None
     exc_rows = []
@@ -513,12 +521,9 @@ def global_bound(kind: PairKind, k_max: int = 10**7) -> GlobalBound:
         exc_rows.append((k, s, n, bound))
         if bound > best:
             best, arg = bound, (k, s)
-    small_k_max = None
+    table = None
     if kind is PairKind.GAMMA4:
-        from .graphs import Family, family_bound
-
         table = family_bound(Family.G4, range(2, 7))
-        small_k_max = table.maximum
         if table.maximum > best:
             case = table.argmax
             best, arg = table.maximum, (case.k, case.s, case.r)
@@ -528,5 +533,4 @@ def global_bound(kind: PairKind, k_max: int = 10**7) -> GlobalBound:
             best, arg = report.final_bound, (report.k, report.s)
     return GlobalBound(kind=kind, maximum=best, argmax=arg, search_result=result,
                        exceptional_bounds=tuple(exc_rows),
-                       method_a_small_k_max=small_k_max)
-
+                       method_a_small_k_table=table)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import datasets, polytopes
 from .balls import PI, Const, Mul, Div
 from .graphs import Family, FamilyTable, family_bound, PUBLISHED_FAMILY_MAXIMA
-from .pairs import PairKind, TailCertificate, check_k_max, global_bound
+from .pairs import GlobalBound, PairKind, TailCertificate, check_k_max, global_bound
 from .report import Record, Report
 
 PUBLISHED_N14 = 120
@@ -115,8 +115,8 @@ def tail_record(pipeline: str, tail: TailCertificate) -> Record:
                         "4 rhs_max(k)/c_low(k) on every dyadic block of k"))
 
 
-def pair_records(kind: PairKind, k_max: int) -> tuple[list[Record], int]:
-    gb = global_bound(kind, k_max=k_max)
+def pair_records(gb: GlobalBound) -> list[Record]:
+    kind = gb.kind
     out = []
     result = gb.search_result
     out.append(Record(pipeline=f"pairs-{kind.value}", case="exceptional pair count",
@@ -124,7 +124,7 @@ def pair_records(kind: PairKind, k_max: int) -> tuple[list[Record], int]:
                       paper_expected=14 if kind is PairKind.GAMMA5 else None,
                       match=(len(result.exceptional) == 14) if kind is PairKind.GAMMA5 else None))
     out.append(Record(pipeline=f"pairs-{kind.value}",
-                      case=f"surviving non-exceptional pairs (k <= {k_max})",
+                      case=f"surviving non-exceptional pairs (k <= {result.k_max})",
                       inputs={}, result=len(result.survivors), paper_expected=None, match=None))
     if result.tail is not None:
         out.append(tail_record(f"pairs-{kind.value}", result.tail))
@@ -155,7 +155,7 @@ def pair_records(kind: PairKind, k_max: int) -> tuple[list[Record], int]:
     out.append(Record(pipeline=f"pairs-{kind.value}", case="global maximum",
                       inputs={"argmax": str(gb.argmax)},
                       result=gb.maximum, paper_expected=120, match=gb.maximum == 120))
-    return out, gb.maximum
+    return out
 
 
 def reproduce_all(k_max: int = 10**7) -> Report:
@@ -171,15 +171,13 @@ def reproduce_all(k_max: int = 10**7) -> Report:
         maxima[family] = table.maximum
         report.add_section(f"family {family.value}", family_records(table))
 
-    g4_table = family_bound(Family.G4, range(2, 7))
-    report.add_section("family Gamma4 (2 <= k <= 6)", family_records(g4_table))
-
-    g5_records, g5_max = pair_records(PairKind.GAMMA5, k_max)
-    report.add_section("pair search (path family, ln 7)", g5_records)
-    g4_records, g4_max = pair_records(PairKind.GAMMA4, k_max)
-    report.add_section("pair search (star family, ln 8)", g4_records)
-    maxima[Family.G4] = g4_max
-    maxima[Family.G5] = g5_max
+    g5 = global_bound(PairKind.GAMMA5, k_max)
+    g4 = global_bound(PairKind.GAMMA4, k_max)
+    report.add_section("family Gamma4 (2 <= k <= 6)", family_records(g4.method_a_small_k_table))
+    report.add_section("pair search (path family, ln 7)", pair_records(g5))
+    report.add_section("pair search (star family, ln 8)", pair_records(g4))
+    maxima[Family.G4] = g4.maximum
+    maxima[Family.G5] = g5.maximum
 
     summary = []
     for family in Family:

@@ -303,3 +303,34 @@ def test_reproduce_all_small_deterministic(tmp_path):
     text = reports["text"].decode()
     assert "degree bound N(14)" in text
     assert text.count("MISMATCH") == 3
+
+
+# sha256 of `graph-family` text reports (written with --out): the per-case
+# rows of every family table, including the Gamma5 rows that
+# `reproduce-all` does not print
+GRAPH_FAMILY_SHA256 = {
+    ("g1",): "0f63dabfdd3a8734a5b1b9e41e1a48bf345ad1ba55ed37ecf4f7abfb6c458b4d",
+    ("g2",): "ec17b15a13ab21bc63963e1ec48bfece640959c2659c1b28d2ffc588c8f0d228",
+    ("g3",): "93b4384151757896801822820ca4ed1f85bcd58c8a0b2a0a6e5eb8965bebac7d",
+    ("g4",): "9a7a090d35e6cfa4339cedb7ed7d4a914cbdbf9c16e0a9c7753abec2818e72d6",
+    ("g5", "--kmin", "3", "--kmax-family", "8"):
+        "8671ac6ba7da9a38065391704babd8df9d38a1b1302071a2eae59152324167ab",
+}
+
+
+@pytest.mark.parametrize("args", list(GRAPH_FAMILY_SHA256), ids=lambda a: a[0])
+def test_graph_family_reports_pinned(args, tmp_path, capsys):
+    out = tmp_path / "family.txt"
+    code = main(["graph-family", "--family", *args, "--out", str(out)])
+    capsys.readouterr()
+    assert code == (1 if args[0] == "g3" else 0)  # G3 carries the documented divergences
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRAPH_FAMILY_SHA256[args]
+
+
+def test_cli_import_is_light():
+    # every pipeline is imported by the subcommand that runs it
+    code = ("import sys, groundbound.cli; "
+            "print(sorted(m for m in ('numpy', 'groundbound.pairs') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import mpmath
 from hypothesis import given, settings, strategies as st
 
 from groundbound.cyclo import (
@@ -104,3 +106,37 @@ def test_hash_is_independent_of_modulus(n, factor, data):
     x = CycloElement(n, coeffs)
     y = x.to_modulus(n * factor)
     assert x == y and hash(x) == hash(y)
+
+
+def _value_at(x: CycloElement, beta) -> mpmath.mpf:
+    return sum(mpmath.mpf(c.numerator) / c.denominator * beta**i
+               for i, c in enumerate(x.coeffs))
+
+
+def test_galois_action_and_embedding_match_high_precision_values():
+    # conjugate(a) is x evaluated at 2cos(2pi a/n); to_modulus(m) is x
+    # evaluated at D_{m/n}(2cos(2pi/m)) = 2cos(2pi/n).  Checked at 400 bits:
+    # the power-basis coordinates of a conjugate of cos(2pi/61) cancel far
+    # beyond double precision.
+    rng = random.Random(20240611)
+    cases = []
+    for n in (5, 7, 9, 15, 16, 21, 30):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(field_degree(n))]
+        cases.append((CycloElement(n, coeffs), True))
+    cases += [(CycloElement.cos2pi(1, n), False) for n in (61, 101)]
+    with mpmath.workprec(400):
+        tol = mpmath.mpf(2) ** -300
+
+        def beta(a, n):
+            return 2 * mpmath.cos(2 * mpmath.pi * a / n)
+
+        for x, embed in cases:
+            n = x.n
+            for a in range(1, n):
+                if math.gcd(a, n) == 1:
+                    got = _value_at(x.conjugate(a), beta(1, n))
+                    assert abs(got - _value_at(x, beta(a, n))) < tol, (n, a)
+            if embed:
+                y = x.to_modulus(3 * n)
+                assert y.n == 3 * n
+                assert abs(_value_at(y, beta(1, 3 * n)) - _value_at(x, beta(1, n))) < tol, n

@@ -156,8 +156,25 @@ def test_tail_certificate():
 def test_tail_certificate_below_crossover_raises():
     # the path-family block [1024, 2048] fails the comparison (float
     # sizing: lhs ~133 against rhs ~311); it must raise, never report void
-    with pytest.raises(UndecidableError):
+    with pytest.raises(UndecidableError, match=r"tail block \[1024, 2048\] not certified"):
         tail_certificate(G5, 10**7, start=1024)
+
+
+def test_tail_block_is_one_enclosure(monkeypatch):
+    # the sign and the slack of a block come from the same enclosure
+    from groundbound import balls
+
+    calls = []
+    real = balls.eval_ball
+
+    def spy(expr, *args, **kwargs):
+        calls.append(expr)
+        return real(expr, *args, **kwargs)
+
+    monkeypatch.setattr(balls, "eval_ball", spy)
+    monkeypatch.setattr(pairs, "eval_ball", spy)
+    cert = tail_certificate(G4, 10**7)
+    assert len(calls) == cert.blocks == 12
 
 
 @pytest.mark.parametrize("kind", [G5, G4])
@@ -183,6 +200,10 @@ def test_global_bounds(gamma5_global, gamma4_global):
     assert gamma5_global.maximum == 120 and gamma5_global.argmax == (31, 3)
     assert gamma4_global.maximum == 120 and gamma4_global.argmax == (31, 3)
     assert gamma4_global.method_a_small_k_max == 31
+    table = gamma4_global.method_a_small_k_table
+    assert {row.case.k for row in table.rows} == set(range(2, 7))
+    assert gamma5_global.method_a_small_k_table is None
+    assert gamma5_global.method_a_small_k_max is None
     # every exceptional-pair Method A bound stays at or below 120
     for k, s, n, bound in gamma5_global.exceptional_bounds:
         assert bound <= 120, (k, s, bound)
@@ -193,6 +214,26 @@ def test_gamma4_restricted_range():
 
     gb = global_bound(G4, k_max=6)
     assert gb.maximum == 31 and gb.argmax == (2, 3, 3)
+    assert gb.method_a_small_k_max == 31
+
+
+def test_reproduce_all_builds_the_gamma4_table_once(monkeypatch):
+    # the "family Gamma4 (2 <= k <= 6)" section is the table the star
+    # family's global bound carries
+    from groundbound import graphs, reproduce
+
+    families = []
+    real = graphs.family_bound
+
+    def spy(family, k_range=None):
+        families.append(family)
+        return real(family, k_range)
+
+    monkeypatch.setattr(pairs, "family_bound", spy)
+    monkeypatch.setattr(reproduce, "family_bound", spy)
+    text = reproduce.reproduce_all(2000).render("text")
+    assert families.count(graphs.Family.G4) == 1
+    assert text.index("family Gamma4 (2 <= k <= 6)") < text.index("pair search (path family")
 
 
 def test_refinement_matches_g5_case():
