@@ -11,27 +11,35 @@ by Method A over F_{k,s}; non-exceptional pairs survive only when
 
     (ln C - ln sin(pi/k) - ln sin(pi/s)) / c(k, s) > phi([k,s]) / (2 rho)
 
-with C = 7 for the path family and C = 8 for the star family.  The
-search sieves phi and g = ln gamma / phi up to TAIL_START = 4096 and scans
-k up to min(k_max, 4096) with a conservative float pre-filter (wide
-safety margins; every reported survivor and every near-boundary discard
-is re-certified with interval arithmetic), then computes the two floor
-bounds per survivor with certified rounding and refines any bound above
-120 through the least-N solver.  Pairs with 4096 < k <= k_max are ruled
-out by `tail_certificate`: the Rosser-Schoenfeld lower bound for phi
-(1962, Thm 15, with the constant 2.51) exceeds the survival budget on
-every dyadic block, each block decided by one certified comparison.
+with C = 7 for the path family and C = 8 for the star family.
+
+The search sieves phi, smallest prime factors and the prime behind each
+g(x) = ln gamma(x)/phi(x) up to TAIL_START = 4096 in plain Python, and
+scans k up to min(k_max, 4096).  There is no float pre-filter: every
+discard is an integer inequality between fixed-point bounds (see
+`ScanBounds`), built from one outward enclosure each of ln p for the
+primes p <= 4096, of pi and of ln pi.  A k is dropped when phi(k) c_low(k)
+exceeds 4 rhs_max(k); for the other k only s with phi(s / gcd(k, s)) below
+the divisor bound T_k are enumerated; a pair is dropped when
+deg * c_lo > rhs_hi.  A pair with c_lo <= 0 has its coefficient sign
+decided by `coefficient_sign`, and every remaining non-exceptional pair
+is certified by `survives` with interval arithmetic.  The two floor
+bounds per survivor are computed with certified rounding and any bound
+above 120 is refined through the least-N solver.  Pairs with
+4096 < k <= k_max are ruled out by `tail_certificate`: the
+Rosser-Schoenfeld lower bound for phi (1962, Thm 15, with the constant
+2.51) exceeds the survival budget on every dyadic block, each block
+decided by one certified comparison.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, isqrt, log, pi, sin
-
-import numpy as np
+from math import ceil, floor, gcd, isqrt, log
 
 from . import balls
 from .balls import (
@@ -45,13 +53,9 @@ from .fields import RealCyclotomicField, norm_4sin2_closed_form
 from .graphs import Family, FamilyTable, family_bound
 
 LN2 = log(2.0)
-LN3_HALF = log(3.0) / 2
 REFINE_THRESHOLD = 120
-# absolute + relative slop for the float pre-filter; the double-precision
-# evaluation of ~10 elementary terms is accurate to ~1e-12 relative, so a
-# 1e-6 cushion certifies discards far beyond rounding error
-FILTER_ABS = 1e-6
-FILTER_REL = 1e-9
+# the scan's fixed-point bounds are integers in units of 2^-FIXED_BITS
+FIXED_BITS = 64
 # the sieve and the pair scan stop here; tail_certificate covers larger k
 TAIL_START = 4096
 # Rosser-Schoenfeld, "Approximate formulas for some functions of prime
@@ -297,29 +301,171 @@ def exceptional_bound(k: int, s: int, kind: PairKind) -> tuple[int, int]:
     return n, n * deg
 
 
-# -- sieves ------------------------------------------------------------------
+# -- sieve and fixed-point bounds for the scan ------------------------------
 
 
-def sieve_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, g) arrays for 0..limit: Euler totients and ln gamma / phi."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
+def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:
+    """(phi, spf, gamma) for 0..limit: Euler totients, smallest prime
+    factors (spf[x] for x >= 2) and gamma(x) = p when x = p^t >= 2, else 1,
+    so that g(x) = ln gamma(x) / phi(x)."""
+    spf = list(range(limit + 1))
     for p in range(2, isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    primes = np.flatnonzero(is_prime)
-    for p in primes:
-        phi[p::p] -= phi[p::p] // p
-    g = np.zeros(limit + 1, dtype=np.float64)
-    if len(primes):
-        g[primes] = np.log(primes.astype(np.float64)) / (primes - 1).astype(np.float64)
-    for p in primes[primes <= isqrt(limit)]:
-        q = int(p) * int(p)
-        while q <= limit:
-            g[q] = log(int(p)) / int(phi[q])
-            q *= int(p)
-    return phi, g
+        if spf[p] == p:
+            for q in range(p * p, limit + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    phi = list(range(limit + 1))
+    gamma = [1] * (limit + 1)
+    for x in range(2, limit + 1):
+        p = spf[x]
+        y = x // p
+        phi[x] = phi[y] * (p if y % p == 0 else p - 1)
+        if y == 1 or gamma[y] == p:
+            gamma[x] = p
+    return phi, spf, gamma
+
+
+def _fixed(expr: Expr) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FIXED_BITS * expr <= hi, from one enclosure."""
+    ball = eval_ball(expr)
+    scale = 1 << FIXED_BITS
+    return floor(mpf_to_fraction(ball.lower) * scale), ceil(mpf_to_fraction(ball.upper) * scale)
+
+
+@cache
+def _fixed_ln_prime(p: int) -> tuple[int, int]:
+    return _fixed(Ln(Const(Fraction(p))))
+
+
+@cache
+def _fixed_pi() -> tuple[tuple[int, int], tuple[int, int]]:
+    """Fixed-point bounds of pi and of ln pi."""
+    return _fixed(PI), _fixed(Ln(PI))
+
+
+def _divisors(k: int, spf: list[int]) -> list[int]:
+    divisors = [1]
+    while k > 1:
+        p, e = spf[k], 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    return divisors
+
+
+class ScanBounds:
+    """Integer bounds, in units of 2^-FIXED_BITS, behind every discard of
+    the pair scan of one family up to `limit`.
+
+    For 3 <= x <= limit, with g(x) = ln gamma(x) / phi(x):
+
+        2^64 g(x) <= g_hi[x],
+        2^64 (-ln sin(pi/x)) <= sin_hi[x],
+
+    the second from the Taylor bound sin y >= y - y^3/6 = y (1 - t) at
+    y = pi/x, t = pi^2 / (6 x^2) < 1, and -ln(1 - t) = sum t^n / n
+    <= t + t^2 / (2 (1 - t)):
+
+        -ln sin(pi/x) <= ln x - ln pi + t + t^2 / (2 (1 - t)).
+
+    (With the cruder t / (1 - t) the bound at x = 3 is 0.034 too high,
+    more than the slack of the pairs (113, 3) and (282, 3).)  ln x is the
+    sum of the prime logarithms along the factorisation of x; every added
+    term is rounded up and every subtracted one down, so
+    2^64 c(k, s) >= `c_lo(k, s)` and 2^64 rhs(k, s) <= `rhs_hi(k, s)`.
+
+    Over the s of the family's range for k (3 <= s <= k, resp.
+    s in {3, 4, 5}), c(k, s) >= c_low(k) and rhs(k, s) <= rhs_max(k).
+    Let m = s / gcd(k, s), so that lcm(k, s) = k m.  Since
+    phi(k m) >= phi(k) phi(m) and rho <= 2, deg >= phi(k) phi(m) / 4, and
+    a pair with c > 0 survives only if deg c < rhs, so only if
+
+        phi(m) < T_k = 4 rhs_max(k) / (c_low(k) phi(k))   when c_low(k) > 0.
+
+    Hence k carries no survivor when phi(k) c_low(k) > 4 rhs_max(k)
+    (`is_candidate`), and for the other k only the s = d m with d | k,
+    gcd(k/d, m) = 1 and phi(m) < ceil(T_k) need a look (`s_values`).
+    """
+
+    def __init__(self, kind: PairKind, limit: int):
+        self.kind = kind
+        self.phi, self.spf, gamma = sieve_tables(limit)
+        self.ln2_lo = _fixed_ln_prime(2)[0]
+        (_, pi_hi), (ln_pi_lo, _) = _fixed_pi()
+        ln_hi = [0] * (limit + 1)
+        self.g_hi = [0] * (limit + 1)
+        self.sin_hi = [0] * (limit + 1)
+        a = pi_hi * pi_hi  # >= 2^128 pi^2
+        for x in range(2, limit + 1):
+            p = self.spf[x]
+            ln_hi[x] = ln_hi[x // p] + _fixed_ln_prime(p)[1]
+            if gamma[x] != 1:
+                self.g_hi[x] = -(-_fixed_ln_prime(gamma[x])[1] // self.phi[x])
+            # t <= a/d, and t + t^2 / (2 (1 - t)) = a (2d - a) / (2d (d - a))
+            # grows with t; rounded up
+            d = 6 * x * x << 2 * FIXED_BITS
+            taylor = -(-(a * (2 * d - a) << FIXED_BITS) // (2 * d * (d - a)))
+            self.sin_hi[x] = ln_hi[x] - ln_pi_lo + taylor
+        self.ln_c_hi = ln_hi[kind.log_constant]
+        # maxima of g_hi and sin_hi over 3..x
+        self.g_hi_max = self.g_hi[:]
+        self.sin_hi_max = self.sin_hi[:]
+        for x in range(4, limit + 1):
+            self.g_hi_max[x] = max(self.g_hi_max[x - 1], self.g_hi[x])
+            self.sin_hi_max[x] = max(self.sin_hi_max[x - 1], self.sin_hi[x])
+        self.k_values = range(3 if kind is PairKind.GAMMA5 else 7, limit + 1)
+        self.phi_order = sorted(range(1, limit + 1), key=self.phi.__getitem__)
+        self.phi_sorted = [self.phi[m] for m in self.phi_order]
+
+    def s_top(self, k: int) -> int:
+        return k if self.kind is PairKind.GAMMA5 else 5
+
+    def degree(self, k: int, s: int) -> int:
+        """`pair_field_degree` from the sieved phi."""
+        g = gcd(k, s)
+        rho = 2 if g in (1, 2) else 1
+        return self.phi[k] * self.phi[s] // self.phi[g] // (2 * rho)
+
+    def c_lo(self, k: int, s: int) -> int:
+        return self.ln2_lo - self.g_hi[k] - self.g_hi[s]
+
+    def rhs_hi(self, k: int, s: int) -> int:
+        return self.ln_c_hi + self.sin_hi[k] + self.sin_hi[s]
+
+    def discards(self, k: int, s: int) -> bool:
+        """deg * c_lo > rhs_hi: c(k, s) > 0 and (k, s) fails survival."""
+        return self.degree(k, s) * self.c_lo(k, s) > self.rhs_hi(k, s)
+
+    def c_low(self, k: int) -> int:
+        return self.ln2_lo - self.g_hi[k] - self.g_hi_max[self.s_top(k)]
+
+    def rhs_max(self, k: int) -> int:
+        return self.ln_c_hi + self.sin_hi[k] + self.sin_hi_max[self.s_top(k)]
+
+    def is_candidate(self, k: int) -> bool:
+        return self.phi[k] * self.c_low(k) <= 4 * self.rhs_max(k)
+
+    def divisor_bound(self, k: int) -> int | None:
+        """ceil(T_k), or None when c_low(k) <= 0 and every s is kept."""
+        c_low = self.c_low(k)
+        if c_low <= 0:
+            return None
+        return -(-4 * self.rhs_max(k) // (c_low * self.phi[k]))
+
+    def s_values(self, k: int) -> list[int]:
+        """The s of the family's range for k, in increasing order, that
+        the divisor bound leaves."""
+        top = self.s_top(k)
+        bound = self.divisor_bound(k)
+        if bound is None:
+            return list(range(3, top + 1))
+        small_phi = self.phi_order[:bisect_left(self.phi_sorted, bound)]
+        out = []
+        for d in _divisors(k, self.spf):
+            q, m_top = k // d, top // d
+            out += [d * m for m in small_phi if m <= m_top and d * m >= 3 and gcd(q, m) == 1]
+        return sorted(out)
 
 
 # -- the tail k > TAIL_START -------------------------------------------------
@@ -413,26 +559,6 @@ class SearchResult:
     tail: TailCertificate | None  # covers TAIL_START < k <= k_max
 
 
-def _candidate_ks(kind: PairKind, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """k values up to the sieve limit that could carry a surviving pair.
-
-    Uses sin(pi/x) >= 2/x, phi([k,s]) >= phi(k), and the per-k minimum
-    coefficient ln 2 - g(k) - ln(3)/2; discards are conservative by a wide
-    float margin.
-    """
-    limit = len(phi) - 1
-    lo = 3 if kind is PairKind.GAMMA5 else 7
-    k = np.arange(lo, limit + 1, dtype=np.int64)
-    cmin = LN2 - g[lo:] - LN3_HALF
-    if kind is PairKind.GAMMA5:
-        rhs_max = log(kind.log_constant) + 2.0 * np.log(k / 2.0)
-    else:
-        rhs_max = log(kind.log_constant) + np.log(k / 2.0) + log(5.0 / 2.0)
-    budget = 4.0 * rhs_max * (1.0 + FILTER_REL) + FILTER_ABS
-    keep = (cmin <= FILTER_ABS) | (phi[lo:].astype(np.float64) * cmin < budget)
-    return k[keep]
-
-
 def check_k_max(k_max: int) -> None:
     """Raise InvalidInput unless the search range covers the known argmax k = 31."""
     if k_max < 31:
@@ -442,45 +568,35 @@ def check_k_max(k_max: int) -> None:
 def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     """All non-exceptional pairs passing the survival inequality.
 
-    Pairs with k <= min(k_max, TAIL_START) are scanned: the float phase
-    only prunes with wide margins; every reported survivor is certified
-    by interval arithmetic, and near-boundary pairs are certified
-    individually before being kept or discarded.  Larger k up to k_max
-    are covered by `tail_certificate`.  Results are deterministic.
+    Pairs with k <= min(k_max, TAIL_START) are scanned without floats:
+    a k or an s is skipped only by the certified bounds of `ScanBounds`,
+    and a pair is dropped only when deg * c_lo > rhs_hi holds between
+    integers.  A pair with c_lo <= 0 has its coefficient sign decided by
+    `coefficient_sign`, and every other non-exceptional pair is certified
+    by `survives` with interval arithmetic.  Larger k up to
+    k_max are covered by `tail_certificate`.  Results are deterministic.
     """
     check_k_max(k_max)
-    phi, g = sieve_tables(min(k_max, TAIL_START))
+    bounds = ScanBounds(kind, min(k_max, TAIL_START))
     exceptional = set(exceptional_pairs(kind))
-    candidates = _candidate_ks(kind, phi, g)
     near: list[tuple[int, int]] = []
-    checked = 0
-    for k in candidates.tolist():
-        if kind is PairKind.GAMMA5:
-            s = np.arange(3, k + 1, dtype=np.int64)
-        else:
-            s = np.array([3, 4, 5], dtype=np.int64)
-        coeff = LN2 - g[k] - g[s]
-        gcds = np.gcd(s, k)
-        rho = np.where((gcds == 1) | (gcds == 2), 2, 1)
-        deg = phi[k] * phi[s] // phi[gcds] // (2 * rho)
-        rhs = log(kind.log_constant) - log(sin(pi / k)) - np.log(np.sin(pi / s))
-        slack = rhs - coeff * deg
-        margin = FILTER_ABS + FILTER_REL * (np.abs(rhs) + np.abs(coeff) * deg)
-        mask = (slack > -margin) & (coeff > FILTER_ABS)
-        checked += len(s)
-        for si in s[mask].tolist():
-            if (k, si) not in exceptional:
-                near.append((k, si))
-        # coefficients that look nonpositive must be known exceptional pairs
-        for si in s[coeff <= FILTER_ABS].tolist():
-            if (k, si) not in exceptional:
-                if not is_exceptional(k, si):
-                    near.append((k, si))
-    survivors = [pair_report(k, si, kind) for k, si in sorted(near) if survives(k, si, kind)]
+    candidates = checked = 0
+    for k in bounds.k_values:
+        if not bounds.is_candidate(k):
+            continue
+        candidates += 1
+        for s in bounds.s_values(k):
+            checked += 1
+            if (k, s) in exceptional or bounds.discards(k, s):
+                continue
+            if bounds.c_lo(k, s) <= 0 and is_exceptional(k, s):
+                continue
+            near.append((k, s))
+    survivors = [pair_report(k, s, kind) for k, s in near if survives(k, s, kind)]
     return SearchResult(
         kind=kind, k_max=k_max, survivors=tuple(survivors),
         exceptional=tuple(sorted(exceptional, key=lambda p: (p[1], p[0]))),
-        candidate_k_count=len(candidates), checked_pairs=checked,
+        candidate_k_count=candidates, checked_pairs=checked,
         tail=tail_certificate(kind, k_max) if k_max > TAIL_START else None,
     )
 

@@ -127,11 +127,13 @@ def test_exp_identity():
     assert ball.contains(Fraction(0))
 
 
-LEAF_MEMOS = (balls._ratio, balls._beta, balls._ln_ratio, balls._sin_pi_over)
+LEAF_MEMOS = (balls._ratio, balls._beta, balls._ln_ratio, balls._sin_pi_over,
+              balls._ln_sin_pi_over)
 
 
 def _leafy_expr():
-    """Every memoized leaf kind: rationals, 2cos(2pi/n), ln q, sin(pi/q)."""
+    """Every memoized leaf kind: rationals, 2cos(2pi/n), ln q, sin(pi/q),
+    ln sin(pi/q)."""
     return (
         Ln(Const(Fraction(7, 3)))
         - Sin(Div(PI, Const(Fraction(31))))
@@ -407,6 +409,7 @@ def _random_tree(rng, depth):
         lambda: E,
         lambda: Ln(Const(Fraction(rng.randint(-2, 40), rng.randint(1, 9)))),
         lambda: Sin(Div(PI, Const(Fraction(rng.choice((-7, 0, 3, 5, 31)), rng.randint(1, 3))))),
+        lambda: Ln(Sin(Div(PI, Const(Fraction(rng.choice((-7, 0, 1, 3, 31)), rng.randint(1, 3)))))),
     )
     if depth == 0 or rng.random() < 0.25:
         return rng.choice(leaves)()
@@ -427,13 +430,21 @@ def _random_tree(rng, depth):
     ))()
 
 
+def _is_sin_pi_over_q(expr):
+    return isinstance(expr, Sin) and isinstance(expr.arg, Div) and expr.arg.left is PI \
+        and isinstance(expr.arg.right, Const) and expr.arg.right.value != 0
+
+
 def _node_kinds(expr, out):
-    """The evaluator paths `expr` takes; ln q and sin(pi/q) are leaves."""
+    """The evaluator paths `expr` takes; ln q, sin(pi/q) and ln sin(pi/q)
+    are leaves."""
     if isinstance(expr, Ln) and isinstance(expr.arg, Const):
         out.add("Ln(Const)")
         return out
-    if isinstance(expr, Sin) and isinstance(expr.arg, Div) and expr.arg.left is PI \
-            and isinstance(expr.arg.right, Const) and expr.arg.right.value != 0:
+    if isinstance(expr, Ln) and _is_sin_pi_over_q(expr.arg):
+        out.add("Ln(Sin(pi/q))")
+        return out
+    if _is_sin_pi_over_q(expr):
         out.add("Sin(pi/q)")
         return out
     kind = type(expr).__name__
@@ -449,14 +460,16 @@ def _node_kinds(expr, out):
 
 def test_tuple_evaluator_matches_the_interval_context_oracle():
     rng = random.Random(20260)
-    corpus = [_random_tree(rng, 3) for _ in range(120)] + [_leafy_expr()]
+    # ln sin(pi/q) leaves that enclose, straddle zero (q = 1) and leave the domain
+    ln_sin_leaves = [Ln(Sin(Div(PI, Const(Fraction(q))))) for q in (3, Fraction(31, 2), 1, -7)]
+    corpus = [_random_tree(rng, 3) for _ in range(120)] + [_leafy_expr()] + ln_sin_leaves
     kinds = set()
     for expr in corpus:
         _node_kinds(expr, kinds)
     assert kinds >= {
         "Const", "AlgConst", "RootConst", "_PiConst", "_EConst", "Add", "Sub", "Mul",
         "Div", "Neg", "Sqrt", "Ln", "Ln(Const)", "ExpNode", "Sin", "Sin(pi/q)",
-        "Pow k>=0", "Pow k<0", "Pow rational",
+        "Ln(Sin(pi/q))", "Pow k>=0", "Pow k<0", "Pow rational",
     }
     for prec in ORACLE_PRECISIONS:
         iv = _oracle_context(prec)
@@ -469,3 +482,7 @@ def test_tuple_evaluator_matches_the_interval_context_oracle():
             assert ours == oracle, (prec, str(expr))
             outcomes.add(ours if isinstance(ours, str) else "enclosure")
         assert outcomes == {"enclosure", "inconclusive", "domain"}, prec
+        leaf_outcomes = [_outcome(lambda: balls._iv_eval(leaf, prec, prec - 16))
+                         for leaf in ln_sin_leaves]
+        assert [o if isinstance(o, str) else "enclosure" for o in leaf_outcomes] == [
+            "enclosure", "enclosure", "inconclusive", "domain"], prec

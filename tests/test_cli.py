@@ -305,6 +305,19 @@ def test_reproduce_all_small_deterministic(tmp_path):
     assert text.count("MISMATCH") == 3
 
 
+def test_reproduce_all_runs_without_numpy(tmp_path):
+    # numpy is not a dependency: with its import blocked, the run still
+    # writes the pinned text report
+    out = tmp_path / "report.text"
+    code = ("import sys; sys.modules['numpy'] = None; from groundbound.cli import main; "
+            "sys.exit(main(['reproduce-all', '--kmax', '2000', '--format', 'text', "
+            f"'--out', {str(out)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=900)
+    assert proc.returncode == 1, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPRODUCE_2000_SHA256["text"]
+
+
 # sha256 of `graph-family` text reports (written with --out): the per-case
 # rows of every family table, including the Gamma5 rows that
 # `reproduce-all` does not print

@@ -287,3 +287,149 @@ def test_each_coefficient_certified_once(monkeypatch):
     certified_coefficients = Counter(e for e in certified if e in coefficients)
     assert len(asked) > 2 * len(distinct) > 2 * len(coefficients) > 0
     assert sorted(certified_coefficients.values()) == [1] * len(coefficients)
+
+
+# -- the scan: every discard certified -------------------------------------------
+
+# The float scan the pair search ran before its discards were certified,
+# transcribed from numpy into plain Python: a candidate filter on k and a
+# per-pair slack test, each widened by these absolute and relative margins.
+FILTER_ABS = 1e-6
+FILTER_REL = 1e-9
+
+
+def _float_scan(kind, limit=TAIL_START):
+    """(near, nonpositive): the pairs the float scan sent on to `survives`
+    and the pairs whose float coefficient is at most FILTER_ABS."""
+    from math import gcd, log, pi, sin
+
+    from groundbound.cyclo import euler_phi, gamma_norm_constant
+
+    phi = [0, 1] + [euler_phi(x) for x in range(2, limit + 1)]
+    g = [0.0] * (limit + 1)
+    neg_ln_sin = [0.0] * (limit + 1)
+    for x in range(3, limit + 1):
+        p = gamma_norm_constant(x)
+        if p != 1:
+            g[x] = log(p) / phi[x]
+        neg_ln_sin[x] = -log(sin(pi / x))
+    ln2, ln3_half, ln_c = log(2.0), log(3.0) / 2, log(kind.log_constant)
+    near, nonpositive = [], []
+    for k in range(3 if kind is G5 else 7, limit + 1):
+        cmin = ln2 - g[k] - ln3_half
+        if kind is G5:
+            rhs_max = ln_c + 2.0 * log(k / 2.0)
+        else:
+            rhs_max = ln_c + log(k / 2.0) + log(5.0 / 2.0)
+        budget = 4.0 * rhs_max * (1.0 + FILTER_REL) + FILTER_ABS
+        if not (cmin <= FILTER_ABS or phi[k] * cmin < budget):
+            continue
+        for s in range(3, k + 1) if kind is G5 else (3, 4, 5):
+            coeff = ln2 - g[k] - g[s]
+            if coeff <= FILTER_ABS:
+                nonpositive.append((k, s))
+                continue
+            d = gcd(k, s)
+            deg = phi[k] * phi[s] // phi[d] // (4 if d in (1, 2) else 2)
+            rhs = ln_c + neg_ln_sin[k] + neg_ln_sin[s]
+            if rhs - coeff * deg > -(FILTER_ABS + FILTER_REL * (abs(rhs) + coeff * deg)):
+                near.append((k, s))
+    return near, nonpositive
+
+
+@pytest.mark.parametrize("kind", [G5, G4])
+def test_search_matches_the_float_scan_oracle(kind):
+    result = search(kind, k_max=TAIL_START)
+    near, nonpositive = _float_scan(kind)
+    oracle_exceptional = {p for p in nonpositive if is_exceptional(*p)}
+    assert oracle_exceptional == set(result.exceptional)
+    oracle_checked = set(near) | (set(nonpositive) - oracle_exceptional)
+    survivors = {(r.k, r.s) for r in result.survivors}
+    # every survivor of the search is certified; every other pair the
+    # float scan would have certified must fail
+    assert survivors <= oracle_checked
+    assert not [p for p in sorted(oracle_checked - survivors) if survives(*p, kind)]
+    assert len(survivors) == (416 if kind is G5 else 265)
+
+
+@pytest.mark.parametrize("kind", [G5, G4])
+def test_scan_bounds_enclose(kind):
+    # the fixed-point bounds hold against 256-bit references, and the
+    # per-k bounds dominate every s of the family's range
+    import mpmath
+
+    bounds = pairs.ScanBounds(kind, TAIL_START)
+    scale = 2**pairs.FIXED_BITS
+    with mpmath.mp.workprec(256):
+        for p in range(2, TAIL_START + 1):
+            if bounds.spf[p] == p:
+                lo, hi = pairs._fixed_ln_prime(p)
+                assert lo <= mpmath.log(p) * scale <= hi, p
+        assert bounds.ln2_lo <= mpmath.log(2) * scale
+        assert bounds.ln_c_hi >= mpmath.log(kind.log_constant) * scale
+        for x in range(3, TAIL_START + 1):
+            assert bounds.sin_hi[x] >= -mpmath.log(mpmath.sin(mpmath.pi / x)) * scale, x
+            p = pairs.gamma_norm_constant(x)
+            g = mpmath.log(p) / pairs.euler_phi(x) if p != 1 else 0
+            assert bounds.g_hi[x] >= g * scale, x
+            assert bounds.degree(x, 3) == pair_field_degree(x, 3)
+    g_max = sin_max = 0
+    for x in range(3, TAIL_START + 1):
+        g_max, sin_max = max(g_max, bounds.g_hi[x]), max(sin_max, bounds.sin_hi[x])
+        assert (bounds.g_hi_max[x], bounds.sin_hi_max[x]) == (g_max, sin_max)
+    for k in bounds.k_values:
+        for s in (3, 4, 5) if kind is G4 else (3, k):
+            assert bounds.c_lo(k, s) >= bounds.c_low(k)
+            assert bounds.rhs_hi(k, s) <= bounds.rhs_max(k)
+
+
+def test_every_discard_is_certified(monkeypatch):
+    # every pair with 3 <= s <= k <= 4096 that is neither a survivor nor
+    # exceptional is excluded by the certified candidate bound on k, by the
+    # divisor bound T_k on s, or by deg * c_lo > rhs_hi; every other pair
+    # went to `survives` or `coefficient_sign`
+    from math import gcd
+
+    survives_calls, routed = [], set()
+    real_survives, real_sign = pairs.survives, pairs.coefficient_sign
+
+    def survives_spy(k, s, kind):
+        survives_calls.append((k, s))
+        routed.add((k, s))
+        return real_survives(k, s, kind)
+
+    def sign_spy(k, s):
+        routed.add((k, s))
+        return real_sign(k, s)
+
+    for kind in (G5, G4):
+        exceptional_pairs(kind)  # memoized before the spies go in
+    monkeypatch.setattr(pairs, "survives", survives_spy)
+    monkeypatch.setattr(pairs, "coefficient_sign", sign_spy)
+    monkeypatch.setattr(pairs, "pair_report", lambda k, s, kind: (k, s))
+    reasons = {}
+    for kind in (G5, G4):
+        routed.clear()
+        result = search(kind, k_max=TAIL_START)
+        kept = set(result.survivors) | set(result.exceptional)
+        bounds = pairs.ScanBounds(kind, TAIL_START)
+        phi = bounds.phi
+        for k in bounds.k_values:
+            s_range = range(3, k + 1) if kind is G5 else (3, 4, 5)
+            if not bounds.is_candidate(k):
+                reasons["k"] = reasons.get("k", 0) + len(s_range)
+                continue
+            bound = bounds.divisor_bound(k)
+            for s in s_range:
+                if (k, s) in kept:
+                    continue
+                if bound is not None and phi[s // gcd(k, s)] >= bound:
+                    reason = "T_k"
+                elif bounds.discards(k, s):
+                    reason = "integer"
+                else:
+                    assert (k, s) in routed, (kind, k, s)
+                    reason = "routed"
+                reasons[reason] = reasons.get(reason, 0) + 1
+    assert all(reasons.get(r) for r in ("k", "T_k", "integer", "routed")), reasons
+    assert len(survives_calls) <= 683
