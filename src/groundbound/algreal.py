@@ -2,15 +2,25 @@
 
 The interval has rational endpoints and contains exactly one real root of
 the (squarefree) integer polynomial; refinement is sign-preserving
-bisection with exact rational evaluation, so the identified root never
+bisection with exact integer evaluation, so the identified root never
 changes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import polyint as P
+
+
+def _homogeneous_value(poly, m: int, d: int) -> int:
+    """d^n poly(m / d) for poly of degree n, by homogeneous Horner."""
+    acc, scale = poly[-1], 1
+    for c in reversed(poly[:-1]):
+        scale *= d
+        acc = acc * m + c * scale
+    return acc
 
 
 class AlgebraicReal:
@@ -57,7 +67,13 @@ class AlgebraicReal:
         return (self._lo, self._hi)
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Shrink the isolating interval below `width`; returns it."""
+        """Shrink the isolating interval below `width`; returns it.
+
+        Bisection in integers: the endpoints are numerators a, b over one
+        denominator d, the midpoint is (a + b) / 2d, and the sign of
+        minpoly(m/d) is that of sum c_i m^i d^(n - i) (as d > 0).  Each
+        step keeps the same half as bisection on Fractions would.
+        """
         lo, hi = self._lo, self._hi
         if lo == hi:
             return lo, hi
@@ -67,19 +83,23 @@ class AlgebraicReal:
             # isolated); an exact hit means lo is the root itself
             self._lo = self._hi = lo
             return lo, lo
+        if hi - lo <= width:
+            return lo, hi
         sign_lo = slo > 0
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = P.peval(self.minpoly, mid)
+        d = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        while (b - a) * width.denominator > width.numerator * d:
+            m, d = a + b, 2 * d
+            v = _homogeneous_value(self.minpoly, m, d)
             if v == 0:
-                lo = hi = mid
+                a = b = m
                 break
             if (v > 0) == sign_lo:
-                lo = mid
+                a, b = m, 2 * b
             else:
-                hi = mid
-        self._lo, self._hi = lo, hi
-        return lo, hi
+                a, b = 2 * a, m
+        self._lo, self._hi = Fraction(a, d), Fraction(b, d)
+        return self._lo, self._hi
 
     def refine_bits(self, bits: int) -> tuple[Fraction, Fraction]:
         return self.refine(Fraction(1, 2**bits))

@@ -448,15 +448,15 @@ def _excludes_zero(ball: Ball) -> bool:
     return ball.certainly_positive() or ball.certainly_negative()
 
 
-def _floor_of(x) -> int:
+def floor_of(x) -> int:
     """Exact floor of an mpf, which is man * 2^exponent."""
     sign, man, exponent, _ = x._mpf_
     man = -man if sign else man
     return man << exponent if exponent >= 0 else man >> -exponent
 
 
-def _within_one_integer_step(ball: Ball) -> bool:
-    return _floor_of(ball.lower) == _floor_of(ball.upper)
+def within_one_integer_step(ball: Ball) -> bool:
+    return floor_of(ball.lower) == floor_of(ball.upper)
 
 
 def eval_ball(
@@ -663,7 +663,7 @@ def certified_floor(expr) -> int:
     exact = exact_value(expr)
     if isinstance(exact, Fraction):
         return exact.numerator // exact.denominator
-    return _floor_of(eval_ball(expr, accept=_within_one_integer_step).lower)
+    return floor_of(eval_ball(expr, accept=within_one_integer_step).lower)
 
 
 def ball_str(expr, digits: int = 12, bits: int = 192) -> str:

@@ -17,14 +17,16 @@ The search sieves phi, smallest prime factors and the prime behind each
 g(x) = ln gamma(x)/phi(x) up to TAIL_START = 4096 in plain Python, and
 scans k up to min(k_max, 4096).  There is no float pre-filter: every
 discard is an integer inequality between fixed-point bounds (see
-`ScanBounds`), built from one outward enclosure each of ln p for the
-primes p <= 4096, of pi and of ln pi.  A k is dropped when phi(k) c_low(k)
+`ScanBounds`), built from integer bounds of ln p for the primes
+p <= 4096 (`_ln_prime_table`, no interval evaluation) and one outward
+enclosure each of pi and of ln pi.  A k is dropped when phi(k) c_low(k)
 exceeds 4 rhs_max(k); for the other k only s with phi(s / gcd(k, s)) below
 the divisor bound T_k are enumerated; a pair is dropped when
 deg * c_lo > rhs_hi.  A pair with c_lo <= 0 has its coefficient sign
 decided by `coefficient_sign`, and every remaining non-exceptional pair
-is certified by `survives` with interval arithmetic.  The two floor
-bounds per survivor are computed with certified rounding and any bound
+gets one certificate, `pair_floor`: integer enclosures of rhs and c(k, s)
+decide survival and the floor of rhs / (deg c) together, and one interval
+enclosure of that ratio decides what they leave open.  Any bound
 above 120 is refined through the least-N solver.  Pairs with
 4096 < k <= k_max are ruled out by `tail_certificate`: the
 Rosser-Schoenfeld lower bound for phi (1962, Thm 15, with the constant
@@ -44,7 +46,8 @@ from math import ceil, floor, gcd, isqrt, log
 from . import balls
 from .balls import (
     PI, Ball, Const, Expr, Ln, Sin,
-    certified_floor, certify_sign, eval_ball, mpf_to_fraction,
+    certified_floor, certify_sign, eval_ball, floor_of, mpf_to_fraction,
+    within_one_integer_step,
 )
 from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import euler_phi, gamma_norm_constant
@@ -56,6 +59,8 @@ LN2 = log(2.0)
 REFINE_THRESHOLD = 120
 # the scan's fixed-point bounds are integers in units of 2^-FIXED_BITS
 FIXED_BITS = 64
+# extra bits the integer ln p table carries before rounding to FIXED_BITS
+LN_GUARD_BITS = 16
 # the sieve and the pair scan stop here; tail_certificate covers larger k
 TAIL_START = 4096
 # Rosser-Schoenfeld, "Approximate formulas for some functions of prime
@@ -139,25 +144,47 @@ def _combo_expr(terms: tuple) -> Expr:
     return expr if expr is not None else Const(Fraction(0))
 
 
+def _combo_terms(k: int, s: int) -> tuple:
+    return tuple(sorted(_log_combo(k, s).items()))
+
+
 def coefficient_expr(k: int, s: int) -> Expr:
-    return _combo_expr(tuple(sorted(_log_combo(k, s).items())))
+    return _combo_expr(_combo_terms(k, s))
+
+
+def _fixed_combo(terms: tuple) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FIXED_BITS * sum q_p ln p <= hi: each term
+    q ln p is rounded outward from the bounds of ln p."""
+    lo = hi = 0
+    for p, q in terms:
+        a, b = (q.numerator * x for x in _fixed_ln_prime(p))
+        lo += min(a, b) // q.denominator
+        hi -= -max(a, b) // q.denominator
+    return lo, hi
 
 
 @lru_cache(maxsize=4096)
 def _combo_sign(terms: tuple) -> str:
     if not terms:
         return balls.EQUAL
+    lo, hi = _fixed_combo(terms)
+    if lo > 0:
+        return balls.GREATER
+    if hi < 0:
+        return balls.LESS
     return certify_sign(_combo_expr(terms))
 
 
 def coefficient_sign(k: int, s: int) -> str:
     """Certified sign of c(k, s); exact zero detected symbolically
     (logarithms of distinct primes are linearly independent over Q).
-    The sign depends only on the combination of logarithms, so it is
-    memoized on that: the exceptional scan, `survives` and `pair_report`
-    all ask, the star family repeats pairs of the complete family, and
-    many pairs share one combination."""
-    return _combo_sign(tuple(sorted(_log_combo(k, s).items())))
+    The sign is read off the integer bounds of `_fixed_combo` when they
+    exclude zero, else certified by interval arithmetic.  It depends only
+    on the combination of logarithms, so it is memoized on that: the
+    exceptional scan, `survives` and `pair_report` all ask, the star
+    family repeats pairs of the complete family, and many pairs share one
+    combination."""
+    return _combo_sign(_combo_terms(k, s))
 
 
 def is_exceptional(k: int, s: int) -> bool:
@@ -184,12 +211,7 @@ def survives(k: int, s: int, kind: PairKind) -> bool:
     """Certified check of the survival inequality for a non-exceptional pair."""
     if is_exceptional(k, s):
         raise ExceptionalPair(f"({k}, {s})")
-    deg = pair_field_degree(k, s)
-    slack = rhs_expr(k, s, kind) - Const(Fraction(deg)) * coefficient_expr(k, s)
-    sign = certify_sign(slack)
-    if sign == balls.UNDECIDED:
-        raise UndecidableError(f"survival of ({k}, {s}) undecided")
-    return sign == balls.GREATER
+    return pair_floor(k, s, kind) >= 1
 
 
 # -- exceptional pairs -------------------------------------------------------
@@ -234,6 +256,72 @@ def certified_floor_ratio(num: Expr, den: Expr) -> int:
     return certified_floor(num / den)
 
 
+@cache
+def _fixed_neg_ln_sin(x: int) -> tuple[int, int]:
+    """Fixed-point bounds of -ln sin(pi/x), one enclosure per modulus."""
+    return _fixed(-Ln(Sin(PI / Const(Fraction(x)))))
+
+
+def _fixed_ln(n: int) -> tuple[int, int]:
+    """Fixed-point bounds of ln n for n >= 1, summed along its factorisation."""
+    lo = hi = 0
+    p = 2
+    while n > 1:
+        while n % p:
+            p += 1
+        a, b = _fixed_ln_prime(p)
+        lo, hi, n = lo + a, hi + b, n // p
+    return lo, hi
+
+
+def _fixed_rhs(k: int, s: int, kind: PairKind) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FIXED_BITS * rhs(k, s) <= hi."""
+    c_lo, c_hi = _fixed_ln(kind.log_constant)
+    (k_lo, k_hi), (s_lo, s_hi) = _fixed_neg_ln_sin(k), _fixed_neg_ln_sin(s)
+    return c_lo + k_lo + s_lo, c_hi + k_hi + s_hi
+
+
+def _settles_ratio(ball: Ball) -> bool:
+    """The ball sits inside one integer step and does not start at 1, so
+    it gives floor(ratio) and decides ratio > 1."""
+    return within_one_integer_step(ball) and ball.lower != 1
+
+
+def _ratio_floor(k: int, s: int, kind: PairKind) -> int:
+    """floor(rhs / (deg c)) from one enclosure of the ratio."""
+    ratio = rhs_expr(k, s, kind) / (Const(Fraction(pair_field_degree(k, s))) * coefficient_expr(k, s))
+    try:
+        return floor_of(eval_ball(ratio, accept=_settles_ratio).lower)
+    except UndecidableError:
+        raise UndecidableError(f"Method-B ratio of ({k}, {s}) undecided") from None
+
+
+def pair_floor(k: int, s: int, kind: PairKind) -> int:
+    """floor(rhs(k, s) / (deg c(k, s))) for a pair with c(k, s) > 0,
+    certified; the pair survives iff it is at least 1.
+
+    For k, s <= TAIL_START the integer bounds r_lo <= 2^64 rhs <= r_hi
+    (`_fixed_rhs`) and c_lo <= 2^64 c <= c_hi (`_fixed_combo`) put the
+    ratio in [r_lo / (deg c_hi), r_hi / (deg c_lo)] when c_lo > 0.  So
+    r_hi < deg c_lo proves ratio < 1 (floor 0), and r_lo > deg c_hi
+    proves ratio > 1, with floor r_lo // (deg c_hi) when that equals
+    r_hi // (deg c_lo).  Every other pair gets one enclosure of the
+    ratio (`_ratio_floor`), raised until it lies in one integer step and
+    does not start at 1; a ratio of exactly 1 raises UndecidableError.
+    """
+    deg = pair_field_degree(k, s)
+    if max(k, s) <= TAIL_START:
+        c_lo, c_hi = _fixed_combo(_combo_terms(k, s))
+        if c_lo > 0:
+            r_lo, r_hi = _fixed_rhs(k, s, kind)
+            if r_hi < deg * c_lo:
+                return 0
+            floor_kf = r_lo // (deg * c_hi)
+            if r_lo > deg * c_hi and floor_kf == r_hi // (deg * c_lo):
+                return floor_kf
+    return _ratio_floor(k, s, kind)
+
+
 def pair_report(k: int, s: int, kind: PairKind, refine_above: int = REFINE_THRESHOLD) -> PairReport:
     """Method-B bounds for a non-exceptional pair, refined when poor."""
     if k < s and kind is PairKind.GAMMA5:
@@ -242,10 +330,12 @@ def pair_report(k: int, s: int, kind: PairKind, refine_above: int = REFINE_THRES
         raise InvalidInput("star-family pairs need r in {3, 4, 5} and k >= 7")
     if is_exceptional(k, s):
         raise ExceptionalPair(f"({k}, {s})")
+    return _report(k, s, kind, pair_floor(k, s, kind), refine_above)
+
+
+def _report(k: int, s: int, kind: PairKind, bound_kf: int,
+            refine_above: int = REFINE_THRESHOLD) -> PairReport:
     deg = pair_field_degree(k, s)
-    coeff = coefficient_expr(k, s)
-    rhs = rhs_expr(k, s, kind)
-    bound_kf = certified_floor_ratio(rhs, Const(Fraction(deg)) * coeff)
     bound_k = bound_kf * deg
     refined = None
     final = bound_k
@@ -304,16 +394,22 @@ def exceptional_bound(k: int, s: int, kind: PairKind) -> tuple[int, int]:
 # -- sieve and fixed-point bounds for the scan ------------------------------
 
 
-def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:
-    """(phi, spf, gamma) for 0..limit: Euler totients, smallest prime
-    factors (spf[x] for x >= 2) and gamma(x) = p when x = p^t >= 2, else 1,
-    so that g(x) = ln gamma(x) / phi(x)."""
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[x] for 2 <= x <= limit (spf[0] = 0, spf[1] = 1)."""
     spf = list(range(limit + 1))
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == p:
             for q in range(p * p, limit + 1, p):
                 if spf[q] == q:
                     spf[q] = p
+    return spf
+
+
+def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:
+    """(phi, spf, gamma) for 0..limit: Euler totients, smallest prime
+    factors (spf[x] for x >= 2) and gamma(x) = p when x = p^t >= 2, else 1,
+    so that g(x) = ln gamma(x) / phi(x)."""
+    spf = _smallest_prime_factors(limit)
     phi = list(range(limit + 1))
     gamma = [1] * (limit + 1)
     for x in range(2, limit + 1):
@@ -332,8 +428,61 @@ def _fixed(expr: Expr) -> tuple[int, int]:
     return floor(mpf_to_fraction(ball.lower) * scale), ceil(mpf_to_fraction(ball.upper) * scale)
 
 
+def _fixed_atanh_inverse(n: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits atanh(1/n) <= hi, for n >= 3.
+
+    atanh(1/n) = sum_j 1 / ((2j + 1) n^(2j + 1)).  The terms with
+    n^(2j + 1) <= 2^bits are summed, each floored for lo and ceiled for
+    hi; the rest, for j >= J, is at most
+    x^(2J + 1) / ((2J + 1) (1 - x^2)) at x = 1/n, added to hi rounded up.
+    """
+    one = 1 << bits
+    lo = hi = 0
+    j, power = 0, n  # power = n^(2j + 1)
+    while power <= one:
+        lo += one // ((2 * j + 1) * power)
+        hi -= -one // ((2 * j + 1) * power)
+        j, power = j + 1, power * n * n
+    hi -= -(one * n * n) // ((2 * j + 1) * power * (n * n - 1))
+    return lo, hi
+
+
+@cache
+def _ln_prime_table() -> dict[int, tuple[int, int]]:
+    """{p: (lo, hi)} with lo <= 2^FIXED_BITS ln p <= hi for the primes
+    p <= TAIL_START, in integer arithmetic only.
+
+    ln p = ln(p - 1) + ln(p / (p - 1)) = ln(p - 1) + 2 atanh(1/(2p - 1)),
+    since (1 + y) / (1 - y) = p / (p - 1) at y = 1/(2p - 1); for p = 2 this
+    is ln 2 = 2 atanh(1/3).  ln(p - 1) is the sum of the bounds of the
+    smaller primes along the factorisation of p - 1.  Bounds are carried
+    in units of 2^-(FIXED_BITS + LN_GUARD_BITS) and sums of lower (upper)
+    bounds stay lower (upper) bounds; at the end lo is rounded down and hi
+    up to units of 2^-FIXED_BITS, so every enclosure still holds.
+    """
+    bits = FIXED_BITS + LN_GUARD_BITS
+    spf = _smallest_prime_factors(TAIL_START)
+    fine: dict[int, tuple[int, int]] = {}
+    for p in range(2, TAIL_START + 1):
+        if spf[p] != p:
+            continue
+        lo, hi = _fixed_atanh_inverse(2 * p - 1, bits)
+        lo, hi = 2 * lo, 2 * hi
+        x = p - 1
+        while x > 1:
+            q = spf[x]
+            lo, hi = lo + fine[q][0], hi + fine[q][1]
+            x //= q
+        fine[p] = lo, hi
+    return {p: (lo >> LN_GUARD_BITS, -(-hi >> LN_GUARD_BITS)) for p, (lo, hi) in fine.items()}
+
+
 @cache
 def _fixed_ln_prime(p: int) -> tuple[int, int]:
+    """Fixed-point bounds of ln p: the integer table for p <= TAIL_START,
+    one interval enclosure above it."""
+    if p <= TAIL_START:
+        return _ln_prime_table()[p]
     return _fixed(Ln(Const(Fraction(p))))
 
 
@@ -572,14 +721,15 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     a k or an s is skipped only by the certified bounds of `ScanBounds`,
     and a pair is dropped only when deg * c_lo > rhs_hi holds between
     integers.  A pair with c_lo <= 0 has its coefficient sign decided by
-    `coefficient_sign`, and every other non-exceptional pair is certified
-    by `survives` with interval arithmetic.  Larger k up to
-    k_max are covered by `tail_certificate`.  Results are deterministic.
+    `coefficient_sign`, and every other non-exceptional pair gets its one
+    certificate from `pair_floor`, which also gives the survivor's
+    bound_kf.  Larger k up to k_max are covered by `tail_certificate`.
+    Results are deterministic.
     """
     check_k_max(k_max)
     bounds = ScanBounds(kind, min(k_max, TAIL_START))
     exceptional = set(exceptional_pairs(kind))
-    near: list[tuple[int, int]] = []
+    survivors = []
     candidates = checked = 0
     for k in bounds.k_values:
         if not bounds.is_candidate(k):
@@ -591,8 +741,9 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
                 continue
             if bounds.c_lo(k, s) <= 0 and is_exceptional(k, s):
                 continue
-            near.append((k, s))
-    survivors = [pair_report(k, s, kind) for k, s in near if survives(k, s, kind)]
+            bound_kf = pair_floor(k, s, kind)
+            if bound_kf >= 1:
+                survivors.append(_report(k, s, kind, bound_kf))
     return SearchResult(
         kind=kind, k_max=k_max, survivors=tuple(survivors),
         exceptional=tuple(sorted(exceptional, key=lambda p: (p[1], p[0]))),

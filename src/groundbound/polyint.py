@@ -61,11 +61,14 @@ def pmul(p: Poly, q: Poly) -> Poly:
 
 
 def pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division; exact over Q (coefficients become Fractions)."""
+    """Euclidean division; exact over Q.  Coefficients become Fractions,
+    except that a monic q divides without any, so integer inputs give
+    integer quotient and remainder."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    monic = q[-1] == 1
+    rem = list(p) if monic else [Fraction(c) for c in p]
+    quo = [0 if monic else Fraction(0)] * max(len(p) - len(q) + 1, 0)
     dq, lc = degree(q), Fraction(q[-1])
     while len(rem) - 1 >= dq and any(rem):
         while rem and rem[-1] == 0:
@@ -73,10 +76,10 @@ def pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
         if len(rem) - 1 < dq:
             break
         shift = len(rem) - 1 - dq
-        factor = rem[-1] / lc
+        factor = rem[-1] if monic else rem[-1] / lc
         quo[shift] = factor
         for i, c in enumerate(q):
-            rem[shift + i] -= factor * Fraction(c)
+            rem[shift + i] -= factor * c
     return trim(quo), trim(rem)
 
 

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+
 import pytest
 
 from groundbound import pairs
@@ -259,11 +261,13 @@ def test_refinement_matches_g5_case():
 
 def test_each_coefficient_certified_once(monkeypatch):
     # the exceptional scan, `survives`, `pair_report` and the star family's
-    # repeats of complete-family pairs all ask for c(k, s); its sign depends
-    # only on the combination of logarithms, which is certified once
+    # repeats of complete-family pairs all ask for the sign of c(k, s); it
+    # depends only on the combination of logarithms, which is decided
+    # exactly once: by its integer bounds when they exclude zero, else by
+    # one `certify_sign`
     from collections import Counter
 
-    from groundbound.pairs import coefficient_expr, global_bound
+    from groundbound.pairs import global_bound
 
     pairs._combo_sign.cache_clear()
     pairs._all_exceptional_pairs.cache_clear()
@@ -282,11 +286,15 @@ def test_each_coefficient_certified_once(monkeypatch):
     monkeypatch.setattr(pairs, "certify_sign", certify_spy)
     for kind in (G5, G4):
         global_bound(kind, k_max=2000)
-    distinct = {p for p in set(asked) if pairs._log_combo(*p)}
-    coefficients = {coefficient_expr(*p) for p in distinct}
-    certified_coefficients = Counter(e for e in certified if e in coefficients)
-    assert len(asked) > 2 * len(distinct) > 2 * len(coefficients) > 0
-    assert sorted(certified_coefficients.values()) == [1] * len(coefficients)
+    for k, s in ((23, 3), (31, 3), (390, 3)):
+        assert survives(k, s, G5)
+        pair_report(k, s, G5, refine_above=10**9)
+    combos = {pairs._combo_terms(*p) for p in asked}
+    info = pairs._combo_sign.cache_info()
+    assert len(asked) > len(combos) > 300
+    assert info.misses == info.currsize == len(combos)
+    straddling = [c for c in combos if c and pairs._fixed_combo(c)[0] <= 0 <= pairs._fixed_combo(c)[1]]
+    assert Counter(certified) == Counter(pairs._combo_expr(c) for c in straddling)
 
 
 # -- the scan: every discard certified -------------------------------------------
@@ -386,32 +394,28 @@ def test_scan_bounds_enclose(kind):
 def test_every_discard_is_certified(monkeypatch):
     # every pair with 3 <= s <= k <= 4096 that is neither a survivor nor
     # exceptional is excluded by the certified candidate bound on k, by the
-    # divisor bound T_k on s, or by deg * c_lo > rhs_hi; every other pair
-    # went to `survives` or `coefficient_sign`
+    # divisor bound T_k on s, or by deg * c_lo > rhs_hi; every other pair,
+    # survivors included, reaches the per-pair certificate `pair_floor`
+    # exactly once
+    from collections import Counter
     from math import gcd
 
-    survives_calls, routed = [], set()
-    real_survives, real_sign = pairs.survives, pairs.coefficient_sign
+    certified = Counter()
+    real_floor = pairs.pair_floor
 
-    def survives_spy(k, s, kind):
-        survives_calls.append((k, s))
-        routed.add((k, s))
-        return real_survives(k, s, kind)
-
-    def sign_spy(k, s):
-        routed.add((k, s))
-        return real_sign(k, s)
+    def floor_spy(k, s, kind):
+        certified[kind, k, s] += 1
+        return real_floor(k, s, kind)
 
     for kind in (G5, G4):
-        exceptional_pairs(kind)  # memoized before the spies go in
-    monkeypatch.setattr(pairs, "survives", survives_spy)
-    monkeypatch.setattr(pairs, "coefficient_sign", sign_spy)
-    monkeypatch.setattr(pairs, "pair_report", lambda k, s, kind: (k, s))
+        exceptional_pairs(kind)  # memoized before the spy goes in
+    monkeypatch.setattr(pairs, "pair_floor", floor_spy)
+    monkeypatch.setattr(pairs, "_report", lambda k, s, kind, bound_kf: (k, s))
     reasons = {}
     for kind in (G5, G4):
-        routed.clear()
         result = search(kind, k_max=TAIL_START)
-        kept = set(result.survivors) | set(result.exceptional)
+        survivors, exceptional = set(result.survivors), set(result.exceptional)
+        assert all(certified[kind, k, s] == 1 for k, s in survivors)
         bounds = pairs.ScanBounds(kind, TAIL_START)
         phi = bounds.phi
         for k in bounds.k_values:
@@ -421,15 +425,141 @@ def test_every_discard_is_certified(monkeypatch):
                 continue
             bound = bounds.divisor_bound(k)
             for s in s_range:
-                if (k, s) in kept:
+                if (k, s) in survivors or (k, s) in exceptional:
                     continue
                 if bound is not None and phi[s // gcd(k, s)] >= bound:
                     reason = "T_k"
                 elif bounds.discards(k, s):
                     reason = "integer"
                 else:
-                    assert (k, s) in routed, (kind, k, s)
+                    assert certified[kind, k, s] == 1, (kind, k, s)
                     reason = "routed"
                 reasons[reason] = reasons.get(reason, 0) + 1
     assert all(reasons.get(r) for r in ("k", "T_k", "integer", "routed")), reasons
-    assert len(survives_calls) <= 683
+    assert set(certified.values()) == {1} and len(certified) <= 683
+
+
+# -- the per-pair certificate ------------------------------------------------------
+
+
+def test_ln_prime_table_encloses_the_interval_logarithms():
+    # the integer atanh table holds a 256-bit interval enclosure of ln p for
+    # every prime p <= 4096, at most 4 units of 2^-64 wide
+    from groundbound.balls import Const, Ln, eval_ball, mpf_to_fraction
+
+    table = pairs._ln_prime_table()
+    spf = pairs._smallest_prime_factors(TAIL_START)
+    assert sorted(table) == [p for p in range(2, TAIL_START + 1) if spf[p] == p]
+    assert len(table) == 564
+    scale = 2**pairs.FIXED_BITS
+    for p, (lo, hi) in table.items():
+        ball = eval_ball(Ln(Const(Fraction(p))), 256)
+        assert lo <= mpf_to_fraction(ball.lower) * scale, p
+        assert mpf_to_fraction(ball.upper) * scale <= hi, p
+        assert 0 < hi - lo <= 4, p
+        assert pairs._fixed_ln_prime(p) == (lo, hi)
+
+
+def _old_floor(k, s, kind):
+    """floor(rhs / (deg c)) and survival from the two evaluations the
+    certificate replaces."""
+    from groundbound.balls import Const, certify_sign
+
+    deg = Const(Fraction(pair_field_degree(k, s)))
+    rhs, coeff = pairs.rhs_expr(k, s, kind), pairs.coefficient_expr(k, s)
+    return (pairs.certified_floor_ratio(rhs, deg * coeff),
+            certify_sign(rhs - deg * coeff) == "GREATER")
+
+
+def test_pair_certificate_matches_the_ratio_ball(gamma5_search, gamma4_search):
+    # integers settle every survivor; each result equals the floor of the
+    # ratio ball and the two interval evaluations it replaced
+    checked = 0
+    for result in (gamma5_search, gamma4_search):
+        for r in result.survivors:
+            bound_kf = pairs.pair_floor(r.k, r.s, result.kind)
+            assert bound_kf == r.bound_kf >= 1
+            assert bound_kf == pairs._ratio_floor(r.k, r.s, result.kind)
+            assert (bound_kf, True) == _old_floor(r.k, r.s, result.kind)
+            checked += 1
+    assert checked == 416 + 265
+    rng = random.Random(1212)
+    samples = [(rng.randint(7, TAIL_START), 3, G4) for _ in range(100)]
+    samples += [(rng.randint(TAIL_START + 1, 10**7), rng.randint(3, 5000), G5) for _ in range(30)]
+    samples += [(rng.randint(TAIL_START + 1, 10**7), rng.choice((3, 4, 5)), G4) for _ in range(10)]
+    for k, s, kind in samples:
+        if is_exceptional(k, s):
+            continue
+        bound_kf = pairs.pair_floor(k, s, kind)
+        assert bound_kf == pairs._ratio_floor(k, s, kind), (k, s, kind)
+        assert (bound_kf, bound_kf >= 1) == _old_floor(k, s, kind), (k, s, kind)
+
+
+def test_forced_fallback_gives_the_same_report(monkeypatch):
+    # integer enclosures too wide to settle anything send every pair to the
+    # ratio ball, which certifies the same reports
+    pairs_to_check = [(23, 3, G5), (31, 3, G5), (390, 3, G5), (31, 3, G4), (113, 3, G5)]
+    expected = [pair_report(k, s, kind) for k, s, kind in pairs_to_check]
+    fallbacks = []
+    real_ratio = pairs._ratio_floor
+
+    def ratio_spy(k, s, kind):
+        fallbacks.append((k, s))
+        return real_ratio(k, s, kind)
+
+    real_sin = pairs._fixed_neg_ln_sin
+    monkeypatch.setattr(pairs, "_ratio_floor", ratio_spy)
+    monkeypatch.setattr(pairs, "_fixed_neg_ln_sin",
+                        lambda x: (real_sin(x)[0] - 2**60, real_sin(x)[1] + 2**60))
+    assert [pair_report(k, s, kind) for k, s, kind in pairs_to_check] == expected
+    assert fallbacks == [(k, s) for k, s, _ in pairs_to_check]
+    assert expected[-1].bound_kf == 0  # (113, 3) fails survival
+    assert not survives(113, 3, G5)
+    # a coefficient enclosure that does not exclude zero also falls back
+    fallbacks.clear()
+    monkeypatch.setattr(pairs, "_fixed_neg_ln_sin", real_sin)
+    monkeypatch.setattr(pairs, "_fixed_combo", lambda terms: (0, 2**64))
+    assert pair_report(31, 3, G5) == expected[1]
+    assert fallbacks == [(31, 3)]
+
+
+def test_eval_ball_budget_of_reproduce_all(tmp_path):
+    # a fresh `reproduce-all --kmax 2000`, with every module binding of
+    # `eval_ball` spied, evaluates at most 1100 balls (2868 with two
+    # evaluations per surviving pair and an interval enclosure per prime)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import importlib, pkgutil, sys
+import groundbound
+from groundbound import balls
+
+real, calls = balls.eval_ball, []
+
+def spy(*args, **kwargs):
+    calls.append(1)
+    return real(*args, **kwargs)
+
+for info in pkgutil.walk_packages(groundbound.__path__, "groundbound."):
+    importlib.import_module(info.name)
+for name, module in list(sys.modules.items()):
+    if name == "groundbound" or name.startswith("groundbound."):
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                setattr(module, attr, spy)
+from groundbound.cli import main
+
+status = main(["reproduce-all", "--kmax", "2000", "--out", sys.argv[1]])
+print(len(calls))
+sys.exit(status)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.text")],
+                          capture_output=True, text=True, env=env, timeout=900)
+    assert proc.returncode == 1, proc.stderr
+    calls = int(proc.stdout.split()[-1])
+    assert 500 < calls <= 1100, calls

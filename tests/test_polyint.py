@@ -67,3 +67,17 @@ def test_mod_p_irreducibility():
     assert P.is_irreducible_mod_p((-2, 0, 1), 3)  # x^2 - 2 mod 3
     assert not P.is_irreducible_mod_p((-1, 0, 1), 3)  # (x-1)(x+1)
     assert P.is_irreducible_mod_p((1, 1, 0, 1), 2)  # x^3 + x + 1 over F_2
+
+
+def test_monic_division_stays_integral():
+    # a monic divisor needs no Fractions: integer inputs give integer
+    # quotient and remainder, equal to the division over Q
+    p = P.dickson(40)
+    for n in (7, 31, 60):
+        psi = P.cos_minpoly(n)
+        q, r = P.pdivmod(p, psi)
+        assert all(type(c) is int for c in q + r)
+        assert P.padd(P.pmul(q, psi), r) == p
+        assert P.degree(r) < P.degree(psi)
+    q, r = P.pdivmod((1, 0, 3), (1, 2))  # not monic: over Q
+    assert q == (Fraction(-3, 4), Fraction(3, 2)) and r == (Fraction(7, 4),)
