@@ -3,11 +3,12 @@ reflection groups.
 
 Layers, bottom up:
 
-* ``polyint`` / ``cyclo`` / ``algreal`` / ``balls`` -- exact arithmetic:
-  integer polynomials, real cyclotomic elements, algebraic reals, and
-  adaptive-precision certified interval evaluation;
+* ``polyint`` / ``cyclo`` / ``balls`` -- exact arithmetic: integer
+  polynomials, real cyclotomic elements, and adaptive-precision certified
+  interval evaluation;
 * ``fields`` -- invariants of the fields Q(cos^2(pi/l), ...): degrees,
-  embeddings, exact norms, conductor-discriminant discriminants;
+  embeddings, exact norms, and discriminants from the
+  conductor-discriminant formula, counted by subgroup indices;
 * ``bounds`` -- the least-N solver for the key inequality
   N ln(1/R) - M ln(2N+2) - ln B >= ln S, and the one Method-A derivation
   of (M, B, R, S) from an interval width;
@@ -25,11 +26,9 @@ Layers, bottom up:
 from .balls import Ball, certify_compare, eval_ball
 from .bounds import BoundProblem, BoundResult, method_a_problem, solve
 from .cyclo import CycloElement
-from .algreal import AlgebraicReal
 from .fields import RealCyclotomicField, field_discriminant, field_norm
 
 __all__ = [
-    "AlgebraicReal",
     "Ball",
     "BoundProblem",
     "BoundResult",

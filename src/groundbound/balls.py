@@ -1,8 +1,8 @@
 """Certified real evaluation: expression trees, interval balls, comparisons.
 
 Expressions are immutable trees over exact leaves (rationals, cyclotomic
-elements, algebraic reals, pi, e) with ln/exp/sqrt/sin and rational-power
-nodes.  `eval_ball` encloses the exact value in an outward-rounded interval
+elements, pi, e) with ln/exp/sqrt/sin and rational-power nodes.
+`eval_ball` encloses the exact value in an outward-rounded interval
 computed on raw `mpmath.libmp` interval tuples (`libmpi` calls on (lo, hi)
 pairs of raw mpfs); it never touches `mpmath.iv`.  It is the one precision
 loop, doubling the working precision until its caller accepts the
@@ -26,7 +26,6 @@ from mpmath.libmp import (
 )
 from mpmath.libmp.libmpi import mpi_pi
 
-from .algreal import AlgebraicReal
 from .cyclo import CycloElement
 from .errors import DomainError, UndecidableError
 
@@ -150,15 +149,6 @@ class AlgConst(Expr):
         if self.value.is_rational():
             return str(self.value.as_rational())
         return f"cyclo(n={self.value.n}, {list(self.value.coeffs)})"
-
-
-@dataclass(frozen=True)
-class RootConst(Expr):
-    __slots__ = ("value",)
-    value: AlgebraicReal
-
-    def __str__(self):
-        return f"root({list(self.value.minpoly)} in {self.value.interval})"
 
 
 class _PiConst(Expr):
@@ -288,8 +278,6 @@ def as_expr(x) -> Expr:
         return Const(Fraction(x))
     if isinstance(x, CycloElement):
         return AlgConst(x)
-    if isinstance(x, AlgebraicReal):
-        return RootConst(x)
     raise TypeError(f"cannot build an expression from {x!r}")
 
 
@@ -372,23 +360,22 @@ def _cyclo(x: CycloElement, prec: int):
     return acc
 
 
-def _iv_eval(expr: Expr, prec: int, bits: int):
-    """Enclosure of `expr` at working precision `prec`; `bits` sets how far
-    algebraic-real leaves are refined."""
+def _iv_eval(expr: Expr, prec: int):
+    """Enclosure of `expr` at working precision `prec`."""
     t = type(expr)
     if t is Const:
         return _fraction(expr.value, prec)
     if t is Add:
-        return mpi_add(_iv_eval(expr.left, prec, bits), _iv_eval(expr.right, prec, bits), prec)
+        return mpi_add(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
     if t is Sub:
-        return mpi_sub(_iv_eval(expr.left, prec, bits), _iv_eval(expr.right, prec, bits), prec)
+        return mpi_sub(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
     if t is Mul:
-        return mpi_mul(_iv_eval(expr.left, prec, bits), _iv_eval(expr.right, prec, bits), prec)
+        return mpi_mul(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
     if t is Div:
-        denom = _iv_eval(expr.right, prec, bits)
+        denom = _iv_eval(expr.right, prec)
         if mpf_sign(denom[0]) <= 0 <= mpf_sign(denom[1]):
             raise _Inconclusive("division by an interval containing zero")
-        return mpi_div(_iv_eval(expr.left, prec, bits), denom, prec)
+        return mpi_div(_iv_eval(expr.left, prec), denom, prec)
     if t is Ln:
         arg = expr.arg
         if type(arg) is Const:
@@ -398,16 +385,16 @@ def _iv_eval(expr: Expr, prec: int, bits: int):
             q = _pi_over_const(arg.arg)
             if q is not None:
                 return _ln_sin_pi_over(q.numerator, q.denominator, prec)
-        return _log(_iv_eval(arg, prec, bits), prec)
+        return _log(_iv_eval(arg, prec), prec)
     if t is Sin:
         q = _pi_over_const(expr.arg)
         if q is not None:
             return _sin_pi_over(q.numerator, q.denominator, prec)
-        return mpi_sin(_iv_eval(expr.arg, prec, bits), prec)
+        return mpi_sin(_iv_eval(expr.arg, prec), prec)
     if t is Neg:
-        return mpi_neg(_iv_eval(expr.arg, prec, bits), prec)
+        return mpi_neg(_iv_eval(expr.arg, prec), prec)
     if t is Pow:
-        arg = _iv_eval(expr.arg, prec, bits)
+        arg = _iv_eval(expr.arg, prec)
         e = expr.exponent
         if e.denominator == 1:
             k = e.numerator
@@ -420,19 +407,16 @@ def _iv_eval(expr: Expr, prec: int, bits: int):
             raise _Inconclusive("rational power argument not certified positive")
         return mpi_exp(mpi_mul(mpi_log(arg, prec), _fraction(e, prec), prec), prec)
     if t is Sqrt:
-        arg = _iv_eval(expr.arg, prec, bits)
+        arg = _iv_eval(expr.arg, prec)
         if mpf_sign(arg[1]) < 0:
             raise DomainError("sqrt of a certified-negative value")
         if mpf_sign(arg[0]) < 0:
             raise _Inconclusive("sqrt argument not certified nonnegative")
         return mpi_sqrt(arg, prec)
     if t is ExpNode:
-        return mpi_exp(_iv_eval(expr.arg, prec, bits), prec)
+        return mpi_exp(_iv_eval(expr.arg, prec), prec)
     if t is AlgConst:
         return _cyclo(expr.value, prec)
-    if t is RootConst:
-        lo, hi = expr.value.refine_bits(bits + 8)
-        return _fraction(lo, prec)[0], _fraction(hi, prec)[1]
     if t is _PiConst:
         return mpi_pi(prec)
     if t is _EConst:
@@ -480,7 +464,7 @@ def eval_ball(
     reason = "the start precision is above the cap"
     while bits <= cap_bits:
         try:
-            lo_raw, hi_raw = _iv_eval(expr, bits + 16, bits)
+            lo_raw, hi_raw = _iv_eval(expr, bits + 16)
         except _Inconclusive as exc:
             reason = exc
         else:
@@ -521,11 +505,6 @@ def _exact(expr: Expr):
         v = expr.value
         return v.as_rational() if v.is_rational() else v
     if isinstance(expr, _PiConst) or isinstance(expr, _EConst):
-        raise _NotExact
-    if isinstance(expr, RootConst):
-        lo, hi = expr.value.interval
-        if lo == hi:
-            return lo
         raise _NotExact
     if isinstance(expr, Add):
         return _exact(expr.left) + _exact(expr.right)

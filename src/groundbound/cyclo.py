@@ -18,19 +18,30 @@ from .errors import InvalidModulus
 from . import polyint as P
 
 
+def _factorize(n: int) -> tuple:
+    """((p, v), ...) with n = prod p^v, primes increasing, by trial division."""
+    out = []
+    x, p = n, 2
+    while p * p <= x:
+        if x % p == 0:
+            v = 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            out.append((p, v))
+        p += 1
+    if x > 1:
+        out.append((x, 1))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise InvalidModulus(f"modulus {n} < 1")
-    result, x, p = n, n, 2
-    while p * p <= x:
-        if x % p == 0:
-            while x % p == 0:
-                x //= p
-            result -= result // p
-        p += 1
-    if x > 1:
-        result -= result // x
+    result = n
+    for p, _ in _factorize(n):
+        result -= result // p
     return result
 
 
@@ -42,14 +53,8 @@ def gamma_norm_constant(n: int) -> int:
     """
     if n < 3:
         raise InvalidModulus(f"modulus {n} < 3")
-    x, p = n, 2
-    while p * p <= x:
-        if x % p == 0:
-            while x % p == 0:
-                x //= p
-            return p if x == 1 else 1
-        p += 1
-    return x  # n prime
+    factors = _factorize(n)
+    return factors[0][0] if len(factors) == 1 else 1
 
 
 def field_degree(n: int) -> int:

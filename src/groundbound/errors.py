@@ -41,10 +41,6 @@ class MissingRange(GroundboundError):
     """Unbounded graph family enumerated without an explicit range."""
 
 
-class SizeExceeded(GroundboundError):
-    """Cyclic-product enumeration requested on a matrix that is too large."""
-
-
 class InfeasibleCase(GroundboundError):
     """Bound assembly requested for a case that is not FEASIBLE."""
 

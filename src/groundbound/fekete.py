@@ -195,20 +195,14 @@ def chebyshev_linear_forms(field: RealCyclotomicField, intervals: dict, n: int) 
 # -- certification -----------------------------------------------------------
 
 
-def fekete_bound_expr(field: RealCyclotomicField, intervals: dict, n: int,
-                      weight: Fraction = Fraction(1)) -> Expr:
-    """lambda * |disc F|^(1/2M) * 2^(n/(n+1)) * (n+1) * (prod (b-a)/4)^(n/2M).
-
-    `weight` is the per-embedding factor lambda_sigma of the weighted
-    statement; the weights must multiply to 1 over all embeddings.  The
-    bound pipelines always use lambda = 1.
-    """
+def fekete_bound_expr(field: RealCyclotomicField, intervals: dict, n: int) -> Expr:
+    """|disc F|^(1/2M) * 2^(n/(n+1)) * (n+1) * (prod (b-a)/4)^(n/2M)."""
     m = field.degree
     prod = Fraction(1)
     for a, b in intervals.values():
         prod *= (Fraction(b) - Fraction(a)) / 4
     disc = field_discriminant(field)
-    out: Expr = Const(Fraction(n + 1) * weight)
+    out: Expr = Const(Fraction(n + 1))
     if disc != 1:
         out = out * Pow(Const(Fraction(disc)), Fraction(1, 2 * m))
     if n:
@@ -272,8 +266,7 @@ def _coefficients_from_alpha(field, basis, alpha):
     return tuple(out)
 
 
-def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
-                          weights: dict | None = None) -> FeketeCertificate:
+def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int) -> FeketeCertificate:
     """Nonzero integral polynomial of degree <= n with certified sup norms
     below the theoretical bound on every embedding's interval.
 
@@ -282,9 +275,6 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
     vectors are certified in the order `_lll` returns them, then the box
     `_box_combinations` over the first BOX_VECTORS of them.  In every
     problem measured so far the first reduced vector certifies.
-    `weights` optionally supplies the per-embedding factors of the
-    weighted statement (product must be 1); the bound pipelines never
-    set them.
     """
     if field.degree > 2:
         raise GroundboundError("search implemented for fields of degree <= 2")
@@ -293,26 +283,15 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int,
     for emb, (a, b) in intervals.items():
         if Fraction(a) >= Fraction(b):
             raise InvalidInput(f"interval [{a}, {b}] at {emb} is empty")
-    if weights is not None:
-        total = Fraction(1)
-        for w in weights.values():
-            total *= Fraction(w)
-        if total != 1:
-            raise GroundboundError("embedding weights must multiply to 1")
     forms = chebyshev_linear_forms(field, intervals, n)
     bound = fekete_bound_expr(field, intervals, n)
-
-    def bound_for(emb) -> Expr:
-        if weights is None:
-            return bound
-        return fekete_bound_expr(field, intervals, n, Fraction(weights[emb]))
 
     def certify(alpha) -> FeketeCertificate | None:
         coeffs = _coefficients_from_alpha(field, forms.basis, alpha)
         sups = []
         for emb, interval in forms.intervals:
             sup = certify_sup_norm(coeffs, emb, interval)
-            cmp = certify_compare(AlgConst(sup), bound_for(emb))
+            cmp = certify_compare(AlgConst(sup), bound)
             if cmp == balls.GREATER or cmp == balls.UNDECIDED:
                 return None
             sups.append(sup)

@@ -13,8 +13,8 @@ Conventions
   the smallest representative; the identity embedding is the class of 1.
 * norms are exact products of conjugates (with a fast resultant-style
   path for linear elements of the full field); discriminants come from
-  the conductor-discriminant formula over Dirichlet characters trivial
-  on H.
+  the conductor-discriminant formula, whose conductor exponents are
+  counted by the indices of H in the unit groups (Z/d)* for d | n.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import polyint as P
-from .cyclo import CycloElement, euler_phi, field_degree, gamma_norm_constant, sin2_pi_over
+from .cyclo import CycloElement, _factorize, euler_phi, field_degree, gamma_norm_constant, sin2_pi_over
 from .errors import ElementNotInField, InvalidModulus
 
 RATIONAL_COSINE_MODULI = frozenset({3, 4, 6})
@@ -222,140 +222,28 @@ def norm_4sin2_closed_form(field: RealCyclotomicField, l: int) -> Fraction:
 # -- conductor-discriminant ------------------------------------------------
 
 
-def _unit_group_generators(n: int) -> list[tuple[int, int]]:
-    """Generators (g, order) of (Z/n)* via CRT on prime powers."""
-    if n <= 2:
-        return []
-    factors = []
-    x, p = n, 2
-    while p * p <= x:
-        if x % p == 0:
-            e = 0
-            while x % p == 0:
-                x //= p
-                e += 1
-            factors.append((p, e))
-        p += 1
-    if x > 1:
-        factors.append((x, 1))
-    gens = []
-    for p, e in factors:
-        q = p**e
-        rest = n // q
-        if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                gens.append((_crt_lift(3, q, rest, n), 2))
-            else:
-                gens.append((_crt_lift(q - 1, q, rest, n), 2))
-                gens.append((_crt_lift(5, q, rest, n), 2 ** (e - 2)))
-        else:
-            g = _primitive_root(q, p)
-            gens.append((_crt_lift(g, q, rest, n), euler_phi(q)))
-    return gens
-
-
-def _crt_lift(g: int, q: int, rest: int, n: int) -> int:
-    """Element of (Z/n)* that is g mod q and 1 mod rest."""
-    if rest == 1:
-        return g % n
-    inv = pow(q, -1, rest)
-    return (g + q * ((1 - g) * inv % rest)) % n
-
-
-def _primitive_root(q: int, p: int) -> int:
-    order = euler_phi(q)
-    prime_factors = set()
-    m, r = order, 2
-    while r * r <= m:
-        if m % r == 0:
-            prime_factors.add(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        prime_factors.add(m)
-    for g in range(2, q):
-        if gcd(g, q) != 1:
-            continue
-        if all(pow(g, order // f, q) != 1 for f in prime_factors):
-            return g
-    raise RuntimeError(f"no primitive root mod {q}")
-
-
-@lru_cache(maxsize=None)
-def _dlog_table(n: int) -> tuple:
-    """(generators, {a: exponent vector}) for (Z/n)*."""
-    gens = _unit_group_generators(n)
-    table = {1: tuple(0 for _ in gens)}
-    frontier = [(1, tuple(0 for _ in gens))]
-    # BFS over the group; sizes here are tiny (n <= a few hundred)
-    while frontier:
-        a, vec = frontier.pop()
-        for i, (g, order) in enumerate(gens):
-            b = a * g % n
-            if b not in table:
-                nv = list(vec)
-                nv[i] = (nv[i] + 1) % order
-                table[b] = tuple(nv)
-                frontier.append((b, tuple(nv)))
-    assert len(table) == euler_phi(n)
-    return tuple(gens), table
-
-
-def _characters_trivial_on(n: int, subgroup) -> list[tuple]:
-    """Exponent tuples t of characters of (Z/n)* trivial on `subgroup`.
-
-    chi_t(a) = exp(2 pi i * sum_i t_i * dlog_i(a) / order_i).
-    """
-    gens, table = _dlog_table(n)
-    orders = [o for _, o in gens]
-
-    def trivial_on(t, a):
-        vec = table[a % n]
-        return sum(Fraction(ti * vi, oi) for ti, vi, oi in zip(t, vec, orders)) % 1 == 0
-
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == len(orders):
-            if all(trivial_on(prefix, h) for h in subgroup):
-                out.append(tuple(prefix))
-            return
-        for t in range(orders[len(prefix)]):
-            rec(prefix + [t])
-
-    rec([])
-    return out
-
-
-def _conductor(n: int, t: tuple) -> int:
-    """Conductor of the character with exponent tuple t: the least f | n
-    such that the character is trivial on the kernel of (Z/n)* -> (Z/f)*."""
-    gens, table = _dlog_table(n)
-    orders = [o for _, o in gens]
-
-    def is_trivial_at(a):
-        vec = table[a]
-        return sum(Fraction(ti * vi, oi) for ti, vi, oi in zip(t, vec, orders)) % 1 == 0
-
-    divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
-    for f in divisors:
-        kernel = [a for a in range(1, n) if gcd(a, n) == 1 and a % f == 1 % f]
-        if all(is_trivial_at(a) for a in kernel):
-            return f
-    return n
-
-
 @lru_cache(maxsize=None)
 def field_discriminant(field: RealCyclotomicField) -> int:
-    """|disc F| by the conductor-discriminant formula."""
-    if field.degree == 1:
-        return 1
-    n = field.n
-    subgroup = field.fixing_group
+    """|disc F| by the conductor-discriminant formula, in subgroup indices.
+
+    |disc F| is the product of the conductors f_chi of the deg = [F:Q]
+    Dirichlet characters chi mod n trivial on H = `field.fixing_group`
+    (Washington, Introduction to Cyclotomic Fields, Thm 3.11).  Write
+    f_chi = prod p^a_p(chi) and let p^v exactly divide n.  For 1 <= a <= v,
+    a_p(chi) < a exactly when chi factors through (Z/d)* with
+    d = n / p^(v-a+1).  The characters trivial on H that do are the
+    characters of (Z/d)* / (H mod d), so there are phi(d) / |H mod d| of
+    them, and deg - phi(d) / |H mod d| characters have a_p(chi) >= a.
+    Summing over a,
+
+        |disc F| = prod_p p^(sum_{a=1..v} (deg - phi(d) / |H mod d|)).
+    """
+    n, deg = field.n, field.degree
     disc = 1
-    for t in _characters_trivial_on(n, subgroup):
-        disc *= _conductor(n, t)
+    for p, v in _factorize(n):
+        exponent = 0
+        for a in range(1, v + 1):
+            d = n // p ** (v - a + 1)
+            exponent += deg - euler_phi(d) // len({h % d for h in field.fixing_group})
+        disc *= p**exponent
     return disc

@@ -28,10 +28,10 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import lru_cache
+from math import lcm
 
 from . import balls
-from .algreal import AlgebraicReal
 from .balls import AlgConst, Const, as_expr, certify_sign
 from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import CycloElement
@@ -40,11 +40,9 @@ from .errors import (
     InfeasibleCase,
     InvalidInput,
     MissingRange,
-    SizeExceeded,
     UndecidableError,
 )
 from .fields import RealCyclotomicField, field_norm
-from . import polyint as P
 
 MINIMALITY = 14
 
@@ -143,8 +141,11 @@ _G4_SR = ((3, 3), (3, 4), (3, 5), (4, 3), (5, 3))
 
 def enumerate_cases(family: Family, k_range=None) -> list[EdgeGraphCase]:
     """Admissible parameter tuples in the deterministic report order: the
-    order of the published table for G1-G3, k-major for G4 and G5."""
+    order of the published table for G1-G3, k-major for G4 and G5.  The
+    G1-G3 cases are the published ones, so those families take no k range."""
     if family in _PUBLISHED:
+        if k_range is not None:
+            raise InvalidInput(f"{family.value} has a fixed case list and takes no k range")
         names = _param_names(family)
         return [EdgeGraphCase(family, **dict(zip(names, key))) for key in _PUBLISHED[family]]
     if k_range is None:
@@ -345,10 +346,17 @@ def discriminant_like(case: EdgeGraphCase) -> CycloElement:
     raise ValueError(f)
 
 
+@lru_cache(maxsize=8)
+def _field_and_d(case: EdgeGraphCase) -> tuple[RealCyclotomicField, CycloElement]:
+    """(F, D) of the case, shared by the feasibility signs and the Method-A
+    width: one `case_bound` needs both, and a G3 s = 2 case needs them again
+    for its improved row, so the latest few cases are kept."""
+    return field_of(case), discriminant_like(case)
+
+
 def feasibility(case: EdgeGraphCase) -> Feasibility:
     """Certified sign analysis of the discriminant-like quantity."""
-    F = field_of(case)
-    d = discriminant_like(case)
+    F, d = _field_and_d(case)
     signs = []
     for emb in F.embeddings():
         sign = certify_sign(AlgConst(emb.apply(d)))
@@ -378,10 +386,10 @@ def method_a_width(case: EdgeGraphCase, variant: Variant) -> tuple[CycloElement,
         G3 u^2: (D / (4 lead^2))^2, 14^2
         G4 u-tilde: 16 D^2, 16^2  G5 u^2: D^2, 14^2
     """
-    d = discriminant_like(case)
+    F, d = _field_and_d(case)
     f = case.family
     if f in (Family.G2, Family.G3):
-        lead = field_of(case).sin2(case.p if f == Family.G2 else case.r)
+        lead = F.sin2(case.p if f == Family.G2 else case.r)
     if f == Family.G1 and variant == Variant.U:
         return 4 * d, 16
     if f in (Family.G2, Family.G3) and variant == Variant.U:
@@ -410,7 +418,7 @@ def bound_problem(case: EdgeGraphCase, variant: Variant | None = None, m: int = 
 
 def _feasible_problem(case: EdgeGraphCase, variant: Variant, m: int) -> BoundProblem:
     """`bound_problem` for a case already certified FEASIBLE."""
-    F = field_of(case)
+    F = _field_and_d(case)[0]
     width_sq, radius = method_a_width(case, variant)
     return method_a_problem(F, width_sq, field_norm(F, width_sq), radius, m)
 
@@ -487,7 +495,7 @@ def case_bound(case: EdgeGraphCase, variant: Variant | None = None, m: int = 1,
     if variant is None:
         variant = default_variant(case.family)
     feas = feasibility(case)
-    F = field_of(case)
+    F = _field_and_d(case)[0]
     if feas == Feasibility.FORCES_FIELD_EQUALS_F:
         return CaseBound(case=case, variant=variant, m=m, mechanism="forced_degree",
                          field_degree=F.degree, least_n=None, bound=F.degree,
@@ -539,180 +547,3 @@ def family_bound(family: Family, k_range=None) -> FamilyTable:
     argmax = max(finals, key=lambda c: (finals[c], c.params()))
     return FamilyTable(family=family, rows=tuple(rows),
                        maximum=finals[argmax], argmax=argmax)
-
-
-# -- cyclic products ----------------------------------------------------------
-
-
-def cyclic_products(case_or_matrix, max_size: int = 6) -> list:
-    """Vinberg cyclic products over simple cycles, symbolic in u.
-
-    Returns (cycle, value) pairs, one per simple cycle up to rotation and
-    reflection, ordered by (length, vertex tuple).  Values are u-polynomials
-    (tuples of cyclotomic coefficients).
-    """
-    if isinstance(case_or_matrix, EdgeGraphCase):
-        rows = symbolic_gram(case_or_matrix)
-        n = ambient_modulus(case_or_matrix)
-    else:
-        rows = case_or_matrix
-        n = rows[0][0][0].n
-    size = len(rows)
-    if size > max_size:
-        raise SizeExceeded(f"size {size} > {max_size}")
-    zero = CycloElement.rational(n, 0)
-    out = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            value = _upoly_mul(rows[i][j], rows[i][j], zero)
-            out.append(((i, j), value))
-    for length in range(3, size + 1):
-        for subset in itertools.combinations(range(size), length):
-            start = subset[0]
-            rest = subset[1:]
-            seen = set()
-            for perm in itertools.permutations(rest):
-                if perm[0] > perm[-1]:  # reflection canonicalization
-                    continue
-                cycle = (start,) + perm
-                if cycle in seen:
-                    continue
-                seen.add(cycle)
-                value = (CycloElement.rational(n, 1),)
-                for a, b in zip(cycle, cycle[1:] + (start,)):
-                    value = _upoly_mul(value, rows[a][b], zero)
-                out.append((cycle, value))
-    out.sort(key=lambda item: (len(item[0]), item[0]))
-    return out
-
-
-# -- V-arithmeticity of explicit algebraic u ---------------------------------
-
-
-@dataclass(frozen=True)
-class VArithmeticCertificate:
-    ok: bool
-    reason: str
-
-
-def is_varithmetic(case: EdgeGraphCase, u: AlgebraicReal) -> VArithmeticCertificate:
-    """Certified check that the algebraic integer u makes the case
-    V-arithmetic.
-
-    Fully supported when the parameter field F is Q and the variant value
-    has a rational admissibility threshold (all G5 cases with rational
-    cosines, and the symmetric s = 2 cases of G3).  For larger F the
-    forced-degree refutation is certified; other configurations raise.
-    """
-    if not u.is_integer_monic():
-        return VArithmeticCertificate(False, "u is not an algebraic integer")
-    poly = u.minpoly
-    roots = AlgebraicReal.roots_of(poly)
-    if len(roots) != P.degree(poly):
-        return VArithmeticCertificate(False, "u is not totally real")
-    lo, hi = u.interval
-    if u.compare_rational(2) <= 0 or u.compare_rational(MINIMALITY) >= 0:
-        return VArithmeticCertificate(False, "identity value outside (2, 14)")
-    if not _mod_p_irreducible_screen(poly):
-        return VArithmeticCertificate(False, "minimal polynomial fails the irreducibility screen")
-
-    F = field_of(case)
-    if F.degree > 1:
-        feas = feasibility(case)
-        if feas == Feasibility.FORCES_FIELD_EQUALS_F and P.degree(poly) > F.degree:
-            return VArithmeticCertificate(
-                False,
-                "identity discriminant negative: the ground field equals F, "
-                f"so no u of degree {P.degree(poly)} > {F.degree} is admissible",
-            )
-        raise GroundboundError(
-            "is_varithmetic over a nontrivial parameter field needs a cyclotomic "
-            "representation of u; only the forced-degree refutation is certified"
-        )
-
-    threshold = _rational_square_threshold(case)
-    if threshold is None:
-        raise GroundboundError(
-            f"no rational admissibility threshold for {case.label()}"
-        )
-    squares = _distinct_square_values(poly)
-    for w in squares:
-        if _is_identity_square(w, u):
-            continue  # the identity embedding of K
-        cmp = w.compare_rational(threshold)
-        if cmp >= 0:
-            return VArithmeticCertificate(
-                False, f"conjugate square {w.approx():.6f} not below {threshold}"
-            )
-    return VArithmeticCertificate(True, "all conjugate squares inside the admissible interval")
-
-
-def _rational_square_threshold(case: EdgeGraphCase) -> Fraction | None:
-    """Rational w with the non-identity condition sigma(u^2) < w, when the
-    variant has the symmetric form; None otherwise."""
-    d = discriminant_like(case)
-    if case.family == Family.G5:
-        return d.as_rational() if d.is_rational() else None
-    if case.family == Family.G3 and case.s == 2:
-        F = field_of(case)
-        lead = F.sin2(case.r)
-        top = d / (4 * lead * lead)
-        return top.as_rational() if top.is_rational() else None
-    return None
-
-
-def _distinct_square_values(poly) -> list[AlgebraicReal]:
-    """Roots of the squarefree polynomial whose roots are squares of
-    the roots of `poly` (p(x) p(-x) written in y = x^2)."""
-    even = P.trim(tuple(c for i, c in enumerate(poly) if i % 2 == 0))
-    odd = P.trim(tuple(c for i, c in enumerate(poly) if i % 2 == 1))
-    c_poly = P.psub(P.pmul(even, even), P.pmul((0, 1), P.pmul(odd, odd)))
-    g = P.pgcd(c_poly, P.pderiv(c_poly))
-    sf, rem = P.pdivmod(c_poly, g)
-    assert not rem
-    return AlgebraicReal.roots_of(_clear_denominators(sf))
-
-
-def _clear_denominators(poly) -> tuple:
-    denom = 1
-    for c in poly:
-        denom = lcm(denom, Fraction(c).denominator)
-    return tuple(int(Fraction(c) * denom) for c in poly)
-
-
-def _is_identity_square(w: AlgebraicReal, u: AlgebraicReal) -> bool:
-    """Whether the root w equals u^2, by refining both until the intervals
-    separate; equal values never separate (w and u^2 share a squarefree
-    defining polynomial root, so persistent overlap means identity)."""
-    for extra in (40, 80, 160):
-        a = w.refine(Fraction(1, 2**extra))
-        lo, hi = u.refine(Fraction(1, 2**extra))
-        if lo <= 0 <= hi:
-            b = (Fraction(0), max(lo * lo, hi * hi))
-        else:
-            b = (min(lo * lo, hi * hi), max(lo * lo, hi * hi))
-        if a[1] < b[0] or b[1] < a[0]:
-            return False
-    return True
-
-
-def _mod_p_irreducible_screen(poly) -> bool:
-    """Accept if irreducible mod some prime < 100, or degree <= 2 with a
-    non-square discriminant, or degree 1; otherwise accept with a rational
-    root check only (conservative screen, not a full proof)."""
-    n = P.degree(poly)
-    if n == 1:
-        return True
-    if n == 2:
-        a, b, c = poly[2], poly[1], poly[0]
-        disc = b * b - 4 * a * c
-        return disc < 0 or isqrt(disc) ** 2 != disc
-    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
-        if poly[-1] % q and P.is_irreducible_mod_p(poly, q):
-            return True
-    # no small-prime certificate; reject only on a rational root
-    for r_num in range(-abs(poly[0]) - 1, abs(poly[0]) + 2):
-        if poly[0] and r_num and poly[0] % r_num == 0:
-            if P.peval(poly, Fraction(r_num)) == 0:
-                return False
-    return True

@@ -50,7 +50,7 @@ from .balls import (
     within_one_integer_step,
 )
 from .bounds import BoundProblem, method_a_problem, solve
-from .cyclo import euler_phi, gamma_norm_constant
+from .cyclo import _factorize, euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, norm_4sin2_closed_form
 from .graphs import Family, FamilyTable, family_bound
@@ -265,12 +265,9 @@ def _fixed_neg_ln_sin(x: int) -> tuple[int, int]:
 def _fixed_ln(n: int) -> tuple[int, int]:
     """Fixed-point bounds of ln n for n >= 1, summed along its factorisation."""
     lo = hi = 0
-    p = 2
-    while n > 1:
-        while n % p:
-            p += 1
+    for p, v in _factorize(n):
         a, b = _fixed_ln_prime(p)
-        lo, hi, n = lo + a, hi + b, n // p
+        lo, hi = lo + v * a, hi + v * b
     return lo, hi
 
 

@@ -91,25 +91,6 @@ def peval(p: Poly, x):
     return acc
 
 
-def pderiv(p: Poly) -> Poly:
-    return trim(i * c for i, c in enumerate(p) if i >= 1)
-
-
-def pgcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over Q."""
-    a, b = p, q
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    if not a:
-        return ()
-    lc = Fraction(a[-1])
-    return trim(Fraction(c) / lc for c in a)
-
-
-def is_squarefree(p: Poly) -> bool:
-    return degree(pgcd(p, pderiv(p))) <= 0
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
     """Integer coefficients of the n-th cyclotomic polynomial."""
@@ -173,133 +154,3 @@ def dickson(m: int) -> Poly:
     for _ in range(m - 1):
         a, b = b, psub(pmul((0, 1), b), a)
     return b
-
-
-def sturm_chain(p: Poly) -> list:
-    chain = [p, pderiv(p)]
-    while chain[-1]:
-        r = pdivmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append(pneg(r))
-    return [c for c in chain if c]
-
-
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = peval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]; p must be squarefree."""
-    chain = sturm_chain(p)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def root_bound(p: Poly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    lc = abs(Fraction(p[-1]))
-    return 1 + max(abs(Fraction(c)) / lc for c in p[:-1]) if len(p) > 1 else Fraction(1)
-
-
-def isolate_real_roots(p: Poly) -> list:
-    """Disjoint rational intervals (lo, hi], one per distinct real root.
-
-    Requires p squarefree.  Intervals are returned in increasing order.
-    """
-    if not is_squarefree(p):
-        raise ValueError("polynomial must be squarefree")
-    chain = sturm_chain(p)
-    bound = root_bound(p)
-    total = _sign_changes(chain, -bound) - _sign_changes(chain, bound)
-    out = []
-
-    def split(lo, hi, count):
-        if count == 0:
-            return
-        if count == 1:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        # nudge off an exact root so interval semantics (lo, hi] stay clean
-        while peval(p, mid) == 0:
-            mid = (lo + mid) / 2
-        left = _sign_changes(chain, lo) - _sign_changes(chain, mid)
-        split(lo, mid, left)
-        split(mid, hi, count - left)
-
-    split(-bound, bound, total)
-    return sorted(out)
-
-
-def is_irreducible_mod_p(p: Poly, q: int) -> bool:
-    """Rabin's irreducibility test for p over F_q (q prime, q not dividing lc)."""
-    n = degree(p)
-    if n <= 0:
-        return False
-    pm = tuple(int(c) % q for c in p)
-    if pm[-1] % q == 0 or degree(trim(pm)) != n:
-        return False
-
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % q
-        return _polymod(trim(out), pm, q)
-
-    def powmod_x(e):
-        result, base = (1,), (0, 1)
-        while e:
-            if e & 1:
-                result = mulmod(result, base)
-            base = mulmod(base, base)
-            e >>= 1
-        return result
-
-    def gcd_mod(a, b):
-        while b:
-            a, b = b, _polymod(a, b, q)
-        return a
-
-    # x^(q^n) == x mod p, and gcd(x^(q^(n/r)) - x, p) = 1 for prime r | n
-    if psub(powmod_x(q**n), (0, 1)) and _polymod(psub(powmod_x(q**n), (0, 1)), pm, q):
-        return False
-    m = n
-    r = 2
-    factors = set()
-    while r * r <= m:
-        if m % r == 0:
-            factors.add(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        factors.add(m)
-    for r in factors:
-        g = gcd_mod(pm, trim(tuple(c % q for c in psub(powmod_x(q ** (n // r)), (0, 1)))))
-        if degree(g) > 0:
-            return False
-    return True
-
-
-def _polymod(a: Poly, b: Poly, q: int) -> Poly:
-    """a mod b over F_q, b with invertible leading coefficient."""
-    a = list(c % q for c in a)
-    db, lcb = degree(b), b[-1] % q
-    inv = pow(lcb, -1, q)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] % q == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        shift = len(a) - 1 - db
-        f = a[-1] * inv % q
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * c) % q
-    return trim(c % q for c in a)

@@ -29,8 +29,7 @@ from groundbound.balls import (
     exact_value,
     mpf_to_fraction,
 )
-from groundbound.algreal import AlgebraicReal
-from groundbound.balls import AlgConst, RootConst
+from groundbound.balls import AlgConst
 from groundbound.cyclo import CycloElement
 from groundbound.errors import DomainError, UndecidableError
 
@@ -113,12 +112,6 @@ def test_rational_power():
     ball = eval_ball(Pow(Const(Fraction(8)), Fraction(2, 3)), 64)
     assert ball.contains(Fraction(4))
     assert exact_value(Pow(Const(Fraction(3, 2)), Fraction(2))) == Fraction(9, 4)
-
-
-def test_algebraic_real_leaf():
-    sqrt2 = AlgebraicReal((-2, 0, 1), (Fraction(1), Fraction(2)))
-    ball = eval_ball(RootConst(sqrt2) * RootConst(sqrt2), 96)
-    assert ball.contains(Fraction(2))
 
 
 def test_exp_identity():
@@ -207,9 +200,9 @@ def _recording_precisions(monkeypatch):
     asked = []
     original = balls._iv_eval
 
-    def recording(expr, prec, bits):
+    def recording(expr, prec):
         asked.append(prec)
-        return original(expr, prec, bits)
+        return original(expr, prec)
 
     monkeypatch.setattr(balls, "_iv_eval", recording)
     return asked
@@ -311,33 +304,30 @@ def _oracle_cyclo(x, iv):
     return acc
 
 
-def _oracle_eval(expr, iv, bits):
+def _oracle_eval(expr, iv):
     if isinstance(expr, Const):
         return _oracle_fraction(expr.value, iv)
     if isinstance(expr, AlgConst):
         return _oracle_cyclo(expr.value, iv)
-    if isinstance(expr, RootConst):
-        lo, hi = expr.value.refine_bits(bits + 8)
-        return iv.mpf([_oracle_fraction(lo, iv).a, _oracle_fraction(hi, iv).b])
     if expr is PI:
         return +iv.pi
     if expr is E:
         return +iv.e
     if isinstance(expr, Add):
-        return _oracle_eval(expr.left, iv, bits) + _oracle_eval(expr.right, iv, bits)
+        return _oracle_eval(expr.left, iv) + _oracle_eval(expr.right, iv)
     if isinstance(expr, Sub):
-        return _oracle_eval(expr.left, iv, bits) - _oracle_eval(expr.right, iv, bits)
+        return _oracle_eval(expr.left, iv) - _oracle_eval(expr.right, iv)
     if isinstance(expr, Mul):
-        return _oracle_eval(expr.left, iv, bits) * _oracle_eval(expr.right, iv, bits)
+        return _oracle_eval(expr.left, iv) * _oracle_eval(expr.right, iv)
     if isinstance(expr, Div):
-        denom = _oracle_eval(expr.right, iv, bits)
+        denom = _oracle_eval(expr.right, iv)
         if denom.a <= 0 <= denom.b:
             raise balls._Inconclusive("division by an interval containing zero")
-        return _oracle_eval(expr.left, iv, bits) / denom
+        return _oracle_eval(expr.left, iv) / denom
     if isinstance(expr, Neg):
-        return -_oracle_eval(expr.arg, iv, bits)
+        return -_oracle_eval(expr.arg, iv)
     if isinstance(expr, Sqrt):
-        arg = _oracle_eval(expr.arg, iv, bits)
+        arg = _oracle_eval(expr.arg, iv)
         if arg.b < 0:
             raise DomainError("sqrt of a certified-negative value")
         if arg.a < 0:
@@ -348,22 +338,22 @@ def _oracle_eval(expr, iv, bits):
             if expr.arg.value <= 0:
                 raise DomainError("ln of a certified-nonpositive value")
             return iv.log(_oracle_fraction(expr.arg.value, iv))
-        arg = _oracle_eval(expr.arg, iv, bits)
+        arg = _oracle_eval(expr.arg, iv)
         if arg.b <= 0:
             raise DomainError("ln of a certified-nonpositive value")
         if arg.a <= 0:
             raise balls._Inconclusive("ln argument not certified positive")
         return iv.log(arg)
     if isinstance(expr, ExpNode):
-        return iv.exp(_oracle_eval(expr.arg, iv, bits))
+        return iv.exp(_oracle_eval(expr.arg, iv))
     if isinstance(expr, Sin):
         arg = expr.arg
         if isinstance(arg, Div) and arg.left is PI \
                 and isinstance(arg.right, Const) and arg.right.value != 0:
             return iv.sin(+iv.pi / _oracle_fraction(arg.right.value, iv))
-        return iv.sin(_oracle_eval(arg, iv, bits))
+        return iv.sin(_oracle_eval(arg, iv))
     if isinstance(expr, Pow):
-        arg = _oracle_eval(expr.arg, iv, bits)
+        arg = _oracle_eval(expr.arg, iv)
         e = expr.exponent
         if e.denominator == 1:
             k = e.numerator
@@ -390,9 +380,6 @@ def _outcome(evaluate):
 # wider than every oracle precision, so both integers are rounded outward
 # before the division at all of them
 WIDE_RATIONAL = Fraction(3**2700 + 1, 2**4300 + 7)
-# one shared algebraic real: its isolating interval is refined once to the
-# finest precision, not once per leaf
-SQRT2 = AlgebraicReal((-2, 0, 1), (Fraction(1), Fraction(2)))
 
 
 def _random_tree(rng, depth):
@@ -404,7 +391,6 @@ def _random_tree(rng, depth):
         lambda: Const(rng.choice((PI_TRUNCATION, WIDE_RATIONAL, -WIDE_RATIONAL))),
         lambda: AlgConst(CycloElement.cos2pi(rng.randint(1, 4), rng.choice((5, 7, 9, 12)))
                          + Fraction(rng.randint(-3, 3), 2)),
-        lambda: RootConst(SQRT2),
         lambda: PI,
         lambda: E,
         lambda: Ln(Const(Fraction(rng.randint(-2, 40), rng.randint(1, 9)))),
@@ -467,7 +453,7 @@ def test_tuple_evaluator_matches_the_interval_context_oracle():
     for expr in corpus:
         _node_kinds(expr, kinds)
     assert kinds >= {
-        "Const", "AlgConst", "RootConst", "_PiConst", "_EConst", "Add", "Sub", "Mul",
+        "Const", "AlgConst", "_PiConst", "_EConst", "Add", "Sub", "Mul",
         "Div", "Neg", "Sqrt", "Ln", "Ln(Const)", "ExpNode", "Sin", "Sin(pi/q)",
         "Ln(Sin(pi/q))", "Pow k>=0", "Pow k<0", "Pow rational",
     }
@@ -475,14 +461,14 @@ def test_tuple_evaluator_matches_the_interval_context_oracle():
         iv = _oracle_context(prec)
         outcomes = set()
         for expr in corpus:
-            ours = _outcome(lambda: balls._iv_eval(expr, prec, prec - 16))
-            oracle = _outcome(lambda: _oracle_eval(expr, iv, prec - 16))
+            ours = _outcome(lambda: balls._iv_eval(expr, prec))
+            oracle = _outcome(lambda: _oracle_eval(expr, iv))
             if not isinstance(oracle, str):
                 oracle = oracle._mpi_
             assert ours == oracle, (prec, str(expr))
             outcomes.add(ours if isinstance(ours, str) else "enclosure")
         assert outcomes == {"enclosure", "inconclusive", "domain"}, prec
-        leaf_outcomes = [_outcome(lambda: balls._iv_eval(leaf, prec, prec - 16))
+        leaf_outcomes = [_outcome(lambda: balls._iv_eval(leaf, prec))
                          for leaf in ln_sin_leaves]
         assert [o if isinstance(o, str) else "enclosure" for o in leaf_outcomes] == [
             "enclosure", "enclosure", "inconclusive", "domain"], prec

@@ -245,6 +245,9 @@ BAD_SOLVE = ["bound-solve", "--M", "1", "--B", "1", "--S", "2"]
     ["graph-case", "--family", "g5", "--s", "3"],
     ["graph-case", "--family", "g5", "--s", "3", "--k", "3", "--p", "4"],
     ["graph-family", "--family", "g4", "--kmin", "5", "--kmax-family", "3"],
+    ["graph-family", "--family", "g1", "--kmin", "5", "--kmax-family", "5"],
+    ["graph-family", "--family", "g2", "--kmin", "5", "--kmax-family", "5"],
+    ["graph-family", "--family", "g3", "--kmin", "5", "--kmax-family", "5"],
     ["reproduce-all", "--kmax", "5"],
     ["search-pairs", "--kind", "gamma4", "--kmax", "10"],
     ["refine-pair", "--kind", "gamma4", "--k", "5", "--s", "3"],

@@ -306,17 +306,6 @@ def test_integral_lll_against_exact_gram_schmidt():
                 assert norms[i] >= (LLL_DELTA - mu[i][i - 1] ** 2) * norms[i - 1], (dim, trial, i)
 
 
-def test_weighted_variant():
-    from groundbound.errors import GroundboundError
-
-    embs = F5.embeddings()
-    ivs = {embs[0]: (F(-1, 4), F(1, 4)), embs[1]: (F(-1, 4), F(1, 4))}
-    cert = find_small_polynomial(F5, ivs, 2, weights={embs[0]: F(2), embs[1]: F(1, 2)})
-    assert not cert.is_zero()
-    with pytest.raises(GroundboundError):
-        find_small_polynomial(F5, ivs, 2, weights={embs[0]: F(2), embs[1]: F(2)})
-
-
 def test_empty_interval_is_an_input_error():
     from groundbound.errors import InvalidInput
 

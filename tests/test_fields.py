@@ -158,6 +158,51 @@ def test_disc_prime_closed_form():
         assert field_discriminant(f) == p ** ((p - 3) // 2), p
 
 
+def _power_sums(poly, count) -> list[int]:
+    """Newton power sums s_0 .. s_(count-1) of the roots of a monic integer
+    polynomial (coefficients constant first)."""
+    d = len(poly) - 1
+    sums = [d]
+    for k in range(1, count):
+        # s_k + sum_(j=1..min(k-1,d)) c_(d-j) s_(k-j) + [k <= d] k c_(d-k) = 0
+        acc = sum(poly[d - j] * sums[k - j] for j in range(1, min(k - 1, d) + 1))
+        if k <= d:
+            acc += k * poly[d - k]
+        sums.append(-acc)
+    return sums
+
+
+def _exact_det(mat) -> Fraction:
+    mat = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        pivot = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for r in range(col + 1, len(mat)):
+            factor = mat[r][col] / mat[col][col]
+            mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+    return det
+
+
+def test_disc_against_trace_form():
+    # independent oracle: Z[2cos(2pi/n)] is the ring of integers of
+    # Q(cos 2pi/n), so |disc| = |det(Tr(b^(i+j)))| with b = 2cos(2pi/n),
+    # and Tr(b^k) is the k-th power sum of the roots of cos_minpoly(n)
+    from groundbound.polyint import cos_minpoly
+
+    for n in range(3, 61):
+        psi = cos_minpoly(n)
+        d = len(psi) - 1
+        s = _power_sums(psi, 2 * d - 1)
+        gram = [[s[i + j] for j in range(d)] for i in range(d)]
+        assert field_discriminant(RealCyclotomicField([n])) == abs(_exact_det(gram)), n
+
+
 def test_embeddings_canonical():
     f = RealCyclotomicField([5])
     embs = f.embeddings()

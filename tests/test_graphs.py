@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from groundbound.algreal import AlgebraicReal
 from groundbound.balls import AlgConst, Const, E, Sqrt, certify_sign, eval_ball, exact_value
 from groundbound.cyclo import CycloElement
 from groundbound.errors import (
-    GroundboundError, InfeasibleCase, InvalidInput, MissingRange, SizeExceeded,
+    GroundboundError, InfeasibleCase, InvalidInput, MissingRange,
 )
 from groundbound.graphs import (
     EdgeGraphCase,
@@ -17,7 +16,6 @@ from groundbound.graphs import (
     ambient_modulus,
     bound_problem,
     case_bound,
-    cyclic_products,
     determinant_closed_form,
     determinant_value,
     discriminant_like,
@@ -25,11 +23,9 @@ from groundbound.graphs import (
     feasibility,
     field_of,
     gram_matrix,
-    is_varithmetic,
     method_a_width,
     symbolic_determinant,
 )
-from groundbound import polyint as P
 
 
 def _upoly_eq(a, b):
@@ -276,62 +272,6 @@ def test_bound_problem_g3_usq_shape():
     assert abs(float(ball.center) - 6**0.5 / 3) < 1e-12
 
 
-def test_cyclic_products_examples():
-    case = EdgeGraphCase(Family.G1, s=3, k=3, r=3, p=3)
-    prods = cyclic_products(case)
-    as_dict = dict(prods)
-    # 2-cycle on the broken edge: u^2
-    zero_el = as_dict[(0, 1)][0]
-    assert zero_el.is_zero() and as_dict[(0, 1)][2] == 1
-    # 3-cycle (e1, e2, e3): u * 1 * 1 = u
-    tri = as_dict[(0, 1, 2)]
-    assert tri[0].is_zero() and tri[1] == 1
-    # cycles through the disjoint pair e3 e4 vanish
-    assert all(c.is_zero() for c in as_dict[(0, 2, 3)])
-    with pytest.raises(SizeExceeded):
-        cyclic_products(case, max_size=3)
-
-
-def test_is_varithmetic_examples():
-    case = EdgeGraphCase(Family.G5, s=3, k=3)
-    one_plus_sqrt2 = AlgebraicReal((-1, -2, 1), (2, 3))
-    assert is_varithmetic(case, one_plus_sqrt2).ok
-    three_plus_sqrt2 = AlgebraicReal((7, -6, 1), (4, 5))
-    assert not is_varithmetic(case, three_plus_sqrt2).ok
-    assert is_varithmetic(case, AlgebraicReal.from_rational(3)).ok
-    # not an algebraic integer
-    half = AlgebraicReal((-5, 0, 2), (1, 2))  # sqrt(5/2)
-    assert not is_varithmetic(case, half).ok
-    # identity outside (2, 14)
-    assert not is_varithmetic(case, AlgebraicReal.from_rational(15)).ok
-
-
-def test_is_varithmetic_forced_refutation():
-    # no algebraic integer of degree above [F:Q] passes on a forced case
-    rng = random.Random(5)
-    case = EdgeGraphCase(Family.G3, s=4, k=5, r=3)
-    for m in (7, 9, 11, 13):
-        shift = rng.randint(4, 9)
-        base = P.cos_minpoly(m)
-        shifted = _compose_shift(base, shift)
-        roots = AlgebraicReal.roots_of(shifted)
-        inside = [r for r in roots if r.compare_rational(2) > 0 and r.compare_rational(14) < 0]
-        assert inside, (m, shift)
-        cert = is_varithmetic(case, inside[0])
-        assert not cert.ok and "degree" in cert.reason
-
-
-def _compose_shift(poly, c):
-    # p(x - c) as an integer polynomial
-    out = ()
-    lin = (-c, 1)
-    power = (1,)
-    for coef in poly:
-        out = P.padd(out, P.pscale(power, coef))
-        power = P.pmul(power, lin)
-    return tuple(int(x) for x in out)
-
-
 def test_case_bound_certifies_feasibility_once(monkeypatch):
     import groundbound.graphs as graphs
 
@@ -345,6 +285,20 @@ def test_case_bound_certifies_feasibility_once(monkeypatch):
         assert len(calls) - start == len(table.rows), family
         rows += len(table.rows)
     assert rows == 62
+
+
+def test_case_bound_builds_d_once(monkeypatch):
+    # D = discriminant_like(case) feeds both the feasibility signs and the
+    # Method-A width; the 62 rows of the G1-G4 tables build it at most once each
+    import groundbound.graphs as graphs
+
+    real = graphs.discriminant_like
+    calls = []
+    monkeypatch.setattr(graphs, "discriminant_like", lambda case: calls.append(case) or real(case))
+    graphs._field_and_d.cache_clear()
+    for family in (Family.G1, Family.G2, Family.G3, Family.G4):
+        graphs.family_bound(family)
+    assert 0 < len(calls) <= 62
 
 
 def test_family_tables(g1_table, g2_table, g3_table, g4_table):

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from groundbound import polyint as P
 
 
@@ -45,28 +43,6 @@ def test_divmod_and_gcd():
     p = P.pmul((1, 1), (2, 0, 1))  # (x+1)(x^2+2)
     q, r = P.pdivmod(p, (1, 1))
     assert r == () and q == (2, 0, 1)
-    g = P.pgcd(P.pmul((1, 1), (1, 1, 1)), P.pmul((1, 1), (3, 1)))
-    assert g == (1, 1)
-
-
-def test_sturm_isolation():
-    poly = (-2, 0, 1)  # x^2 - 2
-    roots = P.isolate_real_roots(poly)
-    assert len(roots) == 2
-    assert P.count_real_roots(poly, Fraction(1), Fraction(2)) == 1
-    # x^2 + 1 has no real roots
-    assert P.isolate_real_roots((1, 0, 1)) == []
-
-
-def test_squarefree_required():
-    with pytest.raises(ValueError):
-        P.isolate_real_roots(P.pmul((1, 1), (1, 1)))
-
-
-def test_mod_p_irreducibility():
-    assert P.is_irreducible_mod_p((-2, 0, 1), 3)  # x^2 - 2 mod 3
-    assert not P.is_irreducible_mod_p((-1, 0, 1), 3)  # (x-1)(x+1)
-    assert P.is_irreducible_mod_p((1, 1, 0, 1), 2)  # x^3 + x + 1 over F_2
 
 
 def test_monic_division_stays_integral():
