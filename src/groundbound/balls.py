@@ -287,10 +287,10 @@ def as_expr(x) -> Expr:
 # Every node makes the libmpi call mpmath's interval context would make at
 # the working precision `prec`, so the endpoints are the ones `mpmath.iv`
 # gives, without its object layer and without reading or changing the
-# global `mpmath.iv`.  Pure leaves (rationals, 2cos(2pi/n), ln q, sin(pi/q)
-# and ln sin(pi/q) for rational q) are memoized per precision in bounded
-# caches; a memoized enclosure comes from the same calls at the same
-# precision as an uncached one would, so it has the same endpoints.
+# global `mpmath.iv`.  Pure leaves (rationals, 2cos(2pi/n) and ln q for
+# rational q) are memoized per precision in bounded caches; a memoized
+# enclosure comes from the same calls at the same precision as an uncached
+# one would, so it has the same endpoints.
 
 LEAF_CACHE_SIZE = 2048
 
@@ -324,32 +324,12 @@ def _ln_ratio(num: int, den: int, prec: int):
     return mpi_log(_ratio(num, den, prec), prec)
 
 
-@lru_cache(maxsize=LEAF_CACHE_SIZE)
-def _sin_pi_over(num: int, den: int, prec: int):
-    """sin(pi / (num/den)) for num != 0."""
-    return mpi_sin(mpi_div(mpi_pi(prec), _ratio(num, den, prec), prec), prec)
-
-
-@lru_cache(maxsize=LEAF_CACHE_SIZE)
-def _ln_sin_pi_over(num: int, den: int, prec: int):
-    """ln sin(pi / (num/den)) for num != 0."""
-    return _log(_sin_pi_over(num, den, prec), prec)
-
-
 def _log(arg, prec: int):
     if mpf_sign(arg[1]) <= 0:
         raise DomainError("ln of a certified-nonpositive value")
     if mpf_sign(arg[0]) <= 0:
         raise _Inconclusive("ln argument not certified positive")
     return mpi_log(arg, prec)
-
-
-def _pi_over_const(expr: Expr):
-    """q when expr is pi / q for a nonzero rational q, else None."""
-    if type(expr) is Div and type(expr.left) is _PiConst \
-            and type(expr.right) is Const and expr.right.value != 0:
-        return expr.right.value
-    return None
 
 
 def _cyclo(x: CycloElement, prec: int):
@@ -381,15 +361,8 @@ def _iv_eval(expr: Expr, prec: int):
         if type(arg) is Const:
             q = arg.value
             return _ln_ratio(q.numerator, q.denominator, prec)
-        if type(arg) is Sin:
-            q = _pi_over_const(arg.arg)
-            if q is not None:
-                return _ln_sin_pi_over(q.numerator, q.denominator, prec)
         return _log(_iv_eval(arg, prec), prec)
     if t is Sin:
-        q = _pi_over_const(expr.arg)
-        if q is not None:
-            return _sin_pi_over(q.numerator, q.denominator, prec)
         return mpi_sin(_iv_eval(expr.arg, prec), prec)
     if t is Neg:
         return mpi_neg(_iv_eval(expr.arg, prec), prec)
@@ -629,8 +602,8 @@ def certify_compare(
     return GREATER if ball.certainly_positive() else LESS
 
 
-def certify_sign(expr, start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS) -> str:
-    return certify_compare(expr, Const(Fraction(0)), start_bits, cap_bits)
+def certify_sign(expr) -> str:
+    return certify_compare(expr, Const(Fraction(0)))
 
 
 def certified_floor(expr) -> int:

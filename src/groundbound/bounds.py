@@ -105,7 +105,13 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
     bisection; where a certified sign disagrees with the proposal, N moves
     one step in the certified direction and the new sign is certified.
     Every comparison is certified; UNDECIDED raises UndecidableError.
+    Evaluation starts at `balls.DEFAULT_START_BITS`, so a smaller
+    `precision_cap` could decide nothing and is rejected.
     """
+    if precision_cap < balls.DEFAULT_START_BITS:
+        raise InvalidInput(
+            f"precision cap {precision_cap} is below {balls.DEFAULT_START_BITS} bits"
+        )
     sign_r = certify_compare(problem.r_ratio, ONE, cap_bits=precision_cap)
     if sign_r != balls.LESS:
         raise HypothesisViolated(f"R must be certified < 1 (got {sign_r})")

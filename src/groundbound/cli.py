@@ -270,7 +270,9 @@ def _cmd_graph_family(args) -> Report:
     family = Family[args.family.upper()]
     k_range = None
     if args.kmin is not None or args.kmax_family is not None:
-        k_range = range(args.kmin or 2, (args.kmax_family or 6) + 1)
+        kmin = 2 if args.kmin is None else args.kmin
+        kmax = 6 if args.kmax_family is None else args.kmax_family
+        k_range = range(kmin, kmax + 1)
     table = family_bound(family, k_range)
     report = Report(title=f"family table {family.value}")
     report.add_section(f"family {family.value}", family_records(table))

@@ -10,12 +10,15 @@ is half of what any Gram pattern attains -- there the printed closed
 form is what the published numbers follow, so it is what the bound
 pipeline uses (see the repository notes on divergences).
 
-For every admissible case `method_a_width` gives the squared width W of
-the interval where the variant value must lie and the exceptional radius
-r; `bounds.method_a_problem` turns (F, W, N(W), r) into (M, B, R, S), the
-least-N solver bounds the degree, and `family_bound` assembles the
-per-family tables.  Quadratic families carry a discriminant-like quantity D
-whose certified signs drive the feasibility trichotomy:
+The printed quadratic -d(u)/4 = a u^2 + b u + c bounds the broken edge:
+u lies between its roots, an interval of squared length
+Delta = (b^2 - 4ac) / a^2 at the identity embedding.  `VARIANTS` lists the
+variant values each family admits, and `variant_width` turns Delta into
+the squared width W of the interval where the variant value must lie and
+the exceptional radius r; `bounds.method_a_problem` turns (F, W, N(W), r)
+into (M, B, R, S), the least-N solver bounds the degree, and
+`family_bound` assembles the per-family tables.  The certified signs of
+Delta at the embeddings of F drive the feasibility trichotomy:
 
 * identity sign negative  -> the ground field equals F (exact degree);
 * a conjugate sign negative -> no V-arithmetic instance exists;
@@ -314,11 +317,12 @@ def field_of(case: EdgeGraphCase) -> RealCyclotomicField:
 
 
 def discriminant_like(case: EdgeGraphCase) -> CycloElement:
-    """The quantity whose total positivity makes the case solvable.
+    """Delta = (b^2 - 4ac) / a^2 for the printed -d(u)/4 = a u^2 + b u + c,
+    in F: the squared length of the u-interval at the identity embedding.
 
-    G1: the product under the square root of the interval length;
-    G2/G3: the discriminant D of the u-quadratic; G4: the interval width
-    factor (sin^2(pi/r) - cos^2(pi/s)) sin^2(pi/k); G5: 4 sin^2 sin^2.
+    b itself is not in F (it carries cos(pi/x)), but b^2 - 4ac is:
+    G1: a = 1, b^2 - 4ac = 4 (cos 2pi/k + cos 2pi/p)(cos 2pi/r + cos 2pi/s);
+    G2: a = sin^2(pi/p); G3: a = sin^2(pi/r); G4, G5: a = 1.
     """
     sin2 = field_of(case).sin2
 
@@ -330,38 +334,41 @@ def discriminant_like(case: EdgeGraphCase) -> CycloElement:
 
     f, s, k, r, p = case.family, case.s, case.k, case.r, case.p
     if f == Family.G1:
-        return (cos2pi(k) + cos2pi(p)) * (cos2pi(r) + cos2pi(s))
+        return 4 * (cos2pi(k) + cos2pi(p)) * (cos2pi(r) + cos2pi(s))
     if f == Family.G2:
-        return 16 * cos2(s) * cos2(k) + 16 * sin2(p) * (1 - cos2(s) - cos2(k) - cos2(p))
+        disc = 16 * cos2(s) * cos2(k) + 16 * sin2(p) * (1 - cos2(s) - cos2(k) - cos2(p))
+        return disc / sin2(p) ** 2
     if f == Family.G3:
-        return (
+        disc = (
             4 * cos2(s) * cos2(k) * cos2(r)
             + 16 * sin2(s) * sin2(k) * sin2(r)
             - 16 * sin2(r) * cos2(r)
         )
+        return disc / sin2(r) ** 2
     if f == Family.G4:
-        return (sin2(r) - cos2(s)) * sin2(k)
+        return 16 * (sin2(r) - cos2(s)) * sin2(k)
     if f == Family.G5:
-        return 4 * sin2(k) * sin2(s)
+        return 16 * sin2(k) * sin2(s)
     raise ValueError(f)
 
 
 @lru_cache(maxsize=8)
 def _field_and_d(case: EdgeGraphCase) -> tuple[RealCyclotomicField, CycloElement]:
-    """(F, D) of the case, shared by the feasibility signs and the Method-A
-    width: one `case_bound` needs both, and a G3 s = 2 case needs them again
-    for its improved row, so the latest few cases are kept."""
+    """(F, Delta) of the case, shared by the feasibility signs and the
+    Method-A width: one `case_bound` needs both, and a case with a further
+    admissible variant needs them again for its next row, so the latest few
+    cases are kept."""
     return field_of(case), discriminant_like(case)
 
 
 def feasibility(case: EdgeGraphCase) -> Feasibility:
-    """Certified sign analysis of the discriminant-like quantity."""
+    """Certified signs of Delta at the embeddings of F."""
     F, d = _field_and_d(case)
     signs = []
     for emb in F.embeddings():
         sign = certify_sign(AlgConst(emb.apply(d)))
         if sign == balls.UNDECIDED:
-            raise UndecidableError(f"sign of D undecided for {case.label()}")
+            raise UndecidableError(f"sign of Delta undecided for {case.label()}")
         signs.append((emb, sign))
     if any(sign == balls.LESS for emb, sign in signs[1:]):
         return Feasibility.IMPOSSIBLE
@@ -372,44 +379,51 @@ def feasibility(case: EdgeGraphCase) -> Feasibility:
 
 # -- Method-A problem assembly ---------------------------------------------
 
+# the variant values each family admits, its default first; G3 admits u^2
+# only at s = 2, where the u-coefficient of -d(u)/4 vanishes
+VARIANTS = {
+    Family.G1: (Variant.U,),
+    Family.G2: (Variant.U,),
+    Family.G3: (Variant.U, Variant.U_SQUARED),
+    Family.G4: (Variant.U_TILDE,),
+    Family.G5: (Variant.U_SQUARED,),
+}
+
+
+def admissible_variants(case: EdgeGraphCase) -> tuple[Variant, ...]:
+    """The case's row of `VARIANTS`: the default variant first."""
+    variants = VARIANTS[case.family]
+    return variants[:1] if case.family == Family.G3 and case.s != 2 else variants
+
+
+def variant_width(delta: CycloElement, variant: Variant) -> tuple[CycloElement, int]:
+    """(W, r) from the squared length Delta of the u-interval.
+
+    u lies in an interval of length sqrt(Delta), so W = Delta with
+    exceptional radius 16.  u^2 (where the interval is symmetric about 0)
+    and u-tilde lie in intervals of length Delta / 4, so W = (Delta / 4)^2,
+    with radius 14^2 for u^2 and 16^2 for u-tilde.
+    """
+    if variant == Variant.U:
+        return delta, 16
+    quarter = delta / 4
+    return quarter * quarter, (MINIMALITY**2 if variant == Variant.U_SQUARED else 16**2)
+
 
 def method_a_width(case: EdgeGraphCase, variant: Variant) -> tuple[CycloElement, int]:
-    """(W, r) for the case's variant value.
-
-    W in F is the squared width of the interval where the variant value
-    must lie, at the identity embedding (its conjugates give the widths at
-    the other embeddings), and r is the radius of the exceptional
-    interval.  With D = `discriminant_like(case)` and lead the leading
-    u^2 coefficient of -d(u)/4 (sin^2(pi/p) for G2, sin^2(pi/r) for G3):
-
-        G1 u: 4D, 16              G2 u, G3 u: D / lead^2, 16
-        G3 u^2: (D / (4 lead^2))^2, 14^2
-        G4 u-tilde: 16 D^2, 16^2  G5 u^2: D^2, 14^2
-    """
-    F, d = _field_and_d(case)
-    f = case.family
-    if f in (Family.G2, Family.G3):
-        lead = F.sin2(case.p if f == Family.G2 else case.r)
-    if f == Family.G1 and variant == Variant.U:
-        return 4 * d, 16
-    if f in (Family.G2, Family.G3) and variant == Variant.U:
-        return d / (lead * lead), 16
-    if f == Family.G3 and variant == Variant.U_SQUARED:
-        if case.s != 2:
-            raise GroundboundError("u^2 variant applies to the s = 2 cases only")
-        top = d / (4 * lead * lead)
-        return top * top, MINIMALITY**2
-    if f == Family.G4 and variant == Variant.U_TILDE:
-        return 16 * d * d, 16**2
-    if f == Family.G5 and variant == Variant.U_SQUARED:
-        return d * d, MINIMALITY**2
-    raise GroundboundError(f"variant {variant} undefined for {case.label()}")
+    """(W, r) for the case's variant value: W in F is the squared width of
+    the interval where the variant value must lie, at the identity
+    embedding (its conjugates give the widths at the other embeddings),
+    and r is the radius of the exceptional interval."""
+    if variant not in admissible_variants(case):
+        raise GroundboundError(f"variant {variant} undefined for {case.label()}")
+    return variant_width(_field_and_d(case)[1], variant)
 
 
 def bound_problem(case: EdgeGraphCase, variant: Variant | None = None, m: int = 1) -> BoundProblem:
     """Method-A (M, B, R, S, m) for the case, with exact norms throughout."""
     if variant is None:
-        variant = default_variant(case.family)
+        variant = admissible_variants(case)[0]
     feas = feasibility(case)
     if feas != Feasibility.FEASIBLE:
         raise InfeasibleCase(f"{case.label()} is {feas.value}")
@@ -421,16 +435,6 @@ def _feasible_problem(case: EdgeGraphCase, variant: Variant, m: int) -> BoundPro
     F = _field_and_d(case)[0]
     width_sq, radius = method_a_width(case, variant)
     return method_a_problem(F, width_sq, field_norm(F, width_sq), radius, m)
-
-
-def default_variant(family: Family) -> Variant:
-    return {
-        Family.G1: Variant.U,
-        Family.G2: Variant.U,
-        Family.G3: Variant.U,
-        Family.G4: Variant.U_TILDE,
-        Family.G5: Variant.U_SQUARED,
-    }[family]
 
 
 # -- per-case and per-family bounds ------------------------------------------
@@ -493,7 +497,7 @@ def case_bound(case: EdgeGraphCase, variant: Variant | None = None, m: int = 1,
                published_bound: int | None = None) -> CaseBound:
     """Solve one case; forced-degree cases bypass the solver."""
     if variant is None:
-        variant = default_variant(case.family)
+        variant = admissible_variants(case)[0]
     feas = feasibility(case)
     F = _field_and_d(case)[0]
     if feas == Feasibility.FORCES_FIELD_EQUALS_F:
@@ -513,14 +517,12 @@ def case_bound(case: EdgeGraphCase, variant: Variant | None = None, m: int = 1,
 def family_bound(family: Family, k_range=None) -> FamilyTable:
     """Per-case table and family maximum (Method A only).
 
-    Each case gets one row in the family's default variant with m = 1,
-    checked against `_PUBLISHED`; G4 defaults to 2 <= k <= 6.  Two rules
-    add rows:
-
-    * G1 cases in `PUBLISHED_G1_M2` get an m = 2 row for information only;
-      the conservative m = 1 bound enters the maximum.
-    * G3 cases with s = 2 whose first row came from the solver get the
-      improved u^2 row; their final value is the smaller of the two bounds.
+    Each case gets one row per admissible variant with m = 1: the default
+    variant's row is checked against `_PUBLISHED`, and a case whose first
+    row came from the solver gets one row per further variant, checked
+    against `PUBLISHED_G3_IMPROVED`; the case's final value is the least of
+    its bounds.  G1 cases in `PUBLISHED_G1_M2` also get an m = 2 row for
+    information only.  G4 defaults to 2 <= k <= 6.
 
     The global G4 and G5 maxima over unbounded k live in the pair-search
     module.
@@ -532,16 +534,17 @@ def family_bound(family: Family, k_range=None) -> FamilyTable:
     finals = {}
     for case in enumerate_cases(family, k_range):
         key = case.params()
-        row = case_bound(case, published_bound=published.get(key))
+        default, *further = admissible_variants(case)
+        row = case_bound(case, default, published_bound=published.get(key))
         rows.append(row)
         finals[case] = row.bound
         if family == Family.G1 and key in PUBLISHED_G1_M2:
             rows.append(case_bound(case, m=2, published_bound=PUBLISHED_G1_M2[key]))
-        if family == Family.G3 and case.s == 2 and row.mechanism == "solver":
-            improved = case_bound(case, Variant.U_SQUARED,
-                                  published_bound=PUBLISHED_G3_IMPROVED.get(key))
-            rows.append(improved)
-            finals[case] = min(row.bound, improved.bound)
+        if row.mechanism == "solver":
+            for variant in further:
+                extra = case_bound(case, variant, published_bound=PUBLISHED_G3_IMPROVED.get(key))
+                rows.append(extra)
+                finals[case] = min(finals[case], extra.bound)
     if not finals:
         raise InvalidInput(f"no {family.value} case in the k range")
     argmax = max(finals, key=lambda c: (finals[c], c.params()))

@@ -53,7 +53,7 @@ from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import _factorize, euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, norm_4sin2_closed_form
-from .graphs import Family, FamilyTable, family_bound
+from .graphs import Family, FamilyTable, Variant, family_bound, variant_width
 
 LN2 = log(2.0)
 REFINE_THRESHOLD = 120
@@ -83,10 +83,9 @@ class PairKind(enum.Enum):
         return 7 if self is PairKind.GAMMA5 else 8
 
     @property
-    def minimality_square(self) -> int:
-        # exceptional-interval radius: 14^2 for the path family (alpha = u^2),
-        # 16^2 for the star family (alpha = u-tilde)
-        return 14**2 if self is PairKind.GAMMA5 else 16**2
+    def variant(self) -> Variant:
+        # the variant value: u^2 for the path family, u-tilde for the star family
+        return Variant.U_SQUARED if self is PairKind.GAMMA5 else Variant.U_TILDE
 
 
 @dataclass(frozen=True)
@@ -361,19 +360,19 @@ def _coefficient_float(k: int, s: int) -> float:
 
 
 def refinement_problem(k: int, s: int, kind: PairKind) -> BoundProblem:
-    """Method-A data over F = F_{k,s}: the admissible interval has width
-    4 sin^2(pi/k) sin^2(pi/s), so W = (4 sin^2(pi/k) sin^2(pi/s))^2, and
-    the exceptional radius is `kind.minimality_square`.
+    """Method-A data over F = F_{k,s}: the u-interval has squared length
+    Delta = 16 sin^2(pi/k) sin^2(pi/s), and `graphs.variant_width` gives
+    (W, r) for the kind's variant, W = (Delta / 4)^2 for both kinds.
 
-    N(W) comes from the closed form for N(4 sin^2); the conjugate product
-    in `field_norm` is far too slow at these degrees.
+    N(W) = N(Delta / 4)^2 comes from the closed form for N(4 sin^2); the
+    conjugate product in `field_norm` is far too slow at these degrees.
     """
     F = RealCyclotomicField([x for x in (k, s) if x > 2])
-    width = 4 * F.sin2(k) * F.sin2(s)
-    norm_width = (
+    width_sq, radius = variant_width(16 * F.sin2(k) * F.sin2(s), kind.variant)
+    norm_quarter = (
         norm_4sin2_closed_form(F, k) * norm_4sin2_closed_form(F, s) / Fraction(4) ** F.degree
     )
-    return method_a_problem(F, width * width, norm_width**2, kind.minimality_square)
+    return method_a_problem(F, width_sq, norm_quarter**2, radius)
 
 
 def refine(k: int, s: int, kind: PairKind) -> int:

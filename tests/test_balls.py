@@ -120,13 +120,12 @@ def test_exp_identity():
     assert ball.contains(Fraction(0))
 
 
-LEAF_MEMOS = (balls._ratio, balls._beta, balls._ln_ratio, balls._sin_pi_over,
-              balls._ln_sin_pi_over)
+LEAF_MEMOS = (balls._ratio, balls._beta, balls._ln_ratio)
 
 
 def _leafy_expr():
-    """Every memoized leaf kind: rationals, 2cos(2pi/n), ln q, sin(pi/q),
-    ln sin(pi/q)."""
+    """Every memoized leaf kind (rationals, 2cos(2pi/n), ln q), with
+    sin(pi/q) and ln sin(pi/q) evaluated node by node."""
     return (
         Ln(Const(Fraction(7, 3)))
         - Sin(Div(PI, Const(Fraction(31))))
@@ -416,22 +415,10 @@ def _random_tree(rng, depth):
     ))()
 
 
-def _is_sin_pi_over_q(expr):
-    return isinstance(expr, Sin) and isinstance(expr.arg, Div) and expr.arg.left is PI \
-        and isinstance(expr.arg.right, Const) and expr.arg.right.value != 0
-
-
 def _node_kinds(expr, out):
-    """The evaluator paths `expr` takes; ln q, sin(pi/q) and ln sin(pi/q)
-    are leaves."""
+    """The evaluator paths `expr` takes; ln q is a leaf."""
     if isinstance(expr, Ln) and isinstance(expr.arg, Const):
         out.add("Ln(Const)")
-        return out
-    if isinstance(expr, Ln) and _is_sin_pi_over_q(expr.arg):
-        out.add("Ln(Sin(pi/q))")
-        return out
-    if _is_sin_pi_over_q(expr):
-        out.add("Sin(pi/q)")
         return out
     kind = type(expr).__name__
     if isinstance(expr, Pow):
@@ -446,7 +433,7 @@ def _node_kinds(expr, out):
 
 def test_tuple_evaluator_matches_the_interval_context_oracle():
     rng = random.Random(20260)
-    # ln sin(pi/q) leaves that enclose, straddle zero (q = 1) and leave the domain
+    # ln sin(pi/q) trees that enclose, straddle zero (q = 1) and leave the domain
     ln_sin_leaves = [Ln(Sin(Div(PI, Const(Fraction(q))))) for q in (3, Fraction(31, 2), 1, -7)]
     corpus = [_random_tree(rng, 3) for _ in range(120)] + [_leafy_expr()] + ln_sin_leaves
     kinds = set()
@@ -454,8 +441,8 @@ def test_tuple_evaluator_matches_the_interval_context_oracle():
         _node_kinds(expr, kinds)
     assert kinds >= {
         "Const", "AlgConst", "_PiConst", "_EConst", "Add", "Sub", "Mul",
-        "Div", "Neg", "Sqrt", "Ln", "Ln(Const)", "ExpNode", "Sin", "Sin(pi/q)",
-        "Ln(Sin(pi/q))", "Pow k>=0", "Pow k<0", "Pow rational",
+        "Div", "Neg", "Sqrt", "Ln", "Ln(Const)", "ExpNode", "Sin",
+        "Pow k>=0", "Pow k<0", "Pow rational",
     }
     for prec in ORACLE_PRECISIONS:
         iv = _oracle_context(prec)

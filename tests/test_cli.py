@@ -231,6 +231,16 @@ def test_precision_cap_bounds_inconclusive_evaluations(capsys):
 
 
 BAD_SOLVE = ["bound-solve", "--M", "1", "--B", "1", "--S", "2"]
+# the reason a usage error must name, where the command line alone does not
+# show it: an explicit 0 is a k bound, not a request for the default, and
+# evaluation starts at 64 bits, so a smaller cap could decide nothing
+USAGE_ERROR_REASON = {
+    ("graph-family", "--family", "g5", "--kmin", "3", "--kmax-family", "0"):
+        "no Gamma5 case in the k range",
+    ("graph-family", "--family", "g4", "--kmin", "0", "--kmax-family", "3"): ">= 2",
+    (*BAD_SOLVE, "--R", "1/2", "--precision-cap", "0"): "precision cap 0",
+    (*BAD_SOLVE, "--R", "1/2", "--precision-cap", "63"): "precision cap 63",
+}
 
 
 @pytest.mark.parametrize("args", [
@@ -240,6 +250,8 @@ BAD_SOLVE = ["bound-solve", "--M", "1", "--B", "1", "--S", "2"]
     [*BAD_SOLVE, "--R", "2^(1/0)"],
     [*BAD_SOLVE, "--R", "1.2.3"],
     [*BAD_SOLVE, "--R", "1/2", "--m", "0"],
+    [*BAD_SOLVE, "--R", "1/2", "--precision-cap", "0"],
+    [*BAD_SOLVE, "--R", "1/2", "--precision-cap", "63"],
     ["bound-solve", "--M", "0", "--B", "1", "--R", "1/2", "--S", "2"],
     ["graph-case", "--family", "g1", "--s", "3", "--k", "3", "--r", "3", "--p", "3", "--m", "0"],
     ["graph-case", "--family", "g5", "--s", "3"],
@@ -248,6 +260,8 @@ BAD_SOLVE = ["bound-solve", "--M", "1", "--B", "1", "--S", "2"]
     ["graph-family", "--family", "g1", "--kmin", "5", "--kmax-family", "5"],
     ["graph-family", "--family", "g2", "--kmin", "5", "--kmax-family", "5"],
     ["graph-family", "--family", "g3", "--kmin", "5", "--kmax-family", "5"],
+    ["graph-family", "--family", "g5", "--kmin", "3", "--kmax-family", "0"],
+    ["graph-family", "--family", "g4", "--kmin", "0", "--kmax-family", "3"],
     ["reproduce-all", "--kmax", "5"],
     ["search-pairs", "--kind", "gamma4", "--kmax", "10"],
     ["refine-pair", "--kind", "gamma4", "--k", "5", "--s", "3"],
@@ -260,6 +274,7 @@ BAD_SOLVE = ["bound-solve", "--M", "1", "--B", "1", "--S", "2"]
 def test_bad_input_is_a_usage_error(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 3 and "Traceback" not in err
+    assert USAGE_ERROR_REASON.get(tuple(args), "") in err
 
 
 def test_reproduce_all_rejects_small_kmax_before_any_section(monkeypatch, capsys):
@@ -287,6 +302,21 @@ REPRODUCE_2000_SHA256 = {
     "text": "2428e27813c9df9da088fd2fa2a9484d3cdc0d83d4bb5e41b002bdc9f0cb297e",
     "json": "17f09e33e85bfdff40a8ea406d9d8586bd010355f17ad72aa2d1470a6a14c7f2",
 }
+
+
+# sha256 of the `reproduce-all --kmax 10000000` reports, the full run
+REPRODUCE_FULL_SHA256 = {
+    "text": "c3689efeeadad49133d7a18a9eb90f3307ad364abf2f396d74b89e9c1b83d622",
+    "json": "7d5657d22ee04a4d27d6a6578adbcf06fb0ec8f18e86d17bcd12a61a6deecf8f",
+}
+
+
+def test_reproduce_all_full_report_pinned():
+    from groundbound.reproduce import reproduce_all
+
+    report = reproduce_all(10**7)
+    for fmt, digest in REPRODUCE_FULL_SHA256.items():
+        assert hashlib.sha256(report.render(fmt).encode()).hexdigest() == digest, fmt
 
 
 def test_reproduce_all_small_deterministic(tmp_path):

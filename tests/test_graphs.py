@@ -160,31 +160,42 @@ def test_forced_cases_bypass_solver():
 
 
 def _independent_length(case, a):
-    """Float length of the interval where the variant value must lie at the
-    embedding cos(2pi/x) -> cos(2pi a/x), from the coefficients of the
-    quadratic -d(u)/4 or the interval's endpoints, not from `discriminant_like`."""
+    """Float length sqrt(b^2 - 4ac) / a of the u-interval at the embedding
+    cos(2pi/x) -> cos(2pi a/x), from the coefficients of the printed
+    quadratic -d(u)/4 = a u^2 + b u + c, not from `discriminant_like`;
+    None where the interval is empty."""
     import math
 
-    def s2(x):  # conjugated sin^2(pi/x); rational for x in {2, 3, 4, 6}
-        return math.sin(math.pi / x) ** 2 if x in (2, 3, 4, 6) else math.sin(math.pi * a / x) ** 2
+    # b carries cos(pi/x), which is not in F: conjugate every cos(pi/x) by
+    # one lift of a that is a unit mod 2x for every parameter x
+    n = field_of(case).n
+    lift = next(a + t * n for t in range(6) if math.gcd(a + t * n, 6) == 1)
+
+    def c(x):  # conjugated cos(pi/x)
+        return math.cos(math.pi * lift / x)
 
     def c2(x):
-        return 1 - s2(x)
+        return c(x) ** 2
+
+    def s2(x):
+        return 1 - c2(x)
+
+    def cos2pi(x):
+        return 2 * c2(x) - 1
 
     f, s, k, r, p = case.family, case.s, case.k, case.r, case.p
-    if f == Family.G1:
-        # -d/4 = (u + center)^2 - (cos 2pi/k + cos 2pi/p)(cos 2pi/r + cos 2pi/s)
-        half_sq = (1 - 2 * s2(k) + 1 - 2 * s2(p)) * (1 - 2 * s2(r) + 1 - 2 * s2(s))
-        return 2 * math.sqrt(half_sq) if half_sq > 0 else None
-    if f == Family.G2:  # lead u^2 + b u + c, b^2 = 16 cos^2 cos^2
-        lead, b_sq, c = s2(p), 16 * c2(s) * c2(k), 4 * (c2(s) + c2(k) + c2(p) - 1)
+    if f == Family.G1:  # (u + center)^2 - (cos 2pi/k + cos 2pi/p)(cos 2pi/r + cos 2pi/s)
+        center = 2 * (c(r) * c(p) + c(k) * c(s))
+        lead, b, const = 1, 2 * center, center**2 - (cos2pi(k) + cos2pi(p)) * (cos2pi(r) + cos2pi(s))
+    elif f == Family.G2:
+        lead, b, const = s2(p), 4 * c(s) * c(k), 4 * (c2(s) + c2(k) + c2(p) - 1)
     elif f == Family.G3:
-        lead, b_sq, c = s2(r), 4 * c2(s) * c2(k) * c2(r), 4 * c2(r) - 4 * s2(s) * s2(k)
-    elif f == Family.G4:  # u-tilde in (4 cos^2(pi/s) sin^2(pi/k), 4 sin^2(pi/r) sin^2(pi/k))
-        return 4 * s2(r) * s2(k) - 4 * c2(s) * s2(k)
-    else:  # G5: u^2 in (0, 4 sin^2 sin^2)
-        return 4 * s2(k) * s2(s)
-    disc = b_sq - 4 * lead * c
+        lead, b, const = s2(r), 2 * c(s) * c(k) * c(r), 4 * c2(r) - 4 * s2(s) * s2(k)
+    elif f == Family.G4:
+        lead, b, const = 1, 4 * c(s) * c(k), 4 * c2(s) - 4 * s2(k) * s2(r)
+    else:
+        lead, b, const = 1, 0, -4 * s2(k) * s2(s)
+    disc = b * b - 4 * lead * const
     return math.sqrt(disc) / lead if disc > 0 else None
 
 
@@ -196,8 +207,25 @@ def _width_cases():
     return out
 
 
+def test_delta_is_the_squared_u_interval_length():
+    # sqrt(sigma(Delta)) is the length of the u-interval wherever sigma(Delta) > 0
+    checked = set()
+    for case in dict.fromkeys(case for case, _ in _width_cases()):
+        delta = discriminant_like(case)
+        for emb in field_of(case).embeddings():
+            if certify_sign(AlgConst(emb.apply(delta))) != "GREATER":
+                continue
+            length = _independent_length(case, emb.representative)
+            got = eval_ball(Sqrt(AlgConst(emb.apply(delta))), 96)
+            assert abs(float(got.center) - length) < 1e-9, (case.label(), emb)
+            checked.add((case.family, emb.is_identity))
+    assert len(checked) == 10  # five families, identity and conjugate embeddings
+
+
 def test_admissible_interval_length_formula():
-    # sqrt(sigma(W)) is the interval length at sigma wherever sigma(D) > 0
+    # sqrt(sigma(W)) is the interval length at sigma wherever sigma(Delta) > 0
+    import math
+
     checked = set()
     for case, variant in _width_cases():
         width_sq, _ = method_a_width(case, variant)
@@ -206,8 +234,14 @@ def test_admissible_interval_length_formula():
             if certify_sign(AlgConst(emb.apply(d))) != "GREATER":
                 continue
             length = _independent_length(case, emb.representative)
-            if case.family == Family.G3 and variant == Variant.U_SQUARED:
-                # u^2 in (0, -c/lead) for s = 2, where the u term vanishes
+            if variant == Variant.U_TILDE:
+                # u-tilde in (4 cos^2(pi/s) sin^2(pi/k), 4 sin^2(pi/r) sin^2(pi/k))
+                a = emb.representative
+                s2 = {x: math.sin(math.pi * (1 if x in (2, 3, 4, 6) else a) / x) ** 2
+                      for x in case.params()}
+                length = 4 * s2[case.r] * s2[case.k] - 4 * (1 - s2[case.s]) * s2[case.k]
+            elif variant == Variant.U_SQUARED:
+                # the u term vanishes, so u lies in (-l/2, l/2) and u^2 in [0, l^2/4)
                 length = length**2 / 4
             got = eval_ball(Sqrt(AlgConst(emb.apply(width_sq))), 96)
             assert abs(float(got.center) - length) < 1e-9, (case.label(), variant, emb)
@@ -288,7 +322,7 @@ def test_case_bound_certifies_feasibility_once(monkeypatch):
 
 
 def test_case_bound_builds_d_once(monkeypatch):
-    # D = discriminant_like(case) feeds both the feasibility signs and the
+    # Delta = discriminant_like(case) feeds both the feasibility signs and the
     # Method-A width; the 62 rows of the G1-G4 tables build it at most once each
     import groundbound.graphs as graphs
 
