@@ -5,8 +5,14 @@ forms A_{k,sigma} given by the Chebyshev coefficients of P^sigma on
 [a_sigma, b_sigma]; here the witness is actually constructed.  The exact
 forms are scaled by 2^p and rounded to an integer matrix, p chosen so that
 the smallest Chebyshev diagonal entry 2((b-a)/4)^n keeps LLL_MARGIN_BITS
-bits.  An exact integral LLL (Cohen, GTM 138, Alg. 2.6.7) on its columns
-proposes small integer coefficient vectors.  They are certified exactly
+= 32 bits.  An exact integral LLL (Cohen, GTM 138, Alg. 2.6.7) on its columns
+proposes small integer coefficient vectors.  32 guard bits suffice: the
+rounded matrix only proposes, so coarser rounding can at worst cost a
+longer vector, never a wrong certificate.  A rounding error of 1/2 stays
+2^-32 below even the smallest form, and in every problem measured the first
+reduced vector still certifies, while each Gram determinant d_i the
+reduction carries is 64 i bits shorter than at 64 guard bits.  The
+proposals are certified exactly
 (the coefficient-sum bound sum_k |A_{k,sigma}| is an exact algebraic
 number) in one order: the reduced vectors as LLL returns them, then one
 bounded box of small combinations of the first few.  A certificate whose
@@ -31,7 +37,7 @@ from .fields import Embedding, RealCyclotomicField, field_discriminant
 
 # Bits kept below the smallest Chebyshev diagonal entry when the exact
 # forms are scaled to integers, and the Lovasz constant of the reduction.
-LLL_MARGIN_BITS = 64
+LLL_MARGIN_BITS = 32
 LLL_DELTA = Fraction(99, 100)
 
 # The fallback after the reduced vectors: integer combinations of the first
@@ -65,6 +71,7 @@ def chebyshev_coefficients(a: Fraction, b: Fraction, n: int) -> tuple[tuple, ...
     return tuple(row + (Fraction(0),) * (n + 1 - len(row)) for row in rows)
 
 
+@lru_cache(maxsize=None)
 def integral_basis(field: RealCyclotomicField) -> tuple[CycloElement, ...]:
     """Z-basis of the ring of integers; supported for degree <= 2."""
     if field.degree == 1:
@@ -211,18 +218,12 @@ def fekete_bound_expr(field: RealCyclotomicField, intervals: dict, n: int) -> Ex
     return out
 
 
-def _abs_exact(x: CycloElement):
-    sign = certify_sign(AlgConst(x))
-    if sign == balls.LESS:
-        return -x
-    return x
-
-
 def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
     """Upper bound sum_k |A_k| for sup |P^sigma| on the interval, exact.
 
     `coeffs` are the polynomial coefficients as field elements (constant
     first).  The bound is always >= the true sup and <= (n+1) max |A_k|.
+    Each A_k, and the bound itself, is one `_combine`.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     n = len(coeffs) - 1
@@ -231,15 +232,16 @@ def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
     images = [embedding.apply(c if isinstance(c, CycloElement)
                               else CycloElement.rational(field_n, c))
               for c in coeffs]
-    total = CycloElement.rational(field_n, 0)
-    for k in range(n + 1):
-        a_k = CycloElement.rational(field_n, 0)
-        for i, image in enumerate(images):
-            if cheb[i][k] == 0:
-                continue
-            a_k = a_k + image * cheb[i][k]
-        total = total + _abs_exact(a_k)
-    return total
+    forms = [_combine(field_n, [row[k] for row in cheb], images) for k in range(n + 1)]
+    signs = [-1 if certify_sign(AlgConst(a_k)) == balls.LESS else 1 for a_k in forms]
+    return _combine(field_n, signs, forms)
+
+
+def _combine(n: int, weights, elements) -> CycloElement:
+    """sum_i weights[i] elements[i] in Q(cos 2pi/n), summed coordinate by
+    coordinate: rational weights need no product in the field."""
+    columns = zip(*(e.coeffs for e in elements))
+    return CycloElement(n, [sum(w * x for w, x in zip(weights, col) if w) for col in columns])
 
 
 @dataclass(frozen=True)
@@ -256,14 +258,7 @@ class FeketeCertificate:
 
 
 def _coefficients_from_alpha(field, basis, alpha):
-    out = []
-    for row in alpha:
-        acc = CycloElement.rational(field.n, 0)
-        for j, x in enumerate(row):
-            if x:
-                acc = acc + basis[j] * x
-        out.append(acc)
-    return tuple(out)
+    return tuple(_combine(field.n, row, basis) for row in alpha)
 
 
 def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int) -> FeketeCertificate:

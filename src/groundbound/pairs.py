@@ -193,6 +193,12 @@ def is_exceptional(k: int, s: int) -> bool:
     return sign != balls.GREATER
 
 
+def _require_method_b(k: int, s: int) -> None:
+    if is_exceptional(k, s):
+        raise ExceptionalPair(f"({k}, {s}) is an exceptional pair: Method B does not apply; "
+                              "Method A (pairs.exceptional_bound) bounds it")
+
+
 def pair_field_degree(k: int, s: int) -> int:
     g = gcd(k, s)
     rho = 2 if g in (1, 2) else 1
@@ -208,8 +214,7 @@ def rhs_expr(k: int, s: int, kind: PairKind) -> Expr:
 
 def survives(k: int, s: int, kind: PairKind) -> bool:
     """Certified check of the survival inequality for a non-exceptional pair."""
-    if is_exceptional(k, s):
-        raise ExceptionalPair(f"({k}, {s})")
+    _require_method_b(k, s)
     return pair_floor(k, s, kind) >= 1
 
 
@@ -324,8 +329,7 @@ def pair_report(k: int, s: int, kind: PairKind, refine_above: int = REFINE_THRES
         k, s = s, k
     if kind is PairKind.GAMMA4 and (s not in (3, 4, 5) or k < 7):
         raise InvalidInput("star-family pairs need r in {3, 4, 5} and k >= 7")
-    if is_exceptional(k, s):
-        raise ExceptionalPair(f"({k}, {s})")
+    _require_method_b(k, s)
     return _report(k, s, kind, pair_floor(k, s, kind), refine_above)
 
 

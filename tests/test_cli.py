@@ -89,6 +89,16 @@ def test_refine_pair_command(capsys):
     assert "result=120" in out and "diverge" in out
 
 
+def test_refine_pair_on_exceptional_pair_names_method_a(capsys):
+    code, out, err = run_cli(
+        ["refine-pair", "--kind", "gamma4", "--k", "13", "--s", "3"], capsys
+    )
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "(13, 3) is an exceptional pair" in err
+    assert "Method B does not apply" in err
+    assert "Method A (pairs.exceptional_bound)" in err
+
+
 def test_search_pairs_command(tmp_path, capsys):
     from groundbound.report import parse_pair_table
 

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from groundbound.balls import AlgConst, GREATER, certify_compare, eval_ball
+from groundbound.balls import AlgConst, GREATER, LESS, certify_compare, certify_sign, eval_ball
 from groundbound.cyclo import CycloElement
 from groundbound.fekete import (
     LLL_DELTA,
+    LLL_MARGIN_BITS,
+    _coefficients_from_alpha,
     _lll,
     chebyshev_coefficients,
     chebyshev_linear_forms,
@@ -284,6 +286,20 @@ def _exact_det(rows):
     return det
 
 
+def _assert_lll_reduced(matrix, label):
+    dim = len(matrix[0])
+    reduced, transform = _lll(matrix)
+    assert (reduced, transform) == _lll(matrix)
+    columns = [[row[c] for row in matrix] for c in range(dim)]
+    for vec, coeffs in zip(reduced, transform):
+        assert vec == [sum(t * col[r] for t, col in zip(coeffs, columns)) for r in range(len(matrix))]
+    assert abs(_exact_det(transform)) == 1
+    mu, norms = _exact_gram_schmidt(reduced)
+    for i in range(1, dim):
+        assert all(abs(m) <= F(1, 2) for m in mu[i]), (label, i)
+        assert norms[i] >= (LLL_DELTA - mu[i][i - 1] ** 2) * norms[i - 1], (label, i)
+
+
 def test_integral_lll_against_exact_gram_schmidt():
     rng = random.Random(1982)
     for dim in range(2, 15):
@@ -294,16 +310,67 @@ def test_integral_lll_against_exact_gram_schmidt():
                 matrix = [[rng.randint(-50, 50) << s for _ in range(dim)] for s in scales]
                 if _exact_det(matrix):
                     break
-            reduced, transform = _lll(matrix)
-            assert (reduced, transform) == _lll(matrix)
-            columns = [[row[c] for row in matrix] for c in range(dim)]
-            for vec, coeffs in zip(reduced, transform):
-                assert vec == [sum(t * col[r] for t, col in zip(coeffs, columns)) for r in range(dim)]
-            assert abs(_exact_det(transform)) == 1
-            mu, norms = _exact_gram_schmidt(reduced)
-            for i in range(1, dim):
-                assert all(abs(m) <= F(1, 2) for m in mu[i]), (dim, trial, i)
-                assert norms[i] >= (LLL_DELTA - mu[i][i - 1] ** 2) * norms[i - 1], (dim, trial, i)
+            _assert_lll_reduced(matrix, (dim, trial))
+    # the matrices the search reduces: the worked examples, with every narrow
+    # Q case up to degree 12
+    for field, ivs, n in WORKED_EXAMPLES:
+        forms = chebyshev_linear_forms(field, ivs, n)
+        matrix = forms.scaled_matrix()
+        for s in range(len(forms.intervals)):
+            # row (n, sigma), column (n, 0): the smallest diagonal entry keeps
+            # LLL_MARGIN_BITS bits
+            row = forms.row_indices().index((n, s))
+            assert matrix[row][forms.col_indices().index((n, 0))] >= 2**LLL_MARGIN_BITS
+        _assert_lll_reduced(matrix, (field.n, n, tuple(ivs.values())))
+
+
+def _per_product_sup_norm(coeffs, embedding, interval):
+    """The sup bound as one CycloElement product and sum per (i, k): the
+    oracle for the coordinate-wise `certify_sup_norm`."""
+    a, b = F(interval[0]), F(interval[1])
+    n = len(coeffs) - 1
+    cheb = chebyshev_coefficients(a, b, n)
+    field_n = embedding.field.n
+    images = [embedding.apply(c if isinstance(c, CycloElement) else CycloElement.rational(field_n, c))
+              for c in coeffs]
+    total = CycloElement.rational(field_n, 0)
+    for k in range(n + 1):
+        a_k = CycloElement.rational(field_n, 0)
+        for i, image in enumerate(images):
+            if cheb[i][k]:
+                a_k = a_k + image * cheb[i][k]
+        total = total + (-a_k if certify_sign(AlgConst(a_k)) == LESS else a_k)
+    return total
+
+
+def _per_product_coefficients(field, basis, alpha):
+    out = []
+    for row in alpha:
+        acc = CycloElement.rational(field.n, 0)
+        for j, x in enumerate(row):
+            if x:
+                acc = acc + basis[j] * x
+        out.append(acc)
+    return tuple(out)
+
+
+def test_coordinate_wise_sums_match_per_product_oracle():
+    rng = random.Random(4242)
+    for trial in range(40):
+        field = Q if trial % 2 == 0 else F5
+        n = trial // 2 % (13 if field is Q else 7)  # degrees from 0 up
+        basis = integral_basis(field)
+        alpha = [[rng.randint(-3, 3) for _ in basis] for _ in range(n + 1)]
+        alpha[rng.randrange(n + 1)] = [0] * len(basis)
+        coeffs = _coefficients_from_alpha(field, basis, alpha)
+        oracle = _per_product_coefficients(field, basis, alpha)
+        assert [(c.n, c.coeffs) for c in coeffs] == [(c.n, c.coeffs) for c in oracle], alpha
+        for emb in field.embeddings():
+            centre, width = F(rng.randint(-20, 20), 10), F(rng.randint(1, 30), 10)
+            interval = (centre - width / 2, centre + width / 2)
+            sup = certify_sup_norm(coeffs, emb, interval)
+            expected = _per_product_sup_norm(oracle, emb, interval)
+            assert (sup.n, sup.coeffs) == (expected.n, expected.coeffs), (alpha, emb, interval)
 
 
 def test_empty_interval_is_an_input_error():
