@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import InvalidModulus
 from . import polyint as P
@@ -33,6 +33,17 @@ def _factorize(n: int) -> tuple:
     if x > 1:
         out.append((x, 1))
     return tuple(out)
+
+
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[x] for 2 <= x <= limit (spf[0] = 0, spf[1] = 1)."""
+    spf = list(range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for q in range(p * p, limit + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return spf
 
 
 @lru_cache(maxsize=None)

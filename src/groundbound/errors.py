@@ -26,7 +26,9 @@ class ElementNotInField(GroundboundError):
 
 
 class HypothesisViolated(GroundboundError):
-    """The product of interval lengths over 4 is not certified below 1."""
+    """A hypothesis of the degree bound fails: R (the product of interval
+    lengths over 4) is not certified below 1, or R, B or S is certified
+    <= 0."""
 
 
 class InadmissibleQuery(GroundboundError):

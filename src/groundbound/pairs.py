@@ -18,8 +18,9 @@ g(x) = ln gamma(x)/phi(x) up to TAIL_START = 4096 in plain Python, and
 scans k up to min(k_max, 4096).  There is no float pre-filter: every
 discard is an integer inequality between fixed-point bounds (see
 `ScanBounds`), built from integer bounds of ln p for the primes
-p <= 4096 (`_ln_prime_table`, no interval evaluation) and one outward
-enclosure each of pi and of ln pi.  A k is dropped when phi(k) c_low(k)
+p <= 4096 (`fixed._ln_prime_table`, the fixed-point kit shared with the
+least-N solver; no interval evaluation) and one outward enclosure each
+of pi and of ln pi.  A k is dropped when phi(k) c_low(k)
 exceeds 4 rhs_max(k); for the other k only s with phi(s / gcd(k, s)) below
 the divisor bound T_k are enumerated; a pair is dropped when
 deg * c_lo > rhs_hi.  A pair with c_lo <= 0 has its coefficient sign
@@ -41,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import ceil, floor, gcd, isqrt, log
+from math import gcd, log
 
 from . import balls
 from .balls import (
@@ -50,19 +51,17 @@ from .balls import (
     within_one_integer_step,
 )
 from .bounds import BoundProblem, method_a_problem, solve
-from .cyclo import _factorize, euler_phi, gamma_norm_constant
+from .cyclo import _smallest_prime_factors, euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, norm_4sin2_closed_form
+from .fixed import FIXED_BITS, LN_TABLE_LIMIT, _fixed, _fixed_ln, _fixed_ln_prime
 from .graphs import Family, FamilyTable, Variant, family_bound, variant_width
 
 LN2 = log(2.0)
 REFINE_THRESHOLD = 120
-# the scan's fixed-point bounds are integers in units of 2^-FIXED_BITS
-FIXED_BITS = 64
-# extra bits the integer ln p table carries before rounding to FIXED_BITS
-LN_GUARD_BITS = 16
-# the sieve and the pair scan stop here; tail_certificate covers larger k
-TAIL_START = 4096
+# the sieve and the pair scan stop here, where the integer ln p table of
+# `fixed` ends; tail_certificate covers larger k
+TAIL_START = LN_TABLE_LIMIT
 # Rosser-Schoenfeld, "Approximate formulas for some functions of prime
 # numbers", Illinois J. Math. 6 (1962), Thm 15: for n >= 3,
 #     phi(n) > n / (e^gamma ln ln n + 2.50637 / ln ln n)
@@ -266,15 +265,6 @@ def _fixed_neg_ln_sin(x: int) -> tuple[int, int]:
     return _fixed(-Ln(Sin(PI / Const(Fraction(x)))))
 
 
-def _fixed_ln(n: int) -> tuple[int, int]:
-    """Fixed-point bounds of ln n for n >= 1, summed along its factorisation."""
-    lo = hi = 0
-    for p, v in _factorize(n):
-        a, b = _fixed_ln_prime(p)
-        lo, hi = lo + v * a, hi + v * b
-    return lo, hi
-
-
 def _fixed_rhs(k: int, s: int, kind: PairKind) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^FIXED_BITS * rhs(k, s) <= hi."""
     c_lo, c_hi = _fixed_ln(kind.log_constant)
@@ -394,17 +384,6 @@ def exceptional_bound(k: int, s: int, kind: PairKind) -> tuple[int, int]:
 # -- sieve and fixed-point bounds for the scan ------------------------------
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[x] for 2 <= x <= limit (spf[0] = 0, spf[1] = 1)."""
-    spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    return spf
-
-
 def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:
     """(phi, spf, gamma) for 0..limit: Euler totients, smallest prime
     factors (spf[x] for x >= 2) and gamma(x) = p when x = p^t >= 2, else 1,
@@ -419,71 +398,6 @@ def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:
         if y == 1 or gamma[y] == p:
             gamma[x] = p
     return phi, spf, gamma
-
-
-def _fixed(expr: Expr) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FIXED_BITS * expr <= hi, from one enclosure."""
-    ball = eval_ball(expr)
-    scale = 1 << FIXED_BITS
-    return floor(mpf_to_fraction(ball.lower) * scale), ceil(mpf_to_fraction(ball.upper) * scale)
-
-
-def _fixed_atanh_inverse(n: int, bits: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^bits atanh(1/n) <= hi, for n >= 3.
-
-    atanh(1/n) = sum_j 1 / ((2j + 1) n^(2j + 1)).  The terms with
-    n^(2j + 1) <= 2^bits are summed, each floored for lo and ceiled for
-    hi; the rest, for j >= J, is at most
-    x^(2J + 1) / ((2J + 1) (1 - x^2)) at x = 1/n, added to hi rounded up.
-    """
-    one = 1 << bits
-    lo = hi = 0
-    j, power = 0, n  # power = n^(2j + 1)
-    while power <= one:
-        lo += one // ((2 * j + 1) * power)
-        hi -= -one // ((2 * j + 1) * power)
-        j, power = j + 1, power * n * n
-    hi -= -(one * n * n) // ((2 * j + 1) * power * (n * n - 1))
-    return lo, hi
-
-
-@cache
-def _ln_prime_table() -> dict[int, tuple[int, int]]:
-    """{p: (lo, hi)} with lo <= 2^FIXED_BITS ln p <= hi for the primes
-    p <= TAIL_START, in integer arithmetic only.
-
-    ln p = ln(p - 1) + ln(p / (p - 1)) = ln(p - 1) + 2 atanh(1/(2p - 1)),
-    since (1 + y) / (1 - y) = p / (p - 1) at y = 1/(2p - 1); for p = 2 this
-    is ln 2 = 2 atanh(1/3).  ln(p - 1) is the sum of the bounds of the
-    smaller primes along the factorisation of p - 1.  Bounds are carried
-    in units of 2^-(FIXED_BITS + LN_GUARD_BITS) and sums of lower (upper)
-    bounds stay lower (upper) bounds; at the end lo is rounded down and hi
-    up to units of 2^-FIXED_BITS, so every enclosure still holds.
-    """
-    bits = FIXED_BITS + LN_GUARD_BITS
-    spf = _smallest_prime_factors(TAIL_START)
-    fine: dict[int, tuple[int, int]] = {}
-    for p in range(2, TAIL_START + 1):
-        if spf[p] != p:
-            continue
-        lo, hi = _fixed_atanh_inverse(2 * p - 1, bits)
-        lo, hi = 2 * lo, 2 * hi
-        x = p - 1
-        while x > 1:
-            q = spf[x]
-            lo, hi = lo + fine[q][0], hi + fine[q][1]
-            x //= q
-        fine[p] = lo, hi
-    return {p: (lo >> LN_GUARD_BITS, -(-hi >> LN_GUARD_BITS)) for p, (lo, hi) in fine.items()}
-
-
-@cache
-def _fixed_ln_prime(p: int) -> tuple[int, int]:
-    """Fixed-point bounds of ln p: the integer table for p <= TAIL_START,
-    one interval enclosure above it."""
-    if p <= TAIL_START:
-        return _ln_prime_table()[p]
-    return _fixed(Ln(Const(Fraction(p))))
 
 
 @cache

@@ -15,7 +15,7 @@ from groundbound.balls import (
     eval_ball,
     exact_value,
 )
-from groundbound import balls, bounds
+from groundbound import balls, bounds, fixed
 from groundbound.bounds import BoundProblem, method_a_problem, solve
 from groundbound.cyclo import CycloElement
 from groundbound.errors import HypothesisViolated, UndecidableError
@@ -64,6 +64,17 @@ def test_solve_hypothesis_violated():
     for r in (Const(F(1)), Const(F(3, 2))):
         with pytest.raises(HypothesisViolated):
             solve(prob(1, 1, r, Const(F(28)) * E))
+
+
+def test_nonpositive_data_violate_the_hypotheses():
+    # R, B and S must be positive: a datum certified <= 0 (an exact zero
+    # such as sin(pi) included) is named, never clamped or left to ln
+    good = {"B": Const(F(1)), "R": Const(F(1, 2)), "S": Const(F(2))}
+    for name in good:
+        for bad in (Const(F(0)), Const(F(-5)), Sin(PI)):
+            data = {**good, name: bad}
+            with pytest.raises(HypothesisViolated, match=f"{name} must be > 0"):
+                solve(prob(1, data["B"], data["R"], data["S"]))
 
 
 def test_method_a_problem_quadratic_field():
@@ -166,7 +177,9 @@ def test_solve_matches_linear_scan():
     assert max(answers) > 100
 
 
-def test_solve_at_most_five_comparisons(monkeypatch):
+def _count_fallbacks(monkeypatch):
+    """Spy on the solver's fallback: `bounds` calls `certify_compare` only
+    for a sign its fixed-point bounds leave open."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -174,16 +187,63 @@ def test_solve_at_most_five_comparisons(monkeypatch):
         return balls.certify_compare(*args, **kwargs)
 
     monkeypatch.setattr(bounds, "certify_compare", counting)
-    for problem in _oracle_problems():
-        calls.clear()
+    return calls
+
+
+def test_solve_falls_back_only_on_straddling_signs(monkeypatch):
+    from groundbound import graphs, pairs
+    from groundbound.reproduce import reproduce_all
+
+    fallbacks = _count_fallbacks(monkeypatch)
+    problems = _oracle_problems()
+    for problem in problems:
+        fallbacks.clear()
         solve(problem)
-        assert 3 <= len(calls) <= 5
+        # only the exact S = 1 (the last problem) leaves a sign open: S vs 1
+        assert len(fallbacks) == (1 if problem is problems[-1] else 0)
+    fallbacks.clear()
+    with pytest.raises(UndecidableError, match="N=5"):
+        solve(_TIE)
+    assert len(fallbacks) == 1
+
+    solves = []
+
+    def counting_solve(problem, *args, **kwargs):
+        solves.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    for module in (graphs, pairs):
+        monkeypatch.setattr(module, "solve", counting_solve)
+    fallbacks.clear()
+    reproduce_all(2000)
+    assert len(solves) == 89 and fallbacks == []
+
+
+def test_forced_fallback_matches_linear_scan(monkeypatch):
+    # every fixed-point enclosure widened by 2^16 on both sides: no sign of
+    # R < 1, of S vs 1 or of f(n) is read off the integer bounds, so every
+    # one goes through the fallback, and the least N stays the scan's
+    fallbacks = _count_fallbacks(monkeypatch)
+    real_fixed = bounds._fixed
+    width = 1 << (16 + fixed.FIXED_BITS)
+
+    def straddling(*args, **kwargs):
+        lo, hi = real_fixed(*args, **kwargs)
+        return lo - width, hi + width
+
+    monkeypatch.setattr(bounds, "_fixed", straddling)
+    for problem in _oracle_problems():
+        fallbacks.clear()
+        n = solve(problem).least_n
+        assert n == _scan_least_n(problem)
+        # R vs 1, S vs 1 and f(1), then f(N) and f(N - 1) unless N = 1
+        assert len(fallbacks) >= (3 if n == 1 else 5)
 
 
 def test_solve_corrects_a_wrong_proposal(monkeypatch):
     problem = prob(1, 1, Const(F(1)) / Sqrt(Const(F(2))), Const(F(16)) * E)
     for proposal in (2, 13, 21, 23, 40):
-        monkeypatch.setattr(bounds, "_propose", lambda *args, n=proposal: n)
+        monkeypatch.setattr(bounds, "_integer_proposal", lambda *args, n=proposal: n)
         assert solve(problem).least_n == 22
 
 
@@ -196,8 +256,10 @@ def test_solve_limit(monkeypatch):
         solve(problem)
 
 
+# f(5) = 5 ln 2 - ln 12 - ln(8/3) = ln(32/32) = 0 exactly
+_TIE = prob(1, 1, Const(F(1, 2)), Const(F(8, 3)))
+
+
 def test_exact_tie_is_undecidable():
-    # f(5) = 5 ln 2 - ln 12 - ln(8/3) = ln(32/32) = 0 exactly
-    problem = prob(1, 1, Const(F(1, 2)), Const(F(8, 3)))
     with pytest.raises(UndecidableError, match="N=5"):
-        solve(problem)
+        solve(_TIE)

@@ -241,6 +241,7 @@ def test_precision_cap_bounds_inconclusive_evaluations(capsys):
 
 
 BAD_SOLVE = ["bound-solve", "--M", "1", "--B", "1", "--S", "2"]
+SOLVE_R_HALF = ["bound-solve", "--M", "1", "--R", "1/2"]
 # the reason a usage error must name, where the command line alone does not
 # show it: an explicit 0 is a k bound, not a request for the default, and
 # evaluation starts at 64 bits, so a smaller cap could decide nothing
@@ -250,6 +251,10 @@ USAGE_ERROR_REASON = {
     ("graph-family", "--family", "g4", "--kmin", "0", "--kmax-family", "3"): ">= 2",
     (*BAD_SOLVE, "--R", "1/2", "--precision-cap", "0"): "precision cap 0",
     (*BAD_SOLVE, "--R", "1/2", "--precision-cap", "63"): "precision cap 63",
+    (*BAD_SOLVE, "--R", "0"): "R must be > 0",
+    (*SOLVE_R_HALF, "--B", "0", "--S", "2"): "B must be > 0",
+    (*SOLVE_R_HALF, "--B", "1", "--S", "0"): "S must be > 0",
+    (*SOLVE_R_HALF, "--B", "1", "--S", "-5"): "S must be > 0",
 }
 
 
@@ -262,6 +267,10 @@ USAGE_ERROR_REASON = {
     [*BAD_SOLVE, "--R", "1/2", "--m", "0"],
     [*BAD_SOLVE, "--R", "1/2", "--precision-cap", "0"],
     [*BAD_SOLVE, "--R", "1/2", "--precision-cap", "63"],
+    [*BAD_SOLVE, "--R", "0"],
+    [*SOLVE_R_HALF, "--B", "0", "--S", "2"],
+    [*SOLVE_R_HALF, "--B", "1", "--S", "0"],
+    [*SOLVE_R_HALF, "--B", "1", "--S", "-5"],
     ["bound-solve", "--M", "0", "--B", "1", "--R", "1/2", "--S", "2"],
     ["graph-case", "--family", "g1", "--s", "3", "--k", "3", "--r", "3", "--p", "3", "--m", "0"],
     ["graph-case", "--family", "g5", "--s", "3"],
@@ -285,6 +294,16 @@ def test_bad_input_is_a_usage_error(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 3 and "Traceback" not in err
     assert USAGE_ERROR_REASON.get(tuple(args), "") in err
+
+
+def test_python_m_groundbound_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "groundbound", "bound-solve", "--M", "1", "--B", "1",
+         "--R", "1/sqrt(2)", "--S", "16*e"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "result=22" in proc.stdout
 
 
 def test_reproduce_all_rejects_small_kmax_before_any_section(monkeypatch, capsys):

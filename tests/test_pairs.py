@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from groundbound import pairs
+from groundbound import fixed, pairs
 from groundbound.errors import ExceptionalPair, UndecidableError
 from groundbound.pairs import (
     PUBLISHED_EXCEPTIONAL_GAMMA5,
@@ -367,11 +367,11 @@ def test_scan_bounds_enclose(kind):
     import mpmath
 
     bounds = pairs.ScanBounds(kind, TAIL_START)
-    scale = 2**pairs.FIXED_BITS
+    scale = 2**fixed.FIXED_BITS
     with mpmath.mp.workprec(256):
         for p in range(2, TAIL_START + 1):
             if bounds.spf[p] == p:
-                lo, hi = pairs._fixed_ln_prime(p)
+                lo, hi = fixed._fixed_ln_prime(p)
                 assert lo <= mpmath.log(p) * scale <= hi, p
         assert bounds.ln2_lo <= mpmath.log(2) * scale
         assert bounds.ln_c_hi >= mpmath.log(kind.log_constant) * scale
@@ -447,17 +447,17 @@ def test_ln_prime_table_encloses_the_interval_logarithms():
     # every prime p <= 4096, at most 4 units of 2^-64 wide
     from groundbound.balls import Const, Ln, eval_ball, mpf_to_fraction
 
-    table = pairs._ln_prime_table()
+    table = fixed._ln_prime_table()
     spf = pairs._smallest_prime_factors(TAIL_START)
     assert sorted(table) == [p for p in range(2, TAIL_START + 1) if spf[p] == p]
     assert len(table) == 564
-    scale = 2**pairs.FIXED_BITS
+    scale = 2**fixed.FIXED_BITS
     for p, (lo, hi) in table.items():
         ball = eval_ball(Ln(Const(Fraction(p))), 256)
         assert lo <= mpf_to_fraction(ball.lower) * scale, p
         assert mpf_to_fraction(ball.upper) * scale <= hi, p
         assert 0 < hi - lo <= 4, p
-        assert pairs._fixed_ln_prime(p) == (lo, hi)
+        assert fixed._fixed_ln_prime(p) == (lo, hi)
 
 
 def _old_floor(k, s, kind):
