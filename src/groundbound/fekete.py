@@ -2,23 +2,28 @@
 
 The existence statement is proved via Minkowski's theorem on the linear
 forms A_{k,sigma} given by the Chebyshev coefficients of P^sigma on
-[a_sigma, b_sigma]; here the witness is actually constructed.  The exact
-forms are scaled by 2^p and rounded to an integer matrix, p chosen so that
-the smallest Chebyshev diagonal entry 2((b-a)/4)^n keeps LLL_MARGIN_BITS
-= 32 bits.  An exact integral LLL (Cohen, GTM 138, Alg. 2.6.7) on its columns
-proposes small integer coefficient vectors.  32 guard bits suffice: the
-rounded matrix only proposes, so coarser rounding can at worst cost a
-longer vector, never a wrong certificate.  A rounding error of 1/2 stays
-2^-32 below even the smallest form, and in every problem measured the first
-reduced vector still certifies, while each Gram determinant d_i the
-reduction carries is 64 i bits shorter than at 64 guard bits.  The
-proposals are certified exactly
-(the coefficient-sum bound sum_k |A_{k,sigma}| is an exact algebraic
-number) in one order: the reduced vectors as LLL returns them, then one
-bounded box of small combinations of the first few.  A certificate whose
-sup bounds exceed the theoretical bound is never returned; exhausting the
-box raises SearchExhausted, which the theory says cannot happen and is
-treated as a bug signal.
+[a_sigma, b_sigma]; here the witness is actually constructed.  The
+Chebyshev rows are integer tables over one denominator: row i of
+[a, b] is R_i / s^i with s = 4 lcm(den a, den b) (`chebyshev_coefficients`),
+so every Chebyshev value below is an integer quotient, not a Fraction.
+The exact forms are scaled by 2^p and rounded to an integer matrix, p
+chosen so that the smallest Chebyshev diagonal entry 2((b-a)/4)^n keeps
+LLL_MARGIN_BITS = 32 bits.  An exact integral LLL (Cohen, GTM 138,
+Alg. 2.6.7) on its columns proposes small integer coefficient vectors.
+32 guard bits suffice: the rounded matrix only proposes, so coarser
+rounding can at worst cost a longer vector, never a wrong certificate.  A
+rounding error of 1/2 stays 2^-32 below even the smallest form, and in
+every problem measured the first reduced vector still certifies, while
+each Gram determinant d_i the reduction carries is 64 i bits shorter than
+at 64 guard bits.  The proposals are certified exactly (the
+coefficient-sum bound sum_k |A_{k,sigma}| is an exact algebraic number,
+summed as integer coordinate vectors over one denominator; a rational
+A_{k,sigma} is signed in integers, an irrational one by `certify_sign`) in
+one order: the reduced vectors as LLL returns them, then one bounded box
+of small combinations of the first few.  A certificate whose sup bounds
+exceed the theoretical bound is never returned; exhausting the box raises
+SearchExhausted, which the theory says cannot happen and is treated as a
+bug signal.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import balls
 from .balls import AlgConst, Const, Expr, Pow, certify_compare, certify_sign
@@ -48,27 +53,38 @@ BOX_VECTORS = 3
 # -- Chebyshev expansions ----------------------------------------------------
 
 
+def chebyshev_scale(a: Fraction, b: Fraction) -> int:
+    """s = 4 lcm(den a, den b): the true Chebyshev row i is R_i / s^i."""
+    return 4 * lcm(Fraction(a).denominator, Fraction(b).denominator)
+
+
 @lru_cache(maxsize=256)
-def chebyshev_coefficients(a: Fraction, b: Fraction, n: int) -> tuple[tuple, ...]:
-    """Row i holds the exact T_k coefficients of ((a+b)/2 + ((b-a)/2) x)^i.
+def chebyshev_coefficients(a: Fraction, b: Fraction, n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer rows R_i, with R_i[k] / s^i the T_k coefficient of
+    ((a+b)/2 + ((b-a)/2) x)^i and s = `chebyshev_scale(a, b)`.
 
     Multiplication by x in the Chebyshev basis sends T_k to
-    (T_{k+1} + T_{|k-1|}) / 2.  Memoized: `certify_sup_norm` reuses the
-    table `chebyshev_linear_forms` built for the same problem.
+    (T_{k+1} + T_{|k-1|}) / 2.  With D = lcm(den a, den b), A = aD and
+    B = bD, one step is R_{i+1}[k] += 2(A+B) R_i[k] and
+    R_{i+1}[k+-1] += (B-A) R_i[k], k-1 read as |k-1|: integers throughout.
+    Memoized: `certify_sup_norm` reuses the table `chebyshev_linear_forms`
+    built for the same problem.
     """
-    alpha, beta = (Fraction(a) + Fraction(b)) / 2, (Fraction(b) - Fraction(a)) / 2
-    rows = [(Fraction(1),)]
+    a, b = Fraction(a), Fraction(b)
+    d = lcm(a.denominator, b.denominator)
+    big_a, big_b = int(a * d), int(b * d)
+    mid, half = 2 * (big_a + big_b), big_b - big_a
+    rows = [(1,)]
     for _ in range(n):
         prev = rows[-1]
-        out = [Fraction(0)] * (len(prev) + 1)
+        out = [0] * (len(prev) + 1)
         for k, c in enumerate(prev):
-            if c == 0:
-                continue
-            out[k] += alpha * c
-            out[k + 1] += beta * c / 2
-            out[abs(k - 1)] += beta * c / 2
+            if c:
+                out[k] += mid * c
+                out[k + 1] += half * c
+                out[abs(k - 1)] += half * c
         rows.append(tuple(out))
-    return tuple(row + (Fraction(0),) * (n + 1 - len(row)) for row in rows)
+    return tuple(row + (0,) * (n + 1 - len(row)) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +117,6 @@ def _field_sqrt(field: RealCyclotomicField, d: int) -> CycloElement:
         raise GroundboundError("trace generator did not produce rational invariants")
     disc0 = p.as_rational() ** 2 - 4 * q.as_rational()
     ratio = disc0 / d
-    f2 = ratio.numerator * ratio.denominator
     f = Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator))
     if f * f != ratio:
         raise GroundboundError(f"disc0/d = {ratio} is not a rational square")
@@ -119,18 +134,21 @@ class ChebyshevForms:
     Rows are indexed by (k, sigma) and columns by (i, j), both
     lexicographically; c_{k sigma i j} = gamma_j^sigma * cheb_{sigma}[i][k],
     which vanishes for i < k and carries 2((b-a)/4)^k on the diagonal.
+    The Chebyshev values are held as integer tables over one denominator
+    per embedding: cheb_{sigma}[i][k] = cheb[sigma][i][k] / scales[sigma]^i.
     """
 
     field: RealCyclotomicField
     degree_n: int
     intervals: tuple  # ((Embedding, (a, b)), ...) in embedding order
     basis: tuple  # integral basis as CycloElements
-    cheb: tuple  # cheb[sigma_idx][i][k] rational
+    cheb: tuple  # cheb[sigma_idx][i][k], integers (`chebyshev_coefficients`)
+    scales: tuple  # scales[sigma_idx] = s (`chebyshev_scale`)
 
     def entry(self, k: int, sigma_idx: int, i: int, j: int) -> CycloElement:
         emb = self.intervals[sigma_idx][0]
         gamma = emb.apply(self.basis[j])
-        return gamma * self.cheb[sigma_idx][i][k]
+        return gamma * Fraction(self.cheb[sigma_idx][i][k], self.scales[sigma_idx] ** i)
 
     def row_indices(self):
         return [(k, s) for k in range(self.degree_n + 1) for s in range(len(self.intervals))]
@@ -144,22 +162,45 @@ class ChebyshevForms:
         p = LLL_MARGIN_BITS + max(0, ceil(-log2 d)), d the smallest diagonal
         entry 2((b-a)/4)^n, so even the smallest form keeps LLL_MARGIN_BITS
         bits after rounding.  Chebyshev values are used exactly; an
-        irrational gamma_j^sigma is enclosed once, at p + LLL_MARGIN_BITS bits.
+        irrational gamma_j^sigma is enclosed once, at p + LLL_MARGIN_BITS bits,
+        and its dyadic ball centre is used exactly.  With 2^p gamma_j^sigma =
+        g_num / g_den, every entry is R_i[k] g_num / (s^i g_den) rounded half
+        to even, in integers.
         """
         n = self.degree_n
-        p = LLL_MARGIN_BITS + (ceil(1 / min(cheb[n][n] for cheb in self.cheb)) - 1).bit_length()
+        # ceil(1 / min_sigma d_sigma) = max_sigma ceil(s^n / R_n[n])
+        inv_diag = max(-(-(scale ** n) // cheb[n][n])
+                       for cheb, scale in zip(self.cheb, self.scales))
+        p = LLL_MARGIN_BITS + (inv_diag - 1).bit_length()
         bits = p + LLL_MARGIN_BITS
 
-        def gamma(emb, g) -> Fraction:
+        def gamma(emb, g) -> tuple[int, int]:
             v = emb.apply(g)
             if v.is_rational():
-                return v.as_rational()
+                q = v.as_rational()
+                return q.numerator << p, q.denominator
             ball = balls.eval_ball(AlgConst(v), bits, max(bits, balls.DEFAULT_CAP_BITS))
-            return balls.mpf_to_fraction(ball.center)
+            sign, man, exp, _ = ball.center._mpf_
+            man, exp = int(-man if sign else man), exp + p
+            return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
-        gammas = [[gamma(emb, g) * (1 << p) for g in self.basis] for emb, _ in self.intervals]
-        return [[round(self.cheb[s][i][k] * gammas[s][j]) for i, j in self.col_indices()]
-                for k, s in self.row_indices()]
+        gammas = [[gamma(emb, g) for g in self.basis] for emb, _ in self.intervals]
+        powers = [[scale ** i for i in range(n + 1)] for scale in self.scales]
+        rows = []
+        for k, s in self.row_indices():
+            cheb, power, gamma_s = self.cheb[s], powers[s], gammas[s]
+            row = []
+            for i, j in self.col_indices():
+                c = cheb[i][k]
+                if not c:
+                    row.append(0)
+                    continue
+                g_num, g_den = gamma_s[j]
+                den = power[i] * g_den
+                q, r = divmod(c * g_num, den)
+                row.append(q + (2 * r > den or (2 * r == den and q & 1)))
+            rows.append(row)
+        return rows
 
     def exact_determinant(self):
         """det over the ambient cyclotomic field, computed by fraction-free
@@ -195,8 +236,9 @@ def chebyshev_linear_forms(field: RealCyclotomicField, intervals: dict, n: int) 
     ordered = tuple((emb, (Fraction(intervals[emb][0]), Fraction(intervals[emb][1])))
                     for emb in embeddings)
     cheb = tuple(chebyshev_coefficients(a, b, n) for _, (a, b) in ordered)
+    scales = tuple(chebyshev_scale(a, b) for _, (a, b) in ordered)
     return ChebyshevForms(field=field, degree_n=n, intervals=ordered,
-                          basis=integral_basis(field), cheb=cheb)
+                          basis=integral_basis(field), cheb=cheb, scales=scales)
 
 
 # -- certification -----------------------------------------------------------
@@ -218,30 +260,48 @@ def fekete_bound_expr(field: RealCyclotomicField, intervals: dict, n: int) -> Ex
     return out
 
 
+def _over_one_denominator(elements) -> tuple[int, list[list[int]]]:
+    """(L, vectors): L the least common denominator of the elements'
+    coordinates, and each element's coordinates times L, as integers."""
+    coords = [e.coeffs for e in elements]
+    den = lcm(*(x.denominator for c in coords for x in c))
+    return den, [[x.numerator * (den // x.denominator) for x in c] for c in coords]
+
+
 def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
     """Upper bound sum_k |A_k| for sup |P^sigma| on the interval, exact.
 
     `coeffs` are the polynomial coefficients as field elements (constant
     first).  The bound is always >= the true sup and <= (n+1) max |A_k|.
-    Each A_k, and the bound itself, is one `_combine`.
+    The images v_i of the coefficients are brought to one integer
+    denominator L, so that A_k L s^n = sum_i R_i[k] s^(n-i) v_i is an
+    integer coordinate vector (R_i, s from `chebyshev_coefficients`).  A
+    rational A_k takes its sign from that integer; only an irrational one
+    is signed by `certify_sign`.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     n = len(coeffs) - 1
-    cheb = chebyshev_coefficients(a, b, n)
+    cheb, scale = chebyshev_coefficients(a, b, n), chebyshev_scale(a, b)
     field_n = embedding.field.n
-    images = [embedding.apply(c if isinstance(c, CycloElement)
-                              else CycloElement.rational(field_n, c))
-              for c in coeffs]
-    forms = [_combine(field_n, [row[k] for row in cheb], images) for k in range(n + 1)]
-    signs = [-1 if certify_sign(AlgConst(a_k)) == balls.LESS else 1 for a_k in forms]
-    return _combine(field_n, signs, forms)
-
-
-def _combine(n: int, weights, elements) -> CycloElement:
-    """sum_i weights[i] elements[i] in Q(cos 2pi/n), summed coordinate by
-    coordinate: rational weights need no product in the field."""
-    columns = zip(*(e.coeffs for e in elements))
-    return CycloElement(n, [sum(w * x for w, x in zip(weights, col) if w) for col in columns])
+    den, images = _over_one_denominator(
+        embedding.apply(c if isinstance(c, CycloElement) else CycloElement.rational(field_n, c))
+        for c in coeffs)
+    vectors = [[x * scale ** (n - i) for x in image] for i, image in enumerate(images)]
+    total_den = den * scale ** n
+    total = [0] * len(vectors[0])
+    for k in range(n + 1):
+        form = [0] * len(total)
+        for row, vector in zip(cheb, vectors):
+            c = row[k]
+            if c:
+                form = [f + c * x for f, x in zip(form, vector)]
+        if any(form[1:]):
+            value = CycloElement(field_n, [Fraction(f, total_den) for f in form])
+            sign = -1 if certify_sign(AlgConst(value)) == balls.LESS else 1
+        else:
+            sign = -1 if form[0] < 0 else 1
+        total = [t + sign * f for t, f in zip(total, form)]
+    return CycloElement(field_n, [Fraction(t, total_den) for t in total])
 
 
 @dataclass(frozen=True)
@@ -258,7 +318,13 @@ class FeketeCertificate:
 
 
 def _coefficients_from_alpha(field, basis, alpha):
-    return tuple(_combine(field.n, row, basis) for row in alpha)
+    """sum_j alpha[i][j] basis[j] for each i, coordinate by coordinate over
+    one integer denominator of the basis."""
+    den, vectors = _over_one_denominator(basis)
+    columns = list(zip(*vectors))
+    return tuple(CycloElement(field.n, [Fraction(sum(a * x for a, x in zip(row, col)), den)
+                                        for col in columns])
+                 for row in alpha)
 
 
 def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int) -> FeketeCertificate:
@@ -275,6 +341,10 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int) -
         raise GroundboundError("search implemented for fields of degree <= 2")
     if n < 0:
         raise InvalidInput(f"degree {n} < 0")
+    embeddings = field.embeddings()
+    if set(intervals) != set(embeddings):
+        raise InvalidInput(f"intervals are given for {list(intervals)}, not for "
+                           f"exactly the embeddings {embeddings} of {field}")
     for emb, (a, b) in intervals.items():
         if Fraction(a) >= Fraction(b):
             raise InvalidInput(f"interval [{a}, {b}] at {emb} is empty")
@@ -331,60 +401,60 @@ def _lll(matrix):
     exact downstream.
     """
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
-    size = len(matrix[0])
-    basis = [[row[c] for row in matrix] for c in range(size)]
-    transform = [[int(i == j) for j in range(size)] for i in range(size)]
+    rows, size = len(matrix), len(matrix[0])
+    # vectors[i] is basis vector i followed by its transform row, so that
+    # one pass over it updates both
+    vectors = [[row[c] for row in matrix] + [int(i == c) for i in range(size)]
+               for c in range(size)]
     d = [1] * (size + 1)  # d[i + 1] is d_i of the 0-based vectors 0..i
     lam = [[0] * size for _ in range(size)]
 
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
+    def redi(k, l):  # called only when 2 |lambda_{k,l}| > d_l
+        lam_k, lam_l, d_l = lam[k], lam[l], d[l + 1]
+        q = (2 * lam_k[l] + d_l) // (2 * d_l)
+        vectors[k] = [x - q * y for x, y in zip(vectors[k], vectors[l])]
+        lam_k[l] -= q * d_l
+        lam_k[:l] = [x - q * y for x, y in zip(lam_k, lam_l[:l])]
 
-    def redi(k, l):
-        if 2 * abs(lam[k][l]) <= d[l + 1]:
-            return
-        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-        basis[k] = [x - q * y for x, y in zip(basis[k], basis[l])]
-        transform[k] = [x - q * y for x, y in zip(transform[k], transform[l])]
-        lam[k][l] -= q * d[l + 1]
-        for i in range(l):
-            lam[k][i] -= q * lam[l][i]
-
-    def swapi(k, k_max):
-        basis[k], basis[k - 1] = basis[k - 1], basis[k]
-        transform[k], transform[k - 1] = transform[k - 1], transform[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lk = lam[k][k - 1]
-        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, k_max + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
-        d[k] = b
-
-    d[1] = dot(basis[0], basis[0])
+    d[1] = sum(x * x for x in vectors[0][:rows])
     k, k_max = 1, 0
     while k < size:
+        lam_k = lam[k]
         if k > k_max:
             k_max = k
+            b_k = vectors[k][:rows]
             for j in range(k + 1):
-                u = dot(basis[k], basis[j])
+                lam_j = lam[j]
+                u = sum(x * y for x, y in zip(b_k, vectors[j]))
                 for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    u = (d[i + 1] * u - lam_k[i] * lam_j[i]) // d[i]
                 if j < k:
-                    lam[k][j] = u
+                    lam_k[j] = u
                 else:
                     d[k + 1] = u
-        redi(k, k - 1)
-        if den * d[k + 1] * d[k - 1] < num * d[k] ** 2 - den * lam[k][k - 1] ** 2:
-            swapi(k, k_max)
+        if 2 * abs(lam_k[k - 1]) > d[k]:
+            redi(k, k - 1)
+        d_prev, d_k, d_next, mu = d[k - 1], d[k], d[k + 1], lam_k[k - 1]
+        t = d_prev * d_next + mu * mu
+        if den * t < num * d_k * d_k:  # the Lovasz condition fails
+            # SWAPI: exchange vectors k - 1 and k
+            vectors[k], vectors[k - 1] = vectors[k - 1], vectors[k]
+            lam_prev = lam[k - 1]
+            lam_k[:k - 1], lam_prev[:k - 1] = lam_prev[:k - 1], lam_k[:k - 1]
+            b = t // d_k
+            for i in range(k + 1, k_max + 1):
+                lam_i = lam[i]
+                old = lam_i[k]
+                lam_i[k] = new = (d_next * lam_i[k - 1] - mu * old) // d_k
+                lam_i[k - 1] = (b * old + mu * new) // d_next
+            d[k] = b
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
-                redi(k, l)
+                if 2 * abs(lam_k[l]) > d[l + 1]:
+                    redi(k, l)
             k += 1
-    return basis, transform
+    return [v[:rows] for v in vectors], [v[rows:] for v in vectors]
 
 
 # -- Lagrange growth ----------------------------------------------------------

@@ -7,7 +7,8 @@ from them is a chain of integer inequalities.  Both the pair search
 (`pairs`) and the least-N solver (`bounds`) read their signs this way.
 
 Bounds come from two sources.  `_fixed` rounds one `balls.eval_ball`
-enclosure outward to multiples of 2^-FIXED_BITS.  `_ln_prime_table` gives
+enclosure outward to multiples of 2^-FIXED_BITS, by shifting the
+endpoints' mantissas.  `_ln_prime_table` gives
 ln p for every prime p <= LN_TABLE_LIMIT without interval arithmetic,
 from integer atanh series; `_fixed_ln` sums it along a factorisation.
 """
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import ceil, floor
 
-from .balls import DEFAULT_CAP_BITS, Const, Expr, Ln, eval_ball, mpf_to_fraction
+from .balls import DEFAULT_CAP_BITS, Const, Expr, Ln, eval_ball
 from .cyclo import _factorize, _smallest_prime_factors
 
 # fixed-point bounds are integers in units of 2^-FIXED_BITS
@@ -34,8 +34,17 @@ def _fixed(expr: Expr, cap_bits: int = DEFAULT_CAP_BITS, accept=None) -> tuple[i
     (`balls.eval_ball` from 64 bits, never above `cap_bits`, raised until
     `accept(ball)` when given)."""
     ball = eval_ball(expr, cap_bits=cap_bits, accept=accept)
-    scale = 1 << FIXED_BITS
-    return floor(mpf_to_fraction(ball.lower) * scale), ceil(mpf_to_fraction(ball.upper) * scale)
+    return _scaled(ball.lower, False), _scaled(ball.upper, True)
+
+
+def _scaled(x, up: bool) -> int:
+    """floor (ceil when `up`) of 2^FIXED_BITS x for an mpf
+    x = (-1)^sign man 2^exp, exact: a shift of the signed mantissa."""
+    sign, man, exp, _ = x._mpf_
+    man, exp = int(-man if sign else man), exp + FIXED_BITS
+    if exp >= 0:
+        return man << exp
+    return -(-man >> -exp) if up else man >> -exp
 
 
 def _fixed_atanh_inverse(n: int, bits: int) -> tuple[int, int]:

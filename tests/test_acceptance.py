@@ -241,8 +241,8 @@ def test_criterion_09_cyclotomic_oracles():
 def test_criterion_10_fekete_properties():
     from groundbound.balls import AlgConst, GREATER, certify_compare
     from groundbound.fekete import (
-        chebyshev_coefficients, chebyshev_linear_forms, find_small_polynomial,
-        lagrange_growth_bound)
+        chebyshev_coefficients, chebyshev_linear_forms, chebyshev_scale,
+        find_small_polynomial, lagrange_growth_bound)
     from groundbound.fields import RealCyclotomicField, field_discriminant
 
     Q = RealCyclotomicField.rationals()
@@ -283,7 +283,9 @@ def test_criterion_10_fekete_properties():
         (F(-5), F(5), F(6)),
     ]
     for a, b, x in configurations:
-        cheb = chebyshev_coefficients(a, b, 8)
+        # the integer rows over s^i (`chebyshev_scale`) give the exact ones
+        s = chebyshev_scale(a, b)
+        cheb = [[F(c, s**i) for c in row] for i, row in enumerate(chebyshev_coefficients(a, b, 8))]
         for _ in range(500):
             n = rng.randint(1, 8)
             coeffs = [F(rng.randint(-9, 9)) for _ in range(n + 1)]

@@ -1,9 +1,19 @@
 import random
 from fractions import Fraction as F
+from math import ceil, lcm
 
 import pytest
 
-from groundbound.balls import AlgConst, GREATER, LESS, certify_compare, certify_sign, eval_ball
+from groundbound.balls import (
+    DEFAULT_CAP_BITS,
+    GREATER,
+    LESS,
+    AlgConst,
+    certify_compare,
+    certify_sign,
+    eval_ball,
+    mpf_to_fraction,
+)
 from groundbound.cyclo import CycloElement
 from groundbound.fekete import (
     LLL_DELTA,
@@ -12,6 +22,7 @@ from groundbound.fekete import (
     _lll,
     chebyshev_coefficients,
     chebyshev_linear_forms,
+    chebyshev_scale,
     certify_sup_norm,
     find_small_polynomial,
     integral_basis,
@@ -23,10 +34,20 @@ Q = RealCyclotomicField.rationals()
 F5 = RealCyclotomicField([5])
 
 
+def _exact_rows(a, b, n):
+    """The exact Chebyshev rows: `chebyshev_coefficients` gives integer
+    rows R_i whose true values are R_i / s^i, s = 4 lcm(den a, den b)."""
+    s = 4 * lcm(a.denominator, b.denominator)
+    assert chebyshev_scale(a, b) == s
+    rows = chebyshev_coefficients(a, b, n)
+    assert all(type(c) is int for row in rows for c in row)
+    return [tuple(F(c, s**i) for c in row) for i, row in enumerate(rows)]
+
+
 def test_chebyshev_rows_match_integral_oracle():
     # row values were cross-checked against numeric quadrature of
     # (1/pi) int P((a+b)/2 + ((b-a)/2) cos z) cos(kz) dz
-    rows = chebyshev_coefficients(F(0), F(1), 2)
+    rows = _exact_rows(F(0), F(1), 2)
     assert rows[0] == (F(1), F(0), F(0))
     assert rows[1] == (F(1, 2), F(1, 2), F(0))
     assert rows[2] == (F(3, 8), F(1, 2), F(1, 8))
@@ -36,7 +57,7 @@ def test_chebyshev_quadrature_oracle():
     import mpmath
 
     a, b = F(1, 3), F(5, 4)
-    rows = chebyshev_coefficients(a, b, 3)
+    rows = _exact_rows(a, b, 3)
     mpmath.mp.dps = 30
     for i in range(4):
         for k in range(4):
@@ -51,10 +72,10 @@ def test_chebyshev_quadrature_oracle():
 def test_diagonal_closed_form():
     # c_{k,k} = 2 ((b-a)/4)^k for k >= 1
     for a, b in [(F(0), F(1)), (F(-2), F(2)), (F(-1, 2), F(3, 2))]:
-        rows = chebyshev_coefficients(a, b, 4)
+        rows = _exact_rows(a, b, 4)
         for k in range(1, 5):
             assert rows[k][k] == 2 * ((b - a) / 4) ** k, (a, b, k)
-    assert chebyshev_coefficients(F(0), F(1), 3)[3][3] == F(1, 32)
+    assert _exact_rows(F(0), F(1), 3)[3][3] == F(1, 32)
 
 
 def test_sup_norm_examples():
@@ -213,6 +234,143 @@ WORKED_EXAMPLES = (
 )
 
 
+def _seeded_sweep(count=24, seed=1717):
+    """`count` seeded problems, Q and Q(sqrt5) in turn, with the interval
+    distribution of `test_random_certificates_over_q_and_f5`."""
+    rng = random.Random(seed)
+    embs5 = F5.embeddings()
+    for trial in range(count):
+        if trial % 2 == 0:
+            n, width = rng.randint(1, 12), F(rng.randint(1, 30), 10)
+            center = F(rng.randint(-20, 20), 10)
+            yield Q, {Q.identity_embedding(): (center - width / 2, center + width / 2)}, n
+        else:
+            n, w1, w2 = rng.randint(1, 6), F(rng.randint(1, 25), 10), F(rng.randint(1, 6), 10)
+            c1, c2 = F(rng.randint(-10, 10), 10), F(rng.randint(-10, 10), 10)
+            ivs = {embs5[0]: (c1 - w1 / 2, c1 + w1 / 2), embs5[1]: (c2 - w2 / 2, c2 + w2 / 2)}
+            yield F5, ivs, n
+
+
+PINNED_PROBLEMS = WORKED_EXAMPLES + tuple(_seeded_sweep())
+
+# The certified alpha of each of PINNED_PROBLEMS, recorded from the search on
+# Fraction Chebyshev rows; the integer rows must propose the same vectors.
+PINNED_ALPHAS = (
+    ((1,),),
+    ((0,), (0,), (1,)),
+    ((0, 0), (0, 0), (1, 0)),
+    ((1591704640,), (-9931666384,), (27884797225,), (-46391911634,), (50647677112,),
+     (-37913435519,), (19707765285,), (-7024217081,), (1642861184,), (-227684305,),
+     (14198775,)),
+    ((1591704640,), (9931666384,), (27884797225,), (46391911634,), (50647677112,),
+     (37913435519,), (19707765285,), (7024217081,), (1642861184,), (227684305,), (14198775,)),
+    ((-370660500,), (3390359700,), (-14094470585,), (35152745166,), (-58443301279,),
+     (68008717966,), (-56522681273,), (33551294744,), (-13939599444,), (3860615344,),
+     (-641461440,), (48441600,)),
+    ((-370660500,), (-3390359700,), (-14094470585,), (-35152745166,), (-58443301279,),
+     (-68008717966,), (-56522681273,), (-33551294744,), (-13939599444,), (-3860615344,),
+     (-641461440,), (-48441600,)),
+    ((-10376302400,), (71063278480,), (-221205986709,), (413115466866,), (-514311765520,),
+     (448178669168,), (-278945617954,), (124002812683,), (-38584531540,), (8003414812,),
+     (-996002265,), (56337075,)),
+    ((10376302400,), (71063278480,), (221205986709,), (413115466866,), (514311765520,),
+     (448178669168,), (278945617954,), (124002812683,), (38584531540,), (8003414812,),
+     (996002265,), (56337075,)),
+    ((15595200,), (-235446480,), (1628893188,), (-6828522055,), (19318890946,), (-38859093917,),
+     (56983280422,), (-61379888019,), (48200212072,), (-26910801916,), (10139707760,),
+     (-2315035200,), (242208000,)),
+    ((15595200,), (235446480,), (1628893188,), (6828522055,), (19318890946,), (38859093917,),
+     (56983280422,), (61379888019,), (48200212072,), (26910801916,), (10139707760,),
+     (2315035200,), (242208000,)),
+    ((2223963000,), (-22195460700,), (101518622010,), (-281388823921,), (526423533504,),
+     (-700268814191,), (679179677468,), (-483921174829,), (251394070384,), (-92861689284,),
+     (23151845360,), (-3497956800,), (242208000,)),
+    ((2223963000,), (22195460700,), (101518622010,), (281388823921,), (526423533504,),
+     (700268814191,), (679179677468,), (483921174829,), (251394070384,), (92861689284,),
+     (23151845360,), (3497956800,), (242208000,)),
+    ((23875569600,), (-179217383920,), (616523847511,), (-1285279820089,), (1808470261076,),
+     (-1809358867717,), (1319857816808,), (-707291409744,), (276349634009,), (-76774929557,),
+     (14396150524,), (-1635882555,), (85192650,)),
+    ((-23875569600,), (-179217383920,), (-616523847511,), (-1285279820089,), (-1808470261076,),
+     (-1809358867717,), (-1319857816808,), (-707291409744,), (-276349634009,), (-76774929557,),
+     (-14396150524,), (-1635882555,), (-85192650,)),
+    ((-1,), (-5,), (-7,), (-3,)),
+    ((1, 0), (0, 2)),
+    ((0,), (0,), (1,), (1,)),
+    ((21, -13), (-105, 65), (210, -130), (-210, 130), (105, -65), (-21, 13)),
+    ((0,), (0,), (0,), (0,), (1,), (-4,), (4,)),
+    ((0, 0), (3, -2), (-20, 12), (40, -25), (-26, 16)),
+    ((72,), (408,), (950,), (1192,), (885,), (400,), (108,), (16,), (1,)),
+    ((1, 0), (-1, 1)),
+    ((2,), (-9,), (12,), (-6,), (1,)),
+    ((-5, 3), (-26, 16), (-34, 21)),
+    ((1,), (-9,), (32,), (-60,), (65,), (-41,), (14,), (-2,)),
+    ((-212, 131), (-1178, 728), (-2605, 1610), (-2867, 1772), (-1571, 971), (-343, 212)),
+    ((0,), (0,), (4,), (-12,), (13,), (-6,), (1,)),
+    ((-466, 288), (-3105, 1919), (-7752, 4791), (-8595, 5312), (-3571, 2207)),
+    ((2,), (5,), (4,), (1,)),
+    ((0, 1), (0, 1)),
+    ((-3,), (5,), (-2,)),
+    ((5778, -3571), (34812, -21515), (87335, -53976), (116780, -72174), (87780, -54251),
+     (35168, -21735), (5867, -3626)),
+    ((0,), (2,), (-3,), (1,)),
+    ((3, -2), (-6, 4)),
+    ((0,), (0,), (0,), (0,), (1,), (8,), (26,), (44,), (41,), (20,), (4,)),
+    ((89, -55), (-500, 309), (1118, -691), (-1244, 769), (689, -426), (-152, 94)),
+    ((0,), (-1,), (-1,), (2,), (3,), (1,)),
+    ((2, -1), (-3, 2)),
+)
+
+
+def test_proposals_are_pinned():
+    assert len(PINNED_PROBLEMS) == len(PINNED_ALPHAS)
+    for (field, ivs, n), alpha in zip(PINNED_PROBLEMS, PINNED_ALPHAS):
+        assert find_small_polynomial(field, ivs, n).alpha == alpha, (field, ivs, n)
+
+
+def _fraction_scaled_matrix(forms):
+    """`scaled_matrix` by its Fraction formula: round(2^p gamma_j^sigma
+    cheb_sigma[i][k]) on the exact rows, with the exact ball centre of an
+    irrational gamma_j^sigma."""
+    n = forms.degree_n
+    rows = [_exact_rows(a, b, n) for _, (a, b) in forms.intervals]
+    p = LLL_MARGIN_BITS + (ceil(1 / min(r[n][n] for r in rows)) - 1).bit_length()
+    bits = p + LLL_MARGIN_BITS
+
+    def gamma(emb, g):
+        v = emb.apply(g)
+        if v.is_rational():
+            return v.as_rational()
+        return mpf_to_fraction(eval_ball(AlgConst(v), bits, max(bits, DEFAULT_CAP_BITS)).center)
+
+    gammas = [[gamma(emb, g) * (1 << p) for g in forms.basis] for emb, _ in forms.intervals]
+    return [[round(rows[s][i][k] * gammas[s][j]) for i, j in forms.col_indices()]
+            for k, s in forms.row_indices()]
+
+
+def test_scaled_matrix_matches_fraction_formula():
+    # the pinned problems, and intervals whose ends have different odd
+    # denominators, so that s = 4 lcm(den a, den b) is not a power of 2
+    embs5 = F5.embeddings()
+    odd = [(Q, {Q.identity_embedding(): (F(1, 3), F(5, 7))}, n) for n in (1, 4, 9)]
+    odd += [(F5, {embs5[0]: (F(-2, 9), F(1, 5)), embs5[1]: (F(1, 3), F(11, 7))}, n)
+            for n in (1, 3, 5)]
+    for field, ivs, n in PINNED_PROBLEMS + tuple(odd):
+        forms = chebyshev_linear_forms(field, ivs, n)
+        assert forms.scaled_matrix() == _fraction_scaled_matrix(forms), (field, ivs, n)
+
+
+def test_intervals_must_name_exactly_the_embeddings():
+    from groundbound.errors import InvalidInput
+
+    embs5 = F5.embeddings()
+    with pytest.raises(InvalidInput):  # Q(sqrt5) with one of its two embeddings
+        find_small_polynomial(F5, {embs5[0]: (F(-1, 4), F(1, 4))}, 2)
+    with pytest.raises(InvalidInput):  # Q with an extra Q(sqrt5) embedding
+        find_small_polynomial(Q, {Q.identity_embedding(): (F(-1, 2), F(1, 2)),
+                                  embs5[1]: (F(-1, 4), F(1, 4))}, 2)
+
+
 def test_first_reduced_vector_certifies(monkeypatch):
     # one certify_sup_norm call per embedding: the first candidate, the first
     # reduced vector, certifies in every worked example and narrow Q case
@@ -329,7 +487,7 @@ def _per_product_sup_norm(coeffs, embedding, interval):
     oracle for the coordinate-wise `certify_sup_norm`."""
     a, b = F(interval[0]), F(interval[1])
     n = len(coeffs) - 1
-    cheb = chebyshev_coefficients(a, b, n)
+    cheb = _exact_rows(a, b, n)
     field_n = embedding.field.n
     images = [embedding.apply(c if isinstance(c, CycloElement) else CycloElement.rational(field_n, c))
               for c in coeffs]
@@ -406,7 +564,7 @@ def test_lagrange_domination_500_per_configuration():
     ]
     emb = Q.identity_embedding()
     for a, b, x in configurations:
-        cheb = chebyshev_coefficients(a, b, 8)
+        cheb = _exact_rows(a, b, 8)
         for _ in range(500):
             n = rng.randint(1, 8)
             coeffs = [F(rng.randint(-9, 9)) for _ in range(n + 1)]
