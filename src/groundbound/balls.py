@@ -577,6 +577,9 @@ def _algebraic_sign(value, cap_bits: int) -> int:
     return 1 if ball.certainly_positive() else -1
 
 
+_ZERO = Const(Fraction(0))
+
+
 def certify_compare(
     a,
     b,
@@ -587,10 +590,12 @@ def certify_compare(
 
     LESS/GREATER are returned only from disjoint enclosures; EQUAL only
     when both sides reduce to the same exact algebraic value; UNDECIDED
-    only after the precision cap is exhausted.
+    only after the precision cap is exhausted.  Against an exact 0 the
+    left side is certified itself: subtracting [0, 0] at the working
+    precision leaves both endpoints unchanged.
     """
     ea, eb = as_expr(a), as_expr(b)
-    diff = Sub(ea, eb)
+    diff = ea if eb == _ZERO else Sub(ea, eb)
     exact = exact_value(diff)
     if exact is not None:
         sign = _algebraic_sign(exact, cap_bits)
@@ -603,7 +608,7 @@ def certify_compare(
 
 
 def certify_sign(expr) -> str:
-    return certify_compare(expr, Const(Fraction(0)))
+    return certify_compare(expr, _ZERO)
 
 
 def certified_floor(expr) -> int:

@@ -8,8 +8,9 @@ stdout or --out and are byte-identical across runs for the same
 configuration.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 undecidable at the
-precision cap, 3 usage error (a bad flag, or an argument out of range:
-`errors.InvalidInput` and the other package errors).
+precision cap, 3 usage error (a bad flag, an argument out of range:
+`errors.InvalidInput` and the other package errors, or an --out,
+--case-csv or --pairs-out path that cannot be written).
 """
 
 from __future__ import annotations
@@ -449,20 +450,20 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         report = args.func(args)
+        text = report.render(args.format)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UndecidableError as exc:
         print(f"undecidable at the precision cap: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
-    except GroundboundError as exc:
+    except (GroundboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = report.render(args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return EXIT_MISMATCH if report.mismatch_count else EXIT_OK
 

@@ -57,31 +57,6 @@ def triangle_is_hyperbolic(k: int, l: int, m: int) -> bool:
     return Fraction(1, k) + Fraction(1, l) + Fraction(1, m) < 1
 
 
-@dataclass(frozen=True)
-class KnownFieldSets:
-    """The three static datasets in one bundle."""
-
-    lanner4: tuple
-    takeuchi_fields: tuple
-    triangle_triples: tuple
-
-    def validate(self) -> bool:
-        return (
-            len(self.lanner4) == 3
-            and len(self.takeuchi_fields) == 13
-            and max(f.degree for f in self.takeuchi_fields) == 5
-            and all(triangle_is_hyperbolic(*t) for t in self.triangle_triples)
-        )
-
-
-def known_field_sets() -> KnownFieldSets:
-    return KnownFieldSets(
-        lanner4=lanner4_fields(),
-        takeuchi_fields=takeuchi_fields(),
-        triangle_triples=triangle_triples(),
-    )
-
-
 def dataset_summary() -> dict:
     triples = triangle_triples()
     tf = takeuchi_fields()

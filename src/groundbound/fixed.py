@@ -4,7 +4,10 @@ certificate.
 A real x is carried as two integers lo <= 2^FIXED_BITS x <= hi.  Sums of
 lower (upper) bounds stay lower (upper) bounds, so a certificate built
 from them is a chain of integer inequalities.  Both the pair search
-(`pairs`) and the least-N solver (`bounds`) read their signs this way.
+(`pairs`) and the least-N solver (`bounds`) read their signs this way,
+through one rule, `_fixed_sign`: GREATER when lo > 0, LESS when hi < 0,
+and only when the bounds straddle 0 a certified comparison that the
+caller hands in and that is built only then.
 
 Bounds come from two sources.  `_fixed` rounds one `balls.eval_ball`
 enclosure outward to multiples of 2^-FIXED_BITS, by shifting the
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .balls import DEFAULT_CAP_BITS, Const, Expr, Ln, eval_ball
+from .balls import DEFAULT_CAP_BITS, GREATER, LESS, Const, Expr, Ln, eval_ball
 from .cyclo import _factorize, _smallest_prime_factors
 
 # fixed-point bounds are integers in units of 2^-FIXED_BITS
@@ -35,6 +38,18 @@ def _fixed(expr: Expr, cap_bits: int = DEFAULT_CAP_BITS, accept=None) -> tuple[i
     `accept(ball)` when given)."""
     ball = eval_ball(expr, cap_bits=cap_bits, accept=accept)
     return _scaled(ball.lower, False), _scaled(ball.upper, True)
+
+
+def _fixed_sign(lo: int, hi: int, fallback) -> str:
+    """Certified sign of x from lo <= 2^FIXED_BITS x <= hi: GREATER when
+    lo > 0, LESS when hi < 0, else `fallback()`, a certified comparison
+    of x with 0 that is called (and so built) only when the bounds
+    straddle 0."""
+    if lo > 0:
+        return GREATER
+    if hi < 0:
+        return LESS
+    return fallback()
 
 
 def _scaled(x, up: bool) -> int:

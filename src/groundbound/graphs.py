@@ -43,7 +43,6 @@ from .errors import (
     InfeasibleCase,
     InvalidInput,
     MissingRange,
-    UndecidableError,
 )
 from .fields import RealCyclotomicField, field_norm
 
@@ -364,15 +363,12 @@ def _field_and_d(case: EdgeGraphCase) -> tuple[RealCyclotomicField, CycloElement
 def feasibility(case: EdgeGraphCase) -> Feasibility:
     """Certified signs of Delta at the embeddings of F."""
     F, d = _field_and_d(case)
-    signs = []
-    for emb in F.embeddings():
-        sign = certify_sign(AlgConst(emb.apply(d)))
-        if sign == balls.UNDECIDED:
-            raise UndecidableError(f"sign of Delta undecided for {case.label()}")
-        signs.append((emb, sign))
-    if any(sign == balls.LESS for emb, sign in signs[1:]):
+    # an exact algebraic sign is never UNDECIDED: `certify_sign` raises
+    # UndecidableError itself when it cannot separate the value from 0
+    signs = [certify_sign(AlgConst(emb.apply(d))) for emb in F.embeddings()]
+    if balls.LESS in signs[1:]:
         return Feasibility.IMPOSSIBLE
-    if signs[0][1] == balls.LESS:
+    if signs[0] == balls.LESS:
         return Feasibility.FORCES_FIELD_EQUALS_F
     return Feasibility.FEASIBLE
 

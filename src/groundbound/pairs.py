@@ -54,7 +54,7 @@ from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import _smallest_prime_factors, euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, norm_4sin2_closed_form
-from .fixed import FIXED_BITS, LN_TABLE_LIMIT, _fixed, _fixed_ln, _fixed_ln_prime
+from .fixed import FIXED_BITS, LN_TABLE_LIMIT, _fixed, _fixed_ln, _fixed_ln_prime, _fixed_sign
 from .graphs import Family, FamilyTable, Variant, family_bound, variant_width
 
 LN2 = log(2.0)
@@ -165,19 +165,15 @@ def _fixed_combo(terms: tuple) -> tuple[int, int]:
 def _combo_sign(terms: tuple) -> str:
     if not terms:
         return balls.EQUAL
-    lo, hi = _fixed_combo(terms)
-    if lo > 0:
-        return balls.GREATER
-    if hi < 0:
-        return balls.LESS
-    return certify_sign(_combo_expr(terms))
+    return _fixed_sign(*_fixed_combo(terms), lambda: certify_sign(_combo_expr(terms)))
 
 
 def coefficient_sign(k: int, s: int) -> str:
     """Certified sign of c(k, s); exact zero detected symbolically
     (logarithms of distinct primes are linearly independent over Q).
-    The sign is read off the integer bounds of `_fixed_combo` when they
-    exclude zero, else certified by interval arithmetic.  It depends only
+    The sign is read off the integer bounds of `_fixed_combo` by
+    `fixed._fixed_sign`, and certified by interval arithmetic only when
+    they straddle zero.  It depends only
     on the combination of logarithms, so it is memoized on that: the
     exceptional scan, `survives` and `pair_report` all ask, the star
     family repeats pairs of the complete family, and many pairs share one

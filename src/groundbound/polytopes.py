@@ -53,16 +53,6 @@ def narrow_face_vertex_bound(n: int) -> Fraction:
     return Fraction(4) + (Fraction(4, n - 2) if n % 2 == 0 else Fraction(4, n - 3))
 
 
-def narrow_face_note(n: int) -> str:
-    """Reporting helper for the strict '< 5' threshold at small n."""
-    bound = narrow_face_vertex_bound(n)
-    if bound < 5:
-        return f"bound {bound} < 5; triangle or quadrangle face forced"
-    if bound == 5:
-        return "< 5 not satisfied; quadrangle/triangle face forced for n >= 6 since bound <= 5"
-    return f"bound {bound} > 5; no small-face conclusion"
-
-
 @dataclass(frozen=True)
 class ExistenceCheck:
     n: int

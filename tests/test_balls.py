@@ -259,6 +259,27 @@ def test_exact_algebraic_sign_may_exceed_the_cap():
     assert certify_compare(Ln(Const(Fraction(2))), 0, cap_bits=32) == UNDECIDED
 
 
+def test_certify_sign_takes_no_exact_difference_with_zero(monkeypatch):
+    # the sign of an exact algebraic value is taken of the value itself,
+    # not of value - 0 in cyclotomic arithmetic
+    subtractions = []
+    real_sub = CycloElement.__sub__
+
+    def counting(self, other):
+        subtractions.append(other)
+        return real_sub(self, other)
+
+    monkeypatch.setattr(CycloElement, "__sub__", counting)
+    beta7 = CycloElement.generator(7)
+    assert balls.certify_sign(AlgConst(beta7)) == GREATER
+    assert balls.certify_sign(AlgConst(-beta7)) == LESS
+    assert subtractions == []
+    # the same enclosure, hence the same outcome, for a tree that is not exact
+    assert balls.certify_sign(Ln(Const(Fraction(2))) - Const(Fraction(2, 3))) == GREATER
+    assert certify_compare(AlgConst(beta7), Const(Fraction(1))) == GREATER
+    assert len(subtractions) == 1
+
+
 def test_certified_floor_shared_by_pairs_and_polytopes():
     from groundbound import pairs, polytopes
 

@@ -240,11 +240,21 @@ def test_forced_fallback_matches_linear_scan(monkeypatch):
         assert len(fallbacks) >= (3 if n == 1 else 5)
 
 
-def test_solve_corrects_a_wrong_proposal(monkeypatch):
-    problem = prob(1, 1, Const(F(1)) / Sqrt(Const(F(2))), Const(F(16)) * E)
-    for proposal in (2, 13, 21, 23, 40):
-        monkeypatch.setattr(bounds, "_integer_proposal", lambda *args, n=proposal: n)
-        assert solve(problem).least_n == 22
+def test_solve_probes_logarithmically_many_n(monkeypatch):
+    # one `_fixed_ln(2n + 2)` per probed n: doubling and bisection probe
+    # O(log N) values, where walks of single steps would probe O(N)
+    probes = []
+    real_fixed_ln = bounds._fixed_ln
+
+    def counting(n):
+        probes.append(n)
+        return real_fixed_ln(n)
+
+    monkeypatch.setattr(bounds, "_fixed_ln", counting)
+    for problem in _oracle_problems():
+        probes.clear()
+        n = solve(problem).least_n
+        assert len(probes) <= 2 * n.bit_length() + 2, (n, len(probes))
 
 
 def test_solve_limit(monkeypatch):

@@ -170,6 +170,19 @@ def test_usage_error_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["datasets", "--out"],
+    ["graph-family", "--family", "g2", "--case-csv"],
+    ["search-pairs", "--kind", "gamma5", "--kmax", "31", "--pairs-out"],
+])
+def test_unwritable_output_path_is_a_usage_error(args, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    code, out, err = run_cli(args + [str(missing)], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_undecidable_exit_code(capsys):
     # exact tie at N = 5: 5 ln 2 - ln 12 equals ln(8/3); the enclosures
     # never separate, so the solver reports UNDECIDED at the cap

@@ -46,14 +46,6 @@ def test_triangle_triples():
         assert k <= l <= m
 
 
-def test_known_field_sets_bundle():
-    bundle = datasets.known_field_sets()
-    assert bundle.validate()
-    assert len(bundle.lanner4) == 3
-    assert len(bundle.takeuchi_fields) == 13
-    assert len(bundle.triangle_triples) == 76
-
-
 def test_summary():
     summary = datasets.dataset_summary()
     assert summary == {

@@ -12,7 +12,6 @@ from groundbound.polytopes import (
     fuchsian_t_bound,
     max_admissible_dimension,
     narrow_face_identity,
-    narrow_face_note,
     narrow_face_vertex_bound,
     takeuchi_bound,
 )
@@ -33,8 +32,6 @@ def test_narrow_face_bound():
     assert narrow_face_vertex_bound(10) == F(9, 2)
     assert narrow_face_vertex_bound(7) == 5
     assert narrow_face_vertex_bound(6) == 5
-    assert "not satisfied" in narrow_face_note(6)
-    assert "forced" in narrow_face_note(8)
 
 
 def test_identity_with_face_average():
