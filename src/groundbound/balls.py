@@ -169,93 +169,74 @@ PI = _PiConst()
 E = _EConst()
 
 
-def _binary_str(op, a, b):
-    return f"({a} {op} {b})"
-
-
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
+    """left OP right; subclasses set OP."""
+
     __slots__ = ("left", "right")
     left: Expr
     right: Expr
+    OP = ""
 
     def __str__(self):
-        return _binary_str("+", self.left, self.right)
+        return f"({self.left} {self.OP} {self.right})"
+
+
+class Add(_Binary):
+    __slots__ = ()
+    OP = "+"
+
+
+class Sub(_Binary):
+    __slots__ = ()
+    OP = "-"
+
+
+class Mul(_Binary):
+    __slots__ = ()
+    OP = "*"
+
+
+class Div(_Binary):
+    __slots__ = ()
+    OP = "/"
 
 
 @dataclass(frozen=True)
-class Sub(Expr):
-    __slots__ = ("left", "right")
-    left: Expr
-    right: Expr
+class _Unary(Expr):
+    """One-argument node printed through FORMAT; subclasses set FORMAT."""
 
-    def __str__(self):
-        return _binary_str("-", self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    __slots__ = ("left", "right")
-    left: Expr
-    right: Expr
-
-    def __str__(self):
-        return _binary_str("*", self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    __slots__ = ("left", "right")
-    left: Expr
-    right: Expr
-
-    def __str__(self):
-        return _binary_str("/", self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
     __slots__ = ("arg",)
     arg: Expr
+    FORMAT = ""
 
     def __str__(self):
-        return f"(-{self.arg})"
+        return self.FORMAT.format(self.arg)
 
 
-@dataclass(frozen=True)
-class Sqrt(Expr):
-    __slots__ = ("arg",)
-    arg: Expr
-
-    def __str__(self):
-        return f"sqrt({self.arg})"
+class Neg(_Unary):
+    __slots__ = ()
+    FORMAT = "(-{})"
 
 
-@dataclass(frozen=True)
-class Ln(Expr):
-    __slots__ = ("arg",)
-    arg: Expr
-
-    def __str__(self):
-        return f"ln({self.arg})"
+class Sqrt(_Unary):
+    __slots__ = ()
+    FORMAT = "sqrt({})"
 
 
-@dataclass(frozen=True)
-class ExpNode(Expr):
-    __slots__ = ("arg",)
-    arg: Expr
-
-    def __str__(self):
-        return f"exp({self.arg})"
+class Ln(_Unary):
+    __slots__ = ()
+    FORMAT = "ln({})"
 
 
-@dataclass(frozen=True)
-class Sin(Expr):
-    __slots__ = ("arg",)
-    arg: Expr
+class ExpNode(_Unary):
+    __slots__ = ()
+    FORMAT = "exp({})"
 
-    def __str__(self):
-        return f"sin({self.arg})"
+
+class Sin(_Unary):
+    __slots__ = ()
+    FORMAT = "sin({})"
 
 
 @dataclass(frozen=True)
@@ -580,12 +561,7 @@ def _algebraic_sign(value, cap_bits: int) -> int:
 _ZERO = Const(Fraction(0))
 
 
-def certify_compare(
-    a,
-    b,
-    start_bits: int = DEFAULT_START_BITS,
-    cap_bits: int = DEFAULT_CAP_BITS,
-) -> str:
+def certify_compare(a, b, cap_bits: int = DEFAULT_CAP_BITS) -> str:
     """Certified ordering of two real expressions.
 
     LESS/GREATER are returned only from disjoint enclosures; EQUAL only
@@ -601,7 +577,7 @@ def certify_compare(
         sign = _algebraic_sign(exact, cap_bits)
         return EQUAL if sign == 0 else (GREATER if sign > 0 else LESS)
     try:
-        ball = eval_ball(diff, start_bits, cap_bits, _excludes_zero)
+        ball = eval_ball(diff, cap_bits=cap_bits, accept=_excludes_zero)
     except UndecidableError:
         return UNDECIDED
     return GREATER if ball.certainly_positive() else LESS

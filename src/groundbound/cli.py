@@ -7,16 +7,29 @@ refine-pair, polytope, datasets, reproduce-all.  Every subcommand takes
 stdout or --out and are byte-identical across runs for the same
 configuration.
 
+bound-solve reads B, R and S as exact expressions: decimal literals
+(digits with at most one dot, such as 2, 0.5 or .5), the constants pi and
+e, the functions sqrt, ln, exp and sin of one argument, parentheses, and
+the operators + - * / and ^.  ^ binds tighter than unary minus, so -2^2
+is -(2^2); its exponent is a rational literal, a signed number or a
+parenthesised quotient of two, such as 2, -1, 0.5, (3/4) or (1/-2).
+Anything else (1e5, 2**3, 2^3^2, 2^pi, +2, an unknown name) is a usage
+error.
+
 Exit codes: 0 success, 1 reproduction mismatch, 2 undecidable at the
 precision cap, 3 usage error (a bad flag, an argument out of range:
-`errors.InvalidInput` and the other package errors, or an --out,
---case-csv or --pairs-out path that cannot be written).
+`errors.InvalidInput` and the other package errors, a malformed or too
+deeply nested expression, or an --out, --case-csv or --pairs-out path
+that cannot be written, which is checked before any work starts).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import re
 import sys
+import warnings
 from fractions import Fraction
 
 from . import balls
@@ -41,140 +54,69 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# -- tiny expression parser ---------------------------------------------------
+# -- expression language ------------------------------------------------------
 #
-# grammar: expr := term (('+'|'-') term)* ; term := factor (('*'|'/') factor)*
-#          factor := atom ['^' '(' rational ')' | '^' integer]
-#          atom := number | 'pi' | 'e' | func '(' expr ')' | '(' expr ')'
+# Python's own parser reads the text with `^` written as `**`; the walk
+# below admits only the node shapes of the language and builds `balls`
+# nodes from them.  Nothing is evaluated by Python.
+
+_BINARY = {ast.Add: balls.Add, ast.Sub: balls.Sub, ast.Mult: balls.Mul, ast.Div: balls.Div}
+_FUNCS = {"sqrt": Sqrt, "ln": Ln, "exp": ExpNode, "sin": Sin}
+_NAMES = {"pi": PI, "e": E}
 
 
 def parse_expr(text: str) -> Expr:
-    tokens = _tokenize(text)
-    expr, pos = _parse_sum(tokens, 0)
-    if pos != len(tokens):
-        raise UsageError(f"trailing input in expression: {tokens[pos:]}")
-    return expr
-
-
-def _tokenize(text: str) -> list[str]:
-    out, i = [], 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise UsageError(f"bad character {ch!r} in expression")
-    return out
-
-
-def _parse_sum(tokens, pos):
-    expr, pos = _parse_term(tokens, pos)
-    while pos < len(tokens) and tokens[pos] in "+-":
-        op = tokens[pos]
-        rhs, pos = _parse_term(tokens, pos + 1)
-        expr = expr + rhs if op == "+" else expr - rhs
-    return expr, pos
-
-
-def _parse_term(tokens, pos):
-    expr, pos = _parse_factor(tokens, pos)
-    while pos < len(tokens) and tokens[pos] in "*/":
-        op = tokens[pos]
-        rhs, pos = _parse_factor(tokens, pos + 1)
-        expr = expr * rhs if op == "*" else expr / rhs
-    return expr, pos
-
-
-def _parse_factor(tokens, pos):
-    expr, pos = _parse_atom(tokens, pos)
-    if pos < len(tokens) and tokens[pos] == "^":
-        pos += 1
-        if _token(tokens, pos) == "(":
-            num, pos = _expect_number(tokens, pos + 1)
-            exponent = Fraction(num)
-            if pos < len(tokens) and tokens[pos] == "/":
-                den, pos = _expect_number(tokens, pos + 1)
-                if den == 0:
-                    raise UsageError("zero denominator in exponent")
-                exponent /= Fraction(den)
-            if _token(tokens, pos) != ")":
-                raise UsageError("expected ')' after exponent")
-            pos += 1
-        else:
-            num, pos = _expect_number(tokens, pos)
-            exponent = Fraction(num)
-        expr = Pow(expr, exponent)
-    return expr, pos
-
-
-def _token(tokens, pos) -> str:
-    if pos >= len(tokens):
-        raise UsageError("unexpected end of expression")
-    return tokens[pos]
-
-
-def _number(tok: str) -> Fraction:
+    if "**" in text:
+        raise UsageError("write powers with ^, not **")
+    # one line without leading blanks, and integers without leading zeros,
+    # so that Python's parser reads what the text means
+    source = re.sub(r"(?<![\d.])0+(?=\d)", "", " ".join(text.split())).replace("^", "**")
     try:
-        return Fraction(tok)
-    except ValueError:
-        raise UsageError(f"bad number {tok!r}") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)  # raised as SyntaxError
+            tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise UsageError(f"bad expression: {getattr(exc, 'msg', exc)}") from None
+    return _walk(tree.body, source)
 
 
-def _expect_number(tokens, pos):
-    tok = _token(tokens, pos)
-    neg = False
-    if tok == "-":
-        neg = True
-        pos += 1
-        tok = _token(tokens, pos)
-    if not (tok[0].isdigit() or tok[0] == "."):
-        raise UsageError(f"expected a number, got {tok!r}")
-    value = _number(tok)
-    return (-value if neg else value), pos + 1
+def _walk(node, source: str) -> Expr:
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Pow):
+            return Pow(_walk(node.left, source), _exponent(node.right, source))
+        if type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](_walk(node.left, source), _walk(node.right, source))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_walk(node.operand, source)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+        return _FUNCS[node.func.id](_walk(node.args[0], source))
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if isinstance(node, ast.Constant):
+        return Const(_literal(node, source))
+    raise UsageError(f"unexpected {ast.get_source_segment(source, node)!r} in expression")
 
 
-_FUNCS = {"sqrt": Sqrt, "ln": Ln, "exp": ExpNode, "sin": Sin}
+def _literal(node, source: str) -> Fraction:
+    """A decimal literal (digits with at most one dot), or its negation."""
+    negate = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+    if negate:
+        node = node.operand
+    text = ast.get_source_segment(source, node)
+    if not (isinstance(node, ast.Constant) and text.replace(".", "", 1).isdigit()):
+        raise UsageError(f"expected a decimal number, got {text!r}")
+    return -Fraction(text) if negate else Fraction(text)
 
 
-def _parse_atom(tokens, pos):
-    tok = _token(tokens, pos)
-    if tok == "(":
-        expr, pos = _parse_sum(tokens, pos + 1)
-        if _token(tokens, pos) != ")":
-            raise UsageError("unbalanced parentheses")
-        return expr, pos + 1
-    if tok == "-":
-        expr, pos = _parse_atom(tokens, pos + 1)
-        return -expr, pos
-    if tok == "pi":
-        return PI, pos + 1
-    if tok == "e":
-        return E, pos + 1
-    if tok in _FUNCS:
-        if _token(tokens, pos + 1) != "(":
-            raise UsageError(f"{tok} needs parentheses")
-        inner, newpos = _parse_sum(tokens, pos + 2)
-        if _token(tokens, newpos) != ")":
-            raise UsageError("unbalanced parentheses")
-        return _FUNCS[tok](inner), newpos + 1
-    if tok[0].isdigit() or tok[0] == ".":
-        return Const(_number(tok)), pos + 1
-    raise UsageError(f"unexpected token {tok!r}")
+def _exponent(node, source: str) -> Fraction:
+    """A rational literal: a signed number, or a quotient of two in parentheses."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return _literal(node, source)
+    den = _literal(node.right, source)
+    if den == 0:
+        raise UsageError("zero denominator in exponent")
+    return _literal(node.left, source) / den
 
 
 # -- field names ----------------------------------------------------------------
@@ -214,10 +156,11 @@ def _cmd_bound_solve(args) -> Report:
 
 
 def _interval(text: str) -> tuple[Fraction, Fraction]:
-    ends = text.split(",")
-    if len(ends) != 2:
-        raise UsageError(f"interval {text!r} is not of the form a,b")
-    return _number(ends[0]), _number(ends[1])
+    try:
+        a, b = map(Fraction, text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"interval {text!r} is not of the form a,b with rationals a, b") from None
+    return a, b
 
 
 def _cmd_fekete(args) -> Report:
@@ -449,6 +392,11 @@ def main(argv=None) -> int:
         print("run with --help for usage", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # an unwritable path fails before the work; append mode keeps an
+        # existing file intact until the report is written
+        for path in (args.out, getattr(args, "case_csv", None), getattr(args, "pairs_out", None)):
+            if path:
+                open(path, "a").close()
         report = args.func(args)
         text = report.render(args.format)
         if args.out:
@@ -460,7 +408,7 @@ def main(argv=None) -> int:
     except UndecidableError as exc:
         print(f"undecidable at the precision cap: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
-    except (GroundboundError, OSError) as exc:
+    except (GroundboundError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not args.out:

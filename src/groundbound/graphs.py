@@ -411,8 +411,10 @@ def method_a_width(case: EdgeGraphCase, variant: Variant) -> tuple[CycloElement,
     the interval where the variant value must lie, at the identity
     embedding (its conjugates give the widths at the other embeddings),
     and r is the radius of the exceptional interval."""
-    if variant not in admissible_variants(case):
-        raise GroundboundError(f"variant {variant} undefined for {case.label()}")
+    admissible = admissible_variants(case)
+    if variant not in admissible:
+        raise GroundboundError(f"variant {variant.value} undefined for {case.label()}; "
+                               f"admissible: {', '.join(v.value for v in admissible)}")
     return variant_width(_field_and_d(case)[1], variant)
 
 

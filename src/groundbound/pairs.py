@@ -47,7 +47,7 @@ from math import gcd, log
 from . import balls
 from .balls import (
     PI, Ball, Const, Expr, Ln, Sin,
-    certified_floor, certify_sign, eval_ball, floor_of, mpf_to_fraction,
+    certified_floor, certify_sign, eval_ball, floor_of,
     within_one_integer_step,
 )
 from .bounds import BoundProblem, method_a_problem, solve
@@ -596,8 +596,7 @@ def tail_certificate(kind: PairKind, k_max: int, start: int = TAIL_START) -> Tai
             ball = eval_ball(lhs - rhs, accept=Ball.certainly_positive)
         except UndecidableError:
             raise UndecidableError(f"{kind.value} tail block [{a}, {b}] not certified") from None
-        lower = mpf_to_fraction(ball.lower)
-        slack = lower.numerator // lower.denominator
+        slack = floor_of(ball.lower)
         min_slack = slack if min_slack is None else min(min_slack, slack)
         blocks += 1
         a = b

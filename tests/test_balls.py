@@ -85,12 +85,13 @@ def test_compare_examples():
 
 
 def test_monotone_certification():
-    a = Ln(Const(Fraction(2)))
-    b = Const(Fraction(7, 10))
-    first = certify_compare(a, b, start_bits=64)
-    assert first == LESS
-    for bits in (128, 256, 1024):
-        assert certify_compare(a, b, start_bits=bits) == first
+    # the sign an enclosure certifies does not depend on the precision the
+    # evaluation starts at; callers start at 64, 192 and other values
+    diff = Sub(Ln(Const(Fraction(2))), Const(Fraction(7, 10)))
+    assert certify_compare(diff, 0) == LESS
+    for bits in (64, 128, 192, 256, 1024):
+        ball = eval_ball(diff, bits, accept=lambda b: b.certainly_positive() or b.certainly_negative())
+        assert ball.precision_bits == bits and ball.certainly_negative()
 
 
 def test_undecided_at_cap():

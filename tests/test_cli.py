@@ -1,11 +1,14 @@
 import hashlib
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from groundbound.cli import main, parse_expr
+from groundbound.cli import UsageError, main, parse_expr
 from groundbound.balls import eval_ball
 from fractions import Fraction
 
@@ -27,6 +30,72 @@ def test_expression_parser():
     assert abs(float(ball.center) - 0.4338837391175581) < 1e-12
     ball = eval_ball(parse_expr("ln(2) - ln(3/2)"), 64)
     assert ball.contains(Fraction("0.2876820724517809274392190059938274315"))
+
+
+# S - 1 = sqrt(pi - q) with q the 50-digit truncation of pi, about 7.6e-26:
+# the sqrt argument straddles zero below about 170 bits
+NEAR_ZERO_S = "1 + sqrt(pi - 314159265358979323846264338327950288419716939937510/10^50)"
+
+# str(parse_expr(text)) for accepted input, None for a usage error
+EXPRESSION_LANGUAGE = {
+    "1/sqrt(2)": "(1 / sqrt(2))",
+    "(1/2)^(3/4)": "((1 / 2))^(3/4)",
+    "2^-1": "(2)^(-1)",
+    "2^(1/-2)": "(2)^(-1/2)",
+    "2^(-3/4)": "(2)^(-3/4)",
+    "2^0.5": "(2)^(1/2)",
+    "2^3/4": "((2)^(3) / 4)",
+    ".5": "1/2",
+    "1.": "1",
+    "01": "1",
+    " 1 +\t2\n": "(1 + 2)",
+    "--2": "(-(-2))",
+    "3*-2": "(3 * (-2))",
+    "1-2-3": "((1 - 2) - 3)",
+    "2/3/4": "((2 / 3) / 4)",
+    "sqrt(2)^2": "(sqrt(2))^(2)",
+    "16*e": "(16 * e)",
+    "sin(pi/7)": "sin((pi / 7))",
+    "ln(2) - ln(3/2)": "(ln(2) - ln((3 / 2)))",
+    "exp(1)-1/2": "(exp(1) - (1 / 2))",
+    NEAR_ZERO_S: "(1 + sqrt((pi - (314159265358979323846264338327950288419716939937510"
+                 " / (10)^(50)))))",
+    # unary minus binds looser than ^, so -2^2 is -(2^2)
+    "-2^2": "(-(2)^(2))",
+    "-2^-1": "(-(2)^(-1))",
+    "2*-3^2": "(2 * (-(3)^(2)))",
+    "1e5": None,
+    "2**3": None,
+    "2^3^2": None,
+    "2^(1/2/3)": None,
+    "2^(1/0)": None,
+    "2^--1": None,
+    "2^pi": None,
+    "(2)(3)": None,
+    "ln 2": None,
+    "sqrt(2,3)": None,
+    "sqrt": None,
+    "+2": None,
+    "x": None,
+    "0x10": None,
+    "1.2.3": None,
+    "1_0": None,
+    "1j": None,
+    "True": None,
+    "'2'": None,
+    "2in 3": None,
+    "": None,
+}
+
+
+@pytest.mark.parametrize("text", list(EXPRESSION_LANGUAGE), ids=repr)
+def test_expression_language(text):
+    expected = EXPRESSION_LANGUAGE[text]
+    if expected is None:
+        with pytest.raises(UsageError):
+            parse_expr(text)
+    else:
+        assert str(parse_expr(text)) == expected
 
 
 def test_bound_solve_command(capsys):
@@ -175,12 +244,58 @@ def test_usage_error_exit_code(capsys):
     ["graph-family", "--family", "g2", "--case-csv"],
     ["search-pairs", "--kind", "gamma5", "--kmax", "31", "--pairs-out"],
 ])
-def test_unwritable_output_path_is_a_usage_error(args, tmp_path, capsys):
+def test_unwritable_output_path_is_a_usage_error(args, tmp_path, monkeypatch, capsys):
+    from groundbound import graphs, pairs, reproduce
+
+    def work(*args, **kwargs):
+        raise AssertionError("the work started before the output path was checked")
+
+    for module, name in ((reproduce, "dataset_records"), (graphs, "family_bound"),
+                         (pairs, "search")):
+        monkeypatch.setattr(module, name, work)
     missing = tmp_path / "no-such-dir" / "out.txt"
     code, out, err = run_cli(args + [str(missing)], capsys)
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_output_path_checked_without_truncation(tmp_path, capsys):
+    # the early check opens the path for appending; a run that fails later
+    # leaves an existing report as it was
+    out = tmp_path / "report.txt"
+    out.write_text("earlier report\n")
+    code, _, _ = run_cli(["bound-solve", "--M", "1", "--B", "1", "--R", "1/",
+                          "--S", "2", "--out", str(out)], capsys)
+    assert code == 3 and out.read_text() == "earlier report\n"
+
+
+@pytest.mark.parametrize("expr", ["(" * 300 + "2" + ")" * 300, "+".join(["1"] * 400),
+                                  "-" * 1000 + "2"], ids=("parentheses", "sum", "negations"))
+def test_deep_expression_is_a_usage_error(expr, capsys):
+    code, out, err = run_cli(["bound-solve", "--M", "1", "--B", "1", "--R", "1/2",
+                              f"--S={expr}"], capsys)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "error:" in err
+
+
+def test_syntax_warning_is_one_usage_error_line():
+    # Python warns about "2in" (a number run into a keyword) while parsing
+    proc = subprocess.run(
+        [sys.executable, "-m", "groundbound", "bound-solve", "--M", "1", "--B", "1",
+         "--R", "1/2", "--S", "1 + 2in 3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("usage error:") and len(proc.stderr.splitlines()) == 1
+
+
+def test_inadmissible_variant_names_the_admissible_ones(capsys):
+    code, out, err = run_cli(["graph-case", "--family", "g3", "--s", "2", "--k", "3",
+                              "--r", "3", "--variant", "u_tilde"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: variant u_tilde undefined for Gamma3(s=2,k=3,r=3); " \
+                  "admissible: u, u_squared\n"
 
 
 def test_undecidable_exit_code(capsys):
@@ -240,11 +355,6 @@ def test_verbose_only_on_polytope(capsys):
             assert code == 3 and "--verbose" in err, args
 
 
-# S - 1 = sqrt(pi - q) with q the 50-digit truncation of pi, about 7.6e-26:
-# the sqrt argument straddles zero below about 170 bits
-NEAR_ZERO_S = "1 + sqrt(pi - 314159265358979323846264338327950288419716939937510/10^50)"
-
-
 def test_precision_cap_bounds_inconclusive_evaluations(capsys):
     args = ["bound-solve", "--M", "1", "--B", "1", "--R", "1/2", "--S", NEAR_ZERO_S]
     code, _, err = run_cli([*args, "--precision-cap", "64"], capsys)
@@ -301,6 +411,7 @@ USAGE_ERROR_REASON = {
     ["fekete", "--degree", "2", "--interval=0,0"],
     ["fekete", "--degree", "2", "--interval=1"],
     ["fekete", "--degree", "2", "--interval=a,b"],
+    ["fekete", "--degree", "2", "--interval=1/0,1"],
     ["fekete", "--degree", "-1", "--interval=0,1"],
 ], ids=lambda args: " ".join(args))
 def test_bad_input_is_a_usage_error(args, capsys):
@@ -422,3 +533,28 @@ def test_cli_import_is_light():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _readme_cli_lines():
+    """(argv, expected result or None) for each command of the README's CLI block."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        if line.startswith("groundbound "):
+            command, _, comment = line.partition("#")
+            stated = re.search(r"\d+", comment)
+            lines.append((shlex.split(command)[1:], stated and int(stated.group())))
+    return lines
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv, stated in lines:
+        code, out, err = run_cli(argv, capsys)
+        assert code == (1 if argv[0] == "reproduce-all" else 0), (argv, err)
+        if stated is not None:
+            assert f"result={stated}" in out, argv
+    assert [stated for _, stated in lines if stated is not None] == [22, 120]
