@@ -13,7 +13,7 @@ orderings with it (with an exact path for algebraic equalities) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -128,6 +128,11 @@ class Expr:
     def __pow__(self, exponent):
         return Pow(self, Fraction(exponent))
 
+    def __reduce__(self):
+        # frozen slotted nodes cannot take the default copy/pickle path,
+        # which sets attributes on a bare instance; rebuild from the fields
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -157,12 +162,18 @@ class _PiConst(Expr):
     def __str__(self):
         return "pi"
 
+    def __reduce__(self):
+        return "PI"  # the module-level singleton
+
 
 class _EConst(Expr):
     __slots__ = ()
 
     def __str__(self):
         return "e"
+
+    def __reduce__(self):
+        return "E"
 
 
 PI = _PiConst()

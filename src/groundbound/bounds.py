@@ -13,9 +13,10 @@ is convex in N (its second derivative is M/(N + 1)^2 > 0) and f(1) < 0
 unless N = 1, so the certified predicate f(n) >= 0 is monotone in n and
 the least N is found by one doubling and bisection on it.  Every sign is
 certified by the one rule of `fixed._fixed_sign`: read off integer bounds
-of 2^64 f in the fixed-point kit of `fixed` (one enclosure each of ln R,
-ln B and ln S, and the integer ln table), and only where those bounds
-straddle 0 certified by adaptive interval arithmetic on the full tree.
+of 2^64 f in the fixed-point kit of `fixed` (ln R, ln B and ln S from the
+integer log kernels, with one enclosure per irrational leaf, and the
+integer ln table), and only where those bounds straddle 0 certified by
+adaptive interval arithmetic on the full tree.
 
 `method_a_problem` is the one place that derives (M, B, R, S): every
 edge-graph case and every pair refinement supplies the squared width W of
@@ -28,11 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import balls
-from .balls import Ball, Const, E, Expr, Ln, Pow, Sqrt, as_expr, certify_compare
+from .balls import (
+    AlgConst, Ball, Const, Div, E, Expr, Ln, Mul, Pow, Sqrt, as_expr, certify_compare,
+)
 from .cyclo import CycloElement
 from .errors import DomainError, HypothesisViolated, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, field_discriminant
-from .fixed import _fixed, _fixed_ln, _fixed_sign
+from .fixed import FINE_BITS, _fixed, _fixed_ln, _fixed_sign, _ln_fine, _to_fixed
 
 SOLVE_LIMIT = 1_000_000
 ZERO = Const(Fraction(0))
@@ -104,13 +107,14 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
     N is found by doubling n from 1 and then bisecting, with f(low) < 0 and
     f(high) >= 0 certified at every step; the doubling stops at SOLVE_LIMIT.
 
-    ln R, ln B and ln S are each enclosed once and rounded outward to
-    integers in units of 2^-64 (`fixed._fixed`); with ln(2n + 2) from the
-    integer atanh table (`fixed._fixed_ln`) they bound 2^64 f(n) between
-    two integers.  `fixed._fixed_sign` reads R < 1, the clamp of S and the
-    sign of each probed f(n) off those bounds, and only a sign whose
-    bounds straddle 0 falls back to `certify_compare` on the full
-    expression tree.  `precision_cap` bounds every enclosure and every
+    ln R, ln B and ln S are bounded by integers in units of 2^-64
+    (`_fixed_ln_of`: the integer log kernels of `fixed` along the product
+    tree of each datum, one enclosure per irrational leaf); with
+    ln(2n + 2) from the integer atanh table (`fixed._fixed_ln`) they bound
+    2^64 f(n) between two integers.  `fixed._fixed_sign` reads R < 1, the
+    clamp of S and the sign of each probed f(n) off those bounds, and only
+    a sign whose bounds straddle 0 falls back to `certify_compare` on the
+    full expression tree.  `precision_cap` bounds every enclosure and every
     fallback; UNDECIDED raises UndecidableError.  Evaluation starts at
     `balls.DEFAULT_START_BITS`, so a smaller `precision_cap` could decide
     nothing and is rejected.  R, B or S certified <= 0, or R not certified
@@ -184,9 +188,20 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
     return BoundResult(least_n=high, degree_bound=bound, problem=problem)
 
 
+class _NotProduct(Exception):
+    """Internal: the datum is not a product tree over positive leaves."""
+
+
 def _fixed_ln_of(name: str, x: Expr, cap_bits: int) -> tuple[int, int]:
-    """Fixed-point bounds of ln x for the datum `name`; HypothesisViolated
-    when x is certified <= 0."""
+    """Fixed-point bounds of ln x for the datum `name`.
+
+    A product tree over positive leaves (`_ln_product`) is read off the
+    integer log kernels; any other datum gets one enclosure of ln x,
+    and HypothesisViolated when x is certified <= 0."""
+    try:
+        return _to_fixed(*_ln_product(x, cap_bits))
+    except _NotProduct:
+        pass
     try:
         return _fixed(Ln(x), cap_bits)
     except (DomainError, UndecidableError):
@@ -197,3 +212,42 @@ def _fixed_ln_of(name: str, x: Expr, cap_bits: int) -> tuple[int, int]:
                 f"{name} must be > 0, but {name} {relation} is certified") from None
         raise
 
+
+def _ln_product(x: Expr, cap_bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FINE_BITS ln x <= hi, for x built from positive
+    leaves by Mul, Div, Sqrt and rational Pow; _NotProduct otherwise.
+
+    ln of a product is the sum of the logarithms, so lower (upper) bounds
+    add up, a quotient subtracts the upper (lower) bound of the divisor,
+    and ln(a^q) = q ln a multiplies the bounds by q (swapped when q < 0),
+    rounded outward.  A rational leaf q > 0 takes `fixed._ln_fine`, e takes
+    ln e = 1 exactly, and an irrational `AlgConst` leaf takes one enclosure
+    of its logarithm; a leaf that is not certified positive, or any other
+    node, raises _NotProduct.
+    """
+    t = type(x)
+    if t is Mul or t is Div:
+        left_lo, left_hi = _ln_product(x.left, cap_bits)
+        right_lo, right_hi = _ln_product(x.right, cap_bits)
+        if t is Mul:
+            return left_lo + right_lo, left_hi + right_hi
+        return left_lo - right_hi, left_hi - right_lo
+    if t is Sqrt or t is Pow:
+        lo, hi = _ln_product(x.arg, cap_bits)
+        q = x.exponent if t is Pow else Fraction(1, 2)
+        lo, hi = q.numerator * lo, q.numerator * hi
+        if q < 0:
+            lo, hi = hi, lo
+        return lo // q.denominator, -(-hi // q.denominator)
+    if x is E:
+        return 1 << FINE_BITS, 1 << FINE_BITS
+    if t is AlgConst and not x.value.is_rational():
+        try:
+            return _fixed(Ln(x), cap_bits, bits=FINE_BITS)
+        except (DomainError, UndecidableError):
+            raise _NotProduct from None
+    if t is AlgConst or t is Const:
+        q = x.value.as_rational() if t is AlgConst else x.value
+        if q > 0:
+            return _ln_fine(q.numerator, q.denominator)
+    raise _NotProduct

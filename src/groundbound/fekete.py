@@ -36,7 +36,7 @@ from math import gcd, isqrt, lcm
 
 from . import balls
 from .balls import AlgConst, Const, Expr, Pow, certify_compare, certify_sign
-from .cyclo import CycloElement
+from .cyclo import CycloElement, field_degree
 from .errors import GroundboundError, InvalidInput, SearchExhausted
 from .fields import Embedding, RealCyclotomicField, field_discriminant
 
@@ -268,25 +268,42 @@ def _over_one_denominator(elements) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in c] for c in coords]
 
 
+@lru_cache(maxsize=None)
+def _power_images(embedding: Embedding) -> tuple[tuple[int, ...], ...]:
+    """The images sigma(b^i) of the power basis b^i of Q(b), b = 2cos(2pi/n),
+    as integer coordinate vectors: b is an algebraic integer and sigma
+    substitutes an integer Dickson polynomial and reduces modulo b's monic
+    integer minimal polynomial, so every coordinate is an integer."""
+    n = embedding.field.n
+    rows = []
+    for i in range(field_degree(n)):
+        image = embedding.apply(CycloElement(n, [0] * i + [1])).coeffs
+        assert all(x.denominator == 1 for x in image)
+        rows.append(tuple(x.numerator for x in image))
+    return tuple(rows)
+
+
 def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
     """Upper bound sum_k |A_k| for sup |P^sigma| on the interval, exact.
 
     `coeffs` are the polynomial coefficients as field elements (constant
     first).  The bound is always >= the true sup and <= (n+1) max |A_k|.
-    The images v_i of the coefficients are brought to one integer
-    denominator L, so that A_k L s^n = sum_i R_i[k] s^(n-i) v_i is an
-    integer coordinate vector (R_i, s from `chebyshev_coefficients`).  A
-    rational A_k takes its sign from that integer; only an irrational one
-    is signed by `certify_sign`.
+    The coefficients are brought to one integer denominator L, and their
+    images L v_i are the integer combinations of the cached power-basis
+    images `_power_images(embedding)`, so that
+    A_k L s^n = sum_i R_i[k] s^(n-i) v_i is an integer coordinate vector
+    (R_i, s from `chebyshev_coefficients`).  A rational A_k takes its sign
+    from that integer; only an irrational one is signed by `certify_sign`.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     n = len(coeffs) - 1
     cheb, scale = chebyshev_coefficients(a, b, n), chebyshev_scale(a, b)
     field_n = embedding.field.n
-    den, images = _over_one_denominator(
-        embedding.apply(c if isinstance(c, CycloElement) else CycloElement.rational(field_n, c))
-        for c in coeffs)
-    vectors = [[x * scale ** (n - i) for x in image] for i, image in enumerate(images)]
+    den, coords = _over_one_denominator(
+        c if isinstance(c, CycloElement) else CycloElement.rational(field_n, c) for c in coeffs)
+    columns = list(zip(*_power_images(embedding)))
+    vectors = [[scale ** (n - i) * sum(x * r for x, r in zip(coord, column)) for column in columns]
+               for i, coord in enumerate(coords)]
     total_den = den * scale ** n
     total = [0] * len(vectors[0])
     for k in range(n + 1):

@@ -9,35 +9,47 @@ through one rule, `_fixed_sign`: GREATER when lo > 0, LESS when hi < 0,
 and only when the bounds straddle 0 a certified comparison that the
 caller hands in and that is built only then.
 
-Bounds come from two sources.  `_fixed` rounds one `balls.eval_ball`
-enclosure outward to multiples of 2^-FIXED_BITS, by shifting the
-endpoints' mantissas.  `_ln_prime_table` gives
-ln p for every prime p <= LN_TABLE_LIMIT without interval arithmetic,
-from integer atanh series; `_fixed_ln` sums it along a factorisation.
+Every logarithm on a decision path comes from integers:
+
+- `_ln_prime_table`: ln p for every prime p <= LN_TABLE_LIMIT, from
+  integer atanh series; `_fixed_ln` sums it along a factorisation.
+- `_ln_fine` / `_fixed_ln_ratio`: ln(a/b) for any positive rational, by a
+  power-of-2 reduction and one atanh series with a proven error bound.
+- `_fixed_neg_ln_sin`: -ln sin(pi/x) for x >= 3, as
+  ln x - ln pi - ln(sin t / t) with an alternating series for sin t / t.
+
+Kernels work in units of 2^-FINE_BITS (FIXED_BITS + LN_GUARD_BITS) and
+round outward to units of 2^-FIXED_BITS once, at the end.  The one
+interval enclosure left in the kit is pi's (`_pi_fine`, computed on first
+use); `_fixed` rounds any other `balls.eval_ball` enclosure outward to
+fixed point, by shifting the endpoints' mantissas, for the callers that
+still need one (an irrational leaf of the solver's data).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
-from .balls import DEFAULT_CAP_BITS, GREATER, LESS, Const, Expr, Ln, eval_ball
+from .balls import DEFAULT_CAP_BITS, GREATER, LESS, PI, Expr, eval_ball
 from .cyclo import _factorize, _smallest_prime_factors
 
 # fixed-point bounds are integers in units of 2^-FIXED_BITS
 FIXED_BITS = 64
-# extra bits the integer ln p table carries before rounding to FIXED_BITS
+# extra bits the integer log kernels carry before rounding to FIXED_BITS
 LN_GUARD_BITS = 16
 # the integer ln p table covers the primes up to here
 LN_TABLE_LIMIT = 4096
+# working precision of the integer log kernels
+FINE_BITS = FIXED_BITS + LN_GUARD_BITS
 
 
-def _fixed(expr: Expr, cap_bits: int = DEFAULT_CAP_BITS, accept=None) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FIXED_BITS * expr <= hi, from one enclosure
+def _fixed(expr: Expr, cap_bits: int = DEFAULT_CAP_BITS, accept=None,
+           bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits * expr <= hi, from one enclosure
     (`balls.eval_ball` from 64 bits, never above `cap_bits`, raised until
     `accept(ball)` when given)."""
     ball = eval_ball(expr, cap_bits=cap_bits, accept=accept)
-    return _scaled(ball.lower, False), _scaled(ball.upper, True)
+    return _scaled(ball.lower, False, bits), _scaled(ball.upper, True, bits)
 
 
 def _fixed_sign(lo: int, hi: int, fallback) -> str:
@@ -52,14 +64,19 @@ def _fixed_sign(lo: int, hi: int, fallback) -> str:
     return fallback()
 
 
-def _scaled(x, up: bool) -> int:
-    """floor (ceil when `up`) of 2^FIXED_BITS x for an mpf
+def _scaled(x, up: bool, bits: int = FIXED_BITS) -> int:
+    """floor (ceil when `up`) of 2^bits x for an mpf
     x = (-1)^sign man 2^exp, exact: a shift of the signed mantissa."""
     sign, man, exp, _ = x._mpf_
-    man, exp = int(-man if sign else man), exp + FIXED_BITS
+    man, exp = int(-man if sign else man), exp + bits
     if exp >= 0:
         return man << exp
     return -(-man >> -exp) if up else man >> -exp
+
+
+def _to_fixed(lo: int, hi: int) -> tuple[int, int]:
+    """Bounds in units of 2^-FINE_BITS rounded outward to 2^-FIXED_BITS."""
+    return lo >> LN_GUARD_BITS, -(-hi >> LN_GUARD_BITS)
 
 
 def _fixed_atanh_inverse(n: int, bits: int) -> tuple[int, int]:
@@ -90,17 +107,16 @@ def _ln_prime_table() -> dict[int, tuple[int, int]]:
     since (1 + y) / (1 - y) = p / (p - 1) at y = 1/(2p - 1); for p = 2 this
     is ln 2 = 2 atanh(1/3).  ln(p - 1) is the sum of the bounds of the
     smaller primes along the factorisation of p - 1.  Bounds are carried
-    in units of 2^-(FIXED_BITS + LN_GUARD_BITS) and sums of lower (upper)
+    in units of 2^-FINE_BITS and sums of lower (upper)
     bounds stay lower (upper) bounds; at the end lo is rounded down and hi
     up to units of 2^-FIXED_BITS, so every enclosure still holds.
     """
-    bits = FIXED_BITS + LN_GUARD_BITS
     spf = _smallest_prime_factors(LN_TABLE_LIMIT)
     fine: dict[int, tuple[int, int]] = {}
     for p in range(2, LN_TABLE_LIMIT + 1):
         if spf[p] != p:
             continue
-        lo, hi = _fixed_atanh_inverse(2 * p - 1, bits)
+        lo, hi = _fixed_atanh_inverse(2 * p - 1, FINE_BITS)
         lo, hi = 2 * lo, 2 * hi
         x = p - 1
         while x > 1:
@@ -108,16 +124,16 @@ def _ln_prime_table() -> dict[int, tuple[int, int]]:
             lo, hi = lo + fine[q][0], hi + fine[q][1]
             x //= q
         fine[p] = lo, hi
-    return {p: (lo >> LN_GUARD_BITS, -(-hi >> LN_GUARD_BITS)) for p, (lo, hi) in fine.items()}
+    return {p: _to_fixed(lo, hi) for p, (lo, hi) in fine.items()}
 
 
 @cache
 def _fixed_ln_prime(p: int) -> tuple[int, int]:
     """Fixed-point bounds of ln p: the integer table for p <= LN_TABLE_LIMIT,
-    one interval enclosure above it."""
+    the rational kernel `_fixed_ln_ratio` above it."""
     if p <= LN_TABLE_LIMIT:
         return _ln_prime_table()[p]
-    return _fixed(Ln(Const(Fraction(p))))
+    return _fixed_ln_ratio(p, 1)
 
 
 def _fixed_ln(n: int) -> tuple[int, int]:
@@ -127,3 +143,149 @@ def _fixed_ln(n: int) -> tuple[int, int]:
         a, b = _fixed_ln_prime(p)
         lo, hi = lo + v * a, hi + v * b
     return lo, hi
+
+
+@cache
+def _ln2_fine() -> tuple[int, int]:
+    """Bounds of 2^FINE_BITS ln 2 = 2^FINE_BITS 2 atanh(1/3)."""
+    lo, hi = _fixed_atanh_inverse(3, FINE_BITS)
+    return 2 * lo, 2 * hi
+
+
+def _atanh_fine(p: int, q: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FINE_BITS atanh(p/q) <= hi, for q > 0 and
+    |p| / q = t <= 1/5.
+
+    atanh is odd, so take p >= 0.  With W = FINE_BITS and x = 2^W t, the
+    integers T = floor(x), T2 = floor(T^2 / 2^W), P_0 = T and
+    P_(i+1) = floor(P_i T2 / 2^W) are lower bounds of 2^W t, 2^W t^2 and
+    2^W t^(2i+1), so lo = sum_(i < J) floor(P_i / (2i+1)), summed until
+    P_J = 0, is a lower bound of 2^W atanh(t).
+
+    Upper bound.  T2 > (x - 1)^2 / 2^W - 1 >= 2^W t^2 - 2t - 1, so
+    d = 2^W t^2 - T2 < 1.4.  The errors E_i = 2^W t^(2i+1) - P_i satisfy
+    E_0 < 1 and E_(i+1) < d t + E_i t^2 + 1 < 1.28 + 0.04 E_i, so E_i < 2
+    for every i.  Each of the J summed terms is then short by less than
+    E_i / (2i+1) + 1 < 3.  The tail sum_(i >= J) t^(2i+1) / (2i+1) is at
+    most 2^-W (P_J + E_J) / ((2J+1)(1 - t^2)) < 2^-W 2 (25/24) / (2J+1),
+    under one unit when J >= 1; when J = 0, x < 1 and 2^W atanh(t) <=
+    x / (1 - t^2) < 2.  So hi = lo + 3J + 2.
+    """
+    if p < 0:
+        lo, hi = _atanh_fine(-p, q)
+        return -hi, -lo
+    t = (p << FINE_BITS) // q
+    t2 = t * t >> FINE_BITS
+    lo, power, j = 0, t, 1  # power = P_i, j = 2i + 1
+    while power:
+        lo += power // j
+        power = power * t2 >> FINE_BITS
+        j += 2
+    return lo, lo + 3 * (j // 2) + 2
+
+
+def _ln_fine(a: int, b: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FINE_BITS ln(a/b) <= hi, for integers a, b > 0.
+
+    With e = bitlen(a) - bitlen(b), r = a / (b 2^e) lies in (1/2, 2); one
+    doubling or halving (e adjusted) brings it into [2/3, 3/2].  Then
+    ln(a/b) = e ln 2 + ln r and ln r = 2 atanh(y), y = (r - 1)/(r + 1),
+    |y| <= 1/5 (`_atanh_fine`).  e ln 2 takes the lower (upper) bound of
+    ln 2 for the lower (upper) bound when e >= 0, and the other one when
+    e < 0; all of it exact integer arithmetic.
+    """
+    e = a.bit_length() - b.bit_length()
+    num, den = (a, b << e) if e >= 0 else (a << -e, b)
+    if 3 * num < 2 * den:
+        num, e = 2 * num, e - 1
+    elif 2 * num > 3 * den:
+        den, e = 2 * den, e + 1
+    lo, hi = _atanh_fine(num - den, num + den)
+    l2_lo, l2_hi = _ln2_fine()
+    if e < 0:
+        l2_lo, l2_hi = l2_hi, l2_lo
+    return 2 * lo + e * l2_lo, 2 * hi + e * l2_hi
+
+
+def _fixed_ln_ratio(a: int, b: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FIXED_BITS ln(a/b) <= hi, for integers a, b > 0."""
+    return _to_fixed(*_ln_fine(a, b))
+
+
+@cache
+def _pi_fine() -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FINE_BITS pi <= hi, from one enclosure; the
+    same one `_fixed(PI)` rounds, so rounding these bounds to FIXED_BITS
+    gives `_fixed(PI)`."""
+    return _fixed(PI, bits=FINE_BITS)
+
+
+@cache
+def _ln_pi_fine() -> tuple[int, int]:
+    """Bounds of 2^FINE_BITS ln pi: ln is increasing, so the kernel's lower
+    bound at the lower bound of pi and its upper bound at the upper one."""
+    pi_lo, pi_hi = _pi_fine()
+    one = 1 << FINE_BITS
+    return _ln_fine(pi_lo, one)[0], _ln_fine(pi_hi, one)[1]
+
+
+def _sinc_fine(x: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FINE_BITS sin(t) / t <= hi at t = pi/x, x >= 3.
+
+    With W = FINE_BITS and pi_lo <= 2^W pi <= pi_hi (`_pi_fine`), the
+    integers u_lo = floor(pi_lo^2 / (x^2 2^W)) and
+    u_hi = ceil(pi_hi^2 / (x^2 2^W)) bound 2^W t^2; let v = u_hi / 2^W,
+    at most 1.1 since t <= pi/3.
+
+    sin t / t decreases on (0, pi): its derivative is
+    (t cos t - sin t) / t^2, negative because tan t > t on (0, pi/2) and
+    cos t <= 0 on [pi/2, pi).  So sin t / t >= sinc(v), writing sinc(v)
+    for sin(sqrt v) / sqrt v = sum_j (-1)^j A_j / 2^W with
+    A_j = 2^W v^j / (2j+1)!.  As a function of u = t^2, sin t / t has
+    derivative sum_(j >= 1) (-1)^j j u^(j-1) / (2j+1)!, an alternating
+    series of decreasing terms for u < 10, so of size at most 1/6; hence
+    sin t / t <= sinc(v) + (u_hi - u_lo) / (6 2^W).
+
+    The terms A_j decrease (A_(j+1) / A_j = v / ((2j+2)(2j+3)) < 1), so
+    partial sums ending on an odd (even) index are lower (upper) bounds
+    of sinc(v).  The integers a_0 = 2^W and
+    a_j = floor(a_(j-1) u_hi / (2^W 2j (2j+1))) are computed until the
+    first a_m = 0; then A_j - a_j = E_j with E_0 = 0 and
+    E_j < E_(j-1) v / 6 + 1, so 0 <= E_j < 2.  With s the alternating sum
+    of the a_j over j < m, and n_odd, n_even the numbers of odd and even
+    j < m, every A_j with j >= m is below 2, so
+
+        s - 2 n_odd - 2  <=  2^W sinc(v)  <=  s + 2 n_even + 2.
+    """
+    one = 1 << FINE_BITS
+    pi_lo, pi_hi = _pi_fine()
+    d = x * x << FINE_BITS
+    u_lo, u_hi = pi_lo * pi_lo // d, -(-pi_hi * pi_hi // d)
+    s = n_odd = 0
+    a, j = one, 0
+    while a:
+        if j & 1:
+            s, n_odd = s - a, n_odd + 1
+        else:
+            s += a
+        j += 1
+        a = a * u_hi // (one * (2 * j) * (2 * j + 1))
+    return s - 2 * n_odd - 2, s + 2 * (j - n_odd) + 2 - (-(u_hi - u_lo) // 6)
+
+
+@cache
+def _fixed_neg_ln_sin(x: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FIXED_BITS (-ln sin(pi/x)) <= hi, for x >= 3.
+
+    -ln sin(pi/x) = ln x - ln pi - ln(sin t / t) at t = pi/x.  The bounds
+    of sin t / t (`_sinc_fine`) are positive (sin t / t > 0.8 for
+    t <= pi/3), and `_ln_fine` at the upper (lower) one gives the lower
+    (upper) bound of -ln(sin t / t).  The sum of the three logarithms is
+    rounded outward to FIXED_BITS once.
+    """
+    one = 1 << FINE_BITS
+    sinc_lo, sinc_hi = _sinc_fine(x)
+    ln_x_lo, ln_x_hi = _ln_fine(x, 1)
+    ln_pi_lo, ln_pi_hi = _ln_pi_fine()
+    return _to_fixed(ln_x_lo - ln_pi_hi - _ln_fine(sinc_hi, one)[1],
+                     ln_x_hi - ln_pi_lo - _ln_fine(sinc_lo, one)[0])

@@ -17,17 +17,19 @@ The search sieves phi, smallest prime factors and the prime behind each
 g(x) = ln gamma(x)/phi(x) up to TAIL_START = 4096 in plain Python, and
 scans k up to min(k_max, 4096).  There is no float pre-filter: every
 discard is an integer inequality between fixed-point bounds (see
-`ScanBounds`), built from integer bounds of ln p for the primes
-p <= 4096 (`fixed._ln_prime_table`, the fixed-point kit shared with the
-least-N solver; no interval evaluation) and one outward enclosure each
-of pi and of ln pi.  A k is dropped when phi(k) c_low(k)
-exceeds 4 rhs_max(k); for the other k only s with phi(s / gcd(k, s)) below
-the divisor bound T_k are enumerated; a pair is dropped when
-deg * c_lo > rhs_hi.  A pair with c_lo <= 0 has its coefficient sign
-decided by `coefficient_sign`, and every remaining non-exceptional pair
-gets one certificate, `pair_floor`: integer enclosures of rhs and c(k, s)
-decide survival and the floor of rhs / (deg c) together, and one interval
-enclosure of that ratio decides what they leave open.  Any bound
+`ScanBounds`), built from the integer log kernels of `fixed`, the
+fixed-point kit shared with the least-N solver: ln p for the primes
+p <= 4096 (`fixed._ln_prime_table`) and ln pi (`fixed._ln_pi_fine`), with
+no interval evaluation but the one outward enclosure of pi.  A k is
+dropped when phi(k) c_low(k) exceeds 4 rhs_max(k); for the other k only s
+with phi(s / gcd(k, s)) below the divisor bound T_k are enumerated; a pair
+is dropped when deg * c_lo > rhs_hi.  A pair with c_lo <= 0 has its
+coefficient sign decided by `coefficient_sign`, and every remaining
+non-exceptional pair gets one certificate, `pair_floor`: integer bounds
+of rhs (-ln sin from `fixed._fixed_neg_ln_sin`) and of c(k, s) (from
+gamma and phi, `_fixed_coefficient`) decide survival and the floor of
+rhs / (deg c) together, and one interval enclosure of that ratio decides
+what they leave open; at k_max = 2000 they leave nothing open.  Any bound
 above 120 is refined through the least-N solver.  Pairs with
 4096 < k <= k_max are ruled out by `tail_certificate`: the
 Rosser-Schoenfeld lower bound for phi (1962, Thm 15, with the constant
@@ -54,7 +56,10 @@ from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import _smallest_prime_factors, euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, norm_4sin2_closed_form
-from .fixed import FIXED_BITS, LN_TABLE_LIMIT, _fixed, _fixed_ln, _fixed_ln_prime, _fixed_sign
+from .fixed import (
+    FIXED_BITS, LN_TABLE_LIMIT, _fixed_ln, _fixed_ln_prime, _fixed_neg_ln_sin, _fixed_sign,
+    _ln_pi_fine, _pi_fine, _to_fixed,
+)
 from .graphs import Family, FamilyTable, Variant, family_bound, variant_width
 
 LN2 = log(2.0)
@@ -155,9 +160,42 @@ def _fixed_combo(terms: tuple) -> tuple[int, int]:
     q ln p is rounded outward from the bounds of ln p."""
     lo = hi = 0
     for p, q in terms:
-        a, b = (q.numerator * x for x in _fixed_ln_prime(p))
-        lo += min(a, b) // q.denominator
-        hi -= -max(a, b) // q.denominator
+        a, b = _fixed_term(q.numerator, q.denominator, p)
+        lo, hi = lo + a, hi + b
+    return lo, hi
+
+
+def _fixed_term(num: int, den: int, p: int) -> tuple[int, int]:
+    """Fixed-point bounds of (num / den) ln p, den > 0: the bounds of ln p
+    times num, floored (ceiled) over den.  floor(num L / den) depends only
+    on the value num / den, so any representation gives the same bounds."""
+    a, b = (num * x for x in _fixed_ln_prime(p))
+    if num < 0:
+        a, b = b, a
+    return a // den, -(-b // den)
+
+
+def _fixed_coefficient(k: int, s: int) -> tuple[int, int]:
+    """`_fixed_combo(_combo_terms(k, s))`, bit for bit, from the integers
+    gamma and phi, with no `Fraction`.
+
+    c(k, s) = q_2 ln 2 - ln gamma(k)/phi(k) - ln gamma(s)/phi(s), where a
+    gamma equal to 2 moves its term into q_2, and equal gammas share one
+    term.  Each term is bounded by `_fixed_term` as `_fixed_combo` bounds
+    it, and a zero term adds 0 to both bounds, as its absence does."""
+    gk, gs = gamma_norm_constant(k), gamma_norm_constant(s)
+    pk, ps = euler_phi(k), euler_phi(s)
+    den = pk * ps
+    q2 = den - (ps if gk == 2 else 0) - (pk if gs == 2 else 0)
+    lo, hi = _fixed_term(q2, den, 2)
+    if gk == gs > 2:
+        a, b = _fixed_term(-(pk + ps), den, gk)
+        lo, hi = lo + a, hi + b
+    else:
+        for g, phi in ((gk, pk), (gs, ps)):
+            if g != 1 and g != 2:
+                a, b = _fixed_term(-1, phi, g)
+                lo, hi = lo + a, hi + b
     return lo, hi
 
 
@@ -255,12 +293,6 @@ def certified_floor_ratio(num: Expr, den: Expr) -> int:
     return certified_floor(num / den)
 
 
-@cache
-def _fixed_neg_ln_sin(x: int) -> tuple[int, int]:
-    """Fixed-point bounds of -ln sin(pi/x), one enclosure per modulus."""
-    return _fixed(-Ln(Sin(PI / Const(Fraction(x)))))
-
-
 def _fixed_rhs(k: int, s: int, kind: PairKind) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^FIXED_BITS * rhs(k, s) <= hi."""
     c_lo, c_hi = _fixed_ln(kind.log_constant)
@@ -288,17 +320,21 @@ def pair_floor(k: int, s: int, kind: PairKind) -> int:
     certified; the pair survives iff it is at least 1.
 
     For k, s <= TAIL_START the integer bounds r_lo <= 2^64 rhs <= r_hi
-    (`_fixed_rhs`) and c_lo <= 2^64 c <= c_hi (`_fixed_combo`) put the
-    ratio in [r_lo / (deg c_hi), r_hi / (deg c_lo)] when c_lo > 0.  So
-    r_hi < deg c_lo proves ratio < 1 (floor 0), and r_lo > deg c_hi
-    proves ratio > 1, with floor r_lo // (deg c_hi) when that equals
-    r_hi // (deg c_lo).  Every other pair gets one enclosure of the
-    ratio (`_ratio_floor`), raised until it lies in one integer step and
-    does not start at 1; a ratio of exactly 1 raises UndecidableError.
+    (`_fixed_rhs`, from the kernel `fixed._fixed_neg_ln_sin`) and
+    c_lo <= 2^64 c <= c_hi (`_fixed_coefficient`, from gamma and phi,
+    no `Fraction`) put the ratio in [r_lo / (deg c_hi), r_hi / (deg c_lo)]
+    when c_lo > 0.  So r_hi < deg c_lo proves ratio < 1 (floor 0), and
+    r_lo > deg c_hi proves ratio > 1, with floor r_lo // (deg c_hi) when
+    that equals r_hi // (deg c_lo).  Every other pair gets one enclosure
+    of the ratio (`_ratio_floor`), raised until it lies in one integer
+    step and does not start at 1; a ratio of exactly 1 raises
+    UndecidableError.  No interval arithmetic runs when the integers
+    settle the pair, which they do for every pair of
+    `reproduce-all --kmax 2000`.
     """
     deg = pair_field_degree(k, s)
     if max(k, s) <= TAIL_START:
-        c_lo, c_hi = _fixed_combo(_combo_terms(k, s))
+        c_lo, c_hi = _fixed_coefficient(k, s)
         if c_lo > 0:
             r_lo, r_hi = _fixed_rhs(k, s, kind)
             if r_hi < deg * c_lo:
@@ -396,12 +432,6 @@ def sieve_tables(limit: int) -> tuple[list[int], list[int], list[int]]:
     return phi, spf, gamma
 
 
-@cache
-def _fixed_pi() -> tuple[tuple[int, int], tuple[int, int]]:
-    """Fixed-point bounds of pi and of ln pi."""
-    return _fixed(PI), _fixed(Ln(PI))
-
-
 def _divisors(k: int, spf: list[int]) -> list[int]:
     divisors = [1]
     while k > 1:
@@ -451,7 +481,8 @@ class ScanBounds:
         self.kind = kind
         self.phi, self.spf, gamma = sieve_tables(limit)
         self.ln2_lo = _fixed_ln_prime(2)[0]
-        (_, pi_hi), (ln_pi_lo, _) = _fixed_pi()
+        pi_hi = _to_fixed(*_pi_fine())[1]
+        ln_pi_lo = _to_fixed(*_ln_pi_fine())[0]
         ln_hi = [0] * (limit + 1)
         self.g_hi = [0] * (limit + 1)
         self.sin_hi = [0] * (limit + 1)

@@ -481,3 +481,34 @@ def test_tuple_evaluator_matches_the_interval_context_oracle():
                          for leaf in ln_sin_leaves]
         assert [o if isinstance(o, str) else "enclosure" for o in leaf_outcomes] == [
             "enclosure", "enclosure", "inconclusive", "domain"], prec
+
+
+def _concrete_node_types():
+    out, todo = [], [balls.Expr]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls not in (balls.Expr, balls._Binary, balls._Unary):
+            out.append(cls)
+    return out
+
+
+def test_every_node_survives_copy_and_pickle():
+    import copy
+    import pickle
+
+    from groundbound.balls import AlgConst
+    from groundbound.cyclo import CycloElement
+
+    leaf = AlgConst(CycloElement.cos2pi(1, 5) * 2 + 2)
+    arg = Const(Fraction(3, 7))
+    samples = [Const(Fraction(-5, 3)), leaf, PI, E, Pow(leaf, Fraction(-2, 3))]
+    samples += [cls(arg, leaf) for cls in (Add, Sub, Mul, Div)]
+    samples += [cls(Mul(arg, PI)) for cls in (Neg, Sqrt, Ln, ExpNode, Sin)]
+    assert {type(x) for x in samples} == set(_concrete_node_types())
+    nested = Ln(Add(Mul(Const(Fraction(2)), E), Sqrt(Div(leaf, PI))))
+    for x in samples + [nested]:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x), x
+            assert str(y) == str(x)
+    assert pickle.loads(pickle.dumps(PI)) is PI and copy.deepcopy(E) is E

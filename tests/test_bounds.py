@@ -4,16 +4,20 @@ from fractions import Fraction as F
 import pytest
 
 from groundbound.balls import (
+    AlgConst,
     Const,
     E,
     ExpNode,
+    Ln,
     Mul,
     PI,
+    Pow,
     Sin,
     Sqrt,
     as_expr,
     eval_ball,
     exact_value,
+    mpf_to_fraction,
 )
 from groundbound import balls, bounds, fixed
 from groundbound.bounds import BoundProblem, method_a_problem, solve
@@ -75,6 +79,47 @@ def test_nonpositive_data_violate_the_hypotheses():
             data = {**good, name: bad}
             with pytest.raises(HypothesisViolated, match=f"{name} must be > 0"):
                 solve(prob(1, data["B"], data["R"], data["S"]))
+
+
+def test_ln_of_data_reads_product_trees_in_integers(monkeypatch):
+    # products, quotients, square roots and rational powers of positive
+    # rationals and e take the integer kernels; an irrational leaf takes
+    # one enclosure of its logarithm, and any other datum one of ln x
+    enclosed = []
+    real_fixed = bounds._fixed
+
+    def spy(expr, *args, **kwargs):
+        enclosed.append(expr)
+        return real_fixed(expr, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_fixed", spy)
+    w = AlgConst(CycloElement.cos2pi(1, 5) * 2 + 2)  # phi^2, irrational
+    products = [
+        Sqrt(Const(F(5))),
+        Sqrt(Sqrt(Const(F(7, 10**40)))),
+        Const(F(2 * 13)) * E / Sqrt(w),
+        Pow(Const(F(2 * 13)) * E / Sqrt(w), F(3)),
+        Pow(Const(F(3, 2)) / E, F(-5, 7)),
+        AlgConst(CycloElement.rational(5, F(9, 4))),
+    ]
+    others = [Const(F(2)) + Sqrt(Const(F(3))), PI, Const(F(-2)) * Const(F(-3)), ExpNode(Const(F(1)))]
+    scale = 2**fixed.FIXED_BITS
+    for x in products + others:
+        enclosed.clear()
+        lo, hi = bounds._fixed_ln_of("S", x, balls.DEFAULT_CAP_BITS)
+        ball = eval_ball(Ln(x), 256)
+        assert lo <= mpf_to_fraction(ball.lower) * scale
+        assert mpf_to_fraction(ball.upper) * scale <= hi
+        if x in others:
+            assert enclosed == [Ln(x)], x
+            continue
+        assert hi - lo <= 4, x
+        assert enclosed == ([Ln(w)] if "cyclo" in str(x) else []), x
+        # the working bounds, in units of 2^-FINE_BITS, hold too
+        lo, hi = bounds._ln_product(x, balls.DEFAULT_CAP_BITS)
+        fine = 2**fixed.FINE_BITS
+        assert lo <= mpf_to_fraction(ball.lower) * fine
+        assert mpf_to_fraction(ball.upper) * fine <= hi <= lo + 2**16, x
 
 
 def test_method_a_problem_quadratic_field():
@@ -220,18 +265,21 @@ def test_solve_falls_back_only_on_straddling_signs(monkeypatch):
 
 
 def test_forced_fallback_matches_linear_scan(monkeypatch):
-    # every fixed-point enclosure widened by 2^16 on both sides: no sign of
-    # R < 1, of S vs 1 or of f(n) is read off the integer bounds, so every
-    # one goes through the fallback, and the least N stays the scan's
+    # every fixed-point bound of ln R, ln B, ln S and ln(1/R) widened by
+    # 2^16 on both sides: no sign of R < 1, of S vs 1 or of f(n) is read off
+    # the integer bounds, so every one goes through the fallback, and the
+    # least N stays the scan's
     fallbacks = _count_fallbacks(monkeypatch)
-    real_fixed = bounds._fixed
     width = 1 << (16 + fixed.FIXED_BITS)
 
-    def straddling(*args, **kwargs):
-        lo, hi = real_fixed(*args, **kwargs)
-        return lo - width, hi + width
+    def widened(real):
+        def straddling(*args, **kwargs):
+            lo, hi = real(*args, **kwargs)
+            return lo - width, hi + width
+        return straddling
 
-    monkeypatch.setattr(bounds, "_fixed", straddling)
+    for name in ("_fixed_ln_of", "_fixed"):
+        monkeypatch.setattr(bounds, name, widened(getattr(bounds, name)))
     for problem in _oracle_problems():
         fallbacks.clear()
         n = solve(problem).least_n

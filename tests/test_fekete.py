@@ -78,6 +78,52 @@ def test_diagonal_closed_form():
     assert _exact_rows(F(0), F(1), 3)[3][3] == F(1, 32)
 
 
+def _sup_norm_by_conjugation(coeffs, emb, interval):
+    """sum_k |A_k| from coefficients conjugated one by one with
+    `Embedding.apply` and Chebyshev values as Fractions."""
+    a, b = interval
+    n = len(coeffs) - 1
+    images = [emb.apply(c) for c in coeffs]
+    total = CycloElement.rational(emb.field.n, 0)
+    for k in range(n + 1):
+        form = CycloElement.rational(emb.field.n, 0)
+        for i, row in enumerate(_exact_rows(a, b, n)):
+            form = form + images[i] * row[k]
+        total = total + (-1 * form if certify_sign(AlgConst(form)) == LESS else form)
+    return total
+
+
+def test_sup_norm_reads_cached_power_basis_images(monkeypatch):
+    # the images of the coefficients come from cached images of the power
+    # basis, and give the bound that conjugating each coefficient gives
+    from groundbound import fekete
+    from groundbound.fields import Embedding
+
+    rng = random.Random(1820)
+    fields = [F5, RealCyclotomicField([8]), RealCyclotomicField([5, 3])]
+    for field in fields:
+        for emb in field.embeddings():
+            fekete._power_images(emb)
+    applied = []
+    real_apply = Embedding.apply
+    monkeypatch.setattr(Embedding, "apply", lambda self, x: applied.append(x) or real_apply(self, x))
+    cases = []
+    for field in fields:
+        dim = len(CycloElement.rational(field.n, 0).coeffs)
+        for emb in field.embeddings():
+            for _ in range(6):
+                n = rng.randint(0, 5)
+                coeffs = [CycloElement(field.n, [F(rng.randint(-9, 9), rng.randint(1, 4))
+                                                 for _ in range(dim)]) for _ in range(n + 1)]
+                c = F(rng.randint(-6, 6), 4)
+                interval = (c, c + F(rng.randint(1, 9), 8))
+                cases.append((coeffs, emb, interval, certify_sup_norm(coeffs, emb, interval)))
+    assert applied == []
+    monkeypatch.setattr(Embedding, "apply", real_apply)
+    for coeffs, emb, interval, sup in cases:
+        assert sup == _sup_norm_by_conjugation(coeffs, emb, interval)
+
+
 def test_sup_norm_examples():
     emb = Q.identity_embedding()
     one = CycloElement.rational(1, 1)

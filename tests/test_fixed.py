@@ -1,11 +1,14 @@
 import random
 from math import ceil, floor
 
-from mpmath import mp
+from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, fzero
 
+from groundbound import pairs
 from groundbound.balls import mpf_to_fraction
-from groundbound.fixed import FIXED_BITS, _scaled
+from groundbound.fixed import (
+    FINE_BITS, FIXED_BITS, _fixed_ln_ratio, _fixed_neg_ln_sin, _ln_fine, _scaled, _sinc_fine,
+)
 
 
 def _fraction_scaled(x, up):
@@ -34,3 +37,77 @@ def test_scaled_matches_fraction_formula():
         negative += raw[0] == 1
     assert below > 1000 and above > 500 and negative > 1000
 
+
+
+# -- the integer log kernels against a 300-bit interval oracle ----------------
+
+ORACLE_BITS = 300
+
+
+def _oracle(f, bits=FIXED_BITS):
+    """2^bits f() as an mpmath interval at ORACLE_BITS bits."""
+    saved, iv.prec = iv.prec, ORACLE_BITS
+    try:
+        return f() * iv.mpf(2) ** bits
+    finally:
+        iv.prec = saved
+
+
+def _encloses(bounds, value, width):
+    """lo <= value <= hi for the interval `value`, compared exactly, and
+    hi - lo <= width."""
+    lo, hi = bounds
+    assert type(lo) is int and type(hi) is int
+    a, b = (mpf_to_fraction(mp.make_mpf(x)) for x in value._mpi_)
+    return lo <= a and b <= hi and hi - lo <= width
+
+
+def _ln_oracle(a, b, bits=FIXED_BITS):
+    return _oracle(lambda: iv.log(iv.mpf(a) / iv.mpf(b)), bits)
+
+
+def _check_ln(a, b):
+    # the working bounds in units of 2^-FINE_BITS hold as well as the
+    # rounded ones, so a slack missing below the guard bits shows too
+    assert _encloses(_fixed_ln_ratio(a, b), _ln_oracle(a, b), 16), (a, b)
+    assert _encloses(_ln_fine(a, b), _ln_oracle(a, b, FINE_BITS), 16 << 16), (a, b)
+
+
+def test_ln_kernel_on_random_rationals():
+    rng = random.Random(2020)
+    for _ in range(2000):
+        _check_ln(rng.randint(1, 10 ** rng.randint(1, 1000)), rng.randint(1, 10 ** rng.randint(1, 1000)))
+
+
+def test_ln_kernel_on_powers_of_two():
+    assert _fixed_ln_ratio(1, 1) == (0, 1)
+    for n in range(0, 3400, 7):
+        for a, b in ((2**n, 1), (1, 2**n), (3 * 2**n, 3), (5, 5 * 2**n)):
+            _check_ln(a, b)
+
+
+def test_ln_kernel_at_the_reduction_thresholds():
+    # a/b at and next to 2/3 and 3/2 times powers of two, where the
+    # reduction to [2/3, 3/2] switches between doubling, halving and neither
+    for n in (0, 1, 5, 64, 333):
+        for m in (3, 10**6 + 3, 3 * 10**40):
+            for num, den in ((2 * m, 3 * m), (3 * m, 2 * m)):
+                for da in (-1, 0, 1):
+                    for a, b in ((num + da) << n, den), (num + da, den << n):
+                        _check_ln(a, b)
+
+
+def test_neg_ln_sin_kernel_for_every_modulus_up_to_4096():
+    for x in range(3, 4097):
+        value = _oracle(lambda: -iv.log(iv.sin(iv.pi / x)))
+        assert _encloses(_fixed_neg_ln_sin(x), value, 16), x
+        sinc = _oracle(lambda: iv.sin(iv.pi / x) / (iv.pi / x), FINE_BITS)
+        assert _encloses(_sinc_fine(x), sinc, 64), x
+
+
+def test_coefficient_bounds_match_the_fraction_combination():
+    # the integer bounds from gamma and phi are the ones `_fixed_combo`
+    # builds from the Fraction terms of c(k, s)
+    for k in range(3, 401):
+        for s in range(3, k + 1):
+            assert pairs._fixed_coefficient(k, s) == pairs._fixed_combo(pairs._combo_terms(k, s)), (k, s)

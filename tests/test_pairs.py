@@ -518,15 +518,41 @@ def test_forced_fallback_gives_the_same_report(monkeypatch):
     # a coefficient enclosure that does not exclude zero also falls back
     fallbacks.clear()
     monkeypatch.setattr(pairs, "_fixed_neg_ln_sin", real_sin)
-    monkeypatch.setattr(pairs, "_fixed_combo", lambda terms: (0, 2**64))
+    monkeypatch.setattr(pairs, "_fixed_coefficient", lambda k, s: (0, 2**64))
     assert pair_report(31, 3, G5) == expected[1]
     assert fallbacks == [(31, 3)]
 
 
+def test_reproduce_all_never_needs_the_ratio_ball(monkeypatch):
+    # at --kmax 2000 the integer bounds settle every pair certificate
+    from groundbound.reproduce import reproduce_all
+
+    fallbacks = []
+    real_ratio = pairs._ratio_floor
+
+    def ratio_spy(k, s, kind):
+        fallbacks.append((k, s, kind))
+        return real_ratio(k, s, kind)
+
+    certified = []
+    real_floor = pairs.pair_floor
+
+    def floor_spy(k, s, kind):
+        certified.append((k, s, kind))
+        return real_floor(k, s, kind)
+
+    monkeypatch.setattr(pairs, "_ratio_floor", ratio_spy)
+    monkeypatch.setattr(pairs, "pair_floor", floor_spy)
+    reproduce_all(2000)
+    assert len(certified) > 681 and fallbacks == []
+
+
 def test_eval_ball_budget_of_reproduce_all(tmp_path):
     # a fresh `reproduce-all --kmax 2000`, with every module binding of
-    # `eval_ball` spied, evaluates at most 1100 balls (2868 with two
-    # evaluations per surviving pair and an interval enclosure per prime)
+    # `eval_ball` spied, evaluates at most 330 balls: report rendering,
+    # feasibility signs, one ln W per irrational leaf of a least-N solve,
+    # two floors and pi; no pair certificate and no rational datum of a
+    # solve encloses anything
     import os
     import subprocess
     import sys
@@ -562,4 +588,4 @@ sys.exit(status)
                           capture_output=True, text=True, env=env, timeout=900)
     assert proc.returncode == 1, proc.stderr
     calls = int(proc.stdout.split()[-1])
-    assert 500 < calls <= 1100, calls
+    assert 200 < calls <= 330, calls
