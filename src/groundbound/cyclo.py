@@ -299,11 +299,6 @@ def _power_traces(n: int) -> tuple:
     return tuple(sums)
 
 
-def cos2_pi_over(l: int, n: int) -> CycloElement:
-    """cos^2(pi/l) = (1 + cos(2pi/l))/2 in Q(cos 2pi/n); requires l | n."""
-    return (CycloElement.cos2pi(1, l, n) + 1) / 2
-
-
 def sin2_pi_over(l: int, n: int) -> CycloElement:
     """sin^2(pi/l) = (1 - cos(2pi/l))/2 in Q(cos 2pi/n); requires l | n."""
     return (1 - CycloElement.cos2pi(1, l, n)) / 2

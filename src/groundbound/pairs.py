@@ -15,9 +15,11 @@ with C = 7 for the path family and C = 8 for the star family.
 
 The search sieves phi, smallest prime factors and the prime behind each
 g(x) = ln gamma(x)/phi(x) up to TAIL_START = 4096 in plain Python, and
-scans k up to min(k_max, 4096).  There is no float pre-filter: every
+scans k up to min(k_max, 4096).  The sieve and the bounds built on it
+form one table per limit (`scan_table`), built on first use and shared
+by the searches of both families.  There is no float pre-filter: every
 discard is an integer inequality between fixed-point bounds (see
-`ScanBounds`), built from the integer log kernels of `fixed`, the
+`ScanTable`), built from the integer log kernels of `fixed`, the
 fixed-point kit shared with the least-N solver: ln p for the primes
 p <= 4096 (`fixed._ln_prime_table`) and ln pi (`fixed._ln_pi_fine`), with
 no interval evaluation but the one outward enclosure of pi.  A k is
@@ -44,6 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import accumulate
 from math import gcd, log
 
 from . import balls
@@ -443,16 +446,18 @@ def _divisors(k: int, spf: list[int]) -> list[int]:
     return divisors
 
 
-class ScanBounds:
+class ScanTable:
     """Integer bounds, in units of 2^-FIXED_BITS, behind every discard of
-    the pair scan of one family up to `limit`.
+    the pair scan up to `limit`; no entry depends on the family, so both
+    families read one table (`scan_table`).
 
     For 3 <= x <= limit, with g(x) = ln gamma(x) / phi(x):
 
+        2^64 ln x <= ln_hi[x],
         2^64 g(x) <= g_hi[x],
         2^64 (-ln sin(pi/x)) <= sin_hi[x],
 
-    the second from the Taylor bound sin y >= y - y^3/6 = y (1 - t) at
+    the last from the Taylor bound sin y >= y - y^3/6 = y (1 - t) at
     y = pi/x, t = pi^2 / (6 x^2) < 1, and -ln(1 - t) = sum t^n / n
     <= t + t^2 / (2 (1 - t)):
 
@@ -461,101 +466,61 @@ class ScanBounds:
     (With the cruder t / (1 - t) the bound at x = 3 is 0.034 too high,
     more than the slack of the pairs (113, 3) and (282, 3).)  ln x is the
     sum of the prime logarithms along the factorisation of x; every added
-    term is rounded up and every subtracted one down, so
-    2^64 c(k, s) >= `c_lo(k, s)` and 2^64 rhs(k, s) <= `rhs_hi(k, s)`.
+    term is rounded up and every subtracted one down, so with
+    ln_c_hi = ln_hi[C],
 
-    Over the s of the family's range for k (3 <= s <= k, resp.
-    s in {3, 4, 5}), c(k, s) >= c_low(k) and rhs(k, s) <= rhs_max(k).
-    Let m = s / gcd(k, s), so that lcm(k, s) = k m.  Since
-    phi(k m) >= phi(k) phi(m) and rho <= 2, deg >= phi(k) phi(m) / 4, and
-    a pair with c > 0 survives only if deg c < rhs, so only if
+        2^64 c(k, s) >= c_lo(k, s) = ln2_lo - g_hi[k] - g_hi[s],
+        2^64 rhs(k, s) <= rhs_hi(k, s) = ln_c_hi + sin_hi[k] + sin_hi[s].
+
+    `g_hi_max[x]` and `sin_hi_max[x]` are the maxima over 3..x, so over
+    the s of the family's range for k (3 <= s <= top = k, resp.
+    s in {3, 4, 5}, top = 5), c_lo(k, s) >= c_low(k) = ln2_lo - g_hi[k] -
+    g_hi_max[top] and rhs_hi(k, s) <= rhs_max(k) = ln_c_hi + sin_hi[k] +
+    sin_hi_max[top].  Let m = s / gcd(k, s), so that lcm(k, s) = k m.
+    Since phi(k m) >= phi(k) phi(m) and rho <= 2, deg >= phi(k) phi(m) / 4,
+    and a pair with c > 0 survives only if deg c < rhs, so only if
 
         phi(m) < T_k = 4 rhs_max(k) / (c_low(k) phi(k))   when c_low(k) > 0.
 
-    Hence k carries no survivor when phi(k) c_low(k) > 4 rhs_max(k)
-    (`is_candidate`), and for the other k only the s = d m with d | k,
-    gcd(k/d, m) = 1 and phi(m) < ceil(T_k) need a look (`s_values`).
+    Hence k carries no survivor when phi(k) c_low(k) > 4 rhs_max(k), and
+    for the other k only the s with phi(m) < ceil(T_k) need a look: the
+    s = d m with d | k, gcd(k/d, m) = 1 (then d = gcd(k, s)), m taken
+    from the prefix of `phi_order` (1..limit sorted by phi, `phi_sorted`
+    its phi values) below the bound.  `search` runs these tests.
     """
 
-    def __init__(self, kind: PairKind, limit: int):
-        self.kind = kind
-        self.phi, self.spf, gamma = sieve_tables(limit)
+    def __init__(self, limit: int):
+        self.limit = limit
+        phi, spf, gamma = sieve_tables(limit)
+        self.phi, self.spf = phi, spf
         self.ln2_lo = _fixed_ln_prime(2)[0]
         pi_hi = _to_fixed(*_pi_fine())[1]
         ln_pi_lo = _to_fixed(*_ln_pi_fine())[0]
-        ln_hi = [0] * (limit + 1)
-        self.g_hi = [0] * (limit + 1)
-        self.sin_hi = [0] * (limit + 1)
+        ln_hi = self.ln_hi = [0] * (limit + 1)
+        g_hi = self.g_hi = [0] * (limit + 1)
+        sin_hi = self.sin_hi = [0] * (limit + 1)
         a = pi_hi * pi_hi  # >= 2^128 pi^2
         for x in range(2, limit + 1):
-            p = self.spf[x]
+            p = spf[x]
             ln_hi[x] = ln_hi[x // p] + _fixed_ln_prime(p)[1]
             if gamma[x] != 1:
-                self.g_hi[x] = -(-_fixed_ln_prime(gamma[x])[1] // self.phi[x])
+                g_hi[x] = -(-_fixed_ln_prime(gamma[x])[1] // phi[x])
             # t <= a/d, and t + t^2 / (2 (1 - t)) = a (2d - a) / (2d (d - a))
             # grows with t; rounded up
             d = 6 * x * x << 2 * FIXED_BITS
             taylor = -(-(a * (2 * d - a) << FIXED_BITS) // (2 * d * (d - a)))
-            self.sin_hi[x] = ln_hi[x] - ln_pi_lo + taylor
-        self.ln_c_hi = ln_hi[kind.log_constant]
-        # maxima of g_hi and sin_hi over 3..x
-        self.g_hi_max = self.g_hi[:]
-        self.sin_hi_max = self.sin_hi[:]
-        for x in range(4, limit + 1):
-            self.g_hi_max[x] = max(self.g_hi_max[x - 1], self.g_hi[x])
-            self.sin_hi_max[x] = max(self.sin_hi_max[x - 1], self.sin_hi[x])
-        self.k_values = range(3 if kind is PairKind.GAMMA5 else 7, limit + 1)
-        self.phi_order = sorted(range(1, limit + 1), key=self.phi.__getitem__)
-        self.phi_sorted = [self.phi[m] for m in self.phi_order]
+            sin_hi[x] = ln_hi[x] - ln_pi_lo + taylor
+        self.g_hi_max = g_hi[:3] + list(accumulate(g_hi[3:], max))
+        self.sin_hi_max = sin_hi[:3] + list(accumulate(sin_hi[3:], max))
+        self.phi_order = sorted(range(1, limit + 1), key=phi.__getitem__)
+        self.phi_sorted = [phi[m] for m in self.phi_order]
 
-    def s_top(self, k: int) -> int:
-        return k if self.kind is PairKind.GAMMA5 else 5
 
-    def degree(self, k: int, s: int) -> int:
-        """`pair_field_degree` from the sieved phi."""
-        g = gcd(k, s)
-        rho = 2 if g in (1, 2) else 1
-        return self.phi[k] * self.phi[s] // self.phi[g] // (2 * rho)
-
-    def c_lo(self, k: int, s: int) -> int:
-        return self.ln2_lo - self.g_hi[k] - self.g_hi[s]
-
-    def rhs_hi(self, k: int, s: int) -> int:
-        return self.ln_c_hi + self.sin_hi[k] + self.sin_hi[s]
-
-    def discards(self, k: int, s: int) -> bool:
-        """deg * c_lo > rhs_hi: c(k, s) > 0 and (k, s) fails survival."""
-        return self.degree(k, s) * self.c_lo(k, s) > self.rhs_hi(k, s)
-
-    def c_low(self, k: int) -> int:
-        return self.ln2_lo - self.g_hi[k] - self.g_hi_max[self.s_top(k)]
-
-    def rhs_max(self, k: int) -> int:
-        return self.ln_c_hi + self.sin_hi[k] + self.sin_hi_max[self.s_top(k)]
-
-    def is_candidate(self, k: int) -> bool:
-        return self.phi[k] * self.c_low(k) <= 4 * self.rhs_max(k)
-
-    def divisor_bound(self, k: int) -> int | None:
-        """ceil(T_k), or None when c_low(k) <= 0 and every s is kept."""
-        c_low = self.c_low(k)
-        if c_low <= 0:
-            return None
-        return -(-4 * self.rhs_max(k) // (c_low * self.phi[k]))
-
-    def s_values(self, k: int) -> list[int]:
-        """The s of the family's range for k, in increasing order, that
-        the divisor bound leaves."""
-        top = self.s_top(k)
-        bound = self.divisor_bound(k)
-        if bound is None:
-            return list(range(3, top + 1))
-        small_phi = self.phi_order[:bisect_left(self.phi_sorted, bound)]
-        out = []
-        for d in _divisors(k, self.spf):
-            q, m_top = k // d, top // d
-            out += [d * m for m in small_phi if m <= m_top and d * m >= 3 and gcd(q, m) == 1]
-        return sorted(out)
+@lru_cache(maxsize=4)
+def scan_table(limit: int) -> ScanTable:
+    """The scan table up to `limit`, built on first use and shared by the
+    searches of both families, which only read it."""
+    return ScanTable(limit)
 
 
 # -- the tail k > TAIL_START -------------------------------------------------
@@ -657,29 +622,54 @@ def check_k_max(k_max: int) -> None:
 def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     """All non-exceptional pairs passing the survival inequality.
 
-    Pairs with k <= min(k_max, TAIL_START) are scanned without floats:
-    a k or an s is skipped only by the certified bounds of `ScanBounds`,
-    and a pair is dropped only when deg * c_lo > rhs_hi holds between
-    integers.  A pair with c_lo <= 0 has its coefficient sign decided by
-    `coefficient_sign`, and every other non-exceptional pair gets its one
-    certificate from `pair_floor`, which also gives the survivor's
-    bound_kf.  Larger k up to k_max are covered by `tail_certificate`.
-    Results are deterministic.
+    Pairs with k <= min(k_max, TAIL_START) are scanned without floats,
+    on the shared `scan_table`: a k is skipped when phi(k) c_low(k) >
+    4 rhs_max(k), an s when phi(s / gcd(k, s)) >= ceil(T_k), and a pair
+    is dropped when deg * c_lo > rhs_hi, each an inequality between
+    integers (see `ScanTable`).  A pair with c_lo <= 0 has its
+    coefficient sign decided by `coefficient_sign`, and every other
+    non-exceptional pair gets its one certificate from `pair_floor`,
+    which also gives the survivor's bound_kf.  Larger k up to k_max are
+    covered by `tail_certificate`.  Results are deterministic.
     """
     check_k_max(k_max)
-    bounds = ScanBounds(kind, min(k_max, TAIL_START))
+    table = scan_table(min(k_max, TAIL_START))
+    phi, g_hi, sin_hi = table.phi, table.g_hi, table.sin_hi
+    ln_c_hi = table.ln_hi[kind.log_constant]
+    star = kind is PairKind.GAMMA4
     exceptional = set(exceptional_pairs(kind))
     survivors = []
     candidates = checked = 0
-    for k in bounds.k_values:
-        if not bounds.is_candidate(k):
+    for k in range(7 if star else 3, table.limit + 1):
+        top = 5 if star else k
+        phi_k = phi[k]
+        c_k = table.ln2_lo - g_hi[k]  # c_lo(k, s) = c_k - g_hi[s]
+        rhs_k = ln_c_hi + sin_hi[k]  # rhs_hi(k, s) = rhs_k + sin_hi[s]
+        c_low = c_k - table.g_hi_max[top]
+        rhs_max = rhs_k + table.sin_hi_max[top]
+        if phi_k * c_low > 4 * rhs_max:
             continue
         candidates += 1
-        for s in bounds.s_values(k):
+        if c_low <= 0:
+            s_values = range(3, top + 1)
+        else:
+            bound = -(-4 * rhs_max // (c_low * phi_k))  # ceil(T_k)
+            if star:
+                s_values = [s for s in (3, 4, 5) if phi[s // gcd(k, s)] < bound]
+            else:
+                small_phi = table.phi_order[:bisect_left(table.phi_sorted, bound)]
+                s_values = sorted(d * m for d in _divisors(k, table.spf) for m in small_phi
+                                  if m <= k // d and d * m >= 3 and gcd(k // d, m) == 1)
+        for s in s_values:
             checked += 1
-            if (k, s) in exceptional or bounds.discards(k, s):
+            if (k, s) in exceptional:
                 continue
-            if bounds.c_lo(k, s) <= 0 and is_exceptional(k, s):
+            c_lo = c_k - g_hi[s]
+            g = gcd(k, s)
+            deg = phi_k * phi[s] // phi[g] // (4 if g <= 2 else 2)  # pair_field_degree
+            if deg * c_lo > rhs_k + sin_hi[s]:
+                continue
+            if c_lo <= 0 and is_exceptional(k, s):
                 continue
             bound_kf = pair_floor(k, s, kind)
             if bound_kf >= 1:

@@ -19,16 +19,19 @@ from .balls import Expr, as_expr, ball_str
 DECIMAL_DIGITS = 12
 
 
-def render_value(x) -> dict:
-    """{'decimal': ..., 'exact': ...} for an exact or expression value."""
+def render_value(x, decimals: dict) -> dict:
+    """{'decimal': ..., 'exact': ...} for an exact or expression value.
+    `decimals` maps each exact text already rendered to its decimal; an
+    exact text names one value, so one render evaluates each value once."""
     if isinstance(x, bool):
         return {"decimal": str(x).lower(), "exact": str(x).lower()}
     if isinstance(x, int):
         return {"decimal": str(x), "exact": str(x)}
-    if isinstance(x, Fraction):
-        return {"decimal": ball_str(as_expr(x), DECIMAL_DIGITS), "exact": str(x)}
-    if isinstance(x, Expr):
-        return {"decimal": ball_str(x, DECIMAL_DIGITS), "exact": str(x)}
+    if isinstance(x, (Fraction, Expr)):
+        exact = str(x)
+        if exact not in decimals:
+            decimals[exact] = ball_str(as_expr(x), DECIMAL_DIGITS)
+        return {"decimal": decimals[exact], "exact": exact}
     if x is None:
         return {"decimal": "", "exact": ""}
     return {"decimal": str(x), "exact": str(x)}
@@ -46,11 +49,11 @@ class Record:
     match: bool | None
     note: str = ""
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, decimals: dict) -> dict:
         return {
             "pipeline": self.pipeline,
             "case": self.case,
-            "inputs": {k: render_value(v) for k, v in sorted(self.inputs.items())},
+            "inputs": {k: render_value(v, decimals) for k, v in sorted(self.inputs.items())},
             "result": self.result,
             "paper_expected": self.paper_expected,
             "match": self.match,
@@ -75,7 +78,7 @@ class Report:
 
     # -- renderers ---------------------------------------------------------
 
-    def to_text(self) -> str:
+    def to_text(self, decimals: dict) -> str:
         out = [self.title, "=" * len(self.title)]
         for heading, records in self.sections:
             out.append("")
@@ -89,24 +92,24 @@ class Report:
                 if r.note:
                     out.append(f"           note: {r.note}")
                 for key in sorted(r.inputs):
-                    val = render_value(r.inputs[key])
+                    val = render_value(r.inputs[key], decimals)
                     out.append(f"           {key} = {val['decimal']}  ({val['exact']})")
         out.append("")
         out.append(f"mismatches: {self.mismatch_count}")
         return "\n".join(out) + "\n"
 
-    def to_json(self) -> str:
+    def to_json(self, decimals: dict) -> str:
         payload = {
             "title": self.title,
             "sections": [
-                {"heading": heading, "records": [r.to_json_dict() for r in records]}
+                {"heading": heading, "records": [r.to_json_dict(decimals) for r in records]}
                 for heading, records in self.sections
             ],
             "mismatches": self.mismatch_count,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def to_csv(self) -> str:
+    def to_csv(self, decimals: dict) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["section", "pipeline", "case", "result",
@@ -114,7 +117,7 @@ class Report:
         for heading, records in self.sections:
             for r in records:
                 inputs = ";".join(
-                    f"{k}={render_value(v)['decimal']}" for k, v in sorted(r.inputs.items())
+                    f"{k}={render_value(v, decimals)['decimal']}" for k, v in sorted(r.inputs.items())
                 )
                 writer.writerow([heading, r.pipeline, r.case, r.result,
                                  "" if r.paper_expected is None else r.paper_expected,
@@ -123,13 +126,12 @@ class Report:
         return buf.getvalue()
 
     def render(self, fmt: str) -> str:
-        if fmt == "text":
-            return self.to_text()
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        raise ValueError(f"unknown format {fmt!r}")
+        """The report as text, json or csv; the decimals of its values are
+        memoized for this one call (`render_value`)."""
+        renderers = {"text": self.to_text, "json": self.to_json, "csv": self.to_csv}
+        if fmt not in renderers:
+            raise ValueError(f"unknown format {fmt!r}")
+        return renderers[fmt]({})
 
 
 def case_table_csv(rows) -> str:
@@ -159,29 +161,6 @@ def case_table_csv(rows) -> str:
             "" if row.match is None else str(row.match).lower(),
         ])
     return buf.getvalue()
-
-
-def parse_pair_table(text: str) -> list[dict]:
-    """Parse the machine-readable pair report back into dictionaries."""
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = {}
-        for item in line.split("|"):
-            key, _, value = item.partition("=")
-            if key in ("k", "s", "field_degree", "bound_KF", "bound_K", "final_bound"):
-                rec[key] = int(value)
-            elif key in ("refined_KF", "published_bound_KF", "published_bound_K"):
-                rec[key] = int(value) if value else None
-            elif key == "coefficient":
-                rec[key] = float(value)
-            elif key == "intermediates_match":
-                rec[key] = None if not value else value == "true"
-            else:
-                rec[key] = value
-        out.append(rec)
-    return out
 
 
 def pair_table_lines(reports) -> list[str]:

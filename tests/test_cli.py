@@ -168,9 +168,30 @@ def test_refine_pair_on_exceptional_pair_names_method_a(capsys):
     assert "Method A (pairs.exceptional_bound)" in err
 
 
-def test_search_pairs_command(tmp_path, capsys):
-    from groundbound.report import parse_pair_table
+def parse_pair_table(text: str) -> list[dict]:
+    """Parse the machine-readable pair report back into dictionaries."""
+    out = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        rec = {}
+        for item in line.split("|"):
+            key, _, value = item.partition("=")
+            if key in ("k", "s", "field_degree", "bound_KF", "bound_K", "final_bound"):
+                rec[key] = int(value)
+            elif key in ("refined_KF", "published_bound_KF", "published_bound_K"):
+                rec[key] = int(value) if value else None
+            elif key == "coefficient":
+                rec[key] = float(value)
+            elif key == "intermediates_match":
+                rec[key] = None if not value else value == "true"
+            else:
+                rec[key] = value
+        out.append(rec)
+    return out
 
+
+def test_search_pairs_command(tmp_path, capsys):
     pairs_path = tmp_path / "pairs.txt"
     code, out, _ = run_cli(
         ["search-pairs", "--kind", "gamma5", "--kmax", "600",

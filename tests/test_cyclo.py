@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from groundbound.cyclo import (
     CycloElement,
-    cos2_pi_over,
     euler_phi,
     field_degree,
     gamma_norm_constant,
     sin2_pi_over,
 )
+
+
+def cos2_pi_over(l: int, n: int) -> CycloElement:
+    """cos^2(pi/l) = (1 + cos(2pi/l))/2 in Q(cos 2pi/n); requires l | n."""
+    return (CycloElement.cos2pi(1, l, n) + 1) / 2
 
 
 def test_invariant_constants():

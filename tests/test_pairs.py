@@ -189,6 +189,7 @@ def test_search_sieves_only_to_tail_start(kind, monkeypatch):
         return real_sieve(limit)
 
     monkeypatch.setattr(pairs, "sieve_tables", spy)
+    pairs.scan_table.cache_clear()  # so that the spy sees the table built
     full = search(kind, k_max=10**7)
     assert limits and max(limits) <= TAIL_START
     scanned = search(kind, k_max=TAIL_START)
@@ -217,6 +218,27 @@ def test_gamma4_restricted_range():
     gb = global_bound(G4, k_max=6)
     assert gb.maximum == 31 and gb.argmax == (2, 3, 3)
     assert gb.method_a_small_k_max == 31
+
+
+def test_reproduce_all_sieves_once(monkeypatch):
+    # both families' searches read one scan table, sieved once at
+    # min(k_max, TAIL_START); the table cache is cleared first, so that
+    # the spy sees the one build
+    from groundbound import reproduce
+
+    limits = []
+    real_sieve = pairs.sieve_tables
+
+    def spy(limit):
+        limits.append(limit)
+        return real_sieve(limit)
+
+    monkeypatch.setattr(pairs, "sieve_tables", spy)
+    for k_max in (2000, 10**7):
+        pairs.scan_table.cache_clear()
+        limits.clear()
+        reproduce.reproduce_all(k_max)
+        assert limits == [min(k_max, TAIL_START)], (k_max, limits)
 
 
 def test_reproduce_all_builds_the_gamma4_table_once(monkeypatch):
@@ -299,6 +321,54 @@ def test_each_coefficient_certified_once(monkeypatch):
 
 # -- the scan: every discard certified -------------------------------------------
 
+
+class _ScanOracle:
+    """The bounds of `pairs.ScanTable`'s docstring for one family, read
+    off the shared table: the tests' oracle for the inequalities that
+    `search` runs inline.  Table entries are read through."""
+
+    def __init__(self, kind, limit=TAIL_START):
+        self.kind = kind
+        self.table = pairs.scan_table(limit)
+        self.ln_c_hi = self.table.ln_hi[kind.log_constant]
+        self.k_values = range(3 if kind is G5 else 7, limit + 1)
+
+    def __getattr__(self, name):
+        return getattr(self.table, name)
+
+    def s_top(self, k):
+        return k if self.kind is G5 else 5
+
+    def degree(self, k, s):
+        from math import gcd
+
+        g = gcd(k, s)
+        return self.phi[k] * self.phi[s] // self.phi[g] // (4 if g in (1, 2) else 2)
+
+    def c_lo(self, k, s):
+        return self.ln2_lo - self.g_hi[k] - self.g_hi[s]
+
+    def rhs_hi(self, k, s):
+        return self.ln_c_hi + self.sin_hi[k] + self.sin_hi[s]
+
+    def discards(self, k, s):
+        return self.degree(k, s) * self.c_lo(k, s) > self.rhs_hi(k, s)
+
+    def c_low(self, k):
+        return self.ln2_lo - self.g_hi[k] - self.g_hi_max[self.s_top(k)]
+
+    def rhs_max(self, k):
+        return self.ln_c_hi + self.sin_hi[k] + self.sin_hi_max[self.s_top(k)]
+
+    def is_candidate(self, k):
+        return self.phi[k] * self.c_low(k) <= 4 * self.rhs_max(k)
+
+    def divisor_bound(self, k):
+        """ceil(T_k), or None when c_low(k) <= 0 and every s is kept."""
+        c_low = self.c_low(k)
+        return None if c_low <= 0 else -(-4 * self.rhs_max(k) // (c_low * self.phi[k]))
+
+
 # The float scan the pair search ran before its discards were certified,
 # transcribed from numpy into plain Python: a candidate filter on k and a
 # per-pair slack test, each widened by these absolute and relative margins.
@@ -366,7 +436,7 @@ def test_scan_bounds_enclose(kind):
     # per-k bounds dominate every s of the family's range
     import mpmath
 
-    bounds = pairs.ScanBounds(kind, TAIL_START)
+    bounds = _ScanOracle(kind)
     scale = 2**fixed.FIXED_BITS
     with mpmath.mp.workprec(256):
         for p in range(2, TAIL_START + 1):
@@ -416,7 +486,7 @@ def test_every_discard_is_certified(monkeypatch):
         result = search(kind, k_max=TAIL_START)
         survivors, exceptional = set(result.survivors), set(result.exceptional)
         assert all(certified[kind, k, s] == 1 for k, s in survivors)
-        bounds = pairs.ScanBounds(kind, TAIL_START)
+        bounds = _ScanOracle(kind)
         phi = bounds.phi
         for k in bounds.k_values:
             s_range = range(3, k + 1) if kind is G5 else (3, 4, 5)
@@ -437,6 +507,26 @@ def test_every_discard_is_certified(monkeypatch):
                 reasons[reason] = reasons.get(reason, 0) + 1
     assert all(reasons.get(r) for r in ("k", "T_k", "integer", "routed")), reasons
     assert set(certified.values()) == {1} and len(certified) <= 683
+
+
+def test_scan_counts_are_pinned(monkeypatch):
+    # the scan's counts at k_max = TAIL_START, so that a change to any
+    # bound of the candidate filter, the divisor bound T_k or the per-pair
+    # test shows up as a count change
+    floors = []
+    real_floor = pairs.pair_floor
+
+    def floor_spy(k, s, kind):
+        floors.append((kind, k, s))
+        return real_floor(k, s, kind)
+
+    monkeypatch.setattr(pairs, "pair_floor", floor_spy)
+    counts = {}
+    for kind in (G5, G4):
+        result = search(kind, k_max=TAIL_START)
+        counts[kind] = (result.candidate_k_count, result.checked_pairs, len(result.survivors))
+    assert counts == {G5: (708, 10994, 416), G4: (406, 780, 265)}
+    assert len(floors) == 682
 
 
 # -- the per-pair certificate ------------------------------------------------------
@@ -549,10 +639,11 @@ def test_reproduce_all_never_needs_the_ratio_ball(monkeypatch):
 
 def test_eval_ball_budget_of_reproduce_all(tmp_path):
     # a fresh `reproduce-all --kmax 2000`, with every module binding of
-    # `eval_ball` spied, evaluates at most 330 balls: report rendering,
-    # feasibility signs, one ln W per irrational leaf of a least-N solve,
-    # two floors and pi; no pair certificate and no rational datum of a
-    # solve encloses anything
+    # `eval_ball` spied, evaluates at most 200 balls: report rendering
+    # (each distinct decimal once per render), feasibility signs, one ln W
+    # per irrational leaf of a least-N solve, two floors and pi; no pair
+    # certificate and no rational datum of a solve encloses anything.  The
+    # floor only shows that the spy reached the calls.
     import os
     import subprocess
     import sys
@@ -588,4 +679,4 @@ sys.exit(status)
                           capture_output=True, text=True, env=env, timeout=900)
     assert proc.returncode == 1, proc.stderr
     calls = int(proc.stdout.split()[-1])
-    assert 200 < calls <= 330, calls
+    assert 190 < calls <= 200, calls
