@@ -4,7 +4,8 @@ For a pair (k, s) the key coefficient is
 
     c(k, s) = ln 2 - ln gamma(k)/phi(k) - ln gamma(s)/phi(s),
 
-an exact rational combination of logarithms of primes, so its sign (and
+an exact rational combination of logarithms of primes, derived once
+from the integers gamma and phi (`_coefficient_terms`), so its sign (and
 in particular exact vanishing, which happens for (4, 4)) is decidable
 without numerics.  Pairs with c <= 0 are *exceptional* and are handled
 by Method A over F_{k,s}; non-exceptional pairs survive only when
@@ -26,14 +27,15 @@ no interval evaluation but the one outward enclosure of pi.  A k is
 dropped when phi(k) c_low(k) exceeds 4 rhs_max(k); for the other k only s
 with phi(s / gcd(k, s)) below the divisor bound T_k are enumerated; a pair
 is dropped when deg * c_lo > rhs_hi.  A pair with c_lo <= 0 has its
-coefficient sign decided by `coefficient_sign`, and every remaining
-non-exceptional pair gets one certificate, `pair_floor`: integer bounds
-of rhs (-ln sin from `fixed._fixed_neg_ln_sin`) and of c(k, s) (from
-gamma and phi, `_fixed_coefficient`) decide survival and the floor of
-rhs / (deg c) together, and one interval enclosure of that ratio decides
-what they leave open; at k_max = 2000 they leave nothing open.  Any bound
-above 120 is refined through the least-N solver.  Pairs with
-4096 < k <= k_max are ruled out by `tail_certificate`: the
+coefficient sign decided by `coefficient_sign`, from the integer bounds
+of the terms of c(k, s), and every remaining non-exceptional pair gets
+one certificate, `pair_floor`, for any k: integer bounds of rhs (-ln sin
+from `fixed._fixed_neg_ln_sin`) and of c(k, s) (`_fixed_coefficient`)
+decide survival and the floor of rhs / (deg c) together, and one
+interval enclosure of that ratio decides what they leave open; at
+k_max = 2000 they leave nothing open.  Any bound above 120 is refined
+through the least-N solver.  Pairs with 4096 < k <= k_max are ruled out
+by `tail_certificate`: the
 Rosser-Schoenfeld lower bound for phi (1962, Thm 15, with the constant
 2.51) exceeds the survival budget on every dyadic block, each block
 decided by one certified comparison.
@@ -132,40 +134,30 @@ PUBLISHED_EXCEPTIONAL_GAMMA5 = tuple(
 # -- exact coefficient ------------------------------------------------------
 
 
-def _log_combo(k: int, s: int) -> dict:
-    """c(k, s) as {prime: rational multiplier} for sum q_p ln p."""
-    combo: dict[int, Fraction] = {2: Fraction(1)}
-    for x in (k, s):
-        g = gamma_norm_constant(x)
-        if g != 1:
-            combo[g] = combo.get(g, Fraction(0)) - Fraction(1, euler_phi(x))
-    return {p: q for p, q in combo.items() if q != 0}
-
-
-def _combo_expr(terms: tuple) -> Expr:
-    expr: Expr | None = None
-    for p, q in terms:
-        term = Const(q) * Ln(Const(Fraction(p)))
-        expr = term if expr is None else expr + term
-    return expr if expr is not None else Const(Fraction(0))
-
-
-def _combo_terms(k: int, s: int) -> tuple:
-    return tuple(sorted(_log_combo(k, s).items()))
+def _coefficient_terms(k: int, s: int) -> tuple:
+    """c(k, s) as the terms (num, den, p) of sum (num / den) ln p, den > 0,
+    from the integers gamma and phi: c = q_2 ln 2 - ln gamma(k)/phi(k) -
+    ln gamma(s)/phi(s), where a gamma equal to 2 moves its term into q_2,
+    equal gammas share one term and a zero term is dropped.  The primes
+    are distinct, and their logarithms are linearly independent over Q,
+    so c = 0 exactly when no term is left: for 3 <= s <= k only at (4, 4)."""
+    gk, gs = gamma_norm_constant(k), gamma_norm_constant(s)
+    pk, ps = euler_phi(k), euler_phi(s)
+    den = pk * ps
+    q2 = den - (ps if gk == 2 else 0) - (pk if gs == 2 else 0)
+    terms = [(q2, den, 2)] if q2 else []
+    if gk == gs > 2:
+        terms.append((-(pk + ps), den, gk))
+    else:
+        terms += [(-1, phi, g) for g, phi in ((gk, pk), (gs, ps)) if g > 2]
+    return tuple(terms)
 
 
 def coefficient_expr(k: int, s: int) -> Expr:
-    return _combo_expr(_combo_terms(k, s))
-
-
-def _fixed_combo(terms: tuple) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FIXED_BITS * sum q_p ln p <= hi: each term
-    q ln p is rounded outward from the bounds of ln p."""
-    lo = hi = 0
-    for p, q in terms:
-        a, b = _fixed_term(q.numerator, q.denominator, p)
-        lo, hi = lo + a, hi + b
-    return lo, hi
+    """c(k, s) as an `Expr`, for the interval fallbacks."""
+    terms = [Const(Fraction(num, den)) * Ln(Const(Fraction(p)))
+             for num, den, p in _coefficient_terms(k, s)]
+    return sum(terms[1:], terms[0]) if terms else Const(Fraction(0))
 
 
 def _fixed_term(num: int, den: int, p: int) -> tuple[int, int]:
@@ -179,47 +171,23 @@ def _fixed_term(num: int, den: int, p: int) -> tuple[int, int]:
 
 
 def _fixed_coefficient(k: int, s: int) -> tuple[int, int]:
-    """`_fixed_combo(_combo_terms(k, s))`, bit for bit, from the integers
-    gamma and phi, with no `Fraction`.
-
-    c(k, s) = q_2 ln 2 - ln gamma(k)/phi(k) - ln gamma(s)/phi(s), where a
-    gamma equal to 2 moves its term into q_2, and equal gammas share one
-    term.  Each term is bounded by `_fixed_term` as `_fixed_combo` bounds
-    it, and a zero term adds 0 to both bounds, as its absence does."""
-    gk, gs = gamma_norm_constant(k), gamma_norm_constant(s)
-    pk, ps = euler_phi(k), euler_phi(s)
-    den = pk * ps
-    q2 = den - (ps if gk == 2 else 0) - (pk if gs == 2 else 0)
-    lo, hi = _fixed_term(q2, den, 2)
-    if gk == gs > 2:
-        a, b = _fixed_term(-(pk + ps), den, gk)
+    """(lo, hi) with lo <= 2^FIXED_BITS c(k, s) <= hi: the sum of the
+    outward-rounded bounds of the terms (`_coefficient_terms`)."""
+    lo = hi = 0
+    for term in _coefficient_terms(k, s):
+        a, b = _fixed_term(*term)
         lo, hi = lo + a, hi + b
-    else:
-        for g, phi in ((gk, pk), (gs, ps)):
-            if g != 1 and g != 2:
-                a, b = _fixed_term(-1, phi, g)
-                lo, hi = lo + a, hi + b
     return lo, hi
 
 
-@lru_cache(maxsize=4096)
-def _combo_sign(terms: tuple) -> str:
-    if not terms:
-        return balls.EQUAL
-    return _fixed_sign(*_fixed_combo(terms), lambda: certify_sign(_combo_expr(terms)))
-
-
 def coefficient_sign(k: int, s: int) -> str:
-    """Certified sign of c(k, s); exact zero detected symbolically
-    (logarithms of distinct primes are linearly independent over Q).
-    The sign is read off the integer bounds of `_fixed_combo` by
-    `fixed._fixed_sign`, and certified by interval arithmetic only when
-    they straddle zero.  It depends only
-    on the combination of logarithms, so it is memoized on that: the
-    exceptional scan, `survives` and `pair_report` all ask, the star
-    family repeats pairs of the complete family, and many pairs share one
-    combination."""
-    return _combo_sign(_combo_terms(k, s))
+    """Certified sign of c(k, s): EQUAL exactly when no term is left
+    (`_coefficient_terms`), else read off the integer bounds of
+    `_fixed_coefficient` by `fixed._fixed_sign`, and certified by interval
+    arithmetic only when they straddle zero."""
+    if not _coefficient_terms(k, s):
+        return balls.EQUAL
+    return _fixed_sign(*_fixed_coefficient(k, s), lambda: certify_sign(coefficient_expr(k, s)))
 
 
 def is_exceptional(k: int, s: int) -> bool:
@@ -259,14 +227,6 @@ def survives(k: int, s: int, kind: PairKind) -> bool:
 _EXCEPTIONAL_SCAN_LIMIT = 64  # prime powers >= 64 have g <= 2 ln 64/64 < ln 2 - g(3)
 
 
-def _prime_powers(limit: int) -> list[int]:
-    out = []
-    for x in range(3, limit):
-        if gamma_norm_constant(x) != 1:
-            out.append(x)
-    return out
-
-
 def exceptional_pairs(kind: PairKind) -> list[tuple[int, int]]:
     """All pairs with certified coefficient <= 0, in (s, k) order.
 
@@ -282,7 +242,7 @@ def exceptional_pairs(kind: PairKind) -> list[tuple[int, int]]:
 
 @cache
 def _all_exceptional_pairs() -> tuple:
-    pps = _prime_powers(_EXCEPTIONAL_SCAN_LIMIT)
+    pps = [x for x in range(3, _EXCEPTIONAL_SCAN_LIMIT) if gamma_norm_constant(x) != 1]
     found = [(k, s) for s in pps for k in pps if k >= s and is_exceptional(k, s)]
     found.sort(key=lambda p: (p[1], p[0]))
     return tuple(found)
@@ -322,13 +282,13 @@ def pair_floor(k: int, s: int, kind: PairKind) -> int:
     """floor(rhs(k, s) / (deg c(k, s))) for a pair with c(k, s) > 0,
     certified; the pair survives iff it is at least 1.
 
-    For k, s <= TAIL_START the integer bounds r_lo <= 2^64 rhs <= r_hi
-    (`_fixed_rhs`, from the kernel `fixed._fixed_neg_ln_sin`) and
-    c_lo <= 2^64 c <= c_hi (`_fixed_coefficient`, from gamma and phi,
-    no `Fraction`) put the ratio in [r_lo / (deg c_hi), r_hi / (deg c_lo)]
-    when c_lo > 0.  So r_hi < deg c_lo proves ratio < 1 (floor 0), and
-    r_lo > deg c_hi proves ratio > 1, with floor r_lo // (deg c_hi) when
-    that equals r_hi // (deg c_lo).  Every other pair gets one enclosure
+    The integer bounds r_lo <= 2^64 rhs <= r_hi (`_fixed_rhs`, from the
+    kernel `fixed._fixed_neg_ln_sin`) and c_lo <= 2^64 c <= c_hi
+    (`_fixed_coefficient`) put the ratio in
+    [r_lo / (deg c_hi), r_hi / (deg c_lo)] when c_lo > 0.  So
+    r_hi < deg c_lo proves ratio < 1 (floor 0), and r_lo > deg c_hi proves
+    ratio > 1, with floor r_lo // (deg c_hi) when that equals
+    r_hi // (deg c_lo).  A pair the integers leave open gets one enclosure
     of the ratio (`_ratio_floor`), raised until it lies in one integer
     step and does not start at 1; a ratio of exactly 1 raises
     UndecidableError.  No interval arithmetic runs when the integers
@@ -336,15 +296,14 @@ def pair_floor(k: int, s: int, kind: PairKind) -> int:
     `reproduce-all --kmax 2000`.
     """
     deg = pair_field_degree(k, s)
-    if max(k, s) <= TAIL_START:
-        c_lo, c_hi = _fixed_coefficient(k, s)
-        if c_lo > 0:
-            r_lo, r_hi = _fixed_rhs(k, s, kind)
-            if r_hi < deg * c_lo:
-                return 0
-            floor_kf = r_lo // (deg * c_hi)
-            if r_lo > deg * c_hi and floor_kf == r_hi // (deg * c_lo):
-                return floor_kf
+    c_lo, c_hi = _fixed_coefficient(k, s)
+    if c_lo > 0:
+        r_lo, r_hi = _fixed_rhs(k, s, kind)
+        if r_hi < deg * c_lo:
+            return 0
+        floor_kf = r_lo // (deg * c_hi)
+        if r_lo > deg * c_hi and floor_kf == r_hi // (deg * c_lo):
+            return floor_kf
     return _ratio_floor(k, s, kind)
 
 

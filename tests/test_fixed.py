@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import ceil, floor
 
 from mpmath import iv, mp
@@ -6,8 +7,10 @@ from mpmath.libmp import from_man_exp, fzero
 
 from groundbound import pairs
 from groundbound.balls import mpf_to_fraction
+from groundbound.cyclo import euler_phi, gamma_norm_constant
 from groundbound.fixed import (
-    FINE_BITS, FIXED_BITS, _fixed_ln_ratio, _fixed_neg_ln_sin, _ln_fine, _scaled, _sinc_fine,
+    FINE_BITS, FIXED_BITS, LN_TABLE_LIMIT, _fixed_ln_ratio, _fixed_neg_ln_sin, _ln_fine, _scaled,
+    _sinc_fine,
 )
 
 
@@ -105,9 +108,76 @@ def test_neg_ln_sin_kernel_for_every_modulus_up_to_4096():
         assert _encloses(_sinc_fine(x), sinc, 64), x
 
 
+def _log_combo(k: int, s: int) -> dict:
+    """c(k, s) as {prime: rational multiplier} for sum q_p ln p."""
+    combo: dict[int, Fraction] = {2: Fraction(1)}
+    for x in (k, s):
+        g = gamma_norm_constant(x)
+        if g != 1:
+            combo[g] = combo.get(g, Fraction(0)) - Fraction(1, euler_phi(x))
+    return {p: q for p, q in combo.items() if q != 0}
+
+
+def _fixed_combo(terms: tuple) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^FIXED_BITS * sum q_p ln p <= hi: each term
+    q ln p is rounded outward from the bounds of ln p."""
+    lo = hi = 0
+    for p, q in terms:
+        a, b = pairs._fixed_term(q.numerator, q.denominator, p)
+        lo, hi = lo + a, hi + b
+    return lo, hi
+
+
+def _fraction_bounds(k, s):
+    return _fixed_combo(tuple(sorted(_log_combo(k, s).items())))
+
+
 def test_coefficient_bounds_match_the_fraction_combination():
-    # the integer bounds from gamma and phi are the ones `_fixed_combo`
-    # builds from the Fraction terms of c(k, s)
+    # the integer terms of c(k, s) from gamma and phi are the Fraction
+    # combination of prime logarithms, and their bounds are the ones it
+    # gives; no term is left exactly when the combination is empty
     for k in range(3, 401):
         for s in range(3, k + 1):
-            assert pairs._fixed_coefficient(k, s) == pairs._fixed_combo(pairs._combo_terms(k, s)), (k, s)
+            terms, combo = pairs._coefficient_terms(k, s), _log_combo(k, s)
+            assert pairs._fixed_coefficient(k, s) == _fraction_bounds(k, s), (k, s)
+            assert (not terms) == (not combo), (k, s)
+            assert len(terms) == len(combo), (k, s)
+            assert {p: Fraction(num, den) for num, den, p in terms} == combo, (k, s)
+
+
+# -- past the ln p table: the rational kernel, as `pair_floor` reads it --------
+
+
+def _seeded_primes(rng, count, low=LN_TABLE_LIMIT + 1, high=10**7):
+    primes = []
+    while len(primes) < count:
+        x = rng.randint(low, high)
+        if gamma_norm_constant(x) == x:
+            primes.append(x)
+    return primes
+
+
+def test_neg_ln_sin_kernel_past_the_ln_table():
+    rng = random.Random(4097)
+    for x in [LN_TABLE_LIMIT + 1, 10**7] + [rng.randint(LN_TABLE_LIMIT + 1, 10**7) for _ in range(200)]:
+        value = _oracle(lambda: -iv.log(iv.sin(iv.pi / x)))
+        assert _encloses(_fixed_neg_ln_sin(x), value, 16), x
+
+
+def test_coefficient_bounds_enclose_the_oracle():
+    # the bounds of c(k, s) enclose its 300-bit oracle and are a few units
+    # wide: for every small pair (ln gamma from the table), and for gamma a
+    # prime above 4096, where ln gamma comes from `_fixed_ln_ratio` and the
+    # bounds are still the Fraction combination's; (p, p) shares one term
+    rng = random.Random(4099)
+    primes = _seeded_primes(rng, 60)
+    assert pairs._fixed_coefficient(4, 4) == (0, 0)  # exactly 0
+    samples = [(k, s) for k in range(3, 41) for s in range(3, k + 1) if (k, s) != (4, 4)]
+    samples += [(p, rng.randint(3, 5000)) for p in primes[:30]]
+    samples += [(max(p, q), min(p, q)) for p, q in zip(primes[30:45], primes[45:])]
+    samples += [(p, p) for p in primes[:10]] + [(p, 4) for p in primes[:5]]
+    for k, s in samples:
+        value = _oracle(lambda: iv.log(2) - iv.log(gamma_norm_constant(k)) / euler_phi(k)
+                        - iv.log(gamma_norm_constant(s)) / euler_phi(s))
+        assert _encloses(pairs._fixed_coefficient(k, s), value, 16), (k, s)
+        assert pairs._fixed_coefficient(k, s) == _fraction_bounds(k, s), (k, s)

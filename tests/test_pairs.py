@@ -281,17 +281,14 @@ def test_refinement_matches_g5_case():
     assert compared == 26
 
 
-def test_each_coefficient_certified_once(monkeypatch):
+def test_no_coefficient_sign_reaches_certify_sign(monkeypatch):
     # the exceptional scan, `survives`, `pair_report` and the star family's
-    # repeats of complete-family pairs all ask for the sign of c(k, s); it
-    # depends only on the combination of logarithms, which is decided
-    # exactly once: by its integer bounds when they exclude zero, else by
-    # one `certify_sign`
-    from collections import Counter
-
+    # repeats of complete-family pairs all ask for the sign of c(k, s); each
+    # is read off the integer bounds of its terms, and the exact zero at
+    # (4, 4) off the empty terms, so no sign is certified by interval
+    # arithmetic
     from groundbound.pairs import global_bound
 
-    pairs._combo_sign.cache_clear()
     pairs._all_exceptional_pairs.cache_clear()
     asked, certified = [], []
     real_sign, real_certify = pairs.coefficient_sign, pairs.certify_sign
@@ -311,12 +308,40 @@ def test_each_coefficient_certified_once(monkeypatch):
     for k, s in ((23, 3), (31, 3), (390, 3)):
         assert survives(k, s, G5)
         pair_report(k, s, G5, refine_above=10**9)
-    combos = {pairs._combo_terms(*p) for p in asked}
-    info = pairs._combo_sign.cache_info()
-    assert len(asked) > len(combos) > 300
-    assert info.misses == info.currsize == len(combos)
-    straddling = [c for c in combos if c and pairs._fixed_combo(c)[0] <= 0 <= pairs._fixed_combo(c)[1]]
-    assert Counter(certified) == Counter(pairs._combo_expr(c) for c in straddling)
+    assert len(set(asked)) > 300 and (4, 4) in asked
+    assert real_sign(4, 4) == "EQUAL"
+    assert certified == []
+
+
+def test_forced_fallback_gives_the_same_coefficient_signs(monkeypatch):
+    # every integer bound of c(k, s) widened by 2^16 on both sides: no sign
+    # is read off the integers, so every nonzero one goes through
+    # `certify_sign`, and the signs and exceptional pairs stay the same
+    moduli = [(k, s) for k in range(3, 65) for s in range(3, k + 1)]
+    expected = {p: coefficient_sign(*p) for p in moduli}
+    width = 1 << (16 + fixed.FIXED_BITS)
+    real_coefficient, real_certify = pairs._fixed_coefficient, pairs.certify_sign
+    certified = []
+
+    def widened(k, s):
+        lo, hi = real_coefficient(k, s)
+        return lo - width, hi + width
+
+    def certify_spy(expr, *args, **kwargs):
+        certified.append(expr)
+        return real_certify(expr, *args, **kwargs)
+
+    monkeypatch.setattr(pairs, "_fixed_coefficient", widened)
+    monkeypatch.setattr(pairs, "certify_sign", certify_spy)
+    assert {p: coefficient_sign(*p) for p in moduli} == expected
+    assert len(certified) == len(moduli) - 1  # all but (4, 4)
+    pairs._all_exceptional_pairs.cache_clear()
+    try:
+        assert set(exceptional_pairs(G5)) == set(PUBLISHED_EXCEPTIONAL_GAMMA5)
+        assert exceptional_pairs(G4) == [(7, 3), (8, 3), (9, 3), (11, 3), (13, 3), (17, 3),
+                                         (19, 3), (7, 5)]
+    finally:
+        pairs._all_exceptional_pairs.cache_clear()
 
 
 # -- the scan: every discard certified -------------------------------------------
@@ -561,15 +586,17 @@ def _old_floor(k, s, kind):
             certify_sign(rhs - deg * coeff) == "GREATER")
 
 
-def test_pair_certificate_matches_the_ratio_ball(gamma5_search, gamma4_search):
-    # integers settle every survivor; each result equals the floor of the
-    # ratio ball and the two interval evaluations it replaced
+def test_pair_certificate_matches_the_ratio_ball(gamma5_search, gamma4_search, monkeypatch):
+    # integers settle every survivor and every sampled pair, k > 4096
+    # included; each result equals the floor of the ratio ball and the two
+    # interval evaluations it replaced
+    real_ratio = pairs._ratio_floor
     checked = 0
     for result in (gamma5_search, gamma4_search):
         for r in result.survivors:
             bound_kf = pairs.pair_floor(r.k, r.s, result.kind)
             assert bound_kf == r.bound_kf >= 1
-            assert bound_kf == pairs._ratio_floor(r.k, r.s, result.kind)
+            assert bound_kf == real_ratio(r.k, r.s, result.kind)
             assert (bound_kf, True) == _old_floor(r.k, r.s, result.kind)
             checked += 1
     assert checked == 416 + 265
@@ -577,12 +604,23 @@ def test_pair_certificate_matches_the_ratio_ball(gamma5_search, gamma4_search):
     samples = [(rng.randint(7, TAIL_START), 3, G4) for _ in range(100)]
     samples += [(rng.randint(TAIL_START + 1, 10**7), rng.randint(3, 5000), G5) for _ in range(30)]
     samples += [(rng.randint(TAIL_START + 1, 10**7), rng.choice((3, 4, 5)), G4) for _ in range(10)]
+    fallbacks = []
+
+    def ratio_spy(k, s, kind):
+        fallbacks.append((k, s, kind))
+        return real_ratio(k, s, kind)
+
+    monkeypatch.setattr(pairs, "_ratio_floor", ratio_spy)
+    past_table = 0
     for k, s, kind in samples:
         if is_exceptional(k, s):
             continue
         bound_kf = pairs.pair_floor(k, s, kind)
-        assert bound_kf == pairs._ratio_floor(k, s, kind), (k, s, kind)
+        past_table += k > TAIL_START
+        assert bound_kf == real_ratio(k, s, kind), (k, s, kind)
         assert (bound_kf, bound_kf >= 1) == _old_floor(k, s, kind), (k, s, kind)
+    assert past_table == 40
+    assert fallbacks == []
 
 
 def test_forced_fallback_gives_the_same_report(monkeypatch):
