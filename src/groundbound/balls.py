@@ -4,8 +4,9 @@ Expressions are immutable trees over exact leaves (rationals, cyclotomic
 elements, pi, e) with ln/exp/sqrt/sin and rational-power nodes.
 `eval_ball` encloses the exact value in an outward-rounded interval
 computed on raw `mpmath.libmp` interval tuples (`libmpi` calls on (lo, hi)
-pairs of raw mpfs); it never touches `mpmath.iv`.  It is the one precision
-loop, doubling the working precision until its caller accepts the
+pairs of raw mpfs); it never touches `mpmath.iv`.  It walks the one
+precision schedule, `precisions` (64, 128, ... bits, also walked by the
+integer certificates of `pairs`), until its caller accepts the
 enclosure, never above the caller's cap.  `certify_compare` decides
 orderings with it (with an exact path for algebraic equalities) and
 `certified_floor` rounds down with it.
@@ -31,6 +32,8 @@ from .errors import DomainError, UndecidableError
 
 DEFAULT_START_BITS = 64
 DEFAULT_CAP_BITS = 4096
+BALL_STR_DIGITS = 12
+BALL_STR_BITS = 192
 
 LESS = "LESS"
 GREATER = "GREATER"
@@ -397,15 +400,32 @@ def _excludes_zero(ball: Ball) -> bool:
     return ball.certainly_positive() or ball.certainly_negative()
 
 
+def scaled(x, up: bool, bits: int) -> int:
+    """floor (ceil when `up`) of 2^bits x for an mpf
+    x = (-1)^sign man 2^exp, exact: a shift of the signed mantissa."""
+    sign, man, exp, _ = x._mpf_
+    man, exp = int(-man if sign else man), exp + bits
+    if exp >= 0:
+        return man << exp
+    return -(-man >> -exp) if up else man >> -exp
+
+
 def floor_of(x) -> int:
-    """Exact floor of an mpf, which is man * 2^exponent."""
-    sign, man, exponent, _ = x._mpf_
-    man = -man if sign else man
-    return man << exponent if exponent >= 0 else man >> -exponent
+    """Exact floor of an mpf."""
+    return scaled(x, False, 0)
 
 
 def within_one_integer_step(ball: Ball) -> bool:
     return floor_of(ball.lower) == floor_of(ball.upper)
+
+
+def precisions(start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS):
+    """The one precision schedule: start_bits, doubled while at most
+    cap_bits (nothing when start_bits is above the cap)."""
+    bits = start_bits
+    while bits <= cap_bits:
+        yield bits
+        bits *= 2
 
 
 def eval_ball(
@@ -416,18 +436,16 @@ def eval_ball(
 ) -> Ball:
     """Enclose the exact value of `expr` in a `Ball`.
 
-    This is the one place where the working precision rises: starting at
-    `precision_bits`, the precision doubles while the evaluation is
-    inconclusive or `accept(ball)` is false, and no evaluation runs above
-    `cap_bits`.  Raises DomainError when a sub-expression is certified
-    outside its domain and UndecidableError when no evaluation at or below
-    the cap gives an acceptable ball (e.g. sqrt of an exact zero
-    approached from below).
+    The working precision follows `precisions(precision_bits, cap_bits)`
+    while the evaluation is inconclusive or `accept(ball)` is false.
+    Raises DomainError when a sub-expression is certified outside its
+    domain and UndecidableError when no evaluation at or below the cap
+    gives an acceptable ball (e.g. sqrt of an exact zero approached from
+    below).
     """
     expr = as_expr(expr)
-    bits = precision_bits
     reason = "the start precision is above the cap"
-    while bits <= cap_bits:
+    for bits in precisions(precision_bits, cap_bits):
         try:
             lo_raw, hi_raw = _iv_eval(expr, bits + 16)
         except _Inconclusive as exc:
@@ -439,7 +457,6 @@ def eval_ball(
             if accept is None or accept(ball):
                 return ball
             reason = "the enclosure is too wide"
-        bits *= 2
     raise UndecidableError(f"evaluation failed below the precision cap: {reason}")
 
 
@@ -610,8 +627,9 @@ def certified_floor(expr) -> int:
     return floor_of(eval_ball(expr, accept=within_one_integer_step).lower)
 
 
-def ball_str(expr, digits: int = 12, bits: int = 192) -> str:
-    """Deterministic decimal rendering of an expression's ball midpoint."""
-    ball = eval_ball(as_expr(expr), bits)
-    with mp.workprec(bits):
-        return mpmath.nstr(ball.center, digits, strip_zeros=False)
+def ball_str(expr) -> str:
+    """Deterministic decimal rendering of an expression's ball midpoint:
+    BALL_STR_DIGITS digits of the enclosure at BALL_STR_BITS."""
+    ball = eval_ball(as_expr(expr), BALL_STR_BITS)
+    with mp.workprec(BALL_STR_BITS):
+        return mpmath.nstr(ball.center, BALL_STR_DIGITS, strip_zeros=False)

@@ -1,36 +1,37 @@
 """Fixed-point integer bounds: the one precision policy of every integer
 certificate.
 
-A real x is carried as two integers lo <= 2^FIXED_BITS x <= hi.  Sums of
-lower (upper) bounds stay lower (upper) bounds, so a certificate built
-from them is a chain of integer inequalities.  Both the pair search
-(`pairs`) and the least-N solver (`bounds`) read their signs this way,
-through one rule, `_fixed_sign`: GREATER when lo > 0, LESS when hi < 0,
-and only when the bounds straddle 0 a certified comparison that the
-caller hands in and that is built only then.
+A real x is carried as two integers lo <= 2^bits x <= hi, at bits =
+FIXED_BITS unless a caller asks for more.  Sums of lower (upper) bounds
+stay lower (upper) bounds, so a certificate built from them is a chain of
+integer inequalities.  Both the pair search (`pairs`) and the least-N
+solver (`bounds`) read their signs this way, through one rule,
+`_fixed_sign`: GREATER when lo > 0, LESS when hi < 0, else the caller's
+fallback, built only then: a certified comparison in the solver, the
+same kernels at the next precision of `balls.precisions` in `pairs`.
 
 Every logarithm on a decision path comes from integers:
 
-- `_ln_prime_table`: ln p for every prime p <= LN_TABLE_LIMIT, from
-  integer atanh series; `_fixed_ln` sums it along a factorisation.
+- `_ln_prime_table`: ln p at 64 bits for every prime p <= LN_TABLE_LIMIT,
+  from integer atanh series; `_fixed_ln` sums ln p along a factorisation.
 - `_ln_fine` / `_fixed_ln_ratio`: ln(a/b) for any positive rational, by a
   power-of-2 reduction and one atanh series with a proven error bound.
 - `_fixed_neg_ln_sin`: -ln sin(pi/x) for x >= 3, as
   ln x - ln pi - ln(sin t / t) with an alternating series for sin t / t.
 
-Kernels work in units of 2^-FINE_BITS (FIXED_BITS + LN_GUARD_BITS) and
-round outward to units of 2^-FIXED_BITS once, at the end.  The one
-interval enclosure left in the kit is pi's (`_pi_fine`, computed on first
-use); `_fixed` rounds any other `balls.eval_ball` enclosure outward to
-fixed point, by shifting the endpoints' mantissas, for the callers that
-still need one (an irrational leaf of the solver's data).
+Kernels work in units of 2^-(bits + LN_GUARD_BITS) and round outward to
+units of 2^-bits once, at the end.  The one interval enclosure left in
+the kit is pi's (`_pi_fine`, once per precision); `_fixed` rounds any
+other `balls.eval_ball` enclosure outward to fixed point (`balls.scaled`)
+for the callers that still need one (an irrational leaf of the solver's
+data).
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .balls import DEFAULT_CAP_BITS, GREATER, LESS, PI, Expr, eval_ball
+from .balls import DEFAULT_CAP_BITS, GREATER, LESS, PI, Expr, eval_ball, scaled
 from .cyclo import _factorize, _smallest_prime_factors
 
 # fixed-point bounds are integers in units of 2^-FIXED_BITS
@@ -39,7 +40,7 @@ FIXED_BITS = 64
 LN_GUARD_BITS = 16
 # the integer ln p table covers the primes up to here
 LN_TABLE_LIMIT = 4096
-# working precision of the integer log kernels
+# working precision of the integer log kernels at FIXED_BITS
 FINE_BITS = FIXED_BITS + LN_GUARD_BITS
 
 
@@ -49,14 +50,14 @@ def _fixed(expr: Expr, cap_bits: int = DEFAULT_CAP_BITS, accept=None,
     (`balls.eval_ball` from 64 bits, never above `cap_bits`, raised until
     `accept(ball)` when given)."""
     ball = eval_ball(expr, cap_bits=cap_bits, accept=accept)
-    return _scaled(ball.lower, False, bits), _scaled(ball.upper, True, bits)
+    return scaled(ball.lower, False, bits), scaled(ball.upper, True, bits)
 
 
 def _fixed_sign(lo: int, hi: int, fallback) -> str:
-    """Certified sign of x from lo <= 2^FIXED_BITS x <= hi: GREATER when
-    lo > 0, LESS when hi < 0, else `fallback()`, a certified comparison
-    of x with 0 that is called (and so built) only when the bounds
-    straddle 0."""
+    """Certified sign of x from lo <= 2^bits x <= hi: GREATER when
+    lo > 0, LESS when hi < 0, else `fallback()`, called (and so built)
+    only when the bounds straddle 0: a certified comparison of x with 0,
+    or None to ask for more bits."""
     if lo > 0:
         return GREATER
     if hi < 0:
@@ -64,18 +65,9 @@ def _fixed_sign(lo: int, hi: int, fallback) -> str:
     return fallback()
 
 
-def _scaled(x, up: bool, bits: int = FIXED_BITS) -> int:
-    """floor (ceil when `up`) of 2^bits x for an mpf
-    x = (-1)^sign man 2^exp, exact: a shift of the signed mantissa."""
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(-man if sign else man), exp + bits
-    if exp >= 0:
-        return man << exp
-    return -(-man >> -exp) if up else man >> -exp
-
-
 def _to_fixed(lo: int, hi: int) -> tuple[int, int]:
-    """Bounds in units of 2^-FINE_BITS rounded outward to 2^-FIXED_BITS."""
+    """Bounds in units of 2^-(bits + LN_GUARD_BITS) rounded outward to
+    units of 2^-bits."""
     return lo >> LN_GUARD_BITS, -(-hi >> LN_GUARD_BITS)
 
 
@@ -128,35 +120,35 @@ def _ln_prime_table() -> dict[int, tuple[int, int]]:
 
 
 @cache
-def _fixed_ln_prime(p: int) -> tuple[int, int]:
-    """Fixed-point bounds of ln p: the integer table for p <= LN_TABLE_LIMIT,
-    the rational kernel `_fixed_ln_ratio` above it."""
-    if p <= LN_TABLE_LIMIT:
+def _fixed_ln_prime(p: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """Bounds of 2^bits ln p: the integer table at FIXED_BITS for
+    p <= LN_TABLE_LIMIT, the rational kernel `_fixed_ln_ratio` otherwise."""
+    if bits == FIXED_BITS and p <= LN_TABLE_LIMIT:
         return _ln_prime_table()[p]
-    return _fixed_ln_ratio(p, 1)
+    return _fixed_ln_ratio(p, 1, bits)
 
 
-def _fixed_ln(n: int) -> tuple[int, int]:
-    """Fixed-point bounds of ln n for n >= 1, summed along its factorisation."""
+def _fixed_ln(n: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """Bounds of 2^bits ln n for n >= 1, summed along its factorisation."""
     lo = hi = 0
     for p, v in _factorize(n):
-        a, b = _fixed_ln_prime(p)
+        a, b = _fixed_ln_prime(p, bits)
         lo, hi = lo + v * a, hi + v * b
     return lo, hi
 
 
 @cache
-def _ln2_fine() -> tuple[int, int]:
-    """Bounds of 2^FINE_BITS ln 2 = 2^FINE_BITS 2 atanh(1/3)."""
-    lo, hi = _fixed_atanh_inverse(3, FINE_BITS)
+def _ln2_fine(bits: int = FIXED_BITS) -> tuple[int, int]:
+    """Bounds of 2^W ln 2 = 2^W 2 atanh(1/3), W = bits + LN_GUARD_BITS."""
+    lo, hi = _fixed_atanh_inverse(3, bits + LN_GUARD_BITS)
     return 2 * lo, 2 * hi
 
 
-def _atanh_fine(p: int, q: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FINE_BITS atanh(p/q) <= hi, for q > 0 and
-    |p| / q = t <= 1/5.
+def _atanh_fine(p: int, q: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^W atanh(p/q) <= hi, W = bits + LN_GUARD_BITS,
+    for q > 0 and |p| / q = t <= 1/5.
 
-    atanh is odd, so take p >= 0.  With W = FINE_BITS and x = 2^W t, the
+    atanh is odd, so take p >= 0.  With x = 2^W t, the
     integers T = floor(x), T2 = floor(T^2 / 2^W), P_0 = T and
     P_(i+1) = floor(P_i T2 / 2^W) are lower bounds of 2^W t, 2^W t^2 and
     2^W t^(2i+1), so lo = sum_(i < J) floor(P_i / (2i+1)), summed until
@@ -172,20 +164,22 @@ def _atanh_fine(p: int, q: int) -> tuple[int, int]:
     x / (1 - t^2) < 2.  So hi = lo + 3J + 2.
     """
     if p < 0:
-        lo, hi = _atanh_fine(-p, q)
+        lo, hi = _atanh_fine(-p, q, bits)
         return -hi, -lo
-    t = (p << FINE_BITS) // q
-    t2 = t * t >> FINE_BITS
+    w = bits + LN_GUARD_BITS
+    t = (p << w) // q
+    t2 = t * t >> w
     lo, power, j = 0, t, 1  # power = P_i, j = 2i + 1
     while power:
         lo += power // j
-        power = power * t2 >> FINE_BITS
+        power = power * t2 >> w
         j += 2
     return lo, lo + 3 * (j // 2) + 2
 
 
-def _ln_fine(a: int, b: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FINE_BITS ln(a/b) <= hi, for integers a, b > 0.
+def _ln_fine(a: int, b: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^W ln(a/b) <= hi, W = bits + LN_GUARD_BITS, for
+    integers a, b > 0.
 
     With e = bitlen(a) - bitlen(b), r = a / (b 2^e) lies in (1/2, 2); one
     doubling or halving (e adjusted) brings it into [2/3, 3/2].  Then
@@ -200,39 +194,44 @@ def _ln_fine(a: int, b: int) -> tuple[int, int]:
         num, e = 2 * num, e - 1
     elif 2 * num > 3 * den:
         den, e = 2 * den, e + 1
-    lo, hi = _atanh_fine(num - den, num + den)
-    l2_lo, l2_hi = _ln2_fine()
+    lo, hi = _atanh_fine(num - den, num + den, bits)
+    l2_lo, l2_hi = _ln2_fine(bits)
     if e < 0:
         l2_lo, l2_hi = l2_hi, l2_lo
     return 2 * lo + e * l2_lo, 2 * hi + e * l2_hi
 
 
-def _fixed_ln_ratio(a: int, b: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FIXED_BITS ln(a/b) <= hi, for integers a, b > 0."""
-    return _to_fixed(*_ln_fine(a, b))
+def _fixed_ln_ratio(a: int, b: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits ln(a/b) <= hi, for integers a, b > 0."""
+    return _to_fixed(*_ln_fine(a, b, bits))
 
 
 @cache
-def _pi_fine() -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FINE_BITS pi <= hi, from one enclosure; the
-    same one `_fixed(PI)` rounds, so rounding these bounds to FIXED_BITS
-    gives `_fixed(PI)`."""
-    return _fixed(PI, bits=FINE_BITS)
+def _pi_fine(bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^W pi <= hi, W = bits + LN_GUARD_BITS, from one
+    enclosure of pi that `balls.eval_ball` computes at bits + 16 = W
+    working bits; at FIXED_BITS it is the one `_fixed(PI)` rounds, so
+    rounding these bounds to FIXED_BITS gives `_fixed(PI)`."""
+    w = bits + LN_GUARD_BITS
+    ball = eval_ball(PI, bits)
+    return scaled(ball.lower, False, w), scaled(ball.upper, True, w)
 
 
 @cache
-def _ln_pi_fine() -> tuple[int, int]:
-    """Bounds of 2^FINE_BITS ln pi: ln is increasing, so the kernel's lower
-    bound at the lower bound of pi and its upper bound at the upper one."""
-    pi_lo, pi_hi = _pi_fine()
-    one = 1 << FINE_BITS
-    return _ln_fine(pi_lo, one)[0], _ln_fine(pi_hi, one)[1]
+def _ln_pi_fine(bits: int) -> tuple[int, int]:
+    """Bounds of 2^W ln pi, W = bits + LN_GUARD_BITS: ln is increasing, so
+    the kernel's lower bound at the lower bound of pi and its upper bound
+    at the upper one."""
+    pi_lo, pi_hi = _pi_fine(bits)
+    one = 1 << (bits + LN_GUARD_BITS)
+    return _ln_fine(pi_lo, one, bits)[0], _ln_fine(pi_hi, one, bits)[1]
 
 
-def _sinc_fine(x: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FINE_BITS sin(t) / t <= hi at t = pi/x, x >= 3.
+def _sinc_fine(x: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^W sin(t) / t <= hi at t = pi/x, x >= 3, with
+    W = bits + LN_GUARD_BITS.
 
-    With W = FINE_BITS and pi_lo <= 2^W pi <= pi_hi (`_pi_fine`), the
+    With pi_lo <= 2^W pi <= pi_hi (`_pi_fine`), the
     integers u_lo = floor(pi_lo^2 / (x^2 2^W)) and
     u_hi = ceil(pi_hi^2 / (x^2 2^W)) bound 2^W t^2; let v = u_hi / 2^W,
     at most 1.1 since t <= pi/3.
@@ -257,9 +256,10 @@ def _sinc_fine(x: int) -> tuple[int, int]:
 
         s - 2 n_odd - 2  <=  2^W sinc(v)  <=  s + 2 n_even + 2.
     """
-    one = 1 << FINE_BITS
-    pi_lo, pi_hi = _pi_fine()
-    d = x * x << FINE_BITS
+    w = bits + LN_GUARD_BITS
+    one = 1 << w
+    pi_lo, pi_hi = _pi_fine(bits)
+    d = x * x << w
     u_lo, u_hi = pi_lo * pi_lo // d, -(-pi_hi * pi_hi // d)
     s = n_odd = 0
     a, j = one, 0
@@ -274,18 +274,18 @@ def _sinc_fine(x: int) -> tuple[int, int]:
 
 
 @cache
-def _fixed_neg_ln_sin(x: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FIXED_BITS (-ln sin(pi/x)) <= hi, for x >= 3.
+def _fixed_neg_ln_sin(x: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits (-ln sin(pi/x)) <= hi, for x >= 3.
 
     -ln sin(pi/x) = ln x - ln pi - ln(sin t / t) at t = pi/x.  The bounds
     of sin t / t (`_sinc_fine`) are positive (sin t / t > 0.8 for
     t <= pi/3), and `_ln_fine` at the upper (lower) one gives the lower
     (upper) bound of -ln(sin t / t).  The sum of the three logarithms is
-    rounded outward to FIXED_BITS once.
+    rounded outward to `bits` once.
     """
-    one = 1 << FINE_BITS
-    sinc_lo, sinc_hi = _sinc_fine(x)
-    ln_x_lo, ln_x_hi = _ln_fine(x, 1)
-    ln_pi_lo, ln_pi_hi = _ln_pi_fine()
-    return _to_fixed(ln_x_lo - ln_pi_hi - _ln_fine(sinc_hi, one)[1],
-                     ln_x_hi - ln_pi_lo - _ln_fine(sinc_lo, one)[0])
+    one = 1 << (bits + LN_GUARD_BITS)
+    sinc_lo, sinc_hi = _sinc_fine(x, bits)
+    ln_x_lo, ln_x_hi = _ln_fine(x, 1, bits)
+    ln_pi_lo, ln_pi_hi = _ln_pi_fine(bits)
+    return _to_fixed(ln_x_lo - ln_pi_hi - _ln_fine(sinc_hi, one, bits)[1],
+                     ln_x_hi - ln_pi_lo - _ln_fine(sinc_lo, one, bits)[0])

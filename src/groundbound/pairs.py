@@ -26,19 +26,19 @@ p <= 4096 (`fixed._ln_prime_table`) and ln pi (`fixed._ln_pi_fine`), with
 no interval evaluation but the one outward enclosure of pi.  A k is
 dropped when phi(k) c_low(k) exceeds 4 rhs_max(k); for the other k only s
 with phi(s / gcd(k, s)) below the divisor bound T_k are enumerated; a pair
-is dropped when deg * c_lo > rhs_hi.  A pair with c_lo <= 0 has its
-coefficient sign decided by `coefficient_sign`, from the integer bounds
-of the terms of c(k, s), and every remaining non-exceptional pair gets
-one certificate, `pair_floor`, for any k: integer bounds of rhs (-ln sin
-from `fixed._fixed_neg_ln_sin`) and of c(k, s) (`_fixed_coefficient`)
-decide survival and the floor of rhs / (deg c) together, and one
-interval enclosure of that ratio decides what they leave open; at
-k_max = 2000 they leave nothing open.  Any bound above 120 is refined
-through the least-N solver.  Pairs with 4096 < k <= k_max are ruled out
-by `tail_certificate`: the
-Rosser-Schoenfeld lower bound for phi (1962, Thm 15, with the constant
-2.51) exceeds the survival budget on every dyadic block, each block
-decided by one certified comparison.
+is dropped when deg * c_lo > rhs_hi.  Every remaining pair outside the
+complete list `exceptional_pairs` has c(k, s) > 0 and gets one
+certificate, `pair_floor`, for any k: integer bounds of rhs (-ln sin from
+`fixed._fixed_neg_ln_sin`) and of c(k, s) (`_fixed_coefficient`) decide
+survival and the floor of rhs / (deg c) together.  `coefficient_sign`
+and `pair_floor` rerun their integer bounds along the one precision
+schedule `balls.precisions` (64 bits first) until they settle, and raise
+UndecidableError at the cap; there is no interval-expression path, and
+`reproduce-all` never needs more than 64 bits.  Any bound above 120 is
+refined through the least-N solver.  Pairs with 4096 < k <= k_max are
+ruled out by `tail_certificate`: the Rosser-Schoenfeld lower bound for
+phi (1962, Thm 15, with the constant 2.51) exceeds the survival budget on
+every dyadic block, each block decided by one certified comparison.
 """
 
 from __future__ import annotations
@@ -52,11 +52,7 @@ from itertools import accumulate
 from math import gcd, log
 
 from . import balls
-from .balls import (
-    PI, Ball, Const, Expr, Ln, Sin,
-    certified_floor, certify_sign, eval_ball, floor_of,
-    within_one_integer_step,
-)
+from .balls import Ball, Const, Expr, Ln, certified_floor, eval_ball, floor_of, precisions
 from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import _smallest_prime_factors, euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, InvalidInput, UndecidableError
@@ -153,48 +149,50 @@ def _coefficient_terms(k: int, s: int) -> tuple:
     return tuple(terms)
 
 
-def coefficient_expr(k: int, s: int) -> Expr:
-    """c(k, s) as an `Expr`, for the interval fallbacks."""
-    terms = [Const(Fraction(num, den)) * Ln(Const(Fraction(p)))
-             for num, den, p in _coefficient_terms(k, s)]
-    return sum(terms[1:], terms[0]) if terms else Const(Fraction(0))
-
-
-def _fixed_term(num: int, den: int, p: int) -> tuple[int, int]:
-    """Fixed-point bounds of (num / den) ln p, den > 0: the bounds of ln p
+def _fixed_term(num: int, den: int, p: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """Bounds of 2^bits (num / den) ln p, den > 0: the bounds of ln p
     times num, floored (ceiled) over den.  floor(num L / den) depends only
     on the value num / den, so any representation gives the same bounds."""
-    a, b = (num * x for x in _fixed_ln_prime(p))
+    a, b = (num * x for x in _fixed_ln_prime(p, bits))
     if num < 0:
         a, b = b, a
     return a // den, -(-b // den)
 
 
-def _fixed_coefficient(k: int, s: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FIXED_BITS c(k, s) <= hi: the sum of the
+def _fixed_coefficient(k: int, s: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits c(k, s) <= hi: the sum of the
     outward-rounded bounds of the terms (`_coefficient_terms`)."""
     lo = hi = 0
     for term in _coefficient_terms(k, s):
-        a, b = _fixed_term(*term)
+        a, b = _fixed_term(*term, bits)
         lo, hi = lo + a, hi + b
     return lo, hi
+
+
+def _settle(attempt, undecided: str):
+    """The first result of attempt(bits) that is not None, for bits along
+    `balls.precisions` (64, 128, ... up to the cap); UndecidableError with
+    the message `undecided` when none settles."""
+    for bits in precisions():
+        result = attempt(bits)
+        if result is not None:
+            return result
+    raise UndecidableError(undecided)
 
 
 def coefficient_sign(k: int, s: int) -> str:
     """Certified sign of c(k, s): EQUAL exactly when no term is left
     (`_coefficient_terms`), else read off the integer bounds of
-    `_fixed_coefficient` by `fixed._fixed_sign`, and certified by interval
-    arithmetic only when they straddle zero."""
+    `_fixed_coefficient` by `fixed._fixed_sign`, at more bits while they
+    straddle zero (`_settle`)."""
     if not _coefficient_terms(k, s):
         return balls.EQUAL
-    return _fixed_sign(*_fixed_coefficient(k, s), lambda: certify_sign(coefficient_expr(k, s)))
+    return _settle(lambda bits: _fixed_sign(*_fixed_coefficient(k, s, bits), lambda: None),
+                   f"coefficient sign of ({k}, {s}) undecided")
 
 
 def is_exceptional(k: int, s: int) -> bool:
-    sign = coefficient_sign(k, s)
-    if sign == balls.UNDECIDED:
-        raise UndecidableError(f"coefficient sign of ({k}, {s}) undecided")
-    return sign != balls.GREATER
+    return coefficient_sign(k, s) != balls.GREATER
 
 
 def _require_method_b(k: int, s: int) -> None:
@@ -209,11 +207,6 @@ def pair_field_degree(k: int, s: int) -> int:
     # phi(lcm) = phi(k) phi(s) / phi(gcd); avoids factoring the lcm
     phi_lcm = euler_phi(k) * euler_phi(s) // euler_phi(g)
     return phi_lcm // (2 * rho)
-
-
-def rhs_expr(k: int, s: int, kind: PairKind) -> Expr:
-    c = Const(Fraction(kind.log_constant))
-    return Ln(c) - Ln(Sin(PI / Const(Fraction(k)))) - Ln(Sin(PI / Const(Fraction(s))))
 
 
 def survives(k: int, s: int, kind: PairKind) -> bool:
@@ -256,55 +249,43 @@ def certified_floor_ratio(num: Expr, den: Expr) -> int:
     return certified_floor(num / den)
 
 
-def _fixed_rhs(k: int, s: int, kind: PairKind) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FIXED_BITS * rhs(k, s) <= hi."""
-    c_lo, c_hi = _fixed_ln(kind.log_constant)
-    (k_lo, k_hi), (s_lo, s_hi) = _fixed_neg_ln_sin(k), _fixed_neg_ln_sin(s)
+def _fixed_rhs(k: int, s: int, kind: PairKind, bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits * rhs(k, s) <= hi."""
+    c_lo, c_hi = _fixed_ln(kind.log_constant, bits)
+    (k_lo, k_hi), (s_lo, s_hi) = _fixed_neg_ln_sin(k, bits), _fixed_neg_ln_sin(s, bits)
     return c_lo + k_lo + s_lo, c_hi + k_hi + s_hi
-
-
-def _settles_ratio(ball: Ball) -> bool:
-    """The ball sits inside one integer step and does not start at 1, so
-    it gives floor(ratio) and decides ratio > 1."""
-    return within_one_integer_step(ball) and ball.lower != 1
-
-
-def _ratio_floor(k: int, s: int, kind: PairKind) -> int:
-    """floor(rhs / (deg c)) from one enclosure of the ratio."""
-    ratio = rhs_expr(k, s, kind) / (Const(Fraction(pair_field_degree(k, s))) * coefficient_expr(k, s))
-    try:
-        return floor_of(eval_ball(ratio, accept=_settles_ratio).lower)
-    except UndecidableError:
-        raise UndecidableError(f"Method-B ratio of ({k}, {s}) undecided") from None
 
 
 def pair_floor(k: int, s: int, kind: PairKind) -> int:
     """floor(rhs(k, s) / (deg c(k, s))) for a pair with c(k, s) > 0,
     certified; the pair survives iff it is at least 1.
 
-    The integer bounds r_lo <= 2^64 rhs <= r_hi (`_fixed_rhs`, from the
-    kernel `fixed._fixed_neg_ln_sin`) and c_lo <= 2^64 c <= c_hi
-    (`_fixed_coefficient`) put the ratio in
+    At `bits` bits the integer bounds r_lo <= 2^bits rhs <= r_hi
+    (`_fixed_rhs`, from the kernel `fixed._fixed_neg_ln_sin`) and
+    c_lo <= 2^bits c <= c_hi (`_fixed_coefficient`) put the ratio in
     [r_lo / (deg c_hi), r_hi / (deg c_lo)] when c_lo > 0.  So
     r_hi < deg c_lo proves ratio < 1 (floor 0), and r_lo > deg c_hi proves
     ratio > 1, with floor r_lo // (deg c_hi) when that equals
-    r_hi // (deg c_lo).  A pair the integers leave open gets one enclosure
-    of the ratio (`_ratio_floor`), raised until it lies in one integer
-    step and does not start at 1; a ratio of exactly 1 raises
-    UndecidableError.  No interval arithmetic runs when the integers
-    settle the pair, which they do for every pair of
-    `reproduce-all --kmax 2000`.
+    r_hi // (deg c_lo).  Bounds that leave the pair open, c_lo <= 0
+    included, are recomputed at the next precision (`_settle`); a ratio of
+    exactly 1, or a c(k, s) that is not positive, raises UndecidableError
+    at the cap.  64 bits settle every pair of `reproduce-all`.
     """
     deg = pair_field_degree(k, s)
-    c_lo, c_hi = _fixed_coefficient(k, s)
-    if c_lo > 0:
-        r_lo, r_hi = _fixed_rhs(k, s, kind)
+
+    def attempt(bits: int) -> int | None:
+        c_lo, c_hi = _fixed_coefficient(k, s, bits)
+        if c_lo <= 0:
+            return None
+        r_lo, r_hi = _fixed_rhs(k, s, kind, bits)
         if r_hi < deg * c_lo:
             return 0
         floor_kf = r_lo // (deg * c_hi)
         if r_lo > deg * c_hi and floor_kf == r_hi // (deg * c_lo):
             return floor_kf
-    return _ratio_floor(k, s, kind)
+        return None
+
+    return _settle(attempt, f"Method-B ratio of ({k}, {s}) undecided")
 
 
 def pair_report(k: int, s: int, kind: PairKind, refine_above: int = REFINE_THRESHOLD) -> PairReport:
@@ -453,8 +434,8 @@ class ScanTable:
         phi, spf, gamma = sieve_tables(limit)
         self.phi, self.spf = phi, spf
         self.ln2_lo = _fixed_ln_prime(2)[0]
-        pi_hi = _to_fixed(*_pi_fine())[1]
-        ln_pi_lo = _to_fixed(*_ln_pi_fine())[0]
+        pi_hi = _to_fixed(*_pi_fine(FIXED_BITS))[1]
+        ln_pi_lo = _to_fixed(*_ln_pi_fine(FIXED_BITS))[0]
         ln_hi = self.ln_hi = [0] * (limit + 1)
         g_hi = self.g_hi = [0] * (limit + 1)
         sin_hi = self.sin_hi = [0] * (limit + 1)
@@ -585,10 +566,9 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     on the shared `scan_table`: a k is skipped when phi(k) c_low(k) >
     4 rhs_max(k), an s when phi(s / gcd(k, s)) >= ceil(T_k), and a pair
     is dropped when deg * c_lo > rhs_hi, each an inequality between
-    integers (see `ScanTable`).  A pair with c_lo <= 0 has its
-    coefficient sign decided by `coefficient_sign`, and every other
-    non-exceptional pair gets its one certificate from `pair_floor`,
-    which also gives the survivor's bound_kf.  Larger k up to k_max are
+    integers (see `ScanTable`).  Every other pair outside the complete
+    list `exceptional_pairs` has c(k, s) > 0 and gets its one certificate
+    from `pair_floor`, which also gives the survivor's bound_kf.  Larger k up to k_max are
     covered by `tail_certificate`.  Results are deterministic.
     """
     check_k_max(k_max)
@@ -627,8 +607,6 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
             g = gcd(k, s)
             deg = phi_k * phi[s] // phi[g] // (4 if g <= 2 else 2)  # pair_field_degree
             if deg * c_lo > rhs_k + sin_hi[s]:
-                continue
-            if c_lo <= 0 and is_exceptional(k, s):
                 continue
             bound_kf = pair_floor(k, s, kind)
             if bound_kf >= 1:

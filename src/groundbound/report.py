@@ -14,9 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .balls import Expr, as_expr, ball_str
-
-DECIMAL_DIGITS = 12
+from .balls import Expr, ball_str
 
 
 def render_value(x, decimals: dict) -> dict:
@@ -30,7 +28,7 @@ def render_value(x, decimals: dict) -> dict:
     if isinstance(x, (Fraction, Expr)):
         exact = str(x)
         if exact not in decimals:
-            decimals[exact] = ball_str(as_expr(x), DECIMAL_DIGITS)
+            decimals[exact] = ball_str(x)
         return {"decimal": decimals[exact], "exact": exact}
     if x is None:
         return {"decimal": "", "exact": ""}
@@ -135,7 +133,9 @@ class Report:
 
 
 def case_table_csv(rows) -> str:
-    """CSV mirroring the per-case listings: one row per case."""
+    """CSV mirroring the per-case listings: one row per case; B, R and S
+    are rendered by `render_value`, each distinct value once."""
+    decimals = {}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["family", "s", "k", "r", "p", "variant", "m", "M",
@@ -143,6 +143,9 @@ def case_table_csv(rows) -> str:
     for row in rows:
         case = row.case
         prob = row.problem
+        b, r, s = ("", "", "") if prob is None else [
+            render_value(x, decimals)["decimal"]
+            for x in (prob.b_disc_root, prob.r_ratio, prob.s_factor)]
         writer.writerow([
             case.family.value,
             "" if case.s is None else case.s,
@@ -152,9 +155,7 @@ def case_table_csv(rows) -> str:
             row.variant.value if row.variant else "",
             row.m,
             "" if prob is None else prob.m_field_degree,
-            "" if prob is None else ball_str(prob.b_disc_root, DECIMAL_DIGITS),
-            "" if prob is None else ball_str(prob.r_ratio, DECIMAL_DIGITS),
-            "" if prob is None else ball_str(prob.s_factor, DECIMAL_DIGITS),
+            b, r, s,
             "" if row.least_n is None else row.least_n,
             row.bound,
             "" if row.published_bound is None else row.published_bound,

@@ -252,6 +252,29 @@ def test_eval_ball_accept_and_cap():
         eval_ball(PI, 256, cap_bits=128)
 
 
+def test_one_precision_schedule(monkeypatch):
+    # `precisions` doubles from the start while at most the cap; `eval_ball`
+    # walks it, and `pairs` reads the same one
+    from groundbound import pairs
+
+    assert list(balls.precisions()) == [64, 128, 256, 512, 1024, 2048, 4096]
+    assert list(balls.precisions(96, 400)) == [96, 192, 384]
+    assert list(balls.precisions(256, 128)) == []
+    assert pairs.precisions is balls.precisions
+    walked = []
+    real = balls.precisions
+
+    def spy(*args):
+        for bits in real(*args):
+            walked.append(bits)
+            yield bits
+
+    monkeypatch.setattr(balls, "precisions", spy)
+    near_zero = PI - Const(PI_TRUNCATION)
+    ball = eval_ball(near_zero, 64, accept=lambda b: b.certainly_positive())
+    assert walked == [64, 128, 256] and ball.precision_bits == 256
+
+
 def test_exact_algebraic_sign_may_exceed_the_cap():
     # 2cos(2pi/7) > 0 is an exact algebraic sign: it separates at 64 bits
     # even under a 32-bit cap, within the sixteenfold allowance

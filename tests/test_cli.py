@@ -547,6 +547,26 @@ def test_graph_family_reports_pinned(args, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GRAPH_FAMILY_SHA256[args]
 
 
+# sha256 of the `graph-family --case-csv` tables: B, R and S rendered as
+# the reports render them (`report.render_value`)
+CASE_CSV_SHA256 = {
+    ("g1",): "c427f6e5011af8925b6dff583cc84f3bc7a1d73e1c54b2a06d728bcb30607eee",
+    ("g2",): "3259ee9bc43e3f8cbb847ae941c22e0b16ed5ae470eb7d81ddc7609ae7704889",
+    ("g3",): "23f2476d4dbc6b75b596620f2799d240ede18a331eb2c1177833a2fa2aa2671c",
+    ("g4",): "74ae79a784cb24ee715c75b91e71e62b1355e3e95801c35d8d2b67966fc3b990",
+    ("g5", "--kmin", "3", "--kmax-family", "8"):
+        "53e6293bb15a16ffd3be3ebeb9b22005e19b9166963be5385458431408b691ea",
+}
+
+
+@pytest.mark.parametrize("args", list(CASE_CSV_SHA256), ids=lambda a: a[0])
+def test_graph_family_case_csv_pinned(args, tmp_path, capsys):
+    out = tmp_path / "cases.csv"
+    main(["graph-family", "--family", *args, "--case-csv", str(out)])
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CASE_CSV_SHA256[args]
+
+
 def test_cli_import_is_light():
     # every pipeline is imported by the subcommand that runs it
     code = ("import sys, groundbound.cli; "

@@ -2,20 +2,21 @@ import random
 from fractions import Fraction
 from math import ceil, floor
 
+import pytest
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, fzero
 
 from groundbound import pairs
-from groundbound.balls import mpf_to_fraction
+from groundbound.balls import floor_of, mpf_to_fraction, scaled
 from groundbound.cyclo import euler_phi, gamma_norm_constant
 from groundbound.fixed import (
-    FINE_BITS, FIXED_BITS, LN_TABLE_LIMIT, _fixed_ln_ratio, _fixed_neg_ln_sin, _ln_fine, _scaled,
-    _sinc_fine,
+    FINE_BITS, FIXED_BITS, LN_GUARD_BITS, LN_TABLE_LIMIT, _fixed_ln_prime, _fixed_ln_ratio,
+    _fixed_neg_ln_sin, _ln_fine, _sinc_fine,
 )
 
 
 def _fraction_scaled(x, up):
-    """The rounding `_scaled` replaces: through the exact Fraction value."""
+    """The rounding `scaled` replaces: through the exact Fraction value."""
     value = mpf_to_fraction(x) * (1 << FIXED_BITS)
     return ceil(value) if up else floor(value)
 
@@ -32,9 +33,10 @@ def test_scaled_matches_fraction_formula():
     for raw in raws:
         x = mp.make_mpf(raw)
         for up in (False, True):
-            got = _scaled(x, up)
+            got = scaled(x, up, FIXED_BITS)
             assert type(got) is int
             assert got == _fraction_scaled(x, up), (raw, up)
+        assert floor_of(x) == floor(mpf_to_fraction(x)), raw
         below += raw[2] < -FIXED_BITS
         above += raw[2] > -FIXED_BITS
         negative += raw[0] == 1
@@ -47,9 +49,9 @@ def test_scaled_matches_fraction_formula():
 ORACLE_BITS = 300
 
 
-def _oracle(f, bits=FIXED_BITS):
-    """2^bits f() as an mpmath interval at ORACLE_BITS bits."""
-    saved, iv.prec = iv.prec, ORACLE_BITS
+def _oracle(f, bits=FIXED_BITS, prec=ORACLE_BITS):
+    """2^bits f() as an mpmath interval at `prec` bits."""
+    saved, iv.prec = iv.prec, prec
     try:
         return f() * iv.mpf(2) ** bits
     finally:
@@ -65,8 +67,8 @@ def _encloses(bounds, value, width):
     return lo <= a and b <= hi and hi - lo <= width
 
 
-def _ln_oracle(a, b, bits=FIXED_BITS):
-    return _oracle(lambda: iv.log(iv.mpf(a) / iv.mpf(b)), bits)
+def _ln_oracle(a, b, bits=FIXED_BITS, prec=ORACLE_BITS):
+    return _oracle(lambda: iv.log(iv.mpf(a) / iv.mpf(b)), bits, prec)
 
 
 def _check_ln(a, b):
@@ -181,3 +183,33 @@ def test_coefficient_bounds_enclose_the_oracle():
                         - iv.log(gamma_norm_constant(s)) / euler_phi(s))
         assert _encloses(pairs._fixed_coefficient(k, s), value, 16), (k, s)
         assert pairs._fixed_coefficient(k, s) == _fraction_bounds(k, s), (k, s)
+
+
+# -- above 64 bits: the kernels the pair certificates rerun at more bits ------
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_kernels_above_64_bits_enclose_the_oracle(bits):
+    # ln p on both sides of the table's end, ln(a/b) and -ln sin(pi/x)
+    # against an interval oracle at twice the bits; above 64 bits ln p
+    # comes from the rational kernel for every p
+    rng = random.Random(bits)
+    oracle_bits = 2 * bits
+    primes = [2, 3, 4093] + _seeded_primes(rng, 20, 5, LN_TABLE_LIMIT)
+    primes += [4099, 10**7 + 19] + _seeded_primes(rng, 20)
+    for p in primes:
+        value = _oracle(lambda: iv.log(p), bits, oracle_bits)
+        assert _encloses(_fixed_ln_prime(p, bits), value, 16), (p, bits)
+        assert _fixed_ln_prime(p, bits) == _fixed_ln_ratio(p, 1, bits), (p, bits)
+    assert min(primes) < LN_TABLE_LIMIT < max(primes)
+    for _ in range(300):
+        a = rng.randint(1, 10 ** rng.randint(1, 300))
+        b = rng.randint(1, 10 ** rng.randint(1, 300))
+        value = _ln_oracle(a, b, bits, oracle_bits)
+        assert _encloses(_fixed_ln_ratio(a, b, bits), value, 16), (a, b)
+        fine = _ln_oracle(a, b, bits + LN_GUARD_BITS, oracle_bits)
+        assert _encloses(_ln_fine(a, b, bits), fine, 16 << LN_GUARD_BITS), (a, b)
+    moduli = [3, 4, 5, 6, 7, 4095, 4096, 4097, 10**7] + [rng.randint(3, 10**7) for _ in range(100)]
+    for x in moduli:
+        value = _oracle(lambda: -iv.log(iv.sin(iv.pi / x)), bits, oracle_bits)
+        assert _encloses(_fixed_neg_ln_sin(x, bits), value, 16), (x, bits)

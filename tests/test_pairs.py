@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from groundbound import fixed, pairs
+from groundbound.balls import (
+    PI, Ball, Const, Expr, Ln, Sin, eval_ball, floor_of, within_one_integer_step,
+)
 from groundbound.errors import ExceptionalPair, UndecidableError
 from groundbound.pairs import (
     PUBLISHED_EXCEPTIONAL_GAMMA5,
@@ -281,28 +284,40 @@ def test_refinement_matches_g5_case():
     assert compared == 26
 
 
-def test_no_coefficient_sign_reaches_certify_sign(monkeypatch):
+def _spy_raises(monkeypatch) -> list:
+    """The (k, s, bits) of every bound of c(k, s) that `pairs` computes
+    above FIXED_BITS.  Each attempt of `coefficient_sign` and `pair_floor`
+    starts with one, so the list holds every precision raise."""
+    raised = []
+    real = pairs._fixed_coefficient
+
+    def spy(k, s, bits=fixed.FIXED_BITS):
+        if bits > fixed.FIXED_BITS:
+            raised.append((k, s, bits))
+        return real(k, s, bits)
+
+    monkeypatch.setattr(pairs, "_fixed_coefficient", spy)
+    return raised
+
+
+def test_no_coefficient_sign_rises_above_64_bits(monkeypatch):
     # the exceptional scan, `survives`, `pair_report` and the star family's
     # repeats of complete-family pairs all ask for the sign of c(k, s); each
-    # is read off the integer bounds of its terms, and the exact zero at
-    # (4, 4) off the empty terms, so no sign is certified by interval
-    # arithmetic
+    # is read off the 64-bit integer bounds of its terms, and the exact
+    # zero at (4, 4) off the empty terms, so no sign (and no pair floor)
+    # asks for more bits
     from groundbound.pairs import global_bound
 
     pairs._all_exceptional_pairs.cache_clear()
-    asked, certified = [], []
-    real_sign, real_certify = pairs.coefficient_sign, pairs.certify_sign
+    asked = []
+    real_sign = pairs.coefficient_sign
 
     def sign_spy(k, s):
         asked.append((k, s))
         return real_sign(k, s)
 
-    def certify_spy(expr, *args, **kwargs):
-        certified.append(expr)
-        return real_certify(expr, *args, **kwargs)
-
     monkeypatch.setattr(pairs, "coefficient_sign", sign_spy)
-    monkeypatch.setattr(pairs, "certify_sign", certify_spy)
+    raised = _spy_raises(monkeypatch)
     for kind in (G5, G4):
         global_bound(kind, k_max=2000)
     for k, s in ((23, 3), (31, 3), (390, 3)):
@@ -310,31 +325,33 @@ def test_no_coefficient_sign_reaches_certify_sign(monkeypatch):
         pair_report(k, s, G5, refine_above=10**9)
     assert len(set(asked)) > 300 and (4, 4) in asked
     assert real_sign(4, 4) == "EQUAL"
-    assert certified == []
+    assert raised == []
+
+
+def _widened_at_64_bits(real, width):
+    """The fixed-point bounds `real` widened by `width` on both sides at
+    FIXED_BITS only; `pairs` passes the precision last."""
+
+    def widened(*args):
+        lo, hi = real(*args)
+        pad = width if args[-1] == fixed.FIXED_BITS else 0
+        return lo - pad, hi + pad
+
+    return widened
 
 
 def test_forced_fallback_gives_the_same_coefficient_signs(monkeypatch):
-    # every integer bound of c(k, s) widened by 2^16 on both sides: no sign
-    # is read off the integers, so every nonzero one goes through
-    # `certify_sign`, and the signs and exceptional pairs stay the same
+    # every 64-bit bound of c(k, s) widened by 2^16 on both sides: no sign
+    # is read off 64 bits, so every nonzero one rises to 128 bits and
+    # settles there, and the signs and exceptional pairs stay the same
     moduli = [(k, s) for k in range(3, 65) for s in range(3, k + 1)]
     expected = {p: coefficient_sign(*p) for p in moduli}
     width = 1 << (16 + fixed.FIXED_BITS)
-    real_coefficient, real_certify = pairs._fixed_coefficient, pairs.certify_sign
-    certified = []
-
-    def widened(k, s):
-        lo, hi = real_coefficient(k, s)
-        return lo - width, hi + width
-
-    def certify_spy(expr, *args, **kwargs):
-        certified.append(expr)
-        return real_certify(expr, *args, **kwargs)
-
-    monkeypatch.setattr(pairs, "_fixed_coefficient", widened)
-    monkeypatch.setattr(pairs, "certify_sign", certify_spy)
+    monkeypatch.setattr(pairs, "_fixed_coefficient",
+                        _widened_at_64_bits(pairs._fixed_coefficient, width))
+    raised = _spy_raises(monkeypatch)
     assert {p: coefficient_sign(*p) for p in moduli} == expected
-    assert len(certified) == len(moduli) - 1  # all but (4, 4)
+    assert raised == [(k, s, 128) for k, s in moduli if (k, s) != (4, 4)]
     pairs._all_exceptional_pairs.cache_clear()
     try:
         assert set(exceptional_pairs(G5)) == set(PUBLISHED_EXCEPTIONAL_GAMMA5)
@@ -560,7 +577,7 @@ def test_scan_counts_are_pinned(monkeypatch):
 def test_ln_prime_table_encloses_the_interval_logarithms():
     # the integer atanh table holds a 256-bit interval enclosure of ln p for
     # every prime p <= 4096, at most 4 units of 2^-64 wide
-    from groundbound.balls import Const, Ln, eval_ball, mpf_to_fraction
+    from groundbound.balls import mpf_to_fraction
 
     table = fixed._ln_prime_table()
     spf = pairs._smallest_prime_factors(TAIL_START)
@@ -575,28 +592,58 @@ def test_ln_prime_table_encloses_the_interval_logarithms():
         assert fixed._fixed_ln_prime(p) == (lo, hi)
 
 
+# The interval oracle of the per-pair certificate: c(k, s), rhs(k, s) and
+# floor(rhs / (deg c)) as expression trees, evaluated by `balls`.
+
+
+def coefficient_expr(k: int, s: int) -> Expr:
+    """c(k, s) as an `Expr`, for the interval fallbacks."""
+    terms = [Const(Fraction(num, den)) * Ln(Const(Fraction(p)))
+             for num, den, p in pairs._coefficient_terms(k, s)]
+    return sum(terms[1:], terms[0]) if terms else Const(Fraction(0))
+
+
+def rhs_expr(k: int, s: int, kind: PairKind) -> Expr:
+    c = Const(Fraction(kind.log_constant))
+    return Ln(c) - Ln(Sin(PI / Const(Fraction(k)))) - Ln(Sin(PI / Const(Fraction(s))))
+
+
+def _settles_ratio(ball: Ball) -> bool:
+    """The ball sits inside one integer step and does not start at 1, so
+    it gives floor(ratio) and decides ratio > 1."""
+    return within_one_integer_step(ball) and ball.lower != 1
+
+
+def _ratio_floor(k: int, s: int, kind: PairKind) -> int:
+    """floor(rhs / (deg c)) from one enclosure of the ratio."""
+    ratio = rhs_expr(k, s, kind) / (Const(Fraction(pair_field_degree(k, s))) * coefficient_expr(k, s))
+    try:
+        return floor_of(eval_ball(ratio, accept=_settles_ratio).lower)
+    except UndecidableError:
+        raise UndecidableError(f"Method-B ratio of ({k}, {s}) undecided") from None
+
+
 def _old_floor(k, s, kind):
     """floor(rhs / (deg c)) and survival from the two evaluations the
     certificate replaces."""
-    from groundbound.balls import Const, certify_sign
+    from groundbound.balls import certify_sign
 
     deg = Const(Fraction(pair_field_degree(k, s)))
-    rhs, coeff = pairs.rhs_expr(k, s, kind), pairs.coefficient_expr(k, s)
+    rhs, coeff = rhs_expr(k, s, kind), coefficient_expr(k, s)
     return (pairs.certified_floor_ratio(rhs, deg * coeff),
             certify_sign(rhs - deg * coeff) == "GREATER")
 
 
 def test_pair_certificate_matches_the_ratio_ball(gamma5_search, gamma4_search, monkeypatch):
-    # integers settle every survivor and every sampled pair, k > 4096
+    # 64-bit integers settle every survivor and every sampled pair, k > 4096
     # included; each result equals the floor of the ratio ball and the two
     # interval evaluations it replaced
-    real_ratio = pairs._ratio_floor
     checked = 0
     for result in (gamma5_search, gamma4_search):
         for r in result.survivors:
             bound_kf = pairs.pair_floor(r.k, r.s, result.kind)
             assert bound_kf == r.bound_kf >= 1
-            assert bound_kf == real_ratio(r.k, r.s, result.kind)
+            assert bound_kf == _ratio_floor(r.k, r.s, result.kind)
             assert (bound_kf, True) == _old_floor(r.k, r.s, result.kind)
             checked += 1
     assert checked == 416 + 265
@@ -604,75 +651,92 @@ def test_pair_certificate_matches_the_ratio_ball(gamma5_search, gamma4_search, m
     samples = [(rng.randint(7, TAIL_START), 3, G4) for _ in range(100)]
     samples += [(rng.randint(TAIL_START + 1, 10**7), rng.randint(3, 5000), G5) for _ in range(30)]
     samples += [(rng.randint(TAIL_START + 1, 10**7), rng.choice((3, 4, 5)), G4) for _ in range(10)]
-    fallbacks = []
-
-    def ratio_spy(k, s, kind):
-        fallbacks.append((k, s, kind))
-        return real_ratio(k, s, kind)
-
-    monkeypatch.setattr(pairs, "_ratio_floor", ratio_spy)
+    raised = _spy_raises(monkeypatch)
     past_table = 0
     for k, s, kind in samples:
         if is_exceptional(k, s):
             continue
         bound_kf = pairs.pair_floor(k, s, kind)
         past_table += k > TAIL_START
-        assert bound_kf == real_ratio(k, s, kind), (k, s, kind)
+        assert bound_kf == _ratio_floor(k, s, kind), (k, s, kind)
         assert (bound_kf, bound_kf >= 1) == _old_floor(k, s, kind), (k, s, kind)
     assert past_table == 40
-    assert fallbacks == []
+    assert raised == []
 
 
 def test_forced_fallback_gives_the_same_report(monkeypatch):
-    # integer enclosures too wide to settle anything send every pair to the
-    # ratio ball, which certifies the same reports
+    # 64-bit -ln sin bounds too wide to settle anything send every pair
+    # certificate to 128 bits, which certify the same reports
     pairs_to_check = [(23, 3, G5), (31, 3, G5), (390, 3, G5), (31, 3, G4), (113, 3, G5)]
     expected = [pair_report(k, s, kind) for k, s, kind in pairs_to_check]
-    fallbacks = []
-    real_ratio = pairs._ratio_floor
-
-    def ratio_spy(k, s, kind):
-        fallbacks.append((k, s))
-        return real_ratio(k, s, kind)
-
     real_sin = pairs._fixed_neg_ln_sin
-    monkeypatch.setattr(pairs, "_ratio_floor", ratio_spy)
-    monkeypatch.setattr(pairs, "_fixed_neg_ln_sin",
-                        lambda x: (real_sin(x)[0] - 2**60, real_sin(x)[1] + 2**60))
+    monkeypatch.setattr(pairs, "_fixed_neg_ln_sin", _widened_at_64_bits(real_sin, 2**60))
+    raised = _spy_raises(monkeypatch)
     assert [pair_report(k, s, kind) for k, s, kind in pairs_to_check] == expected
-    assert fallbacks == [(k, s) for k, s, _ in pairs_to_check]
+    assert raised == [(k, s, 128) for k, s, _ in pairs_to_check]
     assert expected[-1].bound_kf == 0  # (113, 3) fails survival
     assert not survives(113, 3, G5)
-    # a coefficient enclosure that does not exclude zero also falls back
-    fallbacks.clear()
-    monkeypatch.setattr(pairs, "_fixed_neg_ln_sin", real_sin)
-    monkeypatch.setattr(pairs, "_fixed_coefficient", lambda k, s: (0, 2**64))
+    # a 64-bit coefficient enclosure that does not exclude zero also rises,
+    # once for the sign of c(k, s) and once for the floor
+    monkeypatch.undo()
+    monkeypatch.setattr(pairs, "_fixed_coefficient",
+                        _widened_at_64_bits(pairs._fixed_coefficient, 2**64))
+    raised = _spy_raises(monkeypatch)
     assert pair_report(31, 3, G5) == expected[1]
-    assert fallbacks == [(31, 3)]
+    assert raised == [(31, 3, 128)] * 2
+
+
+def test_bounds_that_never_settle_raise_naming_the_pair(monkeypatch):
+    # bounds left open at every precision of the schedule, up to the cap,
+    # raise UndecidableError naming the pair, never a sign or a floor
+    real_coefficient, real_rhs = pairs._fixed_coefficient, pairs._fixed_rhs
+    monkeypatch.setattr(pairs, "_fixed_coefficient", lambda k, s, bits=64: (-1, 1))
+    raised = _spy_raises(monkeypatch)
+    with pytest.raises(UndecidableError, match=r"^coefficient sign of \(23, 3\) undecided$"):
+        coefficient_sign(23, 3)
+    with pytest.raises(UndecidableError, match=r"^Method-B ratio of \(23, 3\) undecided$"):
+        pairs.pair_floor(23, 3, G5)
+    assert [bits for _, _, bits in raised] == [128, 256, 512, 1024, 2048, 4096] * 2
+    # the true c(k, s), with rhs bounds a whole unit wide at every precision
+    monkeypatch.setattr(pairs, "_fixed_coefficient", real_coefficient)
+
+    def unit_wide(k, s, kind, bits=64):
+        lo, hi = real_rhs(k, s, kind, bits)
+        return lo - (1 << bits), hi + (1 << bits)
+
+    monkeypatch.setattr(pairs, "_fixed_rhs", unit_wide)
+    with pytest.raises(UndecidableError, match=r"^Method-B ratio of \(31, 3\) undecided$"):
+        pairs.pair_floor(31, 3, G5)
 
 
 def test_reproduce_all_never_needs_the_ratio_ball(monkeypatch):
-    # at --kmax 2000 the integer bounds settle every pair certificate
+    # at both k_max of the benchmark the 64-bit integer bounds settle
+    # every coefficient sign and pair certificate: no precision rises, and
+    # `pairs` encloses nothing but the 12 tail blocks per family past
+    # k = 4096 (its `certified_floor` serves only `certified_floor_ratio`)
     from groundbound.reproduce import reproduce_all
 
-    fallbacks = []
-    real_ratio = pairs._ratio_floor
+    enclosed, certified = [], []
 
-    def ratio_spy(k, s, kind):
-        fallbacks.append((k, s, kind))
-        return real_ratio(k, s, kind)
+    def spy(name, log):
+        real = getattr(pairs, name)
 
-    certified = []
-    real_floor = pairs.pair_floor
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return real(*args, **kwargs)
 
-    def floor_spy(k, s, kind):
-        certified.append((k, s, kind))
-        return real_floor(k, s, kind)
+        monkeypatch.setattr(pairs, name, wrapper)
 
-    monkeypatch.setattr(pairs, "_ratio_floor", ratio_spy)
-    monkeypatch.setattr(pairs, "pair_floor", floor_spy)
-    reproduce_all(2000)
-    assert len(certified) > 681 and fallbacks == []
+    spy("eval_ball", enclosed)
+    spy("certified_floor", enclosed)
+    spy("pair_floor", certified)
+    raised = _spy_raises(monkeypatch)
+    for k_max, tail_blocks in ((2000, 0), (10**7, 24)):
+        enclosed.clear()
+        certified.clear()
+        reproduce_all(k_max)
+        assert len(certified) > 681 and len(enclosed) == tail_blocks, k_max
+        assert raised == [], k_max
 
 
 def test_eval_ball_budget_of_reproduce_all(tmp_path):
