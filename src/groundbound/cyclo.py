@@ -1,9 +1,17 @@
 """Exact arithmetic in maximal real cyclotomic fields Q(cos 2pi/n).
 
-A `CycloElement` stores rational coordinates in the power basis of
-b = 2*cos(2*pi/n), whose minimal polynomial `cos_minpoly(n)` has degree
-phi(n)/2 for n >= 3.  Addition, multiplication, Galois conjugation and
-embedding into a larger modulus are all exact.
+A `CycloElement` is x = (sum_i num[i] b^i) / den in the power basis of
+b = 2*cos(2*pi/n), whose minimal polynomial psi_n = `cos_minpoly(n)` is
+monic with integer coefficients, of degree d = phi(n)/2 for n >= 3: one
+tuple `num` of d integers over one integer den > 0 with
+gcd(den, *num) = 1 (the layout of FLINT's fmpq_poly), so every element has
+exactly one representation.  b is an algebraic integer, so sums, products,
+rational scaling, the reduction modulo psi_n, Galois conjugation and the
+embedding into a larger modulus (a Dickson substitution b -> D_j(b) by
+Horner's rule) all stay in integers; only `inverse` runs the extended
+Euclidean algorithm over Q.  `coeffs` is the read-only view of the
+coordinates num[i] / den as reduced Fractions, for callers that evaluate
+or print them one by one.
 
 All values are immutable after construction.
 """
@@ -12,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InvalidModulus
 from . import polyint as P
@@ -74,34 +82,46 @@ def field_degree(n: int) -> int:
 
 
 class CycloElement:
-    """An element of Q(cos 2pi/n), exact."""
+    """An element (sum_i num[i] b^i) / den of Q(cos 2pi/n), b = 2cos(2pi/n),
+    exact: `num` has field_degree(n) integers, den > 0 and
+    gcd(den, *num) = 1."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs):
-        if n < 1:
-            raise InvalidModulus(f"modulus {n} < 1")
-        d = field_degree(n)
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > d:
-            c = list(_reduce(tuple(c), n))
-        c += [Fraction(0)] * (d - len(c))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(c))
+        """The element with rational power-basis coordinates `coeffs`
+        (anything `Fraction` takes), reduced modulo psi_n when there are
+        more than field_degree(n) of them."""
+        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
+        den = lcm(*(x.denominator for x in c))
+        _set(self, n, [x.numerator * (den // x.denominator) for x in c], den)
 
     def __setattr__(self, *args):
         raise AttributeError("CycloElement is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates num[i] / den, as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def rational(cls, n: int, value) -> "CycloElement":
-        return cls(n, (Fraction(value),))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _element(n, [value.numerator], value.denominator)
+
+    @classmethod
+    def from_numerators(cls, n: int, num, den: int) -> "CycloElement":
+        """(sum_i num[i] b^i) / den for integers num[i] and den != 0."""
+        return _element(n, list(num), den)
 
     @classmethod
     def generator(cls, n: int) -> "CycloElement":
         """2*cos(2*pi/n)."""
-        return cls(n, (0, 1) if field_degree(n) > 1 else (P.peval(P.cos_minpoly(n), 0) * -1,))
+        return _element(n, [0, 1], 1)
 
     @classmethod
     def cos2pi(cls, num: int, den: int, n: int | None = None) -> "CycloElement":
@@ -113,15 +133,14 @@ class CycloElement:
             n = den
         if n % den:
             raise InvalidModulus(f"{den} does not divide {n}")
-        m = num * (n // den)
-        return cls(n, P.dickson(m)) / 2
+        return _element(n, list(_dickson_image(num * (n // den), n)), 2)
 
     def __getstate__(self):
-        return (self.n, self.coeffs)
+        return (self.n, self.num, self.den)
 
     def __setstate__(self, state):
-        object.__setattr__(self, "n", state[0])
-        object.__setattr__(self, "coeffs", state[1])
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     # -- ring operations ----------------------------------------------
 
@@ -141,16 +160,26 @@ class CycloElement:
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # x + p/q = (q num + p den) / (q den), p den on the constant term
+            p, q = other.numerator, other.denominator
+            num = [q * x for x in self.num]
+            num[0] += p * self.den
+            return _element(self.n, num, q * self.den)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloElement(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _element(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
+        g = gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        return _element(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)], a.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.n, [-a for a in self.coeffs])
+        return _element(self.n, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CycloElement) else -Fraction(other))
@@ -159,12 +188,14 @@ class CycloElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _element(self.n, [other.numerator * x for x in self.num],
+                            other.denominator * self.den)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        prod = P.pmul(P.trim(a.coeffs), P.trim(b.coeffs))
-        return CycloElement(a.n, _reduce(prod, a.n))
+        return _element(a.n, list(P.pmul(P.trim(a.num), P.trim(b.num))), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -172,7 +203,8 @@ class CycloElement:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
-            return CycloElement(self.n, [a / Fraction(other) for a in self.coeffs])
+            return _element(self.n, [other.denominator * x for x in self.num],
+                            other.numerator * self.den)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
@@ -195,11 +227,12 @@ class CycloElement:
         return out
 
     def inverse(self) -> "CycloElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse via the extended Euclidean algorithm over
+        Q: t num = 1 modulo psi_n, and x^-1 = den t."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         a = P.cos_minpoly(self.n)
-        b = P.trim(self.coeffs)
+        b = P.trim(self.num)
         # extended gcd over Q: s*a + t*b = g (constant)
         r0, r1 = a, b
         t0, t1 = (), (Fraction(1),)
@@ -208,37 +241,35 @@ class CycloElement:
             r0, r1 = r1, r
             t0, t1 = t1, P.psub(t0, P.pmul(q, t1))
         assert P.degree(r0) == 0, "minimal polynomial must be irreducible"
-        inv = P.pscale(t0, 1 / Fraction(r0[0]))
-        return CycloElement(self.n, _reduce(inv, self.n))
+        return CycloElement(self.n, P.pscale(t0, self.den / Fraction(r0[0])))
 
     # -- predicates & conversions ---------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.num[0] == other * self.den
         if isinstance(other, CycloElement):
-            if self.n == other.n:
-                return self.coeffs == other.coeffs
-            m = self.n * other.n // gcd(self.n, other.n)
-            return self.to_modulus(m).coeffs == other.to_modulus(m).coeffs
+            a, b = self._pair(other)
+            return a.num == b.num and a.den == b.den
         return NotImplemented
 
     def __hash__(self):
         # Tr(x) / [K : Q] does not depend on the modulus that holds x, and it
         # is x itself for a rational x, so equal elements hash alike
         traces = _power_traces(self.n)
-        return hash(sum(c * t for c, t in zip(self.coeffs, traces)) / len(traces))
+        return hash(Fraction(sum(x * t for x, t in zip(self.num, traces)),
+                             self.den * len(traces)))
 
     def __repr__(self):
         return f"CycloElement(n={self.n}, coeffs={self.coeffs})"
@@ -249,7 +280,9 @@ class CycloElement:
         """Apply the automorphism 2cos(2pi/n) -> 2cos(2pi a/n), gcd(a, n) = 1."""
         if gcd(a, self.n) != 1:
             raise InvalidModulus(f"{a} not coprime to {self.n}")
-        return _dickson_substitute(self.coeffs, a % self.n, self.n)
+        a %= self.n
+        # 2cos(2pi a/n) = 2cos(2pi (n - a)/n): the lower Dickson degree
+        return _dickson_substitute(self, min(a, self.n - a), self.n)
 
     def to_modulus(self, m: int) -> "CycloElement":
         """Embed into Q(cos 2pi/m) for n | m."""
@@ -258,30 +291,75 @@ class CycloElement:
         if m % self.n:
             raise InvalidModulus(f"{self.n} does not divide {m}")
         # 2cos(2pi/n) = D_{m/n}(2cos(2pi/m))
-        return _dickson_substitute(self.coeffs, m // self.n, m)
+        return _dickson_substitute(self, m // self.n, m)
+
+
+def _set(x: CycloElement, n: int, num: list, den: int) -> None:
+    """Store (sum_i num[i] b^i) / den in x: num reduced modulo psi_n and
+    padded to field_degree(n) integers, then divided with den by their
+    gcd, signed so that den > 0."""
+    if n < 1:
+        raise InvalidModulus(f"modulus {n} < 1")
+    if len(num) != field_degree(n):
+        num = _reduce(num, n)
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num, den = [v // g for v in num], den // g
+    object.__setattr__(x, "n", n)
+    object.__setattr__(x, "num", tuple(num))
+    object.__setattr__(x, "den", den)
+
+
+def _element(n: int, num: list, den: int) -> CycloElement:
+    """(sum_i num[i] b^i) / den for integers num[i] and den != 0."""
+    x = object.__new__(CycloElement)
+    _set(x, n, num, den)
+    return x
 
 
 @lru_cache(maxsize=None)
-def _reduce_cached(coeffs: tuple, n: int) -> tuple:
-    rem = P.pdivmod(coeffs, P.cos_minpoly(n))[1]
-    return rem
+def _psi_terms(n: int) -> tuple:
+    """(d, ((j, a_j), ...)): the degree of psi_n = x^d + sum_(j < d) a_j x^j
+    and its nonzero lower coefficients."""
+    psi = P.cos_minpoly(n)
+    d = len(psi) - 1
+    return d, tuple((j, a) for j, a in enumerate(psi[:d]) if a)
 
 
-def _reduce(coeffs, n: int):
-    coeffs = P.trim(coeffs)
-    if len(coeffs) <= field_degree(n):
-        return coeffs
-    return _reduce_cached(tuple(coeffs), n)
+def _reduce(num, n: int) -> list:
+    """num modulo the monic integer psi_n, in integers and padded to d
+    coordinates: each top coordinate c of degree t >= d is removed by
+    subtracting c b^(t-d) psi_n(b)."""
+    d, terms = _psi_terms(n)
+    num = list(num)
+    for top in range(len(num) - 1, d - 1, -1):
+        c = num[top]
+        if c:
+            base = top - d
+            for j, a in terms:
+                num[base + j] -= c * a
+    del num[d:]
+    return num + [0] * (d - len(num))
 
 
-def _dickson_substitute(coeffs, j: int, m: int) -> CycloElement:
-    """x(D_j(b)) in Q(cos 2pi/m), b = 2cos(2pi/m), for x with power-basis
-    coordinates `coeffs`: Horner's rule modulo b's minimal polynomial."""
-    image = _reduce(P.dickson(j), m)
+@lru_cache(maxsize=None)
+def _dickson_image(j: int, m: int) -> tuple:
+    """D_j(b) modulo psi_m, b = 2cos(2pi/m): integer coordinates, trimmed."""
+    return P.trim(_reduce(P.dickson(j), m))
+
+
+def _dickson_substitute(x: CycloElement, j: int, m: int) -> CycloElement:
+    """x(D_j(b)) in Q(cos 2pi/m), b = 2cos(2pi/m): Horner's rule on the
+    integer numerators of x modulo psi_m, over x's denominator."""
+    image = _dickson_image(j, m)
     out = ()
-    for c in reversed(P.trim(coeffs)):
-        out = P.padd(_reduce(P.pmul(out, image), m), (c,))
-    return CycloElement(m, out)
+    for c in reversed(P.trim(x.num)):
+        out = _reduce(P.pmul(P.trim(out), image), m)
+        out[0] += c
+    return _element(m, out, x.den)
 
 
 # -- trigonometric constructors ---------------------------------------
@@ -299,6 +377,7 @@ def _power_traces(n: int) -> tuple:
     return tuple(sums)
 
 
+@lru_cache(maxsize=None)
 def sin2_pi_over(l: int, n: int) -> CycloElement:
     """sin^2(pi/l) = (1 - cos(2pi/l))/2 in Q(cos 2pi/n); requires l | n."""
     return (1 - CycloElement.cos2pi(1, l, n)) / 2

@@ -262,10 +262,11 @@ def fekete_bound_expr(field: RealCyclotomicField, intervals: dict, n: int) -> Ex
 
 def _over_one_denominator(elements) -> tuple[int, list[list[int]]]:
     """(L, vectors): L the least common denominator of the elements'
-    coordinates, and each element's coordinates times L, as integers."""
-    coords = [e.coeffs for e in elements]
-    den = lcm(*(x.denominator for c in coords for x in c))
-    return den, [[x.numerator * (den // x.denominator) for x in c] for c in coords]
+    coordinates (the lcm of their `den`s, as gcd(den, *num) = 1), and each
+    element's coordinates times L, as integers."""
+    elements = list(elements)
+    den = lcm(*(e.den for e in elements))
+    return den, [[x * (den // e.den) for x in e.num] for e in elements]
 
 
 @lru_cache(maxsize=None)
@@ -277,9 +278,9 @@ def _power_images(embedding: Embedding) -> tuple[tuple[int, ...], ...]:
     n = embedding.field.n
     rows = []
     for i in range(field_degree(n)):
-        image = embedding.apply(CycloElement(n, [0] * i + [1])).coeffs
-        assert all(x.denominator == 1 for x in image)
-        rows.append(tuple(x.numerator for x in image))
+        image = embedding.apply(CycloElement.from_numerators(n, [0] * i + [1], 1))
+        assert image.den == 1
+        rows.append(image.num)
     return tuple(rows)
 
 
@@ -313,12 +314,12 @@ def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
             if c:
                 form = [f + c * x for f, x in zip(form, vector)]
         if any(form[1:]):
-            value = CycloElement(field_n, [Fraction(f, total_den) for f in form])
+            value = CycloElement.from_numerators(field_n, form, total_den)
             sign = -1 if certify_sign(AlgConst(value)) == balls.LESS else 1
         else:
             sign = -1 if form[0] < 0 else 1
         total = [t + sign * f for t, f in zip(total, form)]
-    return CycloElement(field_n, [Fraction(t, total_den) for t in total])
+    return CycloElement.from_numerators(field_n, total, total_den)
 
 
 @dataclass(frozen=True)
@@ -339,8 +340,8 @@ def _coefficients_from_alpha(field, basis, alpha):
     one integer denominator of the basis."""
     den, vectors = _over_one_denominator(basis)
     columns = list(zip(*vectors))
-    return tuple(CycloElement(field.n, [Fraction(sum(a * x for a, x in zip(row, col)), den)
-                                        for col in columns])
+    return tuple(CycloElement.from_numerators(field.n, [sum(a * x for a, x in zip(row, col))
+                                                        for col in columns], den)
                  for row in alpha)
 
 

@@ -29,6 +29,8 @@ from .cyclo import CycloElement, _factorize, euler_phi, field_degree, gamma_norm
 from .errors import ElementNotInField, InvalidModulus
 
 RATIONAL_COSINE_MODULI = frozenset({3, 4, 6})
+# sin^2(pi/l) for l = 2 and the rational-cosine moduli
+_RATIONAL_SIN2 = {2: Fraction(1), 3: Fraction(3, 4), 4: Fraction(1, 2), 6: Fraction(1, 4)}
 
 
 def invariants(l: int) -> dict:
@@ -170,8 +172,7 @@ class RealCyclotomicField:
     def sin2(self, l: int) -> CycloElement:
         """sin^2(pi/l) as an element of the ambient Q(cos 2pi/n)."""
         if l in RATIONAL_COSINE_MODULI or l == 2:
-            value = {2: Fraction(1), 3: Fraction(3, 4), 4: Fraction(1, 2), 6: Fraction(1, 4)}[l]
-            return CycloElement.rational(self.n, value)
+            return CycloElement.rational(self.n, _RATIONAL_SIN2[l])
         if self.n % l:
             raise InvalidModulus(f"{l} does not divide ambient modulus {self.n}")
         return sin2_pi_over(l, self.n)
@@ -184,16 +185,15 @@ def field_norm(field: RealCyclotomicField, x) -> Fraction:
     x = field.element(x)
     if not field.contains(x):
         raise ElementNotInField(f"{x!r} is not fixed by the fixing group")
-    if field.degree == field_degree(field.n) and P.degree(P.trim(x.coeffs)) <= 1:
-        # full real cyclotomic field, linear element a + b*beta:
-        # N = (-b)^d * psi(-a/b) with psi the minimal polynomial of beta
+    if field.degree == field_degree(field.n) and not any(x.num[2:]):
+        # full real cyclotomic field, linear element (a + b*beta) / D:
+        # N = (-b)^d psi(-a/b) / D^d = (-1)^d sum_j psi_j (-a)^j b^(d-j) / D^d
+        # with psi the monic minimal polynomial of beta, all in integers
         psi = P.cos_minpoly(field.n)
         d = P.degree(psi)
-        a = x.coeffs[0]
-        b = x.coeffs[1] if len(x.coeffs) > 1 else Fraction(0)
-        if b == 0:
-            return a**d
-        return (-b) ** d * P.peval(psi, -a / b)
+        a, b = x.num[0], x.num[1] if len(x.num) > 1 else 0
+        return Fraction((-1) ** d * sum(c * (-a) ** j * b ** (d - j) for j, c in enumerate(psi)),
+                        x.den**d)
     prod = CycloElement.rational(field.n, 1)
     for emb in field.embeddings():
         prod = prod * emb.apply(x)
@@ -209,8 +209,7 @@ def norm_4sin2_closed_form(field: RealCyclotomicField, l: int) -> Fraction:
     (or a rational-cosine modulus).
     """
     if l in RATIONAL_COSINE_MODULI:
-        value = {3: Fraction(3), 4: Fraction(2), 6: Fraction(1)}[l]
-        return value**field.degree
+        return (4 * _RATIONAL_SIN2[l]) ** field.degree
     if l not in field.moduli and field.n % l:
         raise InvalidModulus(f"{l} is not a modulus of {field!r}")
     sub_degree = euler_phi(l) // 2

@@ -120,7 +120,7 @@ def _ln_prime_table() -> dict[int, tuple[int, int]]:
 
 
 @cache
-def _fixed_ln_prime(p: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+def _fixed_ln_prime(p: int, bits: int) -> tuple[int, int]:
     """Bounds of 2^bits ln p: the integer table at FIXED_BITS for
     p <= LN_TABLE_LIMIT, the rational kernel `_fixed_ln_ratio` otherwise."""
     if bits == FIXED_BITS and p <= LN_TABLE_LIMIT:
@@ -138,7 +138,7 @@ def _fixed_ln(n: int, bits: int = FIXED_BITS) -> tuple[int, int]:
 
 
 @cache
-def _ln2_fine(bits: int = FIXED_BITS) -> tuple[int, int]:
+def _ln2_fine(bits: int) -> tuple[int, int]:
     """Bounds of 2^W ln 2 = 2^W 2 atanh(1/3), W = bits + LN_GUARD_BITS."""
     lo, hi = _fixed_atanh_inverse(3, bits + LN_GUARD_BITS)
     return 2 * lo, 2 * hi
@@ -274,7 +274,7 @@ def _sinc_fine(x: int, bits: int = FIXED_BITS) -> tuple[int, int]:
 
 
 @cache
-def _fixed_neg_ln_sin(x: int, bits: int = FIXED_BITS) -> tuple[int, int]:
+def _fixed_neg_ln_sin(x: int, bits: int) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^bits (-ln sin(pi/x)) <= hi, for x >= 3.
 
     -ln sin(pi/x) = ln x - ln pi - ln(sin t / t) at t = pi/x.  The bounds

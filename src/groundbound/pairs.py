@@ -195,10 +195,14 @@ def is_exceptional(k: int, s: int) -> bool:
     return coefficient_sign(k, s) != balls.GREATER
 
 
+def _exceptional_pair(k: int, s: int) -> ExceptionalPair:
+    return ExceptionalPair(f"({k}, {s}) is an exceptional pair: Method B does not apply; "
+                           "Method A (pairs.exceptional_bound) bounds it")
+
+
 def _require_method_b(k: int, s: int) -> None:
     if is_exceptional(k, s):
-        raise ExceptionalPair(f"({k}, {s}) is an exceptional pair: Method B does not apply; "
-                              "Method A (pairs.exceptional_bound) bounds it")
+        raise _exceptional_pair(k, s)
 
 
 def pair_field_degree(k: int, s: int) -> int:
@@ -266,15 +270,18 @@ def pair_floor(k: int, s: int, kind: PairKind) -> int:
     [r_lo / (deg c_hi), r_hi / (deg c_lo)] when c_lo > 0.  So
     r_hi < deg c_lo proves ratio < 1 (floor 0), and r_lo > deg c_hi proves
     ratio > 1, with floor r_lo // (deg c_hi) when that equals
-    r_hi // (deg c_lo).  Bounds that leave the pair open, c_lo <= 0
-    included, are recomputed at the next precision (`_settle`); a ratio of
-    exactly 1, or a c(k, s) that is not positive, raises UndecidableError
-    at the cap.  64 bits settle every pair of `reproduce-all`.
+    r_hi // (deg c_lo).  A c(k, s) proven not positive (no term left, or
+    c_hi < 0) raises ExceptionalPair at once; bounds that leave the pair
+    open, c_lo <= 0 included, are recomputed at the next precision
+    (`_settle`), and a ratio of exactly 1 raises UndecidableError at the
+    cap.  64 bits settle every pair of `reproduce-all`.
     """
     deg = pair_field_degree(k, s)
 
     def attempt(bits: int) -> int | None:
         c_lo, c_hi = _fixed_coefficient(k, s, bits)
+        if c_hi < 0 or not _coefficient_terms(k, s):
+            raise _exceptional_pair(k, s)
         if c_lo <= 0:
             return None
         r_lo, r_hi = _fixed_rhs(k, s, kind, bits)
@@ -433,7 +440,7 @@ class ScanTable:
         self.limit = limit
         phi, spf, gamma = sieve_tables(limit)
         self.phi, self.spf = phi, spf
-        self.ln2_lo = _fixed_ln_prime(2)[0]
+        self.ln2_lo = _fixed_ln_prime(2, FIXED_BITS)[0]
         pi_hi = _to_fixed(*_pi_fine(FIXED_BITS))[1]
         ln_pi_lo = _to_fixed(*_ln_pi_fine(FIXED_BITS))[0]
         ln_hi = self.ln_hi = [0] * (limit + 1)
@@ -442,9 +449,9 @@ class ScanTable:
         a = pi_hi * pi_hi  # >= 2^128 pi^2
         for x in range(2, limit + 1):
             p = spf[x]
-            ln_hi[x] = ln_hi[x // p] + _fixed_ln_prime(p)[1]
+            ln_hi[x] = ln_hi[x // p] + _fixed_ln_prime(p, FIXED_BITS)[1]
             if gamma[x] != 1:
-                g_hi[x] = -(-_fixed_ln_prime(gamma[x])[1] // phi[x])
+                g_hi[x] = -(-_fixed_ln_prime(gamma[x], FIXED_BITS)[1] // phi[x])
             # t <= a/d, and t + t^2 / (2 (1 - t)) = a (2d - a) / (2d (d - a))
             # grows with t; rounded up
             d = 6 * x * x << 2 * FIXED_BITS

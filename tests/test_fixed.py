@@ -105,7 +105,7 @@ def test_ln_kernel_at_the_reduction_thresholds():
 def test_neg_ln_sin_kernel_for_every_modulus_up_to_4096():
     for x in range(3, 4097):
         value = _oracle(lambda: -iv.log(iv.sin(iv.pi / x)))
-        assert _encloses(_fixed_neg_ln_sin(x), value, 16), x
+        assert _encloses(_fixed_neg_ln_sin(x, FIXED_BITS), value, 16), x
         sinc = _oracle(lambda: iv.sin(iv.pi / x) / (iv.pi / x), FINE_BITS)
         assert _encloses(_sinc_fine(x), sinc, 64), x
 
@@ -163,7 +163,7 @@ def test_neg_ln_sin_kernel_past_the_ln_table():
     rng = random.Random(4097)
     for x in [LN_TABLE_LIMIT + 1, 10**7] + [rng.randint(LN_TABLE_LIMIT + 1, 10**7) for _ in range(200)]:
         value = _oracle(lambda: -iv.log(iv.sin(iv.pi / x)))
-        assert _encloses(_fixed_neg_ln_sin(x), value, 16), x
+        assert _encloses(_fixed_neg_ln_sin(x, FIXED_BITS), value, 16), x
 
 
 def test_coefficient_bounds_enclose_the_oracle():

@@ -483,7 +483,7 @@ def test_scan_bounds_enclose(kind):
     with mpmath.mp.workprec(256):
         for p in range(2, TAIL_START + 1):
             if bounds.spf[p] == p:
-                lo, hi = fixed._fixed_ln_prime(p)
+                lo, hi = fixed._fixed_ln_prime(p, fixed.FIXED_BITS)
                 assert lo <= mpmath.log(p) * scale <= hi, p
         assert bounds.ln2_lo <= mpmath.log(2) * scale
         assert bounds.ln_c_hi >= mpmath.log(kind.log_constant) * scale
@@ -589,7 +589,7 @@ def test_ln_prime_table_encloses_the_interval_logarithms():
         assert lo <= mpf_to_fraction(ball.lower) * scale, p
         assert mpf_to_fraction(ball.upper) * scale <= hi, p
         assert 0 < hi - lo <= 4, p
-        assert fixed._fixed_ln_prime(p) == (lo, hi)
+        assert fixed._fixed_ln_prime(p, fixed.FIXED_BITS) == (lo, hi)
 
 
 # The interval oracle of the per-pair certificate: c(k, s), rhs(k, s) and
@@ -686,6 +686,23 @@ def test_forced_fallback_gives_the_same_report(monkeypatch):
     assert raised == [(31, 3, 128)] * 2
 
 
+@pytest.mark.parametrize("k, s", [(7, 3), (4, 4)])
+def test_pair_floor_names_an_exceptional_pair_at_once(monkeypatch, k, s):
+    # c(7, 3) < 0 is proven by its 64-bit bounds and c(4, 4) = 0 exactly:
+    # pair_floor raises the ExceptionalPair of `_require_method_b` after one
+    # bound of c(k, s), instead of walking the precision schedule
+    real, asked = pairs._fixed_coefficient, []
+
+    def spy(k, s, bits):
+        asked.append((k, s, bits))
+        return real(k, s, bits)
+
+    monkeypatch.setattr(pairs, "_fixed_coefficient", spy)
+    with pytest.raises(ExceptionalPair, match=rf"^\({k}, {s}\) is an exceptional pair"):
+        pairs.pair_floor(k, s, G5)
+    assert asked == [(k, s, fixed.FIXED_BITS)]
+
+
 def test_bounds_that_never_settle_raise_naming_the_pair(monkeypatch):
     # bounds left open at every precision of the schedule, up to the cap,
     # raise UndecidableError naming the pair, never a sign or a floor
@@ -739,40 +756,20 @@ def test_reproduce_all_never_needs_the_ratio_ball(monkeypatch):
         assert raised == [], k_max
 
 
-def test_eval_ball_budget_of_reproduce_all(tmp_path):
-    # a fresh `reproduce-all --kmax 2000`, with every module binding of
-    # `eval_ball` spied, evaluates at most 200 balls: report rendering
-    # (each distinct decimal once per render), feasibility signs, one ln W
-    # per irrational leaf of a least-N solve, two floors and pi; no pair
-    # certificate and no rational datum of a solve encloses anything.  The
-    # floor only shows that the spy reached the calls.
+def _count_in_fresh_reproduce_all(setup: str, tmp_path, kmax: int = 2000) -> str:
+    """Run `setup`, then `reproduce-all --kmax kmax`, in a fresh
+    interpreter; return what the `count()` that `setup` defines gives
+    after the run (which must exit 1, for the documented divergences)."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    code = """
-import importlib, pkgutil, sys
-import groundbound
-from groundbound import balls
-
-real, calls = balls.eval_ball, []
-
-def spy(*args, **kwargs):
-    calls.append(1)
-    return real(*args, **kwargs)
-
-for info in pkgutil.walk_packages(groundbound.__path__, "groundbound."):
-    importlib.import_module(info.name)
-for name, module in list(sys.modules.items()):
-    if name == "groundbound" or name.startswith("groundbound."):
-        for attr, value in list(vars(module).items()):
-            if value is real:
-                setattr(module, attr, spy)
+    code = setup + f"""
 from groundbound.cli import main
 
-status = main(["reproduce-all", "--kmax", "2000", "--out", sys.argv[1]])
-print(len(calls))
+status = main(["reproduce-all", "--kmax", "{kmax}", "--out", sys.argv[1]])
+print(count())
 sys.exit(status)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -780,5 +777,104 @@ sys.exit(status)
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.text")],
                           capture_output=True, text=True, env=env, timeout=900)
     assert proc.returncode == 1, proc.stderr
-    calls = int(proc.stdout.split()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+# rebinds every module binding of the functions in `targets` (a dict of
+# function -> spy factory) across the imported groundbound package
+_REBIND = """
+import importlib, pkgutil, sys
+import groundbound
+
+def rebind(targets):
+    for info in pkgutil.walk_packages(groundbound.__path__, "groundbound."):
+        importlib.import_module(info.name)
+    spies = {id(real): make(real) for real, make in targets.items()}
+    for name, module in list(sys.modules.items()):
+        if name == "groundbound" or name.startswith("groundbound."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in spies:
+                    setattr(module, attr, spies[id(value)])
+"""
+
+
+def test_eval_ball_budget_of_reproduce_all(tmp_path):
+    # a fresh `reproduce-all --kmax 2000`, with every module binding of
+    # `eval_ball` spied, evaluates at most 200 balls: report rendering
+    # (each distinct decimal once per render), feasibility signs, one ln W
+    # per irrational leaf of a least-N solve, two floors and pi; no pair
+    # certificate and no rational datum of a solve encloses anything.  The
+    # floor only shows that the spy reached the calls.
+    setup = _REBIND + """
+from groundbound import balls
+
+calls = []
+
+def spying(real):
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    return spy
+
+rebind({balls.eval_ball: spying})
+
+def count():
+    return len(calls)
+"""
+    calls = int(_count_in_fresh_reproduce_all(setup, tmp_path))
     assert 190 < calls <= 200, calls
+
+
+def test_fraction_budget_of_reproduce_all(tmp_path):
+    # a fresh `reproduce-all --kmax 2000` constructs at most 3000
+    # `fractions.Fraction`s, imports included (2857 counted; 17073 while
+    # `CycloElement` held Fraction coordinates): the field arithmetic of the
+    # Method A bounds runs on integer numerators over one denominator.  The
+    # floor only shows that the spy reached the calls.
+    setup = """
+import sys
+from fractions import Fraction
+
+real, calls = Fraction.__new__, []
+
+def spy(cls, *args, **kwargs):
+    calls.append(1)
+    return real(cls, *args, **kwargs)
+
+Fraction.__new__ = staticmethod(spy)
+
+def count():
+    return len(calls)
+"""
+    calls = int(_count_in_fresh_reproduce_all(setup, tmp_path))
+    assert 2000 < calls <= 3000, calls
+
+
+def test_one_kernel_cache_entry_per_value(tmp_path):
+    # in a fresh `reproduce-all --kmax 10000000` every cached fixed-point
+    # kernel holds one entry per distinct value requested of it: no call
+    # site leans on a default precision that `functools.cache` would key
+    # apart from an explicit one
+    setup = _REBIND + """
+import inspect
+from groundbound import fixed
+
+kernels = (fixed._fixed_ln_prime, fixed._fixed_neg_ln_sin, fixed._ln2_fine)
+requested = {kernel: set() for kernel in kernels}
+
+def spying(kernel):
+    signature = inspect.signature(kernel)
+    def spy(*args, **kwargs):
+        requested[kernel].add(tuple(signature.bind(*args, **kwargs).arguments.values()))
+        return kernel(*args, **kwargs)
+    return spy
+
+rebind({kernel: spying for kernel in kernels})
+
+def count():
+    return " ".join(f"{k.cache_info().currsize}/{len(requested[k])}" for k in kernels)
+"""
+    counts = [tuple(map(int, pair.split("/")))
+              for pair in _count_in_fresh_reproduce_all(setup, tmp_path, 10**7).split()]
+    assert all(size == distinct for size, distinct in counts), counts
+    assert counts[0][0] >= 564, counts  # at least the ln p table's primes
