@@ -2,14 +2,16 @@
 
 Expressions are immutable trees over exact leaves (rationals, cyclotomic
 elements, pi, e) with ln/exp/sqrt/sin and rational-power nodes.
-`eval_ball` encloses the exact value in an outward-rounded interval
-computed on raw `mpmath.libmp` interval tuples (`libmpi` calls on (lo, hi)
-pairs of raw mpfs); it never touches `mpmath.iv`.  It walks the one
-precision schedule, `precisions` (64, 128, ... bits, also walked by the
-integer certificates of `pairs`), until its caller accepts the
-enclosure, never above the caller's cap.  `certify_compare` decides
-orderings with it (with an exact path for algebraic equalities) and
-`certified_floor` rounds down with it.
+`eval_ball` encloses the exact value between two integer endpoints over
+one power of two, [lo 2^e, hi 2^e], rounded outward at every node; the
+transcendental nodes run on the integer kernels of `fixed` (ln by atanh
+series, exp reduced by ln 2, sin and cos reduced by pi/2, pi by Machin's
+formula) and sqrt on `math.isqrt`.  It walks the one precision schedule,
+`precisions` (64, 128, ... bits, also walked by the integer certificates
+of `pairs`), until its caller accepts the enclosure, never above the
+caller's cap.  `certify_compare` decides orderings with it (with an exact
+path for algebraic equalities), `certified_floor` rounds down with it and
+`ball_str` prints the correctly rounded decimal it settles.
 """
 
 from __future__ import annotations
@@ -17,80 +19,36 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
-from mpmath import mp
-from mpmath.libmp import (
-    from_int, fzero, mpf_e, mpf_sign,
-    mpi_add, mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pow,
-    mpi_sin, mpi_sqrt, mpi_sub, round_ceiling, round_floor,
-)
-from mpmath.libmp.libmpi import mpi_pi
+from math import isqrt
 
 from .cyclo import CycloElement
 from .errors import DomainError, UndecidableError
+from .fixed import (
+    EQUAL, FIXED_BITS, GREATER, LESS, LN_GUARD_BITS, UNDECIDED,
+    _exp_fine, _ln_fine, _pi_fine, _shifted, _trig_fine,
+)
 
 DEFAULT_START_BITS = 64
 DEFAULT_CAP_BITS = 4096
 BALL_STR_DIGITS = 12
 BALL_STR_BITS = 192
 
-LESS = "LESS"
-GREATER = "GREATER"
-EQUAL = "EQUAL"
-UNDECIDED = "UNDECIDED"
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf (mpf values are dyadic)."""
-    raw = x._mpf_ if hasattr(x, "_mpf_") else mpmath.mpf(x)._mpf_
-    sign, man, exponent, _ = raw
-    if man == 0 and exponent == 0:
-        return Fraction(0)
-    value = Fraction(int(man)) * (Fraction(2) ** exponent)
-    return -value if sign else value
-
 
 @dataclass(frozen=True)
 class Ball:
-    """Interval enclosure of a real number.
+    """Interval enclosure [lo 2^exponent, hi 2^exponent] of a real number,
+    from an evaluation at `precision_bits`."""
 
-    `lower` and `upper` are exact dyadic endpoints (every mpf is exact);
-    `center` and `radius` are derived views with the radius padded so
-    that [center - radius, center + radius] always covers [lower, upper].
-    """
-
-    lower: mpmath.mpf
-    upper: mpmath.mpf
+    lo: int
+    hi: int
+    exponent: int
     precision_bits: int
 
-    @property
-    def center(self):
-        with mp.workprec(self.precision_bits + 32):
-            return (mp.mpf(self.lower) + mp.mpf(self.upper)) / 2
-
-    @property
-    def radius(self):
-        lo, hi = mpf_to_fraction(self.lower), mpf_to_fraction(self.upper)
-        center = mpf_to_fraction(self.center)
-        spread = max(hi - center, center - lo, Fraction(0))
-        with mp.workprec(64):
-            return mp.mpf(spread.numerator) / mp.mpf(spread.denominator) * (1 + mp.mpf(2) ** -40)
-
-    def contains(self, q) -> bool:
-        """Exact containment test for a rational (or float) value."""
-        if isinstance(q, (int, float)):
-            q = Fraction(q)
-        return mpf_to_fraction(self.lower) <= q <= mpf_to_fraction(self.upper)
-
     def certainly_positive(self) -> bool:
-        return mpf_sign(self.lower._mpf_) > 0
+        return self.lo > 0
 
     def certainly_negative(self) -> bool:
-        return mpf_sign(self.upper._mpf_) < 0
-
-    def __repr__(self):
-        return f"Ball({mpmath.nstr(self.center, 17)} +/- {mpmath.nstr(self.radius, 5)}, bits={self.precision_bits})"
+        return self.hi < 0
 
 
 # -- expression nodes ---------------------------------------------------
@@ -278,79 +236,282 @@ def as_expr(x) -> Expr:
 
 # -- interval evaluation -------------------------------------------------
 #
-# An enclosure is a raw libmp interval: a (lo, hi) pair of raw mpf tuples.
-# Every node makes the libmpi call mpmath's interval context would make at
-# the working precision `prec`, so the endpoints are the ones `mpmath.iv`
-# gives, without its object layer and without reading or changing the
-# global `mpmath.iv`.  Pure leaves (rationals, 2cos(2pi/n) and ln q for
-# rational q) are memoized per precision in bounded caches; a memoized
-# enclosure comes from the same calls at the same precision as an uncached
-# one would, so it has the same endpoints.
+# An enclosure is a triple (lo, hi, e) of integers with lo 2^e <= x <=
+# hi 2^e.  Every node works at the working precision `prec` (the ball's
+# bits plus 16): its result is rounded outward so that the larger endpoint
+# keeps `prec` significant bits (`_round`).  Pure leaves (rationals, e,
+# 2cos(2pi/n) and ln q for rational q) are memoized per precision in
+# bounded caches; a memoized enclosure is the one a fresh evaluation
+# gives.
 
 LEAF_CACHE_SIZE = 2048
+ZERO_IV = (0, 0, 0)
+ONE_IV = (1, 1, 0)
 
 
-def _point(n: int, prec: int):
-    """The integer n rounded outward to `prec` bits."""
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+class _Inconclusive(Exception):
+    """Internal: the interval is too wide to evaluate at this precision."""
+
+
+def _round(lo: int, hi: int, e: int, prec: int):
+    """[lo, hi] 2^e rounded outward to `prec` bits of its larger endpoint."""
+    n = max(abs(lo), abs(hi)).bit_length() - prec
+    if n <= 0:
+        return lo, hi, e
+    return lo >> n, -(-hi >> n), e + n
+
+
+def _top(x) -> int:
+    """t with |x| < 2^t for every x of the enclosure (None for [0, 0])."""
+    lo, hi, e = x
+    n = max(-lo, hi).bit_length()
+    return n + e if n else None
+
+
+def _add(x, y, prec: int):
+    """x + y.  An operand below the other's rounding unit is first rounded
+    outward to that unit, so that no alignment shift exceeds prec bits."""
+    tx, ty = _top(x), _top(y)
+    if tx is None:
+        return _round(*y, prec)
+    if ty is None:
+        return _round(*x, prec)
+    t = max(min(x[2], y[2]), max(tx, ty) - prec - 4)
+    a, b = _shifted(x[0], x[2] - t)[0], _shifted(x[1], x[2] - t)[1]
+    c, d = _shifted(y[0], y[2] - t)[0], _shifted(y[1], y[2] - t)[1]
+    return _round(a + c, b + d, t, prec)
+
+
+def _neg(x):
+    return -x[1], -x[0], x[2]
+
+
+def _mul(x, y, prec: int):
+    (a, b, e), (c, d, f) = x, y
+    products = (a * c, a * d, b * c, b * d)
+    return _round(min(products), max(products), e + f, prec)
+
+
+def _div(x, y, prec: int):
+    """x / y for y certified nonzero (0 outside [c, d]): the four end
+    quotients, each carried to prec + 2 bits and rounded outward."""
+    (a, b, e), (c, d, f) = x, y
+    if a == b == 0:
+        return ZERO_IV
+    s = max(prec + 2 + max(-c, d).bit_length() - max(-a, b).bit_length(), 0)
+    lows = [(n << s) // m for n in (a, b) for m in (c, d)]
+    highs = [-((-n << s) // m) for n in (a, b) for m in (c, d)]
+    return _round(min(lows), max(highs), e - f - s, prec)
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
 def _ratio(num: int, den: int, prec: int):
-    return mpi_div(_point(num, prec), _point(den, prec), prec)
+    """num / den (den > 0), exact when it is dyadic with at most prec bits."""
+    s = max(prec + 1 + den.bit_length() - abs(num).bit_length(), 0)
+    q, r = divmod(num << s, den)
+    return _round(q, q + (r != 0), -s, prec)
 
 
 def _fraction(q: Fraction, prec: int):
     return _ratio(q.numerator, q.denominator, prec)
 
 
-@lru_cache(maxsize=LEAF_CACHE_SIZE)
-def _beta(n: int, prec: int):
-    """2cos(2pi/n)."""
-    two = _point(2, prec)
-    angle = mpi_div(mpi_mul(two, mpi_pi(prec), prec), _point(n, prec), prec)
-    return mpi_mul(two, mpi_cos(angle, prec), prec)
+def _hull(lo: int, e: int, hi: int, f: int, prec: int):
+    """[lo 2^e, hi 2^f] as one enclosure."""
+    t = min(e, f)
+    return _round(lo << (e - t), hi << (f - t), t, prec)
+
+
+def _ln_bounds(num: int, den: int, prec: int):
+    """ln(num/den) for num, den > 0, from `fixed._ln_fine`; a value near
+    1, where ln is near 0, gets as many extra bits as |num/den - 1| has
+    leading zeros, and ln 1 is exactly 0."""
+    diff = num - den
+    if diff == 0:
+        return ZERO_IV
+    bits = prec + max(den.bit_length() - abs(diff).bit_length(), 0)
+    lo, hi = _ln_fine(num, den, bits)
+    return lo, hi, -(bits + LN_GUARD_BITS)
+
+
+def _dyadic(m: int, e: int) -> tuple[int, int]:
+    """m 2^e as a quotient of integers."""
+    return (m << e, 1) if e >= 0 else (m, 1 << -e)
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
 def _ln_ratio(num: int, den: int, prec: int):
     if num <= 0:
         raise DomainError("ln of a certified-nonpositive value")
-    return mpi_log(_ratio(num, den, prec), prec)
+    return _round(*_ln_bounds(num, den, prec), prec)
 
 
-def _log(arg, prec: int):
-    if mpf_sign(arg[1]) <= 0:
+def _log(x, prec: int):
+    """ln is increasing: its lower bound at the lower end, its upper bound
+    at the upper end."""
+    lo, hi, e = x
+    if hi <= 0:
         raise DomainError("ln of a certified-nonpositive value")
-    if mpf_sign(arg[0]) <= 0:
+    if lo <= 0:
         raise _Inconclusive("ln argument not certified positive")
-    return mpi_log(arg, prec)
+    low = _ln_bounds(*_dyadic(lo, e), prec)
+    high = low if lo == hi else _ln_bounds(*_dyadic(hi, e), prec)
+    return _hull(low[0], low[2], high[1], high[2], prec)
+
+
+def _exp(x, prec: int):
+    """exp is increasing: `fixed._exp_fine` at each end."""
+    lo, hi, e = x
+    w = prec + LN_GUARD_BITS
+    a, b, k = _exp_fine(lo, e, prec)
+    j = k
+    if hi != lo:
+        _, b, j = _exp_fine(hi, e, prec)
+    return _hull(a, k - w, b, j - w, prec)
+
+
+def _trig(x, prec: int, quarter: int):
+    """sin (quarter = 0) or cos (quarter = 1) of an enclosure: the hull of
+    the values at its ends (`fixed._trig_fine`) and of the extrema +-1 at
+    every point (J / 2) pi with J of the right parity that the bounds of
+    2x / pi cannot rule out."""
+    lo, hi, e = x
+    lo_end = _trig_fine(lo, e, prec, quarter)
+    if lo == hi:
+        return _round(lo_end[0], lo_end[1], -lo_end[2], prec)
+    hi_end = _trig_fine(hi, e, prec, quarter)
+    w = max(lo_end[2], hi_end[2])
+    low = min(lo_end[0] << (w - lo_end[2]), hi_end[0] << (w - hi_end[2]))
+    high = max(lo_end[1] << (w - lo_end[2]), hi_end[1] << (w - hi_end[2]))
+    # the extrema of sin(v + quarter pi/2) lie at 2v / pi = J, J = quarter + 1 mod 2,
+    # with the value (-1)^(J // 2)
+    p = max(_top(x), 0)
+    pi_lo, pi_hi = _pi_fine(p)
+    n_lo = _shifted(lo, e + p + LN_GUARD_BITS + 1)[0]
+    n_hi = _shifted(hi, e + p + LN_GUARD_BITS + 1)[1]
+    # the integers between a lower bound of 2 lo 2^e / pi and an upper
+    # bound of 2 hi 2^e / pi
+    t_lo = -(-n_lo // (pi_hi if n_lo >= 0 else pi_lo))
+    t_hi = n_hi // (pi_lo if n_hi >= 0 else pi_hi)
+    j = t_lo + ((t_lo + quarter + 1) & 1)
+    if j <= t_hi:
+        if j + 2 <= t_hi or (j >> 1) & 1:
+            low = -1 << w
+        if j + 2 <= t_hi or not (j >> 1) & 1:
+            high = 1 << w
+    return _round(low, high, -w, prec)
+
+
+def _sqrt(x, prec: int):
+    """sqrt by `math.isqrt` on the ends scaled to an even power of two with
+    about 2 prec bits, rounded outward."""
+    lo, hi, e = x
+    if hi < 0:
+        raise DomainError("sqrt of a certified-negative value")
+    if lo < 0:
+        raise _Inconclusive("sqrt argument not certified nonnegative")
+    f = (e + hi.bit_length() - 2 * prec - 4) // 2
+    a, b = _shifted(lo, e - 2 * f)[0], _shifted(hi, e - 2 * f)[1]
+    r = isqrt(b)
+    return _round(isqrt(a), r + (r * r != b), f, prec)
+
+
+def _power(m: int, e: int, k: int, prec: int, up: bool):
+    """A lower (upper when `up`) bound of (m 2^e)^k, m >= 0, k >= 1, as
+    (n, exponent): square-and-multiply, every product of nonnegative
+    bounds cut to prec bits rounding down (up)."""
+    result, rs, base, bs = 1, 0, m, e
+    while True:
+        if k & 1:
+            result, rs = _cut(result * base, rs + bs, prec, up)
+        k >>= 1
+        if not k:
+            return result, rs
+        base, bs = _cut(base * base, 2 * bs, prec, up)
+
+
+def _cut(n: int, s: int, prec: int, up: bool):
+    drop = n.bit_length() - prec
+    if drop <= 0:
+        return n, s
+    return (-(-n >> drop) if up else n >> drop), s + drop
+
+
+def _pow_int(x, k: int, prec: int):
+    """x^k for an integer k: the end powers (`_power`), by the signs of
+    the ends and the parity of k; 1 / x^-k when k < 0."""
+    lo, hi, e = x
+    if k == 0:
+        return ONE_IV
+    if k < 0:
+        if lo <= 0 <= hi:
+            raise _Inconclusive("negative power of an interval containing zero")
+        return _div(ONE_IV, _pow_int(x, -k, prec + 8), prec)
+    w = prec + 8
+    if lo >= 0:
+        low, high = _power(lo, e, k, w, False), _power(hi, e, k, w, True)
+    elif hi <= 0:
+        low, high = _power(-hi, e, k, w, False), _power(-lo, e, k, w, True)
+        if k & 1:
+            low, high = (-high[0], high[1]), (-low[0], low[1])
+    elif k & 1:
+        low, high = _power(-lo, e, k, w, True), _power(hi, e, k, w, True)
+        low = -low[0], low[1]
+    else:
+        low, high = (0, 0), _power(max(-lo, hi), e, k, w, True)
+    return _hull(low[0], low[1], high[0], high[1], prec)
+
+
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
+def _e(prec: int):
+    return _exp(ONE_IV, prec)
+
+
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
+def _beta(n: int, prec: int):
+    """2cos(2pi/n), at 2pi/n enclosed from the bounds of pi."""
+    pi_lo, pi_hi = _pi_fine(prec)
+    angle = (2 * pi_lo // n, -(-2 * pi_hi // n), -(prec + LN_GUARD_BITS))
+    lo, hi, e = _trig(angle, prec, 1)
+    return lo, hi, e + 1
 
 
 def _cyclo(x: CycloElement, prec: int):
-    beta = _beta(x.n, prec)
-    acc = (fzero, fzero)
-    for c in reversed(x.coeffs):
-        acc = mpi_add(mpi_mul(acc, beta, prec), _fraction(c, prec), prec)
-    return acc
+    """(sum_i num[i] b^i) / den by an integer Horner scheme over the
+    enclosure of b = 2cos(2pi/n) in units of 2^-F: each product with b is
+    rounded outward to units of 2^-F, and the division by den at the end.
+    Every step can double the width (|b| <= 2), so F carries two bits per
+    coefficient beyond the precision and the coefficients' size."""
+    num, den = x.num, x.den
+    if not any(num[1:]):
+        return _ratio(num[0], den, prec)
+    size = max(abs(c) for c in num).bit_length() - den.bit_length()
+    b_lo, b_hi, be = _beta(x.n, prec + 8 + 2 * len(num) + max(size, 0))
+    f = -be
+    a_lo = a_hi = num[-1] << f
+    for c in reversed(num[:-1]):
+        products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+        a_lo = (min(products) >> f) + (c << f)
+        a_hi = -(-max(products) >> f) + (c << f)
+    return _round(a_lo // den, -(-a_hi // den), be, prec)
 
 
 def _iv_eval(expr: Expr, prec: int):
-    """Enclosure of `expr` at working precision `prec`."""
+    """Enclosure (lo, hi, e) of `expr` at working precision `prec`."""
     t = type(expr)
     if t is Const:
         return _fraction(expr.value, prec)
     if t is Add:
-        return mpi_add(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
+        return _add(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
     if t is Sub:
-        return mpi_sub(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
+        return _add(_iv_eval(expr.left, prec), _neg(_iv_eval(expr.right, prec)), prec)
     if t is Mul:
-        return mpi_mul(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
+        return _mul(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
     if t is Div:
         denom = _iv_eval(expr.right, prec)
-        if mpf_sign(denom[0]) <= 0 <= mpf_sign(denom[1]):
+        if denom[0] <= 0 <= denom[1]:
             raise _Inconclusive("division by an interval containing zero")
-        return mpi_div(_iv_eval(expr.left, prec), denom, prec)
+        return _div(_iv_eval(expr.left, prec), denom, prec)
     if t is Ln:
         arg = expr.arg
         if type(arg) is Const:
@@ -358,65 +519,53 @@ def _iv_eval(expr: Expr, prec: int):
             return _ln_ratio(q.numerator, q.denominator, prec)
         return _log(_iv_eval(arg, prec), prec)
     if t is Sin:
-        return mpi_sin(_iv_eval(expr.arg, prec), prec)
+        return _trig(_iv_eval(expr.arg, prec), prec, 0)
     if t is Neg:
-        return mpi_neg(_iv_eval(expr.arg, prec), prec)
+        return _neg(_iv_eval(expr.arg, prec))
     if t is Pow:
         arg = _iv_eval(expr.arg, prec)
         e = expr.exponent
         if e.denominator == 1:
-            k = e.numerator
-            if k < 0 and mpf_sign(arg[0]) <= 0 <= mpf_sign(arg[1]):
-                raise _Inconclusive("negative power of an interval containing zero")
-            return mpi_pow(arg, _point(k, prec), prec)
-        if mpf_sign(arg[1]) < 0:
+            return _pow_int(arg, e.numerator, prec)
+        if arg[1] < 0:
             raise DomainError("rational power of a certified-negative value")
-        if mpf_sign(arg[0]) <= 0:
+        if arg[0] <= 0:
             raise _Inconclusive("rational power argument not certified positive")
-        return mpi_exp(mpi_mul(mpi_log(arg, prec), _fraction(e, prec), prec), prec)
+        # exp(q ln x): the exponent's absolute error is exp's relative one,
+        # so it carries as many more bits as |q ln x| has
+        guard = prec + 8 + abs(_top(arg)).bit_length() + e.numerator.bit_length()
+        return _exp(_mul(_log(arg, guard), _fraction(e, guard), guard), prec)
     if t is Sqrt:
-        arg = _iv_eval(expr.arg, prec)
-        if mpf_sign(arg[1]) < 0:
-            raise DomainError("sqrt of a certified-negative value")
-        if mpf_sign(arg[0]) < 0:
-            raise _Inconclusive("sqrt argument not certified nonnegative")
-        return mpi_sqrt(arg, prec)
+        return _sqrt(_iv_eval(expr.arg, prec), prec)
     if t is ExpNode:
-        return mpi_exp(_iv_eval(expr.arg, prec), prec)
+        return _exp(_iv_eval(expr.arg, prec), prec)
     if t is AlgConst:
         return _cyclo(expr.value, prec)
     if t is _PiConst:
-        return mpi_pi(prec)
+        pi_lo, pi_hi = _pi_fine(prec)
+        return _round(pi_lo, pi_hi, -(prec + LN_GUARD_BITS), prec)
     if t is _EConst:
-        return mpf_e(prec, round_floor), mpf_e(prec, round_ceiling)
+        return _e(prec)
     raise TypeError(f"unknown expression node {expr!r}")
-
-
-class _Inconclusive(Exception):
-    """Internal: the interval is too wide to evaluate at this precision."""
 
 
 def _excludes_zero(ball: Ball) -> bool:
     return ball.certainly_positive() or ball.certainly_negative()
 
 
-def scaled(x, up: bool, bits: int) -> int:
-    """floor (ceil when `up`) of 2^bits x for an mpf
-    x = (-1)^sign man 2^exp, exact: a shift of the signed mantissa."""
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(-man if sign else man), exp + bits
-    if exp >= 0:
-        return man << exp
-    return -(-man >> -exp) if up else man >> -exp
+def scaled(ball: Ball, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits x <= hi for every x of the ball: its
+    ends shifted, the lower one rounded down and the upper one up."""
+    return _shifted(ball.lo, ball.exponent + bits)[0], _shifted(ball.hi, ball.exponent + bits)[1]
 
 
-def floor_of(x) -> int:
-    """Exact floor of an mpf."""
-    return scaled(x, False, 0)
+def floor_of(ball: Ball) -> int:
+    """Exact floor of the lower end of the ball."""
+    return _shifted(ball.lo, ball.exponent)[0]
 
 
 def within_one_integer_step(ball: Ball) -> bool:
-    return floor_of(ball.lower) == floor_of(ball.upper)
+    return floor_of(ball) == _shifted(ball.hi, ball.exponent)[0]
 
 
 def precisions(start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS):
@@ -447,17 +596,23 @@ def eval_ball(
     reason = "the start precision is above the cap"
     for bits in precisions(precision_bits, cap_bits):
         try:
-            lo_raw, hi_raw = _iv_eval(expr, bits + 16)
+            lo, hi, e = _iv_eval(expr, bits + 16)
         except _Inconclusive as exc:
             reason = exc
         else:
-            # make_mpf keeps the exact endpoint mantissas (no rounding)
-            ball = Ball(lower=mp.make_mpf(lo_raw), upper=mp.make_mpf(hi_raw),
-                        precision_bits=bits)
+            ball = Ball(lo, hi, e, bits)
             if accept is None or accept(ball):
                 return ball
             reason = "the enclosure is too wide"
     raise UndecidableError(f"evaluation failed below the precision cap: {reason}")
+
+
+def _fixed(expr: Expr, cap_bits: int = DEFAULT_CAP_BITS, accept=None,
+           bits: int = FIXED_BITS) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits * expr <= hi, from one enclosure
+    (`eval_ball` from 64 bits, never above `cap_bits`, raised until
+    `accept(ball)` when given)."""
+    return scaled(eval_ball(expr, cap_bits=cap_bits, accept=accept), bits)
 
 
 # -- exact simplification ----------------------------------------------
@@ -565,8 +720,6 @@ def pi_multiple(expr: Expr):
 
 
 def _isqrt_exact(n: int):
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -624,12 +777,58 @@ def certified_floor(expr) -> int:
     exact = exact_value(expr)
     if isinstance(exact, Fraction):
         return exact.numerator // exact.denominator
-    return floor_of(eval_ball(expr, accept=within_one_integer_step).lower)
+    return floor_of(eval_ball(expr, accept=within_one_integer_step))
+
+
+def _decimal(m: int, e: int) -> str:
+    """m 2^e correctly rounded (ties away from zero) to BALL_STR_DIGITS
+    significant digits, in the layout of mpmath's
+    `to_str(..., strip_zeros=False)`: fixed notation when the decimal
+    exponent x has min(-(digits // 3), -5) < x < digits, else
+    d.ddd...e+x."""
+    if m == 0:
+        return "0.0"
+    sign, m = ("-", -m) if m < 0 else ("", m)
+    num, den = _dyadic(m, e)
+    digits = BALL_STR_DIGITS
+    # 10^x <= m 2^e < 10^(x + 1); the estimate from the bit length is off by at most one
+    x = (m.bit_length() + e - 1) * 30103 // 100000
+    while True:
+        shift = digits - 1 - x
+        n, d = (num * 10 ** shift, den) if shift >= 0 else (num, den * 10 ** -shift)
+        if n < d * 10 ** (digits - 1):
+            x -= 1
+        elif n >= d * 10 ** digits:
+            x += 1
+        else:
+            break
+    q = (2 * n + d) // (2 * d)
+    if q == 10 ** digits:
+        q, x = q // 10, x + 1
+    text = str(q)
+    if min(-(digits // 3), -5) < x < digits:
+        if x < 0:
+            return f"{sign}0.{'0' * (-x - 1)}{text}"
+        return f"{sign}{text[:x + 1]}.{text[x + 1:]}"
+    return f"{sign}{text[0]}.{text[1:]}e{'+' if x >= 0 else ''}{x}"
 
 
 def ball_str(expr) -> str:
-    """Deterministic decimal rendering of an expression's ball midpoint:
-    BALL_STR_DIGITS digits of the enclosure at BALL_STR_BITS."""
-    ball = eval_ball(as_expr(expr), BALL_STR_BITS)
-    with mp.workprec(BALL_STR_BITS):
-        return mpmath.nstr(ball.center, BALL_STR_DIGITS, strip_zeros=False)
+    """The decimal of an expression's value to BALL_STR_DIGITS significant
+    digits, correctly rounded: both ends of the enclosure give it, from
+    BALL_STR_BITS up.  A value on a rounding tie (an exact rational) never
+    settles; it prints the midpoint of its BALL_STR_BITS enclosure."""
+    expr = as_expr(expr)
+    text = None
+
+    def settled(ball: Ball) -> bool:
+        nonlocal text
+        text = _decimal(ball.lo, ball.exponent)
+        return text == _decimal(ball.hi, ball.exponent)
+
+    try:
+        eval_ball(expr, BALL_STR_BITS, accept=settled)
+        return text
+    except UndecidableError:
+        ball = eval_ball(expr, BALL_STR_BITS)
+        return _decimal(ball.lo + ball.hi, ball.exponent - 1)

@@ -30,12 +30,12 @@ from fractions import Fraction
 
 from . import balls
 from .balls import (
-    AlgConst, Ball, Const, Div, E, Expr, Ln, Mul, Pow, Sqrt, as_expr, certify_compare,
+    AlgConst, Ball, Const, Div, E, Expr, Ln, Mul, Pow, Sqrt, _fixed, as_expr, certify_compare,
 )
 from .cyclo import CycloElement
 from .errors import DomainError, HypothesisViolated, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, field_discriminant
-from .fixed import FINE_BITS, _fixed, _fixed_ln, _fixed_sign, _ln_fine, _to_fixed
+from .fixed import FINE_BITS, FIXED_BITS, _fixed_ln, _fixed_sign, _ln_fine, _to_fixed
 
 SOLVE_LIMIT = 1_000_000
 ZERO = Const(Fraction(0))
@@ -160,7 +160,7 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
     def reaches(n: int) -> bool:
         """Certified f(n) >= 0: the sign of lo <= 2^64 f(n) <= hi, or when
         these straddle 0, GREATER or (on the exact path) EQUAL of the tree."""
-        l_lo, l_hi = _fixed_ln(2 * n + 2)
+        l_lo, l_hi = _fixed_ln(2 * n + 2, FIXED_BITS)
         lo = n * r_lo - m_deg * l_hi - b_hi - s_hi
         hi = n * r_hi - m_deg * l_lo - b_lo - s_lo
         sign = _fixed_sign(lo, hi, lambda: certify_compare(

@@ -180,8 +180,8 @@ class ChebyshevForms:
                 q = v.as_rational()
                 return q.numerator << p, q.denominator
             ball = balls.eval_ball(AlgConst(v), bits, max(bits, balls.DEFAULT_CAP_BITS))
-            sign, man, exp, _ = ball.center._mpf_
-            man, exp = int(-man if sign else man), exp + p
+            # the ball's midpoint, (lo + hi) 2^(exponent - 1), scaled by 2^p
+            man, exp = ball.lo + ball.hi, ball.exponent - 1 + p
             return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
         gammas = [[gamma(emb, g) for g in self.basis] for emb, _ in self.intervals]

@@ -22,8 +22,8 @@ by the searches of both families.  There is no float pre-filter: every
 discard is an integer inequality between fixed-point bounds (see
 `ScanTable`), built from the integer log kernels of `fixed`, the
 fixed-point kit shared with the least-N solver: ln p for the primes
-p <= 4096 (`fixed._ln_prime_table`) and ln pi (`fixed._ln_pi_fine`), with
-no interval evaluation but the one outward enclosure of pi.  A k is
+p <= 4096 (`fixed._ln_prime_table`), pi by Machin's formula and ln pi
+(`fixed._pi_fine`, `fixed._ln_pi_fine`), with no interval evaluation.  A k is
 dropped when phi(k) c_low(k) exceeds 4 rhs_max(k); for the other k only s
 with phi(s / gcd(k, s)) below the divisor bound T_k are enumerated; a pair
 is dropped when deg * c_lo > rhs_hi.  Every remaining pair outside the
@@ -445,18 +445,21 @@ class ScanTable:
         ln_pi_lo = _to_fixed(*_ln_pi_fine(FIXED_BITS))[0]
         ln_hi = self.ln_hi = [0] * (limit + 1)
         g_hi = self.g_hi = [0] * (limit + 1)
-        sin_hi = self.sin_hi = [0] * (limit + 1)
-        a = pi_hi * pi_hi  # >= 2^128 pi^2
         for x in range(2, limit + 1):
             p = spf[x]
             ln_hi[x] = ln_hi[x // p] + _fixed_ln_prime(p, FIXED_BITS)[1]
             if gamma[x] != 1:
                 g_hi[x] = -(-_fixed_ln_prime(gamma[x], FIXED_BITS)[1] // phi[x])
-            # t <= a/d, and t + t^2 / (2 (1 - t)) = a (2d - a) / (2d (d - a))
-            # grows with t; rounded up
-            d = 6 * x * x << 2 * FIXED_BITS
-            taylor = -(-(a * (2 * d - a) << FIXED_BITS) // (2 * d * (d - a)))
-            sin_hi[x] = ln_hi[x] - ln_pi_lo + taylor
+        # With a = pi_hi^2 >= 2^128 pi^2 and d = 6 x^2 2^128, t <= a/d, and
+        # t + t^2 / (2 (1 - t)) = a (2d - a) / (2d (d - a)) grows with t;
+        # rounded up.  Cancelling 2^64, 2^64 times it is the same rational
+        # a (2^129 D - a) / (D (2^193 D - 2^65 a)) at D = 6 x^2, whose
+        # integers are 64 bits shorter; a, a^2 and their shifts are made once.
+        a = pi_hi * pi_hi
+        c1, c2, c3 = a << 2 * FIXED_BITS + 1, a * a, a << FIXED_BITS + 1
+        self.sin_hi = sin_hi = [0, 0] + [
+            h - ln_pi_lo - ((c2 - c1 * d) // (d * ((d << 3 * FIXED_BITS + 1) - c3)))
+            for h, d in zip(ln_hi[2:], [6 * x * x for x in range(2, limit + 1)])]
         self.g_hi_max = g_hi[:3] + list(accumulate(g_hi[3:], max))
         self.sin_hi_max = sin_hi[:3] + list(accumulate(sin_hi[3:], max))
         self.phi_order = sorted(range(1, limit + 1), key=phi.__getitem__)
@@ -539,7 +542,7 @@ def tail_certificate(kind: PairKind, k_max: int, start: int = TAIL_START) -> Tai
             ball = eval_ball(lhs - rhs, accept=Ball.certainly_positive)
         except UndecidableError:
             raise UndecidableError(f"{kind.value} tail block [{a}, {b}] not certified") from None
-        slack = floor_of(ball.lower)
+        slack = floor_of(ball)
         min_slack = slack if min_slack is None else min(min_slack, slack)
         blocks += 1
         a = b

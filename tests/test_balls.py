@@ -27,49 +27,55 @@ from groundbound.balls import (
     certify_compare,
     eval_ball,
     exact_value,
-    mpf_to_fraction,
 )
 from groundbound.balls import AlgConst
 from groundbound.cyclo import CycloElement
 from groundbound.errors import DomainError, UndecidableError
 
+from enclosures import encloses, ends
+
 # frozen oracle value: ln(4/3) at 60 digits via mpmath
 LN_4_3 = Fraction("0.287682072451780927439219005993827431503509710897761056506666")
 
 
+def _width(ball):
+    lo, hi = ends(ball)
+    return hi - lo
+
+
 def test_pi_ball_tight():
     ball = eval_ball(PI, 64)
-    assert ball.radius < mpmath.mpf(2) ** -60
+    assert _width(ball) < Fraction(2, 2**60)
     with mpmath.mp.workprec(200):
-        pi_ref = mpf_to_fraction(+mpmath.mp.pi)  # within 2^-200 of pi
-    assert ball.contains(pi_ref)
+        man, exp = (+mpmath.mp.pi).man_exp  # within 2^-200 of pi
+    pi_ref = Fraction(man) * Fraction(2) ** exp
+    assert encloses(ball, pi_ref)
 
 
 def test_ln_one_exact_zero():
     ball = eval_ball(Ln(Const(Fraction(1))), 64)
-    assert ball.contains(Fraction(0))
+    assert encloses(ball, 0)
     assert exact_value(Ln(Const(Fraction(1)))) == 0
 
 
 def test_ln2_minus_ln32_128_bits():
     expr = Sub(Ln(Const(Fraction(2))), Ln(Const(Fraction(3, 2))))
     ball = eval_ball(expr, 128)
-    assert ball.radius < mpmath.mpf(2) ** -120
-    assert ball.contains(LN_4_3)
+    assert _width(ball) < Fraction(2, 2**120)
+    assert encloses(ball, LN_4_3)
 
 
 def test_containment_across_precisions():
     for expr in (Mul(Sin(Div(PI, Const(Fraction(3)))), Sin(Div(PI, Const(Fraction(3))))),
                  Sqrt(Const(Fraction(9, 4))),
                  Sub(Ln(Const(Fraction(2))), Ln(Const(Fraction(3, 2))))):
-        b64 = eval_ball(expr, 64)
-        b256 = eval_ball(expr, 256)
-        assert mpf_to_fraction(b64.lower) <= mpf_to_fraction(b256.lower)
-        assert mpf_to_fraction(b256.upper) <= mpf_to_fraction(b64.upper)
+        lo64, hi64 = ends(eval_ball(expr, 64))
+        lo256, hi256 = ends(eval_ball(expr, 256))
+        assert lo64 <= lo256 and hi256 <= hi64
     # known closed forms are contained
-    assert eval_ball(Sqrt(Const(Fraction(9, 4))), 64).contains(Fraction(3, 2))
+    assert encloses(eval_ball(Sqrt(Const(Fraction(9, 4))), 64), Fraction(3, 2))
     sin2 = Mul(Sin(Div(PI, Const(Fraction(3)))), Sin(Div(PI, Const(Fraction(3)))))
-    assert eval_ball(sin2, 64).contains(Fraction(3, 4))
+    assert encloses(eval_ball(sin2, 64), Fraction(3, 4))
 
 
 def test_compare_examples():
@@ -111,32 +117,28 @@ def test_domain_errors():
 
 def test_rational_power():
     ball = eval_ball(Pow(Const(Fraction(8)), Fraction(2, 3)), 64)
-    assert ball.contains(Fraction(4))
+    assert encloses(ball, 4)
     assert exact_value(Pow(Const(Fraction(3, 2)), Fraction(2))) == Fraction(9, 4)
 
 
 def test_exp_identity():
     assert exact_value(ExpNode(Const(Fraction(0)))) == 1
     ball = eval_ball(ExpNode(Const(Fraction(1))) - E, 64)
-    assert ball.contains(Fraction(0))
+    assert encloses(ball, 0)
 
 
-LEAF_MEMOS = (balls._ratio, balls._beta, balls._ln_ratio)
+LEAF_MEMOS = (balls._ratio, balls._e, balls._beta, balls._ln_ratio)
 
 
 def _leafy_expr():
-    """Every memoized leaf kind (rationals, 2cos(2pi/n), ln q), with
+    """Every memoized leaf kind (rationals, e, 2cos(2pi/n), ln q), with
     sin(pi/q) and ln sin(pi/q) evaluated node by node."""
     return (
-        Ln(Const(Fraction(7, 3)))
+        E * Ln(Const(Fraction(7, 3)))
         - Sin(Div(PI, Const(Fraction(31))))
         + AlgConst(CycloElement.cos2pi(1, 7))
         + Const(Fraction(-5, 11)) * Ln(Sin(Div(PI, Const(Fraction(9)))))
     )
-
-
-def _endpoints(ball):
-    return mpf_to_fraction(ball.lower), mpf_to_fraction(ball.upper)
 
 
 def test_global_interval_precision_untouched(monkeypatch):
@@ -167,7 +169,7 @@ def test_endpoints_independent_of_global_interval_precision():
         for prec in (10, 53, 300, 2000):
             mpmath.iv.prec = prec
             for bits in (64, 192):
-                seen.add((bits, _endpoints(eval_ball(_leafy_expr(), bits))))
+                seen.add((bits, ends(eval_ball(_leafy_expr(), bits))))
         assert len(seen) == 2
     finally:
         mpmath.iv.prec = old
@@ -175,11 +177,11 @@ def test_endpoints_independent_of_global_interval_precision():
 
 def test_memoized_leaves_match_fresh_evaluation():
     expr = _leafy_expr()
-    warm = [_endpoints(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
-    warm_again = [_endpoints(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
+    warm = [ends(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
+    warm_again = [ends(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
     for memo in LEAF_MEMOS:
         memo.cache_clear()
-    cold = [_endpoints(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
+    cold = [ends(eval_ball(expr, bits)) for bits in (64, 128, 1024)]
     assert warm == warm_again == cold
     assert all(lo < hi for lo, hi in cold)
 
@@ -319,10 +321,11 @@ def test_certified_floor_shared_by_pairs_and_polytopes():
 
 # -- the mpmath.iv oracle ----------------------------------------------------
 #
-# The evaluator as it ran on mpmath's interval context (`mpmath.ctx_iv`),
+# The evaluator written on mpmath's interval context (`mpmath.ctx_iv`),
 # every node through the ivmpf object layer and every leaf computed afresh.
-# `balls._iv_eval` works on raw libmp tuples and must give the same
-# endpoints and the same inconclusive/domain outcomes.
+# `balls._iv_eval` works on integer endpoints and must give the same
+# inconclusive/domain outcomes, enclosures that hold the oracle's at twice
+# the precision, and widths within twice the oracle's at the same one.
 
 ORACLE_PRECISIONS = (64, 80, 192, 1040, 4112)
 
@@ -490,20 +493,34 @@ def test_tuple_evaluator_matches_the_interval_context_oracle():
         "Pow k>=0", "Pow k<0", "Pow rational",
     }
     for prec in ORACLE_PRECISIONS:
-        iv = _oracle_context(prec)
+        iv, iv_fine = _oracle_context(prec), _oracle_context(2 * prec)
         outcomes = set()
         for expr in corpus:
             ours = _outcome(lambda: balls._iv_eval(expr, prec))
             oracle = _outcome(lambda: _oracle_eval(expr, iv))
-            if not isinstance(oracle, str):
-                oracle = oracle._mpi_
-            assert ours == oracle, (prec, str(expr))
-            outcomes.add(ours if isinstance(ours, str) else "enclosure")
+            kind = ours if isinstance(ours, str) else "enclosure"
+            assert kind == (oracle if isinstance(oracle, str) else "enclosure"), (prec, str(expr))
+            outcomes.add(kind)
+            if kind != "enclosure":
+                continue
+            lo, hi = ends(balls.Ball(*ours, prec))
+            fine_lo, fine_hi = _iv_ends(_oracle_eval(expr, iv_fine))
+            assert lo <= fine_lo and fine_hi <= hi, (prec, str(expr))
+            oracle_lo, oracle_hi = _iv_ends(oracle)
+            assert hi - lo <= 2 * (oracle_hi - oracle_lo), (prec, str(expr))
         assert outcomes == {"enclosure", "inconclusive", "domain"}, prec
         leaf_outcomes = [_outcome(lambda: balls._iv_eval(leaf, prec))
                          for leaf in ln_sin_leaves]
         assert [o if isinstance(o, str) else "enclosure" for o in leaf_outcomes] == [
             "enclosure", "enclosure", "inconclusive", "domain"], prec
+
+
+def _iv_ends(value):
+    """The exact ends of an mpmath interval."""
+    out = []
+    for sign, man, exp, _ in value._mpi_:
+        out.append((-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp)
+    return out
 
 
 def _concrete_node_types():
@@ -535,3 +552,100 @@ def test_every_node_survives_copy_and_pickle():
             assert type(y) is type(x) and y == x and hash(y) == hash(x), x
             assert str(y) == str(x)
     assert pickle.loads(pickle.dumps(PI)) is PI and copy.deepcopy(E) is E
+
+
+# -- the evaluator's sqrt, rational powers and decimals against mpmath ------
+
+
+def _mpmath_value(expr, prec):
+    """`expr` (Const leaves, Sqrt, Pow, Mul, PI, E) as an mpmath interval
+    at `prec` bits."""
+    return _oracle_eval(expr, _oracle_context(prec))
+
+
+def test_sqrt_and_rational_powers_enclose_the_oracle():
+    # every enclosure holds mpmath's at twice the working precision and is
+    # at most 16 units of its (bits + 16)-bit mantissa wide; an exact
+    # square root is exact
+    rng = random.Random(1414)
+    exponents = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-7, 3), Fraction(11, 2))
+    for bits in (64, 192, 1024):
+        prec = bits + 16
+        for _ in range(30):
+            q = Fraction(rng.randint(1, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40)))
+            for expr in [Sqrt(Const(q))] + [Pow(Const(q), e) for e in exponents]:
+                ball = eval_ball(expr, bits)
+                lo, hi = ends(ball)
+                fine_lo, fine_hi = _iv_ends(_mpmath_value(expr, 2 * prec))
+                assert lo <= fine_lo and fine_hi <= hi, (bits, str(expr))
+                assert max(-ball.lo, ball.hi).bit_length() <= prec and ball.hi - ball.lo <= 16, \
+                    (bits, str(expr))
+        for root in (1, 3, 2**39 + 1, 3**24):  # squares of at most 80 bits
+            exact = Fraction(root, 2**5)
+            assert ends(eval_ball(Sqrt(Const(exact * exact)), bits)) == (exact, exact), root
+
+
+def test_sin_and_cos_of_an_interval_hold_its_extrema():
+    # on [a, b] sin and cos reach +-1 wherever a multiple of pi/2 of the
+    # right parity lies inside; the enclosure holds the exact range
+    for a8 in range(-80, 80, 3):
+        for width8 in (1, 5, 13, 30, 60):
+            a, b = Fraction(a8, 8), Fraction(a8 + width8, 8)
+            x = (a8, a8 + width8, -3)
+            for quarter, f, extremum in ((0, mpmath.sin, Fraction(1, 2)), (1, mpmath.cos, Fraction(0))):
+                lo, hi = ends(balls.Ball(*balls._trig(x, 80, quarter), 64))
+                with mpmath.workprec(200):
+                    ma, mb = mpmath.mpf(a8) / 8, mpmath.mpf(a8 + width8) / 8
+                    values = [f(ma), f(mb)]
+                    j = int(mpmath.ceil(ma / mpmath.pi - float(extremum)))
+                    while (j + extremum) * mpmath.pi <= mb:
+                        values.append(mpmath.mpf((-1) ** j))
+                        j += 1
+                    low, high = min(values), max(values)
+                low, high = Fraction(*_ratio_of(low)), Fraction(*_ratio_of(high))
+                assert lo <= low and high <= hi, (a, b, quarter)
+                assert hi - lo <= high - low + Fraction(1, 2**60), (a, b, quarter)
+
+
+def _ratio_of(x):
+    """(numerator, denominator) of an mpf."""
+    man, exp = x.man_exp
+    man = -man if x < 0 else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _decimal_cases():
+    """Exact and irrational values from about 1e-20 to 1e30, both signs,
+    zero, integers, values next to both ends of fixed notation and values
+    that round up to the next power of ten."""
+    rng = random.Random(1212)
+    cases = [Const(Fraction(0)), Const(Fraction(7)), Const(Fraction(-3)),
+             Const(Fraction(10**11)), Const(Fraction(10**12)), Const(Fraction(-10**12 + 1))]
+    for k in range(-21, 31):
+        scale = Const(Fraction(10) ** k)
+        cases += [PI * scale, Sqrt(Const(Fraction(2))) * scale, -(E / scale),
+                  Const(Fraction(rng.randint(10**20, 10**40), 10**30) * Fraction(10) ** k)]
+    for k in (-6, -5, -4, 11, 12):  # both notation boundaries, and the carry into them
+        for digits in ("1", "9999999999999", "99999999999949", "123456789012345"):
+            value = Fraction(int(digits), 10 ** (len(digits) - 1)) * Fraction(10) ** k
+            cases += [Const(value), Const(-value), Const(value) + Const(Fraction(1, 10**40))]
+    return cases
+
+
+def test_ball_str_matches_mpmath_nstr():
+    # the correctly rounded 12-digit decimal, in mpmath's layout: fixed
+    # notation for decimal exponents -5 < x < 12, else d.ddd...e+x
+    for expr in _decimal_cases():
+        value = _mpmath_value(expr, 600)
+        with mpmath.workprec(600):
+            expected = mpmath.nstr(mpmath.mp.make_mpf(value.mid._mpi_[0]), 12, strip_zeros=False)
+        assert balls.ball_str(expr) == expected, str(expr)
+    assert balls.ball_str(Const(Fraction(0))) == "0.0"
+    assert balls.ball_str(Const(Fraction(10**12))) == "1.00000000000e+12"
+    assert balls.ball_str(Const(Fraction(-10**11))) == "-100000000000."
+    assert balls.ball_str(Const(Fraction(1, 10**5))) == "1.00000000000e-5"
+    assert balls.ball_str(Const(Fraction(1, 10**4))) == "0.000100000000000"
+    # a value on a rounding tie, or an exact zero reached through a tree
+    # that is not exact, never settles: the 192-bit midpoint is printed
+    assert balls.ball_str(Const(Fraction(10**13 + 5, 10**13))) in ("1.00000000000", "1.00000000001")
+    assert abs(float(balls.ball_str(Sin(PI)))) < 2.0**-150

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -12,6 +13,8 @@ from groundbound.cli import UsageError, main, parse_expr
 from groundbound.balls import eval_ball
 from fractions import Fraction
 
+from enclosures import encloses, midpoint
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -21,15 +24,15 @@ def run_cli(args, capsys):
 
 def test_expression_parser():
     ball = eval_ball(parse_expr("1/sqrt(2)"), 64)
-    assert abs(float(ball.center) - 2**-0.5) < 1e-15
+    assert abs(float(midpoint(ball)) - 2**-0.5) < 1e-15
     ball = eval_ball(parse_expr("16*e"), 64)
-    assert abs(float(ball.center) - 16 * 2.718281828459045) < 1e-12
+    assert abs(float(midpoint(ball)) - 16 * 2.718281828459045) < 1e-12
     ball = eval_ball(parse_expr("(1/2)^(3/4)"), 64)
-    assert abs(float(ball.center) - 0.5**0.75) < 1e-15
+    assert abs(float(midpoint(ball)) - 0.5**0.75) < 1e-15
     ball = eval_ball(parse_expr("sin(pi/7)"), 64)
-    assert abs(float(ball.center) - 0.4338837391175581) < 1e-12
+    assert abs(float(midpoint(ball)) - 0.4338837391175581) < 1e-12
     ball = eval_ball(parse_expr("ln(2) - ln(3/2)"), 64)
-    assert ball.contains(Fraction("0.2876820724517809274392190059938274315"))
+    assert encloses(ball, Fraction("0.2876820724517809274392190059938274315"))
 
 
 # S - 1 = sqrt(pi - q) with q the 50-digit truncation of pi, about 7.6e-26:
@@ -574,6 +577,30 @@ def test_cli_import_is_light():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_mpmath_at_run_time(tmp_path):
+    # mpmath is the tests' oracle only: importing the CLI and running
+    # `reproduce-all --kmax 2000` and the README's `fekete` and
+    # `bound-solve` examples leave it out of sys.modules
+    commands = [["reproduce-all", "--kmax", "2000", "--out", str(tmp_path / "report.txt")]]
+    commands += [argv for argv, _ in _readme_cli_lines() if argv[0] in ("fekete", "bound-solve")]
+    assert len(commands) == 3
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import groundbound.cli\n"
+        "seen = ['mpmath' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        groundbound.cli.main(argv)\n"
+        "    seen.append('mpmath' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True,
+                          text=True, timeout=300, env=env, check=True)
+    assert proc.stdout.strip() == "[False, False, False, False]"
 
 
 def _readme_cli_lines():

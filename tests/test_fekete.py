@@ -12,7 +12,6 @@ from groundbound.balls import (
     certify_compare,
     certify_sign,
     eval_ball,
-    mpf_to_fraction,
 )
 from groundbound.cyclo import CycloElement
 from groundbound.fekete import (
@@ -29,6 +28,8 @@ from groundbound.fekete import (
     lagrange_growth_bound,
 )
 from groundbound.fields import RealCyclotomicField, field_discriminant
+
+from enclosures import midpoint
 
 Q = RealCyclotomicField.rationals()
 F5 = RealCyclotomicField([5])
@@ -166,7 +167,7 @@ def test_certificate_worked_examples():
     cert = find_small_polynomial(Q, {emb: (F(-1, 2), F(1, 2))}, 2)
     assert not cert.is_zero()
     bound_ball = eval_ball(cert.theoretical_bound, 96)
-    assert abs(float(bound_ball.center) - 2 ** (2 / 3) * 3 / 4) < 1e-9
+    assert abs(float(midpoint(bound_ball)) - 2 ** (2 / 3) * 3 / 4) < 1e-9
     for sup in cert.sup_bounds:
         assert certify_compare(AlgConst(sup), cert.theoretical_bound) != GREATER
 
@@ -387,7 +388,7 @@ def _fraction_scaled_matrix(forms):
         v = emb.apply(g)
         if v.is_rational():
             return v.as_rational()
-        return mpf_to_fraction(eval_ball(AlgConst(v), bits, max(bits, DEFAULT_CAP_BITS)).center)
+        return midpoint(eval_ball(AlgConst(v), bits, max(bits, DEFAULT_CAP_BITS)))
 
     gammas = [[gamma(emb, g) * (1 << p) for g in forms.basis] for emb, _ in forms.intervals]
     return [[round(rows[s][i][k] * gammas[s][j]) for i, j in forms.col_indices()]

@@ -3,45 +3,42 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
-from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, fzero
+from mpmath import iv
 
 from groundbound import pairs
-from groundbound.balls import floor_of, mpf_to_fraction, scaled
+from groundbound.balls import Ball, floor_of, scaled, within_one_integer_step
 from groundbound.cyclo import euler_phi, gamma_norm_constant
 from groundbound.fixed import (
-    FINE_BITS, FIXED_BITS, LN_GUARD_BITS, LN_TABLE_LIMIT, _fixed_ln_prime, _fixed_ln_ratio,
-    _fixed_neg_ln_sin, _ln_fine, _sinc_fine,
+    FINE_BITS, FIXED_BITS, LN_GUARD_BITS, LN_TABLE_LIMIT, _exp_fine, _fixed_ln_prime,
+    _fixed_ln_ratio, _fixed_neg_ln_sin, _ln_fine, _machin, _pi_fine, _sinc_fine, _trig_fine,
 )
 
-
-def _fraction_scaled(x, up):
-    """The rounding `scaled` replaces: through the exact Fraction value."""
-    value = mpf_to_fraction(x) * (1 << FIXED_BITS)
-    return ceil(value) if up else floor(value)
+from enclosures import ends
 
 
 def test_scaled_matches_fraction_formula():
+    # `scaled` rounds the ends of a ball outward to units of 2^-64 by a
+    # shift; the Fraction formula is the reference
     rng = random.Random(6401)
-    raws = [fzero, from_man_exp(1, -FIXED_BITS), from_man_exp(-1, -FIXED_BITS),
-            from_man_exp(3, -FIXED_BITS - 1), from_man_exp(-3, -FIXED_BITS - 1)]
+    ends_ = [(0, 0), (1, 1), (-1, -1), (3, 3), (-3, -3)]
+    exponents = [-FIXED_BITS, -FIXED_BITS, -FIXED_BITS, -FIXED_BITS - 1, -FIXED_BITS - 1]
     for _ in range(3000):
-        man = rng.getrandbits(rng.randint(1, 160)) or 1
-        exp = rng.randint(-FIXED_BITS - 200, 60)  # 2^64 x is an integer from exp = -64 up
-        raws.append(from_man_exp(-man if rng.getrandbits(1) else man, exp))
+        a, b = (rng.getrandbits(rng.randint(1, 160)) * (-1) ** rng.getrandbits(1) for _ in range(2))
+        ends_.append((min(a, b), max(a, b)))
+        exponents.append(rng.randint(-FIXED_BITS - 200, 60))  # 2^64 x is an integer from -64 up
     below = above = negative = 0
-    for raw in raws:
-        x = mp.make_mpf(raw)
-        for up in (False, True):
-            got = scaled(x, up, FIXED_BITS)
-            assert type(got) is int
-            assert got == _fraction_scaled(x, up), (raw, up)
-        assert floor_of(x) == floor(mpf_to_fraction(x)), raw
-        below += raw[2] < -FIXED_BITS
-        above += raw[2] > -FIXED_BITS
-        negative += raw[0] == 1
+    for (lo, hi), e in zip(ends_, exponents):
+        ball = Ball(lo, hi, e, FIXED_BITS)
+        got = scaled(ball, FIXED_BITS)
+        low, high = ends(ball)
+        assert all(type(x) is int for x in got)
+        assert got == (floor(low * (1 << FIXED_BITS)), ceil(high * (1 << FIXED_BITS))), (lo, hi, e)
+        assert floor_of(ball) == floor(low), (lo, e)
+        assert within_one_integer_step(ball) == (floor(low) == floor(high)), (lo, hi, e)
+        below += e < -FIXED_BITS
+        above += e > -FIXED_BITS
+        negative += lo < 0
     assert below > 1000 and above > 500 and negative > 1000
-
 
 
 # -- the integer log kernels against a 300-bit interval oracle ----------------
@@ -63,8 +60,15 @@ def _encloses(bounds, value, width):
     hi - lo <= width."""
     lo, hi = bounds
     assert type(lo) is int and type(hi) is int
-    a, b = (mpf_to_fraction(mp.make_mpf(x)) for x in value._mpi_)
+    a, b = (_mpf_fraction(x) for x in value._mpi_)
     return lo <= a and b <= hi and hi - lo <= width
+
+
+def _mpf_fraction(raw) -> Fraction:
+    """The exact value of a raw mpf (sign, man, exp, bc)."""
+    sign, man, exp, _ = raw
+    value = Fraction(int(man)) * Fraction(2) ** exp
+    return -value if sign else value
 
 
 def _ln_oracle(a, b, bits=FIXED_BITS, prec=ORACLE_BITS):
@@ -108,6 +112,60 @@ def test_neg_ln_sin_kernel_for_every_modulus_up_to_4096():
         assert _encloses(_fixed_neg_ln_sin(x, FIXED_BITS), value, 16), x
         sinc = _oracle(lambda: iv.sin(iv.pi / x) / (iv.pi / x), FINE_BITS)
         assert _encloses(_sinc_fine(x), sinc, 64), x
+
+
+# -- the kernels of the interval evaluator against mpmath at twice the bits ---
+
+KERNEL_BITS = (16, 64, 128, 512, 2000)
+
+
+def _dyadic_arguments(rng, count):
+    """(m, e) for m 2^e of both signs, from about 2^-200 to 2^12 in size,
+    and next to multiples of pi/2, where sin or cos is small."""
+    out = [(1, 0), (-1, 0), (3, -1), (1, -200), (-5, -100), (7, 8), (-4095, 0)]
+    for q in (1, 2, 3, 4, 7, 100):  # q pi/2 to 50 bits
+        out += [(sign * (q * 884279719003555 // 2), -48) for sign in (1, -1)]
+    for _ in range(count):
+        m = rng.getrandbits(rng.randint(1, 100)) * rng.choice((1, -1)) or 1
+        out.append((m, rng.randint(-200, 12) - m.bit_length()))
+    return out
+
+
+def test_pi_kernel():
+    # Machin's formula, at most three units of 2^-w wide at the precision
+    # it is computed at and four once rounded to W
+    for bits in KERNEL_BITS + (4096,):
+        w = bits + LN_GUARD_BITS
+        assert _encloses(_pi_fine(bits), _oracle(lambda: iv.pi, w, 2 * w), 4), bits
+        assert _encloses(_machin(w), _oracle(lambda: iv.pi, w, 2 * w), 3), bits
+
+
+def test_exp_kernel_at_several_magnitudes_and_signs():
+    # lo 2^(k-W) <= exp(m 2^e) <= hi 2^(k-W), at most W units wide
+    rng = random.Random(2718)
+    for bits in KERNEL_BITS:
+        w = bits + LN_GUARD_BITS
+        for m, e in _dyadic_arguments(rng, 40):
+            lo, hi, k = _exp_fine(m, e, bits)
+            value = _oracle(lambda: iv.exp(iv.mpf(m) * iv.mpf(2) ** e), w - k, 2 * w + 32)
+            assert _encloses((lo, hi), value, w), (m, e, bits)
+    assert _exp_fine(0, 0, FIXED_BITS) == (1 << FINE_BITS, 1 << FINE_BITS, 0)
+
+
+def test_sin_and_cos_kernel_at_several_magnitudes_and_signs():
+    # lo <= 2^w' sin(v + quarter pi/2) <= hi with w' >= W, at most W units
+    # wide: w' grows as sin reaches 0, so the bounds keep W relative bits
+    rng = random.Random(3141)
+    for bits in KERNEL_BITS:
+        w = bits + LN_GUARD_BITS
+        for m, e in _dyadic_arguments(rng, 40):
+            for quarter, f in ((0, iv.sin), (1, iv.cos)):
+                lo, hi, w_out = _trig_fine(m, e, bits, quarter)
+                value = _oracle(lambda: f(iv.mpf(m) * iv.mpf(2) ** e), w_out, 2 * w_out + 32)
+                assert w_out >= w and _encloses((lo, hi), value, w), (m, e, bits, quarter)
+                assert max(-lo, hi).bit_length() >= w - 2 or w_out == w, (m, e, bits, quarter)
+    assert _trig_fine(0, 0, FIXED_BITS, 0) == (0, 0, FINE_BITS)
+    assert _trig_fine(0, 0, FIXED_BITS, 1) == (1 << FINE_BITS, 1 << FINE_BITS, FINE_BITS)
 
 
 def _log_combo(k: int, s: int) -> dict:

@@ -27,6 +27,8 @@ from groundbound.graphs import (
     symbolic_determinant,
 )
 
+from enclosures import encloses, midpoint
+
 
 def _upoly_eq(a, b):
     n = max(len(a), len(b))
@@ -217,7 +219,7 @@ def test_delta_is_the_squared_u_interval_length():
                 continue
             length = _independent_length(case, emb.representative)
             got = eval_ball(Sqrt(AlgConst(emb.apply(delta))), 96)
-            assert abs(float(got.center) - length) < 1e-9, (case.label(), emb)
+            assert abs(float(midpoint(got)) - length) < 1e-9, (case.label(), emb)
             checked.add((case.family, emb.is_identity))
     assert len(checked) == 10  # five families, identity and conjugate embeddings
 
@@ -244,7 +246,7 @@ def test_admissible_interval_length_formula():
                 # the u term vanishes, so u lies in (-l/2, l/2) and u^2 in [0, l^2/4)
                 length = length**2 / 4
             got = eval_ball(Sqrt(AlgConst(emb.apply(width_sq))), 96)
-            assert abs(float(got.center) - length) < 1e-9, (case.label(), variant, emb)
+            assert abs(float(midpoint(got)) - length) < 1e-9, (case.label(), variant, emb)
             checked.add((case.family, variant, emb.is_identity))
     assert len(checked) == 12  # six variants, identity and conjugate embeddings
 
@@ -271,7 +273,7 @@ def test_bound_problem_g5_exceptional_example():
     p = bound_problem(EdgeGraphCase(Family.G5, s=3, k=3))
     assert p.m_field_degree == 1 and p.exceptional_count == 1
     assert exact_value(p.r_ratio) == F(3, 4)
-    assert eval_ball(p.s_factor - Const(F(1568, 9)) * E, 64).contains(F(0))
+    assert encloses(eval_ball(p.s_factor - Const(F(1568, 9)) * E, 64), F(0))
     assert exact_value(p.b_disc_root) == 1
 
 
@@ -289,13 +291,13 @@ def test_bound_problem_g1_values():
     p = bound_problem(case, Variant.U)
     assert p.m_field_degree == 1
     ball = eval_ball(p.r_ratio, 96)
-    assert abs(float(ball.center) - 0.5**0.5) < 1e-12
+    assert abs(float(midpoint(ball)) - 0.5**0.5) < 1e-12
     case = EdgeGraphCase(Family.G1, s=3, k=3, r=5, p=3)
     p = bound_problem(case, Variant.U)
     assert p.m_field_degree == 2
-    assert eval_ball(p.b_disc_root * p.b_disc_root, 64).contains(F(5))
+    assert encloses(eval_ball(p.b_disc_root * p.b_disc_root, 64), F(5))
     ball = eval_ball(p.r_ratio, 96)
-    assert abs(float(ball.center) - 2 ** -1.5) < 1e-12
+    assert abs(float(midpoint(ball)) - 2 ** -1.5) < 1e-12
 
 
 def test_bound_problem_g3_usq_shape():
@@ -303,7 +305,7 @@ def test_bound_problem_g3_usq_shape():
     p = bound_problem(case, Variant.U_SQUARED)
     # R = N(D)^(1/2) / (N(sin^2(pi/r)) 4^M) = sqrt(6)/3 here
     ball = eval_ball(p.r_ratio, 96)
-    assert abs(float(ball.center) - 6**0.5 / 3) < 1e-12
+    assert abs(float(midpoint(ball)) - 6**0.5 / 3) < 1e-12
 
 
 def test_case_bound_certifies_feasibility_once(monkeypatch):

@@ -25,6 +25,8 @@ from groundbound.pairs import (
     _coefficient_float,
 )
 
+from enclosures import ends
+
 G5 = PairKind.GAMMA5
 G4 = PairKind.GAMMA4
 
@@ -577,17 +579,15 @@ def test_scan_counts_are_pinned(monkeypatch):
 def test_ln_prime_table_encloses_the_interval_logarithms():
     # the integer atanh table holds a 256-bit interval enclosure of ln p for
     # every prime p <= 4096, at most 4 units of 2^-64 wide
-    from groundbound.balls import mpf_to_fraction
-
     table = fixed._ln_prime_table()
     spf = pairs._smallest_prime_factors(TAIL_START)
     assert sorted(table) == [p for p in range(2, TAIL_START + 1) if spf[p] == p]
     assert len(table) == 564
     scale = 2**fixed.FIXED_BITS
     for p, (lo, hi) in table.items():
-        ball = eval_ball(Ln(Const(Fraction(p))), 256)
-        assert lo <= mpf_to_fraction(ball.lower) * scale, p
-        assert mpf_to_fraction(ball.upper) * scale <= hi, p
+        ball_lo, ball_hi = ends(eval_ball(Ln(Const(Fraction(p))), 256))
+        assert lo <= ball_lo * scale, p
+        assert ball_hi * scale <= hi, p
         assert 0 < hi - lo <= 4, p
         assert fixed._fixed_ln_prime(p, fixed.FIXED_BITS) == (lo, hi)
 
@@ -611,14 +611,14 @@ def rhs_expr(k: int, s: int, kind: PairKind) -> Expr:
 def _settles_ratio(ball: Ball) -> bool:
     """The ball sits inside one integer step and does not start at 1, so
     it gives floor(ratio) and decides ratio > 1."""
-    return within_one_integer_step(ball) and ball.lower != 1
+    return within_one_integer_step(ball) and ends(ball)[0] != 1
 
 
 def _ratio_floor(k: int, s: int, kind: PairKind) -> int:
     """floor(rhs / (deg c)) from one enclosure of the ratio."""
     ratio = rhs_expr(k, s, kind) / (Const(Fraction(pair_field_degree(k, s))) * coefficient_expr(k, s))
     try:
-        return floor_of(eval_ball(ratio, accept=_settles_ratio).lower)
+        return floor_of(eval_ball(ratio, accept=_settles_ratio))
     except UndecidableError:
         raise UndecidableError(f"Method-B ratio of ({k}, {s}) undecided") from None
 
@@ -848,6 +848,30 @@ def count():
 """
     calls = int(_count_in_fresh_reproduce_all(setup, tmp_path))
     assert 2000 < calls <= 3000, calls
+
+
+def test_fixed_ln_factorises_each_argument_once(tmp_path):
+    # `fixed._fixed_ln` is memoized, with `bits` required: a fresh
+    # `reproduce-all --kmax 2000` factorises each argument it asks for
+    # once (1428 factorisations of 54 distinct values before the memo)
+    setup = """
+import sys
+
+from groundbound import fixed
+
+real, calls = fixed._factorize, []
+
+def spy(n):
+    calls.append(n)
+    return real(n)
+
+fixed._factorize = spy
+
+def count():
+    return f"{len(calls)} {len(set(calls))}"
+"""
+    calls, distinct = map(int, _count_in_fresh_reproduce_all(setup, tmp_path).split())
+    assert calls == distinct > 10, (calls, distinct)
 
 
 def test_one_kernel_cache_entry_per_value(tmp_path):
