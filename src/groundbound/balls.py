@@ -7,11 +7,12 @@ one power of two, [lo 2^e, hi 2^e], rounded outward at every node; the
 transcendental nodes run on the integer kernels of `fixed` (ln by atanh
 series, exp reduced by ln 2, sin and cos reduced by pi/2, pi by Machin's
 formula) and sqrt on `math.isqrt`.  It walks the one precision schedule,
-`precisions` (64, 128, ... bits, also walked by the integer certificates
-of `pairs`), until its caller accepts the enclosure, never above the
-caller's cap.  `certify_compare` decides orderings with it (with an exact
-path for algebraic equalities), `certified_floor` rounds down with it and
-`ball_str` prints the correctly rounded decimal it settles.
+`precisions` (64, 128, ... bits), until its caller accepts the enclosure,
+never above the caller's cap; `settle` walks the same schedule for the
+integer certificates of `bounds` and `pairs`.  `certify_compare` decides
+orderings with it (with an exact path for algebraic equalities),
+`certified_floor` rounds down with it and `ball_str` prints the correctly
+rounded decimal it settles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .fixed import (
     _exp_fine, _ln_fine, _pi_fine, _shifted, _trig_fine,
 )
 
-DEFAULT_START_BITS = 64
+# the first rung of every schedule is the fixed-point unit of the integer certificates
+DEFAULT_START_BITS = FIXED_BITS
 DEFAULT_CAP_BITS = 4096
 BALL_STR_DIGITS = 12
 BALL_STR_BITS = 192
@@ -577,6 +579,18 @@ def precisions(start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP
         bits *= 2
 
 
+def settle(attempt, undecided: str, cap_bits: int = DEFAULT_CAP_BITS):
+    """The first result of attempt(bits) that is not None, for bits along
+    `precisions(DEFAULT_START_BITS, cap_bits)`; UndecidableError with the
+    message `undecided` when none settles.  The one precision policy of
+    the integer certificates (`bounds.solve`, `pairs`)."""
+    for bits in precisions(DEFAULT_START_BITS, cap_bits):
+        result = attempt(bits)
+        if result is not None:
+            return result
+    raise UndecidableError(undecided)
+
+
 def eval_ball(
     expr: Expr,
     precision_bits: int = DEFAULT_START_BITS,
@@ -605,14 +619,6 @@ def eval_ball(
                 return ball
             reason = "the enclosure is too wide"
     raise UndecidableError(f"evaluation failed below the precision cap: {reason}")
-
-
-def _fixed(expr: Expr, cap_bits: int = DEFAULT_CAP_BITS, accept=None,
-           bits: int = FIXED_BITS) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^bits * expr <= hi, from one enclosure
-    (`eval_ball` from 64 bits, never above `cap_bits`, raised until
-    `accept(ball)` when given)."""
-    return scaled(eval_ball(expr, cap_bits=cap_bits, accept=accept), bits)
 
 
 # -- exact simplification ----------------------------------------------
@@ -817,7 +823,8 @@ def ball_str(expr) -> str:
     """The decimal of an expression's value to BALL_STR_DIGITS significant
     digits, correctly rounded: both ends of the enclosure give it, from
     BALL_STR_BITS up.  A value on a rounding tie (an exact rational) never
-    settles; it prints the midpoint of its BALL_STR_BITS enclosure."""
+    settles; it prints the midpoint of its BALL_STR_BITS enclosure, and an
+    exact zero reached through a tree that is not exact prints 0.0."""
     expr = as_expr(expr)
     text = None
 
@@ -830,5 +837,7 @@ def ball_str(expr) -> str:
         eval_ball(expr, BALL_STR_BITS, accept=settled)
         return text
     except UndecidableError:
+        if exact_value(expr) == 0:
+            return "0.0"
         ball = eval_ball(expr, BALL_STR_BITS)
         return _decimal(ball.lo + ball.hi, ball.exponent - 1)

@@ -12,11 +12,13 @@ The left side minus ln S, f(N) = N ln(1/R) - M ln(2N + 2) - ln B - ln S,
 is convex in N (its second derivative is M/(N + 1)^2 > 0) and f(1) < 0
 unless N = 1, so the certified predicate f(n) >= 0 is monotone in n and
 the least N is found by one doubling and bisection on it.  Every sign is
-certified by the one rule of `fixed._fixed_sign`: read off integer bounds
-of 2^64 f in the fixed-point kit of `fixed` (ln R, ln B and ln S from the
-integer log kernels, with one enclosure per irrational leaf, and the
-integer ln table), and only where those bounds straddle 0 certified by
-adaptive interval arithmetic on the full tree.
+settled the way the pair certificate of `pairs` settles its own: integer
+bounds of 2^bits f at bits = 64, 128, ... up to the cap (`balls.settle`),
+read by the one rule of `fixed._fixed_sign`.  ln R, ln B and ln S come
+from the integer log kernels along the product tree of each datum, with
+one enclosure per irrational leaf, and ln(2n + 2) from `fixed._fixed_ln`.
+`certify_compare` only finds an exact R = 1 or S = 1, which no bounds
+settle, and names a datum certified <= 0.
 
 `method_a_problem` is the one place that derives (M, B, R, S): every
 edge-graph case and every pair refinement supplies the squared width W of
@@ -27,19 +29,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from . import balls
 from .balls import (
-    AlgConst, Ball, Const, Div, E, Expr, Ln, Mul, Pow, Sqrt, _fixed, as_expr, certify_compare,
+    AlgConst, Const, Div, E, Expr, Ln, Mul, Pow, Sqrt, as_expr, certify_compare, eval_ball,
+    scaled, settle,
 )
 from .cyclo import CycloElement
 from .errors import DomainError, HypothesisViolated, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, field_discriminant
-from .fixed import FINE_BITS, FIXED_BITS, _fixed_ln, _fixed_sign, _ln_fine, _to_fixed
+from .fixed import LN_GUARD_BITS, _fixed_ln, _fixed_sign, _ln_fine, _to_fixed
 
 SOLVE_LIMIT = 1_000_000
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -107,69 +109,58 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
     N is found by doubling n from 1 and then bisecting, with f(low) < 0 and
     f(high) >= 0 certified at every step; the doubling stops at SOLVE_LIMIT.
 
-    ln R, ln B and ln S are bounded by integers in units of 2^-64
-    (`_fixed_ln_of`: the integer log kernels of `fixed` along the product
-    tree of each datum, one enclosure per irrational leaf); with
-    ln(2n + 2) from the integer atanh table (`fixed._fixed_ln`) they bound
-    2^64 f(n) between two integers.  `fixed._fixed_sign` reads R < 1, the
-    clamp of S and the sign of each probed f(n) off those bounds, and only
-    a sign whose bounds straddle 0 falls back to `certify_compare` on the
-    full expression tree.  `precision_cap` bounds every enclosure and every
-    fallback; UNDECIDED raises UndecidableError.  Evaluation starts at
-    `balls.DEFAULT_START_BITS`, so a smaller `precision_cap` could decide
-    nothing and is rejected.  R, B or S certified <= 0, or R not certified
-    < 1, raises HypothesisViolated.
+    Each sign is settled along `balls.settle`: at bits = 64, 128, ... up
+    to `precision_cap`, the bounds of 2^bits ln R, ln B and ln S
+    (`_fixed_ln_of`, once per datum and precision) and of ln(2n + 2)
+    (`fixed._fixed_ln`) bound 2^bits f(n) between two integers, and
+    `fixed._fixed_sign` reads R < 1, the clamp of S and each f(n) off
+    them.  Bounds of ln R or ln S that never settle go to
+    `certify_compare` against 1, whose exact path finds R = 1 or S = 1;
+    a probe that never settles raises UndecidableError naming N.  A cap
+    below `balls.DEFAULT_START_BITS` could decide nothing and is
+    rejected.  R, B or S certified <= 0, or R not certified < 1, raises
+    HypothesisViolated.
     """
     if precision_cap < balls.DEFAULT_START_BITS:
         raise InvalidInput(
             f"precision cap {precision_cap} is below {balls.DEFAULT_START_BITS} bits"
         )
-    ln_inv_r = -Ln(problem.r_ratio)
-    ln_r_lo, ln_r_hi = _fixed_ln_of("R", problem.r_ratio, precision_cap)
-    sign_r = _fixed_sign(ln_r_lo, ln_r_hi, lambda: certify_compare(
-        problem.r_ratio, ONE, cap_bits=precision_cap))
+
+    data = (("R", problem.r_ratio), ("B", problem.b_disc_root), ("S", problem.s_factor))
+    ln_r, ln_b, ln_s = (cache(partial(_fixed_ln_of, name, x, cap_bits=precision_cap))
+                        for name, x in data)
+
+    def against_one(x: Expr, ln_x) -> str:
+        """Ordering of x and 1 by the sign of ln x; bounds that never settle
+        (x = 1 exactly, say) go to `certify_compare` and its exact path."""
+        try:
+            return settle(lambda bits: _fixed_sign(*ln_x(bits)), "", precision_cap)
+        except UndecidableError:
+            return certify_compare(x, 1, cap_bits=precision_cap)
+
+    sign_r = against_one(problem.r_ratio, ln_r)
     if sign_r != balls.LESS:
         raise HypothesisViolated(f"R must be certified < 1 (got {sign_r})")
-    r_lo, r_hi = -ln_r_hi, -ln_r_lo
-    if r_lo <= 0:
-        # a positive lower bound for ln(1/R) makes the bounds of f grow with n
-        r_lo, r_hi = _fixed(ln_inv_r, precision_cap, Ball.certainly_positive)
-
-    b_lo, b_hi = _fixed_ln_of("B", problem.b_disc_root, precision_cap)
     # S <= 1 would make ln S negative; the theorem's proof assumes S > 1,
     # so clamp conservatively (but never on an undecided comparison).
-    s_lo, s_hi = _fixed_ln_of("S", problem.s_factor, precision_cap)
-    s_cmp = _fixed_sign(s_lo, s_hi, lambda: certify_compare(
-        problem.s_factor, ONE, cap_bits=precision_cap))
-    if s_cmp == balls.UNDECIDED:
+    sign_s = against_one(problem.s_factor, ln_s)
+    if sign_s == balls.UNDECIDED:
         raise UndecidableError("S vs 1 undecided below the precision cap")
-    if s_cmp != balls.GREATER:
-        s_lo = s_hi = 0
-    ln_s = Ln(problem.s_factor) if s_cmp == balls.GREATER else ZERO
-    ln_b = Ln(problem.b_disc_root)
+    if sign_s != balls.GREATER:
+        ln_s = lambda bits: (0, 0)
     m_deg = problem.m_field_degree
 
-    def lhs(n: int) -> Expr:
-        return (
-            Const(Fraction(n)) * ln_inv_r
-            - Const(Fraction(m_deg)) * Ln(Const(Fraction(2 * n + 2)))
-            - ln_b
-            - ln_s
-        )
-
     def reaches(n: int) -> bool:
-        """Certified f(n) >= 0: the sign of lo <= 2^64 f(n) <= hi, or when
-        these straddle 0, GREATER or (on the exact path) EQUAL of the tree."""
-        l_lo, l_hi = _fixed_ln(2 * n + 2, FIXED_BITS)
-        lo = n * r_lo - m_deg * l_hi - b_hi - s_hi
-        hi = n * r_hi - m_deg * l_lo - b_lo - s_lo
-        sign = _fixed_sign(lo, hi, lambda: certify_compare(
-            lhs(n), ZERO, cap_bits=precision_cap))
-        if sign == balls.UNDECIDED:
-            raise UndecidableError(
-                f"inequality at N={n} undecided below {precision_cap} bits"
-            )
-        return sign != balls.LESS
+        """Certified f(n) >= 0: the sign of lo <= 2^bits f(n) <= hi at the
+        first precision where these do not straddle 0."""
+        def attempt(bits: int) -> str | None:
+            (r_lo, r_hi), (b_lo, b_hi), (s_lo, s_hi) = ln_r(bits), ln_b(bits), ln_s(bits)
+            l_lo, l_hi = _fixed_ln(2 * n + 2, bits)
+            return _fixed_sign(-n * r_hi - m_deg * l_hi - b_hi - s_hi,
+                               -n * r_lo - m_deg * l_lo - b_lo - s_lo)
+
+        return settle(attempt, f"inequality at N={n} undecided below {precision_cap} bits",
+                      precision_cap) == balls.GREATER
 
     # double high from 1 until f(high) >= 0 is certified; each high that
     # fails becomes low, and convexity gives f < 0 on all of 1..low
@@ -192,20 +183,20 @@ class _NotProduct(Exception):
     """Internal: the datum is not a product tree over positive leaves."""
 
 
-def _fixed_ln_of(name: str, x: Expr, cap_bits: int) -> tuple[int, int]:
-    """Fixed-point bounds of ln x for the datum `name`.
+def _fixed_ln_of(name: str, x: Expr, bits: int, cap_bits: int) -> tuple[int, int]:
+    """Bounds of 2^bits ln x for the datum `name`.
 
     A product tree over positive leaves (`_ln_product`) is read off the
-    integer log kernels; any other datum gets one enclosure of ln x,
-    and HypothesisViolated when x is certified <= 0."""
+    integer log kernels; any other datum gets one enclosure of ln x from
+    `bits` up, and HypothesisViolated when x is certified <= 0."""
     try:
-        return _to_fixed(*_ln_product(x, cap_bits))
+        return _to_fixed(*_ln_product(x, bits, cap_bits))
     except _NotProduct:
         pass
     try:
-        return _fixed(Ln(x), cap_bits)
+        return scaled(eval_ball(Ln(x), bits, cap_bits), bits)
     except (DomainError, UndecidableError):
-        sign = certify_compare(x, ZERO, cap_bits=cap_bits)
+        sign = certify_compare(x, 0, cap_bits=cap_bits)
         if sign in (balls.LESS, balls.EQUAL):
             relation = "< 0" if sign == balls.LESS else "= 0"
             raise HypothesisViolated(
@@ -213,41 +204,42 @@ def _fixed_ln_of(name: str, x: Expr, cap_bits: int) -> tuple[int, int]:
         raise
 
 
-def _ln_product(x: Expr, cap_bits: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^FINE_BITS ln x <= hi, for x built from positive
-    leaves by Mul, Div, Sqrt and rational Pow; _NotProduct otherwise.
+def _ln_product(x: Expr, bits: int, cap_bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^W ln x <= hi, W = bits + LN_GUARD_BITS, for x
+    built from positive leaves by Mul, Div, Sqrt and rational Pow;
+    _NotProduct otherwise.
 
     ln of a product is the sum of the logarithms, so lower (upper) bounds
     add up, a quotient subtracts the upper (lower) bound of the divisor,
     and ln(a^q) = q ln a multiplies the bounds by q (swapped when q < 0),
     rounded outward.  A rational leaf q > 0 takes `fixed._ln_fine`, e takes
     ln e = 1 exactly, and an irrational `AlgConst` leaf takes one enclosure
-    of its logarithm; a leaf that is not certified positive, or any other
-    node, raises _NotProduct.
+    of its logarithm from `bits` up; a leaf that is not certified positive,
+    or any other node, raises _NotProduct.
     """
     t = type(x)
     if t is Mul or t is Div:
-        left_lo, left_hi = _ln_product(x.left, cap_bits)
-        right_lo, right_hi = _ln_product(x.right, cap_bits)
+        left_lo, left_hi = _ln_product(x.left, bits, cap_bits)
+        right_lo, right_hi = _ln_product(x.right, bits, cap_bits)
         if t is Mul:
             return left_lo + right_lo, left_hi + right_hi
         return left_lo - right_hi, left_hi - right_lo
     if t is Sqrt or t is Pow:
-        lo, hi = _ln_product(x.arg, cap_bits)
+        lo, hi = _ln_product(x.arg, bits, cap_bits)
         q = x.exponent if t is Pow else Fraction(1, 2)
         lo, hi = q.numerator * lo, q.numerator * hi
         if q < 0:
             lo, hi = hi, lo
         return lo // q.denominator, -(-hi // q.denominator)
     if x is E:
-        return 1 << FINE_BITS, 1 << FINE_BITS
+        return 1 << (bits + LN_GUARD_BITS), 1 << (bits + LN_GUARD_BITS)
     if t is AlgConst and not x.value.is_rational():
         try:
-            return _fixed(Ln(x), cap_bits, bits=FINE_BITS)
+            return scaled(eval_ball(Ln(x), bits, cap_bits), bits + LN_GUARD_BITS)
         except (DomainError, UndecidableError):
             raise _NotProduct from None
     if t is AlgConst or t is Const:
         q = x.value.as_rational() if t is AlgConst else x.value
         if q > 0:
-            return _ln_fine(q.numerator, q.denominator)
+            return _ln_fine(q.numerator, q.denominator, bits)
     raise _NotProduct

@@ -1,21 +1,19 @@
 """Fixed-point integer bounds: the one precision policy of every integer
 certificate, and the integer kernels under the interval evaluator.
 
-A real x is carried as two integers lo <= 2^bits x <= hi, at bits =
-FIXED_BITS unless a caller asks for more.  Sums of lower (upper) bounds
-stay lower (upper) bounds, so a certificate built from them is a chain of
-integer inequalities.  Both the pair search (`pairs`) and the least-N
-solver (`bounds`) read their signs this way, through one rule,
-`_fixed_sign`: GREATER when lo > 0, LESS when hi < 0, else the caller's
-fallback, built only then: a certified comparison in the solver, the
-same kernels at the next precision of `balls.precisions` in `pairs`.
+A real x is carried as two integers lo <= 2^bits x <= hi.  Sums of lower
+(upper) bounds stay lower (upper) bounds, so a certificate built from them
+is a chain of integer inequalities.  Both the pair search (`pairs`) and the
+least-N solver (`bounds`) read their signs this way, through one rule,
+`_fixed_sign`: GREATER when lo > 0, LESS when hi < 0, else None; both
+rerun their bounds at bits = FIXED_BITS, 128, ... up to the cap
+(`balls.settle`) until the rule gives a sign.
 
 Every value comes from integers; no module here imports `balls`:
 
-- `_ln_prime_table`: ln p at 64 bits for every prime p <= LN_TABLE_LIMIT,
-  from integer atanh series; `_fixed_ln` sums ln p along a factorisation.
 - `_ln_fine` / `_fixed_ln_ratio`: ln(a/b) for any positive rational, by a
-  power-of-2 reduction and one atanh series with a proven error bound.
+  power-of-2 reduction and one atanh series with a proven error bound;
+  `_fixed_ln` is its one cached form for ln of an integer.
 - `_pi_fine`: pi by Machin's formula.
 - `_fixed_neg_ln_sin`: -ln sin(pi/x) for x >= 3, as
   ln x - ln pi - ln(sin t / t) with an alternating series for sin t / t.
@@ -30,8 +28,6 @@ from __future__ import annotations
 
 from functools import cache
 
-from .cyclo import _factorize, _smallest_prime_factors
-
 # outcomes of a certified comparison (`balls.certify_compare`)
 LESS = "LESS"
 GREATER = "GREATER"
@@ -40,24 +36,19 @@ UNDECIDED = "UNDECIDED"
 
 # fixed-point bounds are integers in units of 2^-FIXED_BITS
 FIXED_BITS = 64
-# extra bits the integer log kernels carry before rounding to FIXED_BITS
+# extra bits the integer log kernels carry before rounding to `bits`
 LN_GUARD_BITS = 16
-# the integer ln p table covers the primes up to here
-LN_TABLE_LIMIT = 4096
-# working precision of the integer log kernels at FIXED_BITS
-FINE_BITS = FIXED_BITS + LN_GUARD_BITS
 
 
-def _fixed_sign(lo: int, hi: int, fallback) -> str:
+def _fixed_sign(lo: int, hi: int) -> str | None:
     """Certified sign of x from lo <= 2^bits x <= hi: GREATER when
-    lo > 0, LESS when hi < 0, else `fallback()`, called (and so built)
-    only when the bounds straddle 0: a certified comparison of x with 0,
-    or None to ask for more bits."""
+    lo > 0, LESS when hi < 0, None (ask for more bits) when the bounds
+    straddle 0."""
     if lo > 0:
         return GREATER
     if hi < 0:
         return LESS
-    return fallback()
+    return None
 
 
 def _to_fixed(lo: int, hi: int) -> tuple[int, int]:
@@ -88,56 +79,6 @@ def _fixed_atanh_inverse(n: int, bits: int) -> tuple[int, int]:
         j, power = j + 1, power * nn
         down, up = down // nn, -(-up // nn)
     hi -= -(one * nn) // ((2 * j + 1) * power * (nn - 1))
-    return lo, hi
-
-
-@cache
-def _ln_prime_table() -> dict[int, tuple[int, int]]:
-    """{p: (lo, hi)} with lo <= 2^FIXED_BITS ln p <= hi for the primes
-    p <= LN_TABLE_LIMIT, in integer arithmetic only.
-
-    ln p = ln(p - 1) + ln(p / (p - 1)) = ln(p - 1) + 2 atanh(1/(2p - 1)),
-    since (1 + y) / (1 - y) = p / (p - 1) at y = 1/(2p - 1); for p = 2 this
-    is ln 2 = 2 atanh(1/3).  ln(p - 1) is the sum of the bounds of the
-    smaller primes along the factorisation of p - 1.  Bounds are carried
-    in units of 2^-FINE_BITS and sums of lower (upper)
-    bounds stay lower (upper) bounds; at the end lo is rounded down and hi
-    up to units of 2^-FIXED_BITS, so every enclosure still holds.
-    """
-    spf = _smallest_prime_factors(LN_TABLE_LIMIT)
-    fine: dict[int, tuple[int, int]] = {}
-    for p in range(2, LN_TABLE_LIMIT + 1):
-        if spf[p] != p:
-            continue
-        lo, hi = _fixed_atanh_inverse(2 * p - 1, FINE_BITS)
-        lo, hi = 2 * lo, 2 * hi
-        x = p - 1
-        while x > 1:
-            q = spf[x]
-            lo, hi = lo + fine[q][0], hi + fine[q][1]
-            x //= q
-        fine[p] = lo, hi
-    return {p: _to_fixed(lo, hi) for p, (lo, hi) in fine.items()}
-
-
-@cache
-def _fixed_ln_prime(p: int, bits: int) -> tuple[int, int]:
-    """Bounds of 2^bits ln p: the integer table at FIXED_BITS for
-    p <= LN_TABLE_LIMIT, the rational kernel `_fixed_ln_ratio` otherwise."""
-    if bits == FIXED_BITS and p <= LN_TABLE_LIMIT:
-        return _ln_prime_table()[p]
-    return _fixed_ln_ratio(p, 1, bits)
-
-
-@cache
-def _fixed_ln(n: int, bits: int) -> tuple[int, int]:
-    """Bounds of 2^bits ln n for n >= 1, summed along its factorisation
-    (found once per value: `bits` has no default, so one value is one
-    cache entry)."""
-    lo = hi = 0
-    for p, v in _factorize(n):
-        a, b = _fixed_ln_prime(p, bits)
-        lo, hi = lo + v * a, hi + v * b
     return lo, hi
 
 
@@ -208,6 +149,14 @@ def _ln_fine(a: int, b: int, bits: int = FIXED_BITS) -> tuple[int, int]:
 def _fixed_ln_ratio(a: int, b: int, bits: int = FIXED_BITS) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^bits ln(a/b) <= hi, for integers a, b > 0."""
     return _to_fixed(*_ln_fine(a, b, bits))
+
+
+@cache
+def _fixed_ln(n: int, bits: int) -> tuple[int, int]:
+    """Bounds of 2^bits ln n for an integer n >= 1: the one kernel for ln
+    of an integer, memoized (`bits` has no default, so one value is one
+    cache entry)."""
+    return _fixed_ln_ratio(n, 1, bits)
 
 
 def _atan_inverse(n: int, w: int) -> tuple[int, int]:

@@ -22,7 +22,7 @@ by the searches of both families.  There is no float pre-filter: every
 discard is an integer inequality between fixed-point bounds (see
 `ScanTable`), built from the integer log kernels of `fixed`, the
 fixed-point kit shared with the least-N solver: ln p for the primes
-p <= 4096 (`fixed._ln_prime_table`), pi by Machin's formula and ln pi
+p <= 4096 (`fixed._fixed_ln`), pi by Machin's formula and ln pi
 (`fixed._pi_fine`, `fixed._ln_pi_fine`), with no interval evaluation.  A k is
 dropped when phi(k) c_low(k) exceeds 4 rhs_max(k); for the other k only s
 with phi(s / gcd(k, s)) below the divisor bound T_k are enumerated; a pair
@@ -32,13 +32,14 @@ certificate, `pair_floor`, for any k: integer bounds of rhs (-ln sin from
 `fixed._fixed_neg_ln_sin`) and of c(k, s) (`_fixed_coefficient`) decide
 survival and the floor of rhs / (deg c) together.  `coefficient_sign`
 and `pair_floor` rerun their integer bounds along the one precision
-schedule `balls.precisions` (64 bits first) until they settle, and raise
-UndecidableError at the cap; there is no interval-expression path, and
-`reproduce-all` never needs more than 64 bits.  Any bound above 120 is
-refined through the least-N solver.  Pairs with 4096 < k <= k_max are
-ruled out by `tail_certificate`: the Rosser-Schoenfeld lower bound for
-phi (1962, Thm 15, with the constant 2.51) exceeds the survival budget on
-every dyadic block, each block decided by one certified comparison.
+schedule of the integer certificates, `balls.settle` (64 bits first, as
+in the least-N solver), until they settle, and raise UndecidableError at
+the cap; there is no interval-expression path, and `reproduce-all` never
+needs more than 64 bits.  Any bound above 120 is refined through the
+least-N solver.  Pairs with 4096 < k <= k_max are ruled out by
+`tail_certificate`: the Rosser-Schoenfeld lower bound for phi (1962,
+Thm 15, with the constant 2.51) exceeds the survival budget on every
+dyadic block, each block decided by one certified comparison.
 """
 
 from __future__ import annotations
@@ -52,22 +53,21 @@ from itertools import accumulate
 from math import gcd, log
 
 from . import balls
-from .balls import Ball, Const, Expr, Ln, certified_floor, eval_ball, floor_of, precisions
+from .balls import Ball, Const, Expr, Ln, certified_floor, eval_ball, floor_of, settle
 from .bounds import BoundProblem, method_a_problem, solve
 from .cyclo import _smallest_prime_factors, euler_phi, gamma_norm_constant
 from .errors import ExceptionalPair, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, norm_4sin2_closed_form
 from .fixed import (
-    FIXED_BITS, LN_TABLE_LIMIT, _fixed_ln, _fixed_ln_prime, _fixed_neg_ln_sin, _fixed_sign,
-    _ln_pi_fine, _pi_fine, _to_fixed,
+    FIXED_BITS, _fixed_ln, _fixed_neg_ln_sin, _fixed_sign, _ln_pi_fine, _pi_fine, _to_fixed,
 )
 from .graphs import Family, FamilyTable, Variant, family_bound, variant_width
 
 LN2 = log(2.0)
 REFINE_THRESHOLD = 120
-# the sieve and the pair scan stop here, where the integer ln p table of
-# `fixed` ends; tail_certificate covers larger k
-TAIL_START = LN_TABLE_LIMIT
+# the sieve limit: the sieve and the pair scan cover k up to here, and
+# tail_certificate, whose dyadic blocks certify from here on, covers larger k
+TAIL_START = 4096
 # Rosser-Schoenfeld, "Approximate formulas for some functions of prime
 # numbers", Illinois J. Math. 6 (1962), Thm 15: for n >= 3,
 #     phi(n) > n / (e^gamma ln ln n + 2.50637 / ln ln n)
@@ -153,7 +153,7 @@ def _fixed_term(num: int, den: int, p: int, bits: int = FIXED_BITS) -> tuple[int
     """Bounds of 2^bits (num / den) ln p, den > 0: the bounds of ln p
     times num, floored (ceiled) over den.  floor(num L / den) depends only
     on the value num / den, so any representation gives the same bounds."""
-    a, b = (num * x for x in _fixed_ln_prime(p, bits))
+    a, b = (num * x for x in _fixed_ln(p, bits))
     if num < 0:
         a, b = b, a
     return a // den, -(-b // den)
@@ -169,26 +169,15 @@ def _fixed_coefficient(k: int, s: int, bits: int = FIXED_BITS) -> tuple[int, int
     return lo, hi
 
 
-def _settle(attempt, undecided: str):
-    """The first result of attempt(bits) that is not None, for bits along
-    `balls.precisions` (64, 128, ... up to the cap); UndecidableError with
-    the message `undecided` when none settles."""
-    for bits in precisions():
-        result = attempt(bits)
-        if result is not None:
-            return result
-    raise UndecidableError(undecided)
-
-
 def coefficient_sign(k: int, s: int) -> str:
     """Certified sign of c(k, s): EQUAL exactly when no term is left
     (`_coefficient_terms`), else read off the integer bounds of
     `_fixed_coefficient` by `fixed._fixed_sign`, at more bits while they
-    straddle zero (`_settle`)."""
+    straddle zero (`balls.settle`)."""
     if not _coefficient_terms(k, s):
         return balls.EQUAL
-    return _settle(lambda bits: _fixed_sign(*_fixed_coefficient(k, s, bits), lambda: None),
-                   f"coefficient sign of ({k}, {s}) undecided")
+    return settle(lambda bits: _fixed_sign(*_fixed_coefficient(k, s, bits)),
+                  f"coefficient sign of ({k}, {s}) undecided")
 
 
 def is_exceptional(k: int, s: int) -> bool:
@@ -273,7 +262,7 @@ def pair_floor(k: int, s: int, kind: PairKind) -> int:
     r_hi // (deg c_lo).  A c(k, s) proven not positive (no term left, or
     c_hi < 0) raises ExceptionalPair at once; bounds that leave the pair
     open, c_lo <= 0 included, are recomputed at the next precision
-    (`_settle`), and a ratio of exactly 1 raises UndecidableError at the
+    (`balls.settle`), and a ratio of exactly 1 raises UndecidableError at the
     cap.  64 bits settle every pair of `reproduce-all`.
     """
     deg = pair_field_degree(k, s)
@@ -292,7 +281,7 @@ def pair_floor(k: int, s: int, kind: PairKind) -> int:
             return floor_kf
         return None
 
-    return _settle(attempt, f"Method-B ratio of ({k}, {s}) undecided")
+    return settle(attempt, f"Method-B ratio of ({k}, {s}) undecided")
 
 
 def pair_report(k: int, s: int, kind: PairKind, refine_above: int = REFINE_THRESHOLD) -> PairReport:
@@ -440,16 +429,16 @@ class ScanTable:
         self.limit = limit
         phi, spf, gamma = sieve_tables(limit)
         self.phi, self.spf = phi, spf
-        self.ln2_lo = _fixed_ln_prime(2, FIXED_BITS)[0]
+        self.ln2_lo = _fixed_ln(2, FIXED_BITS)[0]
         pi_hi = _to_fixed(*_pi_fine(FIXED_BITS))[1]
         ln_pi_lo = _to_fixed(*_ln_pi_fine(FIXED_BITS))[0]
         ln_hi = self.ln_hi = [0] * (limit + 1)
         g_hi = self.g_hi = [0] * (limit + 1)
         for x in range(2, limit + 1):
             p = spf[x]
-            ln_hi[x] = ln_hi[x // p] + _fixed_ln_prime(p, FIXED_BITS)[1]
+            ln_hi[x] = ln_hi[x // p] + _fixed_ln(p, FIXED_BITS)[1]
             if gamma[x] != 1:
-                g_hi[x] = -(-_fixed_ln_prime(gamma[x], FIXED_BITS)[1] // phi[x])
+                g_hi[x] = -(-_fixed_ln(gamma[x], FIXED_BITS)[1] // phi[x])
         # With a = pi_hi^2 >= 2^128 pi^2 and d = 6 x^2 2^128, t <= a/d, and
         # t + t^2 / (2 (1 - t)) = a (2d - a) / (2d (d - a)) grows with t;
         # rounded up.  Cancelling 2^64, 2^64 times it is the same rational

@@ -256,13 +256,14 @@ def test_eval_ball_accept_and_cap():
 
 def test_one_precision_schedule(monkeypatch):
     # `precisions` doubles from the start while at most the cap; `eval_ball`
-    # walks it, and `pairs` reads the same one
-    from groundbound import pairs
+    # walks it, and so does `settle`, the one walk of the integer
+    # certificates of `bounds` and `pairs`
+    from groundbound import bounds, pairs
 
     assert list(balls.precisions()) == [64, 128, 256, 512, 1024, 2048, 4096]
     assert list(balls.precisions(96, 400)) == [96, 192, 384]
     assert list(balls.precisions(256, 128)) == []
-    assert pairs.precisions is balls.precisions
+    assert pairs.settle is balls.settle and bounds.settle is balls.settle
     walked = []
     real = balls.precisions
 
@@ -275,6 +276,12 @@ def test_one_precision_schedule(monkeypatch):
     near_zero = PI - Const(PI_TRUNCATION)
     ball = eval_ball(near_zero, 64, accept=lambda b: b.certainly_positive())
     assert walked == [64, 128, 256] and ball.precision_bits == 256
+    walked.clear()
+    assert balls.settle(lambda bits: bits if bits >= 256 else None, "open") == 256
+    assert walked == [64, 128, 256]
+    with pytest.raises(UndecidableError, match="^open$"):
+        balls.settle(lambda bits: None, "open", cap_bits=128)
+    assert walked[3:] == [64, 128]
 
 
 def test_exact_algebraic_sign_may_exceed_the_cap():
@@ -645,7 +652,8 @@ def test_ball_str_matches_mpmath_nstr():
     assert balls.ball_str(Const(Fraction(-10**11))) == "-100000000000."
     assert balls.ball_str(Const(Fraction(1, 10**5))) == "1.00000000000e-5"
     assert balls.ball_str(Const(Fraction(1, 10**4))) == "0.000100000000000"
-    # a value on a rounding tie, or an exact zero reached through a tree
-    # that is not exact, never settles: the 192-bit midpoint is printed
+    # a value on a rounding tie never settles: the 192-bit midpoint is
+    # printed; an exact zero reached through a tree that is not exact
+    # never settles either, and prints as the zero it is
     assert balls.ball_str(Const(Fraction(10**13 + 5, 10**13))) in ("1.00000000000", "1.00000000001")
-    assert abs(float(balls.ball_str(Sin(PI)))) < 2.0**-150
+    assert balls.ball_str(Sin(PI)) == "0.0"

@@ -85,15 +85,16 @@ def test_nonpositive_data_violate_the_hypotheses():
 def test_ln_of_data_reads_product_trees_in_integers(monkeypatch):
     # products, quotients, square roots and rational powers of positive
     # rationals and e take the integer kernels; an irrational leaf takes
-    # one enclosure of its logarithm, and any other datum one of ln x
+    # one enclosure of its logarithm, and any other datum one of ln x, at
+    # the first rung of the schedule and at the next
     enclosed = []
-    real_fixed = bounds._fixed
+    real_eval_ball = bounds.eval_ball
 
     def spy(expr, *args, **kwargs):
         enclosed.append(expr)
-        return real_fixed(expr, *args, **kwargs)
+        return real_eval_ball(expr, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "_fixed", spy)
+    monkeypatch.setattr(bounds, "eval_ball", spy)
     w = AlgConst(CycloElement.cos2pi(1, 5) * 2 + 2)  # phi^2, irrational
     products = [
         Sqrt(Const(F(5))),
@@ -104,23 +105,24 @@ def test_ln_of_data_reads_product_trees_in_integers(monkeypatch):
         AlgConst(CycloElement.rational(5, F(9, 4))),
     ]
     others = [Const(F(2)) + Sqrt(Const(F(3))), PI, Const(F(-2)) * Const(F(-3)), ExpNode(Const(F(1)))]
-    scale = 2**fixed.FIXED_BITS
-    for x in products + others:
-        enclosed.clear()
-        lo, hi = bounds._fixed_ln_of("S", x, balls.DEFAULT_CAP_BITS)
-        ball_lo, ball_hi = ends(eval_ball(Ln(x), 256))
-        assert lo <= ball_lo * scale
-        assert ball_hi * scale <= hi
-        if x in others:
-            assert enclosed == [Ln(x)], x
-            continue
-        assert hi - lo <= 4, x
-        assert enclosed == ([Ln(w)] if "cyclo" in str(x) else []), x
-        # the working bounds, in units of 2^-FINE_BITS, hold too
-        lo, hi = bounds._ln_product(x, balls.DEFAULT_CAP_BITS)
-        fine = 2**fixed.FINE_BITS
-        assert lo <= ball_lo * fine
-        assert ball_hi * fine <= hi <= lo + 2**16, x
+    for bits in (64, 128):
+        scale = 2**bits
+        for x in products + others:
+            enclosed.clear()
+            lo, hi = bounds._fixed_ln_of("S", x, bits, balls.DEFAULT_CAP_BITS)
+            ball_lo, ball_hi = ends(eval_ball(Ln(x), 512))
+            assert lo <= ball_lo * scale
+            assert ball_hi * scale <= hi
+            if x in others:
+                assert enclosed == [Ln(x)], x
+                continue
+            assert hi - lo <= 4, (x, bits)
+            assert enclosed == ([Ln(w)] if "cyclo" in str(x) else []), x
+            # the working bounds, in units of 2^-(bits + LN_GUARD_BITS), hold too
+            lo, hi = bounds._ln_product(x, bits, balls.DEFAULT_CAP_BITS)
+            fine = 2 ** (bits + fixed.LN_GUARD_BITS)
+            assert lo <= ball_lo * fine
+            assert ball_hi * fine <= hi <= lo + 2**16, (x, bits)
 
 
 def test_method_a_problem_quadratic_field():
@@ -223,9 +225,9 @@ def test_solve_matches_linear_scan():
     assert max(answers) > 100
 
 
-def _count_fallbacks(monkeypatch):
-    """Spy on the solver's fallback: `bounds` calls `certify_compare` only
-    for a sign its fixed-point bounds leave open."""
+def _count_compares(monkeypatch):
+    """Spy on `certify_compare` in `bounds`, which the solve calls only for
+    an exact R = 1 or S = 1 and to name a datum certified <= 0."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -236,21 +238,35 @@ def _count_fallbacks(monkeypatch):
     return calls
 
 
-def test_solve_falls_back_only_on_straddling_signs(monkeypatch):
+def _spy_attempts(monkeypatch):
+    """The precision of every attempt `bounds` makes along `balls.settle`."""
+    attempts = []
+
+    def recording(attempt, undecided, cap_bits):
+        def spy(bits):
+            attempts.append(bits)
+            return attempt(bits)
+
+        return balls.settle(spy, undecided, cap_bits)
+
+    monkeypatch.setattr(bounds, "settle", recording)
+    return attempts
+
+
+def test_reproduce_all_solves_settle_at_64_bits(monkeypatch):
+    # the 89 solves of `reproduce-all --kmax 2000` settle every sign on
+    # their 64-bit bounds and ask `certify_compare` nothing; of the oracle
+    # problems only the exact S = 1 (the last) asks it once, for S vs 1
     from groundbound import graphs, pairs
     from groundbound.reproduce import reproduce_all
 
-    fallbacks = _count_fallbacks(monkeypatch)
+    compares = _count_compares(monkeypatch)
     problems = _oracle_problems()
     for problem in problems:
-        fallbacks.clear()
+        compares.clear()
         solve(problem)
-        # only the exact S = 1 (the last problem) leaves a sign open: S vs 1
-        assert len(fallbacks) == (1 if problem is problems[-1] else 0)
-    fallbacks.clear()
-    with pytest.raises(UndecidableError, match="N=5"):
-        solve(_TIE)
-    assert len(fallbacks) == 1
+        assert len(compares) == (1 if problem is problems[-1] else 0)
+    assert compares == [(problems[-1].s_factor, 1)]
 
     solves = []
 
@@ -260,33 +276,40 @@ def test_solve_falls_back_only_on_straddling_signs(monkeypatch):
 
     for module in (graphs, pairs):
         monkeypatch.setattr(module, "solve", counting_solve)
-    fallbacks.clear()
+    attempts = _spy_attempts(monkeypatch)
+    compares.clear()
     reproduce_all(2000)
-    assert len(solves) == 89 and fallbacks == []
+    assert len(solves) == 89 and compares == []
+    assert attempts and set(attempts) == {fixed.FIXED_BITS}
 
 
-def test_forced_fallback_matches_linear_scan(monkeypatch):
-    # every fixed-point bound of ln R, ln B, ln S and ln(1/R) widened by
-    # 2^16 on both sides: no sign of R < 1, of S vs 1 or of f(n) is read off
-    # the integer bounds, so every one goes through the fallback, and the
-    # least N stays the scan's
-    fallbacks = _count_fallbacks(monkeypatch)
+def test_forced_raise_matches_linear_scan(monkeypatch):
+    # the 64-bit bounds of ln R, ln B and ln S widened by 2^16 on both
+    # sides: no sign of R < 1, of S vs 1 or of f(n) is read off 64 bits,
+    # so every one rises to 128 bits, and the least N stays the scan's;
+    # with the cap at 64 bits the first probe names its N
     width = 1 << (16 + fixed.FIXED_BITS)
+    real = bounds._fixed_ln_of
 
-    def widened(real):
-        def straddling(*args, **kwargs):
-            lo, hi = real(*args, **kwargs)
-            return lo - width, hi + width
-        return straddling
+    def widened(name, x, bits, cap_bits):
+        lo, hi = real(name, x, bits, cap_bits)
+        pad = width if bits == fixed.FIXED_BITS else 0
+        return lo - pad, hi + pad
 
-    for name in ("_fixed_ln_of", "_fixed"):
-        monkeypatch.setattr(bounds, name, widened(getattr(bounds, name)))
-    for problem in _oracle_problems():
-        fallbacks.clear()
+    monkeypatch.setattr(bounds, "_fixed_ln_of", widened)
+    attempts = _spy_attempts(monkeypatch)
+    problems = _oracle_problems()
+    for problem in problems:
+        attempts.clear()
         n = solve(problem).least_n
         assert n == _scan_least_n(problem)
-        # R vs 1, S vs 1 and f(1), then f(N) and f(N - 1) unless N = 1
-        assert len(fallbacks) >= (3 if n == 1 else 5)
+        # R vs 1, S vs 1 and f(1), then f(N) and f(N - 1) unless N = 1,
+        # each first at 64 bits and then at 128; only the exact S = 1 (the
+        # last problem) walks on to the cap
+        assert attempts.count(64) == attempts.count(128) >= (3 if n == 1 else 5)
+        assert max(attempts) == (balls.DEFAULT_CAP_BITS if problem is problems[-1] else 128)
+        with pytest.raises(UndecidableError, match="^inequality at N=1 undecided below 64 bits$"):
+            solve(problem, precision_cap=64)
 
 
 def test_solve_probes_logarithmically_many_n(monkeypatch):
@@ -319,6 +342,9 @@ def test_solve_limit(monkeypatch):
 _TIE = prob(1, 1, Const(F(1, 2)), Const(F(8, 3)))
 
 
-def test_exact_tie_is_undecidable():
+def test_exact_tie_is_undecidable(monkeypatch):
+    # f(5) = 0 exactly: no precision settles it, up to the cap
+    attempts = _spy_attempts(monkeypatch)
     with pytest.raises(UndecidableError, match="N=5"):
         solve(_TIE)
+    assert attempts[-7:] == list(balls.precisions())

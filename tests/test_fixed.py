@@ -9,9 +9,13 @@ from groundbound import pairs
 from groundbound.balls import Ball, floor_of, scaled, within_one_integer_step
 from groundbound.cyclo import euler_phi, gamma_norm_constant
 from groundbound.fixed import (
-    FINE_BITS, FIXED_BITS, LN_GUARD_BITS, LN_TABLE_LIMIT, _exp_fine, _fixed_ln_prime,
-    _fixed_ln_ratio, _fixed_neg_ln_sin, _ln_fine, _machin, _pi_fine, _sinc_fine, _trig_fine,
+    FIXED_BITS, LN_GUARD_BITS, _exp_fine, _fixed_ln, _fixed_ln_ratio, _fixed_neg_ln_sin,
+    _ln_fine, _machin, _pi_fine, _sinc_fine, _trig_fine,
 )
+from groundbound.pairs import TAIL_START
+
+# working precision of the integer log kernels at FIXED_BITS
+WORK_BITS = FIXED_BITS + LN_GUARD_BITS
 
 from enclosures import ends
 
@@ -76,10 +80,10 @@ def _ln_oracle(a, b, bits=FIXED_BITS, prec=ORACLE_BITS):
 
 
 def _check_ln(a, b):
-    # the working bounds in units of 2^-FINE_BITS hold as well as the
+    # the working bounds in units of 2^-WORK_BITS hold as well as the
     # rounded ones, so a slack missing below the guard bits shows too
     assert _encloses(_fixed_ln_ratio(a, b), _ln_oracle(a, b), 16), (a, b)
-    assert _encloses(_ln_fine(a, b), _ln_oracle(a, b, FINE_BITS), 16 << 16), (a, b)
+    assert _encloses(_ln_fine(a, b), _ln_oracle(a, b, WORK_BITS), 16 << 16), (a, b)
 
 
 def test_ln_kernel_on_random_rationals():
@@ -110,7 +114,7 @@ def test_neg_ln_sin_kernel_for_every_modulus_up_to_4096():
     for x in range(3, 4097):
         value = _oracle(lambda: -iv.log(iv.sin(iv.pi / x)))
         assert _encloses(_fixed_neg_ln_sin(x, FIXED_BITS), value, 16), x
-        sinc = _oracle(lambda: iv.sin(iv.pi / x) / (iv.pi / x), FINE_BITS)
+        sinc = _oracle(lambda: iv.sin(iv.pi / x) / (iv.pi / x), WORK_BITS)
         assert _encloses(_sinc_fine(x), sinc, 64), x
 
 
@@ -149,7 +153,7 @@ def test_exp_kernel_at_several_magnitudes_and_signs():
             lo, hi, k = _exp_fine(m, e, bits)
             value = _oracle(lambda: iv.exp(iv.mpf(m) * iv.mpf(2) ** e), w - k, 2 * w + 32)
             assert _encloses((lo, hi), value, w), (m, e, bits)
-    assert _exp_fine(0, 0, FIXED_BITS) == (1 << FINE_BITS, 1 << FINE_BITS, 0)
+    assert _exp_fine(0, 0, FIXED_BITS) == (1 << WORK_BITS, 1 << WORK_BITS, 0)
 
 
 def test_sin_and_cos_kernel_at_several_magnitudes_and_signs():
@@ -164,8 +168,8 @@ def test_sin_and_cos_kernel_at_several_magnitudes_and_signs():
                 value = _oracle(lambda: f(iv.mpf(m) * iv.mpf(2) ** e), w_out, 2 * w_out + 32)
                 assert w_out >= w and _encloses((lo, hi), value, w), (m, e, bits, quarter)
                 assert max(-lo, hi).bit_length() >= w - 2 or w_out == w, (m, e, bits, quarter)
-    assert _trig_fine(0, 0, FIXED_BITS, 0) == (0, 0, FINE_BITS)
-    assert _trig_fine(0, 0, FIXED_BITS, 1) == (1 << FINE_BITS, 1 << FINE_BITS, FINE_BITS)
+    assert _trig_fine(0, 0, FIXED_BITS, 0) == (0, 0, WORK_BITS)
+    assert _trig_fine(0, 0, FIXED_BITS, 1) == (1 << WORK_BITS, 1 << WORK_BITS, WORK_BITS)
 
 
 def _log_combo(k: int, s: int) -> dict:
@@ -205,10 +209,10 @@ def test_coefficient_bounds_match_the_fraction_combination():
             assert {p: Fraction(num, den) for num, den, p in terms} == combo, (k, s)
 
 
-# -- past the ln p table: the rational kernel, as `pair_floor` reads it --------
+# -- past the sieve limit: the kernels as `pair_floor` reads them --------------
 
 
-def _seeded_primes(rng, count, low=LN_TABLE_LIMIT + 1, high=10**7):
+def _seeded_primes(rng, count, low=TAIL_START + 1, high=10**7):
     primes = []
     while len(primes) < count:
         x = rng.randint(low, high)
@@ -219,16 +223,16 @@ def _seeded_primes(rng, count, low=LN_TABLE_LIMIT + 1, high=10**7):
 
 def test_neg_ln_sin_kernel_past_the_ln_table():
     rng = random.Random(4097)
-    for x in [LN_TABLE_LIMIT + 1, 10**7] + [rng.randint(LN_TABLE_LIMIT + 1, 10**7) for _ in range(200)]:
+    for x in [TAIL_START + 1, 10**7] + [rng.randint(TAIL_START + 1, 10**7) for _ in range(200)]:
         value = _oracle(lambda: -iv.log(iv.sin(iv.pi / x)))
         assert _encloses(_fixed_neg_ln_sin(x, FIXED_BITS), value, 16), x
 
 
 def test_coefficient_bounds_enclose_the_oracle():
     # the bounds of c(k, s) enclose its 300-bit oracle and are a few units
-    # wide: for every small pair (ln gamma from the table), and for gamma a
-    # prime above 4096, where ln gamma comes from `_fixed_ln_ratio` and the
-    # bounds are still the Fraction combination's; (p, p) shares one term
+    # wide: for every small pair, and for gamma a prime above the sieve
+    # limit 4096, the bounds are the Fraction combination's (ln gamma from
+    # `_fixed_ln` either way); (p, p) shares one term
     rng = random.Random(4099)
     primes = _seeded_primes(rng, 60)
     assert pairs._fixed_coefficient(4, 4) == (0, 0)  # exactly 0
@@ -248,18 +252,18 @@ def test_coefficient_bounds_enclose_the_oracle():
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_kernels_above_64_bits_enclose_the_oracle(bits):
-    # ln p on both sides of the table's end, ln(a/b) and -ln sin(pi/x)
-    # against an interval oracle at twice the bits; above 64 bits ln p
-    # comes from the rational kernel for every p
+    # ln p on both sides of the sieve limit, ln(a/b) and -ln sin(pi/x)
+    # against an interval oracle at twice the bits; ln p comes from the
+    # rational kernel for every p
     rng = random.Random(bits)
     oracle_bits = 2 * bits
-    primes = [2, 3, 4093] + _seeded_primes(rng, 20, 5, LN_TABLE_LIMIT)
+    primes = [2, 3, 4093] + _seeded_primes(rng, 20, 5, TAIL_START)
     primes += [4099, 10**7 + 19] + _seeded_primes(rng, 20)
     for p in primes:
         value = _oracle(lambda: iv.log(p), bits, oracle_bits)
-        assert _encloses(_fixed_ln_prime(p, bits), value, 16), (p, bits)
-        assert _fixed_ln_prime(p, bits) == _fixed_ln_ratio(p, 1, bits), (p, bits)
-    assert min(primes) < LN_TABLE_LIMIT < max(primes)
+        assert _encloses(_fixed_ln(p, bits), value, 16), (p, bits)
+        assert _fixed_ln(p, bits) == _fixed_ln_ratio(p, 1, bits), (p, bits)
+    assert min(primes) < TAIL_START < max(primes)
     for _ in range(300):
         a = rng.randint(1, 10 ** rng.randint(1, 300))
         b = rng.randint(1, 10 ** rng.randint(1, 300))

@@ -485,7 +485,7 @@ def test_scan_bounds_enclose(kind):
     with mpmath.mp.workprec(256):
         for p in range(2, TAIL_START + 1):
             if bounds.spf[p] == p:
-                lo, hi = fixed._fixed_ln_prime(p, fixed.FIXED_BITS)
+                lo, hi = fixed._fixed_ln(p, fixed.FIXED_BITS)
                 assert lo <= mpmath.log(p) * scale <= hi, p
         assert bounds.ln2_lo <= mpmath.log(2) * scale
         assert bounds.ln_c_hi >= mpmath.log(kind.log_constant) * scale
@@ -577,19 +577,19 @@ def test_scan_counts_are_pinned(monkeypatch):
 
 
 def test_ln_prime_table_encloses_the_interval_logarithms():
-    # the integer atanh table holds a 256-bit interval enclosure of ln p for
-    # every prime p <= 4096, at most 4 units of 2^-64 wide
-    table = fixed._ln_prime_table()
+    # the integer ln kernel holds a 256-bit interval enclosure of ln p for
+    # every prime p <= 4096 that the scan table reads, at most 4 units of
+    # 2^-64 wide
     spf = pairs._smallest_prime_factors(TAIL_START)
-    assert sorted(table) == [p for p in range(2, TAIL_START + 1) if spf[p] == p]
-    assert len(table) == 564
+    primes = [p for p in range(2, TAIL_START + 1) if spf[p] == p]
+    assert len(primes) == 564
     scale = 2**fixed.FIXED_BITS
-    for p, (lo, hi) in table.items():
+    for p in primes:
+        lo, hi = fixed._fixed_ln(p, fixed.FIXED_BITS)
         ball_lo, ball_hi = ends(eval_ball(Ln(Const(Fraction(p))), 256))
         assert lo <= ball_lo * scale, p
         assert ball_hi * scale <= hi, p
         assert 0 < hi - lo <= 4, p
-        assert fixed._fixed_ln_prime(p, fixed.FIXED_BITS) == (lo, hi)
 
 
 # The interval oracle of the per-pair certificate: c(k, s), rhs(k, s) and
@@ -850,30 +850,6 @@ def count():
     assert 2000 < calls <= 3000, calls
 
 
-def test_fixed_ln_factorises_each_argument_once(tmp_path):
-    # `fixed._fixed_ln` is memoized, with `bits` required: a fresh
-    # `reproduce-all --kmax 2000` factorises each argument it asks for
-    # once (1428 factorisations of 54 distinct values before the memo)
-    setup = """
-import sys
-
-from groundbound import fixed
-
-real, calls = fixed._factorize, []
-
-def spy(n):
-    calls.append(n)
-    return real(n)
-
-fixed._factorize = spy
-
-def count():
-    return f"{len(calls)} {len(set(calls))}"
-"""
-    calls, distinct = map(int, _count_in_fresh_reproduce_all(setup, tmp_path).split())
-    assert calls == distinct > 10, (calls, distinct)
-
-
 def test_one_kernel_cache_entry_per_value(tmp_path):
     # in a fresh `reproduce-all --kmax 10000000` every cached fixed-point
     # kernel holds one entry per distinct value requested of it: no call
@@ -883,7 +859,7 @@ def test_one_kernel_cache_entry_per_value(tmp_path):
 import inspect
 from groundbound import fixed
 
-kernels = (fixed._fixed_ln_prime, fixed._fixed_neg_ln_sin, fixed._ln2_fine)
+kernels = (fixed._fixed_ln, fixed._fixed_neg_ln_sin, fixed._ln2_fine)
 requested = {kernel: set() for kernel in kernels}
 
 def spying(kernel):
@@ -901,4 +877,4 @@ def count():
     counts = [tuple(map(int, pair.split("/")))
               for pair in _count_in_fresh_reproduce_all(setup, tmp_path, 10**7).split()]
     assert all(size == distinct for size, distinct in counts), counts
-    assert counts[0][0] >= 564, counts  # at least the ln p table's primes
+    assert counts[0][0] >= 564, counts  # at least the scan table's primes
