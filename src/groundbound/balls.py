@@ -26,7 +26,7 @@ from .cyclo import CycloElement
 from .errors import DomainError, UndecidableError
 from .fixed import (
     EQUAL, FIXED_BITS, GREATER, LESS, LN_GUARD_BITS, UNDECIDED,
-    _exp_fine, _ln_fine, _pi_fine, _shifted, _trig_fine,
+    _exp_fine, _ln2_fine, _ln_fine, _pi_fine, _shifted, _trig_fine,
 )
 
 # the first rung of every schedule is the fixed-point unit of the integer certificates
@@ -336,16 +336,26 @@ def _ln_bounds(num: int, den: int, prec: int):
     return lo, hi, -(bits + LN_GUARD_BITS)
 
 
-def _dyadic(m: int, e: int) -> tuple[int, int]:
-    """m 2^e as a quotient of integers."""
-    return (m << e, 1) if e >= 0 else (m, 1 << -e)
-
-
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
 def _ln_ratio(num: int, den: int, prec: int):
     if num <= 0:
         raise DomainError("ln of a certified-nonpositive value")
     return _round(*_ln_bounds(num, den, prec), prec)
+
+
+def _ln_dyadic(m: int, e: int, prec: int):
+    """ln(m 2^e) for m > 0 as ln(m 2^-s) + (e + s) ln 2, s = bitlen(m), so
+    that no integer is shifted by e; m 2^-s lies in [1/2, 1), and ln 2 is
+    taken in the units that `_ln_bounds` returned, which adds bits near 1."""
+    s = m.bit_length()
+    lo, hi, f = _ln_bounds(m, 1 << s, prec)
+    k = e + s
+    if k:
+        l2_lo, l2_hi = _ln2_fine(-f - LN_GUARD_BITS)
+        if k < 0:
+            l2_lo, l2_hi = l2_hi, l2_lo
+        lo, hi = lo + k * l2_lo, hi + k * l2_hi
+    return lo, hi, f
 
 
 def _log(x, prec: int):
@@ -356,14 +366,19 @@ def _log(x, prec: int):
         raise DomainError("ln of a certified-nonpositive value")
     if lo <= 0:
         raise _Inconclusive("ln argument not certified positive")
-    low = _ln_bounds(*_dyadic(lo, e), prec)
-    high = low if lo == hi else _ln_bounds(*_dyadic(hi, e), prec)
+    low = _ln_dyadic(lo, e, prec)
+    high = low if lo == hi else _ln_dyadic(hi, e, prec)
     return _hull(low[0], low[2], high[1], high[2], prec)
 
 
 def _exp(x, prec: int):
-    """exp is increasing: `fixed._exp_fine` at each end."""
+    """exp is increasing: `fixed._exp_fine` at each end.  An argument
+    wider than 4 prec would give ends whose binary exponents differ by
+    more than 4 prec / ln 2, a hull that bounds nothing (and whose
+    integers need not fit in memory): it is inconclusive."""
     lo, hi, e = x
+    if (hi - lo).bit_length() + e > (4 * prec).bit_length():
+        raise _Inconclusive("exp argument too wide at this precision")
     w = prec + LN_GUARD_BITS
     a, b, k = _exp_fine(lo, e, prec)
     j = k
@@ -672,14 +687,16 @@ def _exact(expr: Expr):
         return value.as_rational() if value.is_rational() else value
     if isinstance(expr, Pow):
         e = expr.exponent
-        if e.denominator == 1 and e.numerator >= 0:
-            return _exact(expr.arg) ** e.numerator
         base = _exact(expr.arg)
-        if e.denominator == 1:  # negative integer power
-            if base == 0:
-                raise DomainError("negative power of exact zero")
-            return (Fraction(1) / base) ** (-e.numerator) if isinstance(base, Fraction) else base ** e.numerator
-        raise _NotExact
+        # a fractional power is not exact, and an exact power above 2^16
+        # (10^(10^20), say) need not fit in memory: both go to the enclosures
+        if e.denominator != 1 or abs(e.numerator) > 1 << 16:
+            raise _NotExact
+        if e.numerator >= 0:
+            return base ** e.numerator
+        if base == 0:
+            raise DomainError("negative power of exact zero")
+        return (Fraction(1) / base) ** (-e.numerator) if isinstance(base, Fraction) else base ** e.numerator
     if isinstance(expr, Sqrt):
         arg = _exact(expr.arg)
         if isinstance(arg, Fraction):
@@ -731,7 +748,8 @@ def _isqrt_exact(n: int):
 
 
 def _algebraic_sign(value, cap_bits: int) -> int:
-    """Sign of an exact nonzero Fraction/CycloElement (0 for exact zero)."""
+    """Sign (1, -1 or 0) of an exact Fraction/CycloElement; an irrational
+    value is nonzero, and an enclosure separates it from 0."""
     if isinstance(value, Fraction):
         return (value > 0) - (value < 0)
     if value.is_zero():
@@ -795,7 +813,7 @@ def _decimal(m: int, e: int) -> str:
     if m == 0:
         return "0.0"
     sign, m = ("-", -m) if m < 0 else ("", m)
-    num, den = _dyadic(m, e)
+    num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
     digits = BALL_STR_DIGITS
     # 10^x <= m 2^e < 10^(x + 1); the estimate from the bit length is off by at most one
     x = (m.bit_length() + e - 1) * 30103 // 100000

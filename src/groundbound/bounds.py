@@ -14,11 +14,10 @@ unless N = 1, so the certified predicate f(n) >= 0 is monotone in n and
 the least N is found by one doubling and bisection on it.  Every sign is
 settled the way the pair certificate of `pairs` settles its own: integer
 bounds of 2^bits f at bits = 64, 128, ... up to the cap (`balls.settle`),
-read by the one rule of `fixed._fixed_sign`.  ln R, ln B and ln S come
-from the integer log kernels along the product tree of each datum, with
-one enclosure per irrational leaf, and ln(2n + 2) from `fixed._fixed_ln`.
-`certify_compare` only finds an exact R = 1 or S = 1, which no bounds
-settle, and names a datum certified <= 0.
+read by the one rule of `fixed._fixed_sign`.  ln R, ln B and ln S are one
+`balls.eval_ball` enclosure of ln x each, per precision, and ln(2n + 2)
+comes from `fixed._fixed_ln`.  `certify_compare` only finds an exact
+R = 1 or S = 1, which no bounds settle, and names a datum certified <= 0.
 
 `method_a_problem` is the one place that derives (M, B, R, S): every
 edge-graph case and every pair refinement supplies the squared width W of
@@ -33,13 +32,12 @@ from functools import cache, partial
 
 from . import balls
 from .balls import (
-    AlgConst, Const, Div, E, Expr, Ln, Mul, Pow, Sqrt, as_expr, certify_compare, eval_ball,
-    scaled, settle,
+    Const, E, Expr, Ln, Pow, Sqrt, as_expr, certify_compare, eval_ball, scaled, settle,
 )
 from .cyclo import CycloElement
 from .errors import DomainError, HypothesisViolated, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, field_discriminant
-from .fixed import LN_GUARD_BITS, _fixed_ln, _fixed_sign, _ln_fine, _to_fixed
+from .fixed import _fixed_ln, _fixed_sign
 
 SOLVE_LIMIT = 1_000_000
 
@@ -110,11 +108,11 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
     f(high) >= 0 certified at every step; the doubling stops at SOLVE_LIMIT.
 
     Each sign is settled along `balls.settle`: at bits = 64, 128, ... up
-    to `precision_cap`, the bounds of 2^bits ln R, ln B and ln S
-    (`_fixed_ln_of`, once per datum and precision) and of ln(2n + 2)
-    (`fixed._fixed_ln`) bound 2^bits f(n) between two integers, and
-    `fixed._fixed_sign` reads R < 1, the clamp of S and each f(n) off
-    them.  Bounds of ln R or ln S that never settle go to
+    to `precision_cap`, the bounds of 2^bits ln R, ln B and ln S (one
+    enclosure each, `_fixed_ln_of`, once per datum and precision) and of
+    ln(2n + 2) (`fixed._fixed_ln`) bound 2^bits f(n) between two
+    integers, and `fixed._fixed_sign` reads R < 1, the clamp of S and each
+    f(n) off them.  Bounds of ln R or ln S that never settle go to
     `certify_compare` against 1, whose exact path finds R = 1 or S = 1;
     a probe that never settles raises UndecidableError naming N.  A cap
     below `balls.DEFAULT_START_BITS` could decide nothing and is
@@ -179,20 +177,9 @@ def solve(problem: BoundProblem, precision_cap: int = balls.DEFAULT_CAP_BITS) ->
     return BoundResult(least_n=high, degree_bound=bound, problem=problem)
 
 
-class _NotProduct(Exception):
-    """Internal: the datum is not a product tree over positive leaves."""
-
-
 def _fixed_ln_of(name: str, x: Expr, bits: int, cap_bits: int) -> tuple[int, int]:
-    """Bounds of 2^bits ln x for the datum `name`.
-
-    A product tree over positive leaves (`_ln_product`) is read off the
-    integer log kernels; any other datum gets one enclosure of ln x from
-    `bits` up, and HypothesisViolated when x is certified <= 0."""
-    try:
-        return _to_fixed(*_ln_product(x, bits, cap_bits))
-    except _NotProduct:
-        pass
+    """Bounds of 2^bits ln x for the datum `name`: one enclosure of ln x
+    from `bits` up, and HypothesisViolated when x is certified <= 0."""
     try:
         return scaled(eval_ball(Ln(x), bits, cap_bits), bits)
     except (DomainError, UndecidableError):
@@ -202,44 +189,3 @@ def _fixed_ln_of(name: str, x: Expr, bits: int, cap_bits: int) -> tuple[int, int
             raise HypothesisViolated(
                 f"{name} must be > 0, but {name} {relation} is certified") from None
         raise
-
-
-def _ln_product(x: Expr, bits: int, cap_bits: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^W ln x <= hi, W = bits + LN_GUARD_BITS, for x
-    built from positive leaves by Mul, Div, Sqrt and rational Pow;
-    _NotProduct otherwise.
-
-    ln of a product is the sum of the logarithms, so lower (upper) bounds
-    add up, a quotient subtracts the upper (lower) bound of the divisor,
-    and ln(a^q) = q ln a multiplies the bounds by q (swapped when q < 0),
-    rounded outward.  A rational leaf q > 0 takes `fixed._ln_fine`, e takes
-    ln e = 1 exactly, and an irrational `AlgConst` leaf takes one enclosure
-    of its logarithm from `bits` up; a leaf that is not certified positive,
-    or any other node, raises _NotProduct.
-    """
-    t = type(x)
-    if t is Mul or t is Div:
-        left_lo, left_hi = _ln_product(x.left, bits, cap_bits)
-        right_lo, right_hi = _ln_product(x.right, bits, cap_bits)
-        if t is Mul:
-            return left_lo + right_lo, left_hi + right_hi
-        return left_lo - right_hi, left_hi - right_lo
-    if t is Sqrt or t is Pow:
-        lo, hi = _ln_product(x.arg, bits, cap_bits)
-        q = x.exponent if t is Pow else Fraction(1, 2)
-        lo, hi = q.numerator * lo, q.numerator * hi
-        if q < 0:
-            lo, hi = hi, lo
-        return lo // q.denominator, -(-hi // q.denominator)
-    if x is E:
-        return 1 << (bits + LN_GUARD_BITS), 1 << (bits + LN_GUARD_BITS)
-    if t is AlgConst and not x.value.is_rational():
-        try:
-            return scaled(eval_ball(Ln(x), bits, cap_bits), bits + LN_GUARD_BITS)
-        except (DomainError, UndecidableError):
-            raise _NotProduct from None
-    if t is AlgConst or t is Const:
-        q = x.value.as_rational() if t is AlgConst else x.value
-        if q > 0:
-            return _ln_fine(q.numerator, q.denominator, bits)
-    raise _NotProduct

@@ -16,10 +16,11 @@ parenthesised quotient of two, such as 2, -1, 0.5, (3/4) or (1/-2).
 Anything else (1e5, 2**3, 2^3^2, 2^pi, +2, an unknown name) is a usage
 error.
 
-Exit codes: 0 success, 1 reproduction mismatch, 2 undecidable at the
-precision cap, 3 usage error (a bad flag, an argument out of range:
-`errors.InvalidInput` and the other package errors, a malformed or too
-deeply nested expression, or an --out, --case-csv or --pairs-out path
+Exit codes: 0 success, 1 reproduction mismatch, 2 undecidable (a sign
+not settled at the precision cap, or no N up to 1000000), 3 usage error
+(a bad flag, an argument out of range: `errors.InvalidInput` and the
+other package errors, a malformed or too deeply nested expression, a
+value too large to print, or an --out, --case-csv or --pairs-out path
 that cannot be written, which is checked before any work starts).
 """
 
@@ -406,9 +407,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UndecidableError as exc:
-        print(f"undecidable at the precision cap: {exc}", file=sys.stderr)
+        print(f"undecidable: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
-    except (GroundboundError, OSError, RecursionError) as exc:
+    except (GroundboundError, OSError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not args.out:

@@ -657,3 +657,23 @@ def test_ball_str_matches_mpmath_nstr():
     # never settles either, and prints as the zero it is
     assert balls.ball_str(Const(Fraction(10**13 + 5, 10**13))) in ("1.00000000000", "1.00000000001")
     assert balls.ball_str(Sin(PI)) == "0.0"
+
+
+def test_ln_of_huge_and_tiny_values():
+    # ln(m 2^e) is ln(m 2^-s) + (e + s) ln 2: a binary exponent near
+    # +-3.3e20 or 1.4e30 shifts no integer, and 10^(10^20) is left to the
+    # enclosures by the exact path
+    assert exact_value(Pow(Const(Fraction(10)), Fraction(10**20))) is None
+    assert exact_value(Pow(Const(Fraction(10)), Fraction(-3))) == Fraction(1, 1000)
+    with mpmath.mp.workprec(300):
+        cases = [
+            (Pow(Const(Fraction(10)), Fraction(10**20)), 10**20 * mpmath.log(10)),
+            (Pow(Const(Fraction(10)), Fraction(-10**20)), -(10**20) * mpmath.log(10)),
+            (ExpNode(Const(Fraction(10**30))), mpmath.mpf(10**30)),
+        ]
+        for x, value in cases:
+            ball = eval_ball(Ln(x), 64)
+            man, exp = abs(value).man_exp  # the mantissa carries no sign
+            ref = Fraction(man) * Fraction(2) ** exp * (1 if value > 0 else -1)
+            assert encloses(ball, ref), x
+            assert _width(ball) <= abs(ref) / 2**56, x

@@ -334,6 +334,46 @@ def test_undecidable_exit_code(capsys):
     assert "undecidable" in err.lower()
 
 
+def test_solve_limit_is_undecidable_without_naming_the_cap(capsys):
+    # every probe settles at 64 bits, but ln(1/R) ~ 10^-30 needs N beyond
+    # the search limit: exit 2, naming N and not the precision cap
+    code, out, err = run_cli(
+        ["bound-solve", "--M", "1", "--B", "1", "--R", "1 - 10^(-30)", "--S", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err == "undecidable: no solution found below N = 1000000\n"
+
+
+@pytest.mark.parametrize("s", ["exp(10^30)", "10^100000000000000000000", "exp(exp(exp(10)))",
+                               "exp(10^100000000000000000000)"])
+def test_huge_magnitudes_are_undecidable(s, capsys):
+    # ln of a value with a huge binary exponent is bounded without shifting
+    # an integer by that exponent; the first two need N beyond the search
+    # limit, and exp of an argument far wider than 2^bits never settles
+    # (nor is 10^(10^20) computed exactly)
+    code, out, err = run_cli(["bound-solve", "--M", "1", "--B", "1", "--R", "1/2", "--S", s],
+                             capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("undecidable: ")
+
+
+@pytest.mark.parametrize("s, least_n", [("10^100000", 332213), ("10^1000", 3335),
+                                        ("(1/7)^(-3000)", 8437)])
+def test_large_s_gives_the_least_n(s, least_n, capsys):
+    code, out, _ = run_cli(["bound-solve", "--M", "1", "--B", "1", "--R", "1/2", "--S", s],
+                           capsys)
+    assert code == 0 and f"result={least_n}\n" in out
+
+
+def test_value_too_large_to_print_is_one_error_line(capsys):
+    # the solve succeeds at N = 1, but R = 10^(-10^20) has no decimal that
+    # fits in memory
+    code, out, err = run_cli(
+        ["bound-solve", "--M", "1", "--B", "1", "--R", "10^(-100000000000000000000)",
+         "--S", "exp(10^20)"], capsys)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_precision_cap_only_on_bound_solve(capsys):
     code, out, _ = run_cli(
         ["bound-solve", "--M", "1", "--B", "1", "--R", "1/sqrt(2)", "--S", "16*e",

@@ -798,31 +798,54 @@ def rebind(targets):
 """
 
 
-def test_eval_ball_budget_of_reproduce_all(tmp_path):
-    # a fresh `reproduce-all --kmax 2000`, with every module binding of
-    # `eval_ball` spied, evaluates at most 200 balls: report rendering
-    # (each distinct decimal once per render), feasibility signs, one ln W
-    # per irrational leaf of a least-N solve, two floors and pi; no pair
-    # certificate and no rational datum of a solve encloses anything.  The
-    # floor only shows that the spy reached the calls.
+@pytest.fixture(scope="module")
+def eval_ball_callers(tmp_path_factory):
+    """(calls of `eval_ball` from `bounds._fixed_ln_of`, calls from every
+    other caller, least-N solves) in a fresh `reproduce-all --kmax 2000`
+    with every module binding of `eval_ball` and `solve` spied."""
     setup = _REBIND + """
-from groundbound import balls
+import sys
+from groundbound import balls, bounds
 
-calls = []
+ln_of, others, solves = [], [], []
 
-def spying(real):
+def spying_eval_ball(real):
     def spy(*args, **kwargs):
-        calls.append(1)
+        caller = sys._getframe(1).f_code
+        (ln_of if caller is bounds._fixed_ln_of.__code__ else others).append(1)
         return real(*args, **kwargs)
     return spy
 
-rebind({balls.eval_ball: spying})
+def spying_solve(real):
+    def spy(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+    return spy
+
+rebind({balls.eval_ball: spying_eval_ball, bounds.solve: spying_solve})
 
 def count():
-    return len(calls)
+    return f"{len(ln_of)} {len(others)} {len(solves)}"
 """
-    calls = int(_count_in_fresh_reproduce_all(setup, tmp_path))
-    assert 190 < calls <= 200, calls
+    text = _count_in_fresh_reproduce_all(setup, tmp_path_factory.mktemp("eval_ball"))
+    return tuple(map(int, text.split()))
+
+
+def test_eval_ball_budget_of_reproduce_all(eval_ball_callers):
+    # beside the data of the least-N solves, a fresh `reproduce-all --kmax
+    # 2000` evaluates at most 200 balls: report rendering (each distinct
+    # decimal once per render), feasibility signs and two floors; no pair
+    # certificate encloses anything.  The floor only shows that the spy
+    # reached the calls.
+    _, others, _ = eval_ball_callers
+    assert 100 < others <= 200, others
+
+
+def test_solve_data_take_one_enclosure_each(eval_ball_callers):
+    # each least-N solve of `reproduce-all --kmax 2000` settles at 64 bits,
+    # so it encloses ln R, ln B and ln S once each: 267 for the 89 solves
+    ln_of, _, solves = eval_ball_callers
+    assert solves == 89 and ln_of == 3 * solves, (ln_of, solves)
 
 
 def test_fraction_budget_of_reproduce_all(tmp_path):
