@@ -3,14 +3,15 @@
 Expressions are immutable trees over exact leaves (rationals, cyclotomic
 elements, pi, e) with ln/exp/sqrt/sin and rational-power nodes.
 `eval_ball` encloses the exact value between two integer endpoints over
-one power of two, [lo 2^e, hi 2^e], rounded outward at every node; the
-transcendental nodes run on the integer kernels of `fixed` (ln by atanh
-series, exp reduced by ln 2, sin and cos reduced by pi/2, pi by Machin's
-formula) and sqrt on `math.isqrt`.  It walks the one precision schedule,
-`precisions` (64, 128, ... bits), until its caller accepts the enclosure,
-never above the caller's cap; `settle` walks the same schedule for the
-integer certificates of `bounds` and `pairs`.  `certify_compare` decides
-orderings with it (with an exact path for algebraic equalities),
+one power of two, [lo 2^e, hi 2^e], rounded outward at every node, with
+one kernel per operation: the ring operations and integer powers on
+`_add`, `_mul` and `_div`, ln (with a binary shift) by `fixed._ln_fine`,
+exp reduced by ln 2, sin and cos reduced by pi/2, pi by Machin's formula,
+and sqrt on `math.isqrt`.  `settle` is the one walk of the one precision
+schedule, `precisions` (64, 128, ... bits): `eval_ball` rises along it
+until its caller accepts the enclosure, never above the caller's cap, and
+so do the integer certificates of `bounds` and `pairs`.  `certify_compare`
+decides orderings with it (with an exact path for algebraic equalities),
 `certified_floor` rounds down with it and `ball_str` prints the correctly
 rounded decimal it settles.
 """
@@ -26,7 +27,7 @@ from .cyclo import CycloElement
 from .errors import DomainError, UndecidableError
 from .fixed import (
     EQUAL, FIXED_BITS, GREATER, LESS, LN_GUARD_BITS, UNDECIDED,
-    _exp_fine, _ln2_fine, _ln_fine, _pi_fine, _shifted, _trig_fine,
+    _exp_fine, _ln_fine, _pi_fine, _shifted, _trig_fine,
 )
 
 # the first rung of every schedule is the fixed-point unit of the integer certificates
@@ -34,6 +35,8 @@ DEFAULT_START_BITS = FIXED_BITS
 DEFAULT_CAP_BITS = 4096
 BALL_STR_DIGITS = 12
 BALL_STR_BITS = 192
+_BALL_STR_SCALE = 10**4  # decimal exponents beyond which `ball_str` prints a scaled value
+_EXACT_POWER_BITS = 1 << 20  # the largest power `exact_value` computes
 
 
 @dataclass(frozen=True)
@@ -309,13 +312,7 @@ def _div(x, y, prec: int):
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
 def _ratio(num: int, den: int, prec: int):
     """num / den (den > 0), exact when it is dyadic with at most prec bits."""
-    s = max(prec + 1 + den.bit_length() - abs(num).bit_length(), 0)
-    q, r = divmod(num << s, den)
-    return _round(q, q + (r != 0), -s, prec)
-
-
-def _fraction(q: Fraction, prec: int):
-    return _ratio(q.numerator, q.denominator, prec)
+    return _div((num, num, 0), (den, den, 0), prec)
 
 
 def _hull(lo: int, e: int, hi: int, f: int, prec: int):
@@ -324,15 +321,19 @@ def _hull(lo: int, e: int, hi: int, f: int, prec: int):
     return _round(lo << (e - t), hi << (f - t), t, prec)
 
 
-def _ln_bounds(num: int, den: int, prec: int):
-    """ln(num/den) for num, den > 0, from `fixed._ln_fine`; a value near
-    1, where ln is near 0, gets as many extra bits as |num/den - 1| has
-    leading zeros, and ln 1 is exactly 0."""
-    diff = num - den
-    if diff == 0:
-        return ZERO_IV
-    bits = prec + max(den.bit_length() - abs(diff).bit_length(), 0)
-    lo, hi = _ln_fine(num, den, bits)
+def _ln_bounds(num: int, den: int, prec: int, shift: int = 0):
+    """ln(num/den 2^shift) for num, den > 0, from `fixed._ln_fine`.  Only a
+    value within a factor 4 of 1, where ln is near 0, has its shift folded
+    into num or den (by at most their bit lengths plus 1) and gets as many
+    extra bits as |num/den - 1| has leading zeros; ln 1 is exactly 0."""
+    bits = prec
+    if abs(num.bit_length() - den.bit_length() + shift) <= 1:
+        num, den, shift = (num << shift, den, 0) if shift >= 0 else (num, den << -shift, 0)
+        diff = num - den
+        if diff == 0:
+            return ZERO_IV
+        bits += max(den.bit_length() - abs(diff).bit_length(), 0)
+    lo, hi = _ln_fine(num, den, bits, shift)
     return lo, hi, -(bits + LN_GUARD_BITS)
 
 
@@ -343,21 +344,6 @@ def _ln_ratio(num: int, den: int, prec: int):
     return _round(*_ln_bounds(num, den, prec), prec)
 
 
-def _ln_dyadic(m: int, e: int, prec: int):
-    """ln(m 2^e) for m > 0 as ln(m 2^-s) + (e + s) ln 2, s = bitlen(m), so
-    that no integer is shifted by e; m 2^-s lies in [1/2, 1), and ln 2 is
-    taken in the units that `_ln_bounds` returned, which adds bits near 1."""
-    s = m.bit_length()
-    lo, hi, f = _ln_bounds(m, 1 << s, prec)
-    k = e + s
-    if k:
-        l2_lo, l2_hi = _ln2_fine(-f - LN_GUARD_BITS)
-        if k < 0:
-            l2_lo, l2_hi = l2_hi, l2_lo
-        lo, hi = lo + k * l2_lo, hi + k * l2_hi
-    return lo, hi, f
-
-
 def _log(x, prec: int):
     """ln is increasing: its lower bound at the lower end, its upper bound
     at the upper end."""
@@ -366,8 +352,8 @@ def _log(x, prec: int):
         raise DomainError("ln of a certified-nonpositive value")
     if lo <= 0:
         raise _Inconclusive("ln argument not certified positive")
-    low = _ln_dyadic(lo, e, prec)
-    high = low if lo == hi else _ln_dyadic(hi, e, prec)
+    low = _ln_bounds(lo, 1, prec, e)
+    high = low if lo == hi else _ln_bounds(hi, 1, prec, e)
     return _hull(low[0], low[2], high[1], high[2], prec)
 
 
@@ -433,50 +419,26 @@ def _sqrt(x, prec: int):
     return _round(isqrt(a), r + (r * r != b), f, prec)
 
 
-def _power(m: int, e: int, k: int, prec: int, up: bool):
-    """A lower (upper when `up`) bound of (m 2^e)^k, m >= 0, k >= 1, as
-    (n, exponent): square-and-multiply, every product of nonnegative
-    bounds cut to prec bits rounding down (up)."""
-    result, rs, base, bs = 1, 0, m, e
-    while True:
-        if k & 1:
-            result, rs = _cut(result * base, rs + bs, prec, up)
-        k >>= 1
-        if not k:
-            return result, rs
-        base, bs = _cut(base * base, 2 * bs, prec, up)
-
-
-def _cut(n: int, s: int, prec: int, up: bool):
-    drop = n.bit_length() - prec
-    if drop <= 0:
-        return n, s
-    return (-(-n >> drop) if up else n >> drop), s + drop
-
-
 def _pow_int(x, k: int, prec: int):
-    """x^k for an integer k: the end powers (`_power`), by the signs of
-    the ends and the parity of k; 1 / x^-k when k < 0."""
-    lo, hi, e = x
+    """x^k for an integer k: square-and-multiply on `_mul` at
+    prec + 8 + bitlen(k) bits, the lower end of every square raised to 0
+    (a square is nonnegative); 1 / x^-k when k < 0."""
     if k == 0:
         return ONE_IV
     if k < 0:
-        if lo <= 0 <= hi:
+        if x[0] <= 0 <= x[1]:
             raise _Inconclusive("negative power of an interval containing zero")
         return _div(ONE_IV, _pow_int(x, -k, prec + 8), prec)
-    w = prec + 8
-    if lo >= 0:
-        low, high = _power(lo, e, k, w, False), _power(hi, e, k, w, True)
-    elif hi <= 0:
-        low, high = _power(-hi, e, k, w, False), _power(-lo, e, k, w, True)
+    w = prec + 8 + k.bit_length()
+    result = None
+    while True:
         if k & 1:
-            low, high = (-high[0], high[1]), (-low[0], low[1])
-    elif k & 1:
-        low, high = _power(-lo, e, k, w, True), _power(hi, e, k, w, True)
-        low = -low[0], low[1]
-    else:
-        low, high = (0, 0), _power(max(-lo, hi), e, k, w, True)
-    return _hull(low[0], low[1], high[0], high[1], prec)
+            result = x if result is None else _mul(result, x, w)
+        k >>= 1
+        if not k:
+            return _round(*result, prec)
+        lo, hi, e = _mul(x, x, w)
+        x = max(lo, 0), hi, e
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
@@ -517,7 +479,7 @@ def _iv_eval(expr: Expr, prec: int):
     """Enclosure (lo, hi, e) of `expr` at working precision `prec`."""
     t = type(expr)
     if t is Const:
-        return _fraction(expr.value, prec)
+        return _ratio(expr.value.numerator, expr.value.denominator, prec)
     if t is Add:
         return _add(_iv_eval(expr.left, prec), _iv_eval(expr.right, prec), prec)
     if t is Sub:
@@ -551,7 +513,7 @@ def _iv_eval(expr: Expr, prec: int):
         # exp(q ln x): the exponent's absolute error is exp's relative one,
         # so it carries as many more bits as |q ln x| has
         guard = prec + 8 + abs(_top(arg)).bit_length() + e.numerator.bit_length()
-        return _exp(_mul(_log(arg, guard), _fraction(e, guard), guard), prec)
+        return _exp(_mul(_log(arg, guard), _ratio(e.numerator, e.denominator, guard), guard), prec)
     if t is Sqrt:
         return _sqrt(_iv_eval(expr.arg, prec), prec)
     if t is ExpNode:
@@ -594,12 +556,13 @@ def precisions(start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP
         bits *= 2
 
 
-def settle(attempt, undecided: str, cap_bits: int = DEFAULT_CAP_BITS):
+def settle(attempt, undecided: str, cap_bits: int = DEFAULT_CAP_BITS,
+           start_bits: int = DEFAULT_START_BITS):
     """The first result of attempt(bits) that is not None, for bits along
-    `precisions(DEFAULT_START_BITS, cap_bits)`; UndecidableError with the
-    message `undecided` when none settles.  The one precision policy of
-    the integer certificates (`bounds.solve`, `pairs`)."""
-    for bits in precisions(DEFAULT_START_BITS, cap_bits):
+    `precisions(start_bits, cap_bits)`; UndecidableError with the message
+    `undecided` when none settles.  The one precision walk: of `eval_ball`
+    and of the integer certificates (`bounds.solve`, `pairs`)."""
+    for bits in precisions(start_bits, cap_bits):
         result = attempt(bits)
         if result is not None:
             return result
@@ -614,26 +577,32 @@ def eval_ball(
 ) -> Ball:
     """Enclose the exact value of `expr` in a `Ball`.
 
-    The working precision follows `precisions(precision_bits, cap_bits)`
-    while the evaluation is inconclusive or `accept(ball)` is false.
-    Raises DomainError when a sub-expression is certified outside its
-    domain and UndecidableError when no evaluation at or below the cap
-    gives an acceptable ball (e.g. sqrt of an exact zero approached from
-    below).
+    One `settle` from `precision_bits`: the working precision rises while
+    the evaluation is inconclusive or `accept(ball)` is false.  Raises
+    DomainError when a sub-expression is certified outside its domain and
+    UndecidableError, naming the last reason, when no evaluation at or
+    below the cap gives an acceptable ball (e.g. sqrt of an exact zero
+    approached from below).
     """
     expr = as_expr(expr)
     reason = "the start precision is above the cap"
-    for bits in precisions(precision_bits, cap_bits):
+
+    def attempt(bits: int):
+        nonlocal reason
         try:
-            lo, hi, e = _iv_eval(expr, bits + 16)
+            ball = Ball(*_iv_eval(expr, bits + 16), bits)
         except _Inconclusive as exc:
             reason = exc
-        else:
-            ball = Ball(lo, hi, e, bits)
-            if accept is None or accept(ball):
-                return ball
-            reason = "the enclosure is too wide"
-    raise UndecidableError(f"evaluation failed below the precision cap: {reason}")
+            return None
+        if accept is None or accept(ball):
+            return ball
+        reason = "the enclosure is too wide"
+        return None
+
+    try:
+        return settle(attempt, "", cap_bits, precision_bits)
+    except UndecidableError:
+        raise UndecidableError(f"evaluation failed below the precision cap: {reason}") from None
 
 
 # -- exact simplification ----------------------------------------------
@@ -689,8 +658,13 @@ def _exact(expr: Expr):
         e = expr.exponent
         base = _exact(expr.arg)
         # a fractional power is not exact, and an exact power above 2^16
-        # (10^(10^20), say) need not fit in memory: both go to the enclosures
-        if e.denominator != 1 or abs(e.numerator) > 1 << 16:
+        # (10^(10^20)) or above _EXACT_POWER_BITS, the exponent times the bits
+        # of the base's largest numerator and its denominator ((10^1000)^60000),
+        # need not fit in memory: all go to the enclosures
+        ends = ((base.numerator, base.denominator) if isinstance(base, Fraction)
+                else (max(base.num, key=abs), base.den))
+        if (e.denominator != 1 or abs(e.numerator) > 1 << 16
+                or abs(e.numerator) * sum(abs(n).bit_length() for n in ends) > _EXACT_POWER_BITS):
             raise _NotExact
         if e.numerator >= 0:
             return base ** e.numerator
@@ -702,8 +676,8 @@ def _exact(expr: Expr):
         if isinstance(arg, Fraction):
             if arg < 0:
                 raise DomainError("sqrt of a certified-negative value")
-            rn, rd = _isqrt_exact(arg.numerator), _isqrt_exact(arg.denominator)
-            if rn is not None and rd is not None:
+            rn, rd = isqrt(arg.numerator), isqrt(arg.denominator)
+            if rn * rn == arg.numerator and rd * rd == arg.denominator:
                 return Fraction(rn, rd)
         raise _NotExact
     if isinstance(expr, Ln):
@@ -740,11 +714,6 @@ def pi_multiple(expr: Expr):
         inner = pi_multiple(expr.arg)
         return None if inner is None else -inner
     return None
-
-
-def _isqrt_exact(n: int):
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def _algebraic_sign(value, cap_bits: int) -> int:
@@ -804,19 +773,28 @@ def certified_floor(expr) -> int:
     return floor_of(eval_ball(expr, accept=within_one_integer_step))
 
 
-def _decimal(m: int, e: int) -> str:
-    """m 2^e correctly rounded (ties away from zero) to BALL_STR_DIGITS
-    significant digits, in the layout of mpmath's
+def _decimal_exponent(m: int, e: int) -> int:
+    """x with 10^x <= m 2^e < 10^(x + 1), for m > 0, off by at most two:
+    t log10 2 for 2^t <= m 2^e < 2^(t + 1), with log10 2 = ln 2 / ln 10
+    from `fixed._ln_fine` at as many bits as t has."""
+    t = m.bit_length() + e - 1
+    bits = abs(t).bit_length()
+    return t * _ln_fine(2, 1, bits)[0] // _ln_fine(10, 1, bits)[1]
+
+
+def _decimal(m: int, e: int, scale: int = 0) -> str:
+    """m 2^e 10^scale correctly rounded (ties away from zero) to
+    BALL_STR_DIGITS significant digits, in the layout of mpmath's
     `to_str(..., strip_zeros=False)`: fixed notation when the decimal
     exponent x has min(-(digits // 3), -5) < x < digits, else
-    d.ddd...e+x."""
+    d.ddd...e+x.  The exact integers are those of m 2^e; `ball_str`
+    passes the scale of a value whose own exponent is too large for them."""
     if m == 0:
         return "0.0"
     sign, m = ("-", -m) if m < 0 else ("", m)
     num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
     digits = BALL_STR_DIGITS
-    # 10^x <= m 2^e < 10^(x + 1); the estimate from the bit length is off by at most one
-    x = (m.bit_length() + e - 1) * 30103 // 100000
+    x = _decimal_exponent(m, e)
     while True:
         shift = digits - 1 - x
         n, d = (num * 10 ** shift, den) if shift >= 0 else (num, den * 10 ** -shift)
@@ -830,6 +808,7 @@ def _decimal(m: int, e: int) -> str:
     if q == 10 ** digits:
         q, x = q // 10, x + 1
     text = str(q)
+    x += scale
     if min(-(digits // 3), -5) < x < digits:
         if x < 0:
             return f"{sign}0.{'0' * (-x - 1)}{text}"
@@ -842,20 +821,31 @@ def ball_str(expr) -> str:
     digits, correctly rounded: both ends of the enclosure give it, from
     BALL_STR_BITS up.  A value on a rounding tie (an exact rational) never
     settles; it prints the midpoint of its BALL_STR_BITS enclosure, and an
-    exact zero reached through a tree that is not exact prints 0.0."""
+    exact zero reached through a tree that is not exact prints 0.0.  A
+    value whose decimal exponent x exceeds _BALL_STR_SCALE in size (the
+    exact integers of its decimal grow with x) prints as expr 10^-x, with
+    x added to the printed exponent."""
     expr = as_expr(expr)
-    text = None
+    text, scale = None, 0
 
     def settled(ball: Ball) -> bool:
-        nonlocal text
-        text = _decimal(ball.lo, ball.exponent)
-        return text == _decimal(ball.hi, ball.exponent)
+        nonlocal text, scale
+        top = max(-ball.lo, ball.hi)
+        x = _decimal_exponent(top, ball.exponent) if top and not scale else 0
+        if abs(x) > _BALL_STR_SCALE:
+            scale = x
+            return True
+        text = _decimal(ball.lo, ball.exponent, scale)
+        return text == _decimal(ball.hi, ball.exponent, scale)
 
     try:
         eval_ball(expr, BALL_STR_BITS, accept=settled)
+        if scale:
+            expr = Mul(expr, Pow(Const(Fraction(10)), Fraction(-scale)))
+            eval_ball(expr, BALL_STR_BITS, accept=settled)
         return text
     except UndecidableError:
         if exact_value(expr) == 0:
             return "0.0"
         ball = eval_ball(expr, BALL_STR_BITS)
-        return _decimal(ball.lo + ball.hi, ball.exponent - 1)
+        return _decimal(ball.lo + ball.hi, ball.exponent - 1, scale)

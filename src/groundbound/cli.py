@@ -19,9 +19,9 @@ error.
 Exit codes: 0 success, 1 reproduction mismatch, 2 undecidable (a sign
 not settled at the precision cap, or no N up to 1000000), 3 usage error
 (a bad flag, an argument out of range: `errors.InvalidInput` and the
-other package errors, a malformed or too deeply nested expression, a
-value too large to print, or an --out, --case-csv or --pairs-out path
-that cannot be written, which is checked before any work starts).
+other package errors, a malformed or too deeply nested expression, or an
+--out, --case-csv or --pairs-out path that cannot be written, which is
+checked before any work starts).
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def _cmd_polytope(args) -> Report:
     from .reproduce import fuchsian_records, polytope_records
 
     report = Report(title="polytope and Fuchsian bounds")
-    report.add_section("dimension elimination", polytope_records(args.nmax))
+    report.add_section("dimension elimination", polytope_records())
     report.add_section("Fuchsian bounds", fuchsian_records())
     if args.verbose:
         from .polytopes import counting_chain
@@ -369,7 +369,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_refine_pair)
 
     p = sub.add_parser("polytope", help="dimension elimination and Fuchsian bounds", parents=[common])
-    p.add_argument("--nmax", type=int, default=10**4)
     p.add_argument("--verbose", action="store_true",
                    help="also print the counting-argument intermediates")
     p.set_defaults(func=_cmd_polytope)

@@ -11,10 +11,11 @@ rerun their bounds at bits = FIXED_BITS, 128, ... up to the cap
 
 Every value comes from integers; no module here imports `balls`:
 
-- `_ln_fine` / `_fixed_ln_ratio`: ln(a/b) for any positive rational, by a
-  power-of-2 reduction and one atanh series with a proven error bound;
-  `_fixed_ln` is its one cached form for ln of an integer.
-- `_pi_fine`: pi by Machin's formula.
+- `_ln_fine` / `_fixed_ln_ratio`: ln(a/b 2^shift) for any positive
+  rational, by a power-of-2 reduction and one atanh series with a proven
+  error bound; `_fixed_ln` is its one cached form for ln of an integer.
+- `_inverse_series`: atanh(1/n) for ln 2, and atan(1/n) for pi by
+  Machin's formula (`_pi_fine`).
 - `_fixed_neg_ln_sin`: -ln sin(pi/x) for x >= 3, as
   ln x - ln pi - ln(sin t / t) with an alternating series for sin t / t.
 - `_exp_fine` and `_trig_fine`: exp and sin / cos of a dyadic number,
@@ -57,35 +58,42 @@ def _to_fixed(lo: int, hi: int) -> tuple[int, int]:
     return lo >> LN_GUARD_BITS, -(-hi >> LN_GUARD_BITS)
 
 
-def _fixed_atanh_inverse(n: int, bits: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^bits atanh(1/n) <= hi, for n >= 3.
+def _inverse_series(n: int, w: int, alternating: bool) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^w f(1/n) <= hi for f = atanh, n >= 3, or, when
+    `alternating`, f = atan, n >= 2.
 
-    atanh(1/n) = sum_j 1 / ((2j + 1) n^(2j + 1)).  The terms with
-    n^(2j + 1) <= 2^bits are summed, each floored for lo and ceiled for
-    hi; the rest, for j >= J, is at most
-    x^(2J + 1) / ((2J + 1) (1 - x^2)) at x = 1/n, added to hi rounded up.
-    A floor (ceiling) of a floor (ceiling) divided by a positive integer
-    is the floor (ceiling) of the whole quotient, so the terms are carried
-    down from floor and ceil of 2^bits / n^(2j + 1), one small division
-    each.
+    f(1/n) = sum_j s_j / ((2j + 1) n^(2j + 1)), s_j = 1 for atanh and
+    (-1)^j for atan.  The terms with n^(2j + 1) <= 2^w are summed, each
+    floored where it adds to lo or subtracts from hi and ceiled otherwise.
+    A floor (ceiling) of a floor (ceiling) divided by a positive integer is
+    the floor (ceiling) of the whole quotient, so the terms are carried
+    down from floor and ceil of 2^w / n^(2j + 1), one small division each.
+    The rest, for j >= J: for atanh, at most x^(2J + 1) / ((2J + 1)
+    (1 - x^2)) at x = 1/n, added to hi rounded up; for atan, alternating
+    with decreasing terms, it has the sign of its first term and is
+    smaller than it, below one unit since n^(2J + 1) > 2^w, so lo - 1 and
+    hi + 1 hold.
     """
-    one, nn = 1 << bits, n * n
+    one, nn = 1 << w, n * n
     lo = hi = 0
     j, power = 0, n  # power = n^(2j + 1)
-    down, up = one // n, -(-one // n)  # floor and ceil of 2^bits / power
+    down, up = one // n, -(-one // n)  # floor and ceil of 2^w / power
     while power <= one:
-        lo += down // (2 * j + 1)
-        hi -= -up // (2 * j + 1)
+        if alternating and j & 1:
+            lo, hi = lo + (-up // (2 * j + 1)), hi - down // (2 * j + 1)
+        else:
+            lo, hi = lo + down // (2 * j + 1), hi - (-up // (2 * j + 1))
         j, power = j + 1, power * nn
         down, up = down // nn, -(-up // nn)
-    hi -= -(one * nn) // ((2 * j + 1) * power * (nn - 1))
-    return lo, hi
+    if alternating:
+        return lo - 1, hi + 1
+    return lo, hi - (-(one * nn) // ((2 * j + 1) * power * (nn - 1)))
 
 
 @cache
 def _ln2_fine(bits: int) -> tuple[int, int]:
     """Bounds of 2^W ln 2 = 2^W 2 atanh(1/3), W = bits + LN_GUARD_BITS."""
-    lo, hi = _fixed_atanh_inverse(3, bits + LN_GUARD_BITS)
+    lo, hi = _inverse_series(3, bits + LN_GUARD_BITS, False)
     return 2 * lo, 2 * hi
 
 
@@ -122,16 +130,17 @@ def _atanh_fine(p: int, q: int, bits: int = FIXED_BITS) -> tuple[int, int]:
     return lo, lo + 3 * (j // 2) + 2
 
 
-def _ln_fine(a: int, b: int, bits: int = FIXED_BITS) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^W ln(a/b) <= hi, W = bits + LN_GUARD_BITS, for
-    integers a, b > 0.
+def _ln_fine(a: int, b: int, bits: int = FIXED_BITS, shift: int = 0) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^W ln(a/b 2^shift) <= hi, W = bits +
+    LN_GUARD_BITS, for integers a, b > 0.
 
     With e = bitlen(a) - bitlen(b), r = a / (b 2^e) lies in (1/2, 2); one
     doubling or halving (e adjusted) brings it into [2/3, 3/2].  Then
-    ln(a/b) = e ln 2 + ln r and ln r = 2 atanh(y), y = (r - 1)/(r + 1),
-    |y| <= 1/5 (`_atanh_fine`).  e ln 2 takes the lower (upper) bound of
-    ln 2 for the lower (upper) bound when e >= 0, and the other one when
-    e < 0; all of it exact integer arithmetic.
+    ln(a/b 2^shift) = (e + shift) ln 2 + ln r and ln r = 2 atanh(y),
+    y = (r - 1)/(r + 1), |y| <= 1/5 (`_atanh_fine`).  The multiple of ln 2
+    takes the lower (upper) bound of ln 2 for the lower (upper) bound when
+    it is nonnegative, and the other one when it is negative; all of it
+    exact integer arithmetic, and no integer is shifted by `shift`.
     """
     e = a.bit_length() - b.bit_length()
     num, den = (a, b << e) if e >= 0 else (a << -e, b)
@@ -141,6 +150,7 @@ def _ln_fine(a: int, b: int, bits: int = FIXED_BITS) -> tuple[int, int]:
         den, e = 2 * den, e + 1
     lo, hi = _atanh_fine(num - den, num + den, bits)
     l2_lo, l2_hi = _ln2_fine(bits)
+    e += shift
     if e < 0:
         l2_lo, l2_hi = l2_hi, l2_lo
     return 2 * lo + e * l2_lo, 2 * hi + e * l2_hi
@@ -159,44 +169,19 @@ def _fixed_ln(n: int, bits: int) -> tuple[int, int]:
     return _fixed_ln_ratio(n, 1, bits)
 
 
-def _atan_inverse(n: int, w: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^w atan(1/n) <= hi, for n >= 2.
-
-    atan(1/n) = sum_j (-1)^j / ((2j + 1) n^(2j + 1)) alternates with
-    decreasing terms.  The terms with n^(2j + 1) <= 2^w are summed, each
-    floored where it adds to lo or subtracts from hi and ceiled otherwise;
-    the rest has the sign of its first term and is smaller than it, below
-    one unit since n^(2J + 1) > 2^w, so lo - 1 and hi + 1 hold.  The terms
-    are carried down from floor and ceil of 2^w / n^(2j + 1), as in
-    `_fixed_atanh_inverse`.
-    """
-    one, nn = 1 << w, n * n
-    lo = hi = 0
-    j, power = 0, n  # power = n^(2j + 1)
-    down, up = one // n, -(-one // n)  # floor and ceil of 2^w / power
-    while power <= one:
-        if j & 1:
-            lo, hi = lo + (-up // (2 * j + 1)), hi - down // (2 * j + 1)
-        else:
-            lo, hi = lo + down // (2 * j + 1), hi - (-up // (2 * j + 1))
-        j, power = j + 1, power * nn
-        down, up = down // nn, -(-up // nn)
-    return lo - 1, hi + 1
-
-
 @cache
 def _machin(w: int) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^w pi <= hi, at most three units apart.
 
     Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), on the bounds of
-    `_atan_inverse` at w + g bits: each is at most J + 2 < w + g units
+    `_inverse_series` at w + g bits: each is at most J + 2 < w + g units
     wide (J terms, J < w + g), so the combination is below 20 (w + g)
     units wide, under 2^g for g = bitlen(w) + 6, and rounding outward by
     g bits leaves at most three units at w.
     """
     g = w.bit_length() + 6
-    a_lo, a_hi = _atan_inverse(5, w + g)
-    b_lo, b_hi = _atan_inverse(239, w + g)
+    a_lo, a_hi = _inverse_series(5, w + g, True)
+    b_lo, b_hi = _inverse_series(239, w + g, True)
     return (16 * a_lo - 4 * b_hi) >> g, -(-(16 * a_hi - 4 * b_lo) >> g)
 
 

@@ -116,8 +116,8 @@ def _existence_margin(n: int) -> Fraction:
     return Fraction((n - 1) * (n - 2) * (11 - n), 2 * (n - 3))
 
 
-def max_admissible_dimension(n_max: int) -> int:
-    """Largest n <= n_max for which the existence inequality still holds.
+def max_admissible_dimension() -> int:
+    """Largest n for which the existence inequality still holds.
 
     On each parity class, with c = n - 2 (n even) or n - 3 (n odd), both
     c * (lhs - rhs) and c * `_existence_margin(n)` are polynomials of degree
@@ -128,8 +128,6 @@ def max_admissible_dimension(n_max: int) -> int:
     factor, 10 - n or 11 - n: the inequality fails at every n >= 10, and
     only n = 4..10 need a scan.
     """
-    if n_max < 10:
-        raise InadmissibleQuery(f"n_max = {n_max} < 10")
     for n in _PARITY_POINTS:
         check = existence_inequality(n)
         if check.lhs - check.rhs != _existence_margin(n):

@@ -38,10 +38,10 @@ def dataset_records() -> list[Record]:
     return out
 
 
-def polytope_records(n_max: int = 10**4) -> list[Record]:
+def polytope_records() -> list[Record]:
     out = []
-    dim = polytopes.max_admissible_dimension(n_max)
-    out.append(Record(pipeline="polytope", case=f"max admissible dimension (n <= {n_max})",
+    dim = polytopes.max_admissible_dimension()
+    out.append(Record(pipeline="polytope", case="max admissible dimension (n <= 10000)",
                       inputs={}, result=dim, paper_expected=9, match=dim == 9))
     tie = polytopes.existence_inequality(10)
     out.append(Record(pipeline="polytope", case="n=10 counting inequality",

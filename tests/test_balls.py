@@ -246,17 +246,18 @@ def test_eval_ball_accept_and_cap():
     near_zero = PI - Const(PI_TRUNCATION)
     ball = eval_ball(near_zero, 64, accept=lambda b: b.certainly_positive())
     assert ball.certainly_positive() and ball.precision_bits == 256
-    with pytest.raises(UndecidableError):
+    # the error names the last reason the walk went on
+    with pytest.raises(UndecidableError, match="the enclosure is too wide$"):
         eval_ball(near_zero, 64, cap_bits=128, accept=lambda b: b.certainly_positive())
-    with pytest.raises(UndecidableError):
+    with pytest.raises(UndecidableError, match="sqrt argument not certified nonnegative$"):
         eval_ball(Sqrt(near_zero), 64, cap_bits=128)
-    with pytest.raises(UndecidableError):
+    with pytest.raises(UndecidableError, match="the start precision is above the cap$"):
         eval_ball(PI, 256, cap_bits=128)
 
 
 def test_one_precision_schedule(monkeypatch):
-    # `precisions` doubles from the start while at most the cap; `eval_ball`
-    # walks it, and so does `settle`, the one walk of the integer
+    # `precisions` doubles from the start while at most the cap; `settle`
+    # is the one walk of it, for `eval_ball` and for the integer
     # certificates of `bounds` and `pairs`
     from groundbound import bounds, pairs
 
@@ -273,15 +274,87 @@ def test_one_precision_schedule(monkeypatch):
             yield bits
 
     monkeypatch.setattr(balls, "precisions", spy)
+    settles = []
+    real_settle = balls.settle
+
+    def settle_spy(attempt, undecided, cap_bits=balls.DEFAULT_CAP_BITS,
+                   start_bits=balls.DEFAULT_START_BITS):
+        settles.append((cap_bits, start_bits))
+        return real_settle(attempt, undecided, cap_bits, start_bits)
+
+    monkeypatch.setattr(balls, "settle", settle_spy)
     near_zero = PI - Const(PI_TRUNCATION)
     ball = eval_ball(near_zero, 64, accept=lambda b: b.certainly_positive())
     assert walked == [64, 128, 256] and ball.precision_bits == 256
+    walked.clear()
+    assert eval_ball(near_zero, 128, 512).precision_bits == 128 and walked == [128]
+    assert settles == [(4096, 64), (512, 128)]
     walked.clear()
     assert balls.settle(lambda bits: bits if bits >= 256 else None, "open") == 256
     assert walked == [64, 128, 256]
     with pytest.raises(UndecidableError, match="^open$"):
         balls.settle(lambda bits: None, "open", cap_bits=128)
     assert walked[3:] == [64, 128]
+
+
+def _power_range(lo: Fraction, hi: Fraction, k: int):
+    """The exact range of x^k over [lo, hi]: x^k is monotone on either side
+    of 0, and an even power of an interval holding 0 reaches 0."""
+    a, b = lo**k, hi**k
+    if lo < 0 < hi and k % 2 == 0 and k:
+        return Fraction(0), max(a, b)
+    return min(a, b), max(a, b)
+
+
+def test_integer_powers_enclose_the_exact_power():
+    # positive, negative and zero-straddling enclosures, k = -5..20 and
+    # 2^16: the exact Fraction range lies inside, an even power never has
+    # a negative lower end, and a power of a point is at most a few units
+    # of its prec-bit mantissa wide
+    rng = random.Random(4096)
+    intervals = [(3, 5, 0), (-5, -3, 0), (-3, 5, 0), (-5, 3, -1), (0, 7, -2), (-7, 0, 2),
+                 (1, 1, -1), (-1, -1, 0), (0, 0, 0)]
+    for _ in range(12):
+        a, b = sorted(rng.randint(-2**70, 2**70) for _ in range(2))
+        intervals.append((a, b, rng.randint(-90, 20)))
+        m = rng.randint(2**69, 2**70)
+        intervals.append((m, m, rng.randint(-90, 20)))
+    for prec in (80, 144):
+        for lo, hi, e in intervals:
+            x_lo, x_hi = Fraction(lo) * Fraction(2) ** e, Fraction(hi) * Fraction(2) ** e
+            for k in [*range(-5, 21), 2**16]:
+                if k < 0 and lo <= 0 <= hi:
+                    with pytest.raises(balls._Inconclusive):
+                        balls._pow_int((lo, hi, e), k, prec)
+                    continue
+                if k == 2**16 and max(-lo, hi) >= 2**8:
+                    continue  # the exact 2^16th powers of small ends are enough
+                a, b, f = balls._pow_int((lo, hi, e), k, prec)
+                p_lo, p_hi = _power_range(x_lo, x_hi, k)
+                assert a * Fraction(2) ** f <= p_lo and p_hi <= b * Fraction(2) ** f, (lo, hi, e, k)
+                assert k % 2 or a >= 0, (lo, hi, e, k)
+                if lo == hi and lo:
+                    assert b - a <= 16 and max(-a, b).bit_length() <= prec, (lo, e, k)
+
+
+def test_ln_with_a_shift_encloses_the_oracle():
+    # ln(num/den 2^shift): a huge shift is added to a multiple of ln 2, and
+    # a value within a factor 4 of 1 gets the extra bits ln needs there;
+    # the enclosure lies inside the 512-bit oracle and is at most a few
+    # units of 2^-prec of |ln| wide
+    iv = _oracle_context(512)
+    cases = [(3, 7, 10**20), (3, 7, -10**20), (10**30 + 1, 10**30, 10**20),
+             (2**64 - 1, 1, -(10**20)), (2**200 + 1, 1, -200), (2**200 - 1, 1, -200),
+             (3, 1, -1), (1, 3, 1), (5, 3, 1), (7, 1, -1), (1, 7, 2), (3**40, 2**63, 0),
+             (2**80 + 3**20, 2**80, 0), (10**9, 10**9 + 1, 0)]
+    for prec in (64, 128):
+        for num, den, shift in cases:
+            lo, hi, f = balls._ln_bounds(num, den, prec, shift)
+            v_lo, v_hi = _iv_ends(iv.log(iv.mpf(num) / iv.mpf(den)) + shift * iv.log(2))
+            scale = Fraction(2) ** f
+            assert lo * scale <= v_lo and v_hi <= hi * scale, (num, den, shift, prec)
+            assert (hi - lo) * scale <= abs(v_lo) * Fraction(2) ** (8 - prec), (num, den, shift, prec)
+        assert balls._ln_bounds(5, 5 << 7, prec, 7) == balls.ZERO_IV
 
 
 def test_exact_algebraic_sign_may_exceed_the_cap():
@@ -632,6 +705,8 @@ def _decimal_cases():
         scale = Const(Fraction(10) ** k)
         cases += [PI * scale, Sqrt(Const(Fraction(2))) * scale, -(E / scale),
                   Const(Fraction(rng.randint(10**20, 10**40), 10**30) * Fraction(10) ** k)]
+    for k in (-10002, -10001, -10000, 9999, 10000, 10001):  # both sides of the decimal scale
+        cases += [PI * Const(Fraction(10) ** k), -(E / Const(Fraction(10) ** k))]
     for k in (-6, -5, -4, 11, 12):  # both notation boundaries, and the carry into them
         for digits in ("1", "9999999999999", "99999999999949", "123456789012345"):
             value = Fraction(int(digits), 10 ** (len(digits) - 1)) * Fraction(10) ** k

@@ -142,9 +142,16 @@ def test_graph_family_csv(tmp_path, capsys):
 
 
 def test_polytope_command(capsys):
-    code, out, _ = run_cli(["polytope", "--nmax", "200"], capsys)
+    code, out, _ = run_cli(["polytope"], capsys)
     assert code == 0
     assert "result=9" in out and "result=46" in out
+    assert "max admissible dimension (n <= 10000)" in out
+
+
+def test_nmax_is_a_usage_error(capsys):
+    # the dimension elimination is proved for every n, so no bound is taken
+    code, out, err = run_cli(["polytope", "--nmax", "20"], capsys)
+    assert code == 3 and out == "" and "--nmax" in err
 
 
 def test_datasets_command(capsys):
@@ -364,14 +371,28 @@ def test_large_s_gives_the_least_n(s, least_n, capsys):
     assert code == 0 and f"result={least_n}\n" in out
 
 
-def test_value_too_large_to_print_is_one_error_line(capsys):
-    # the solve succeeds at N = 1, but R = 10^(-10^20) has no decimal that
-    # fits in memory
+def test_huge_values_print_with_their_decimal_exponent(capsys):
+    # the solve succeeds at N = 1; R = 10^(-10^20) and S = exp(10^20) have
+    # no decimal that fits in memory, so each prints scaled by a power of 10
     code, out, err = run_cli(
         ["bound-solve", "--M", "1", "--B", "1", "--R", "10^(-100000000000000000000)",
          "--S", "exp(10^20)"], capsys)
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert code == 0 and err == "" and "result=1" in out
+    assert "R = 1.00000000000e-100000000000000000000  (" in out
+    # exp(10^20) = 10^(10^20 / ln 10), 10^20 / ln 10 = 43429448190325182765.11...
+    assert "S = 1.29685640608e+43429448190325182765  (" in out
+
+
+def test_exact_power_of_a_large_base_is_left_to_the_enclosures():
+    # (10^1000)^60000 has about 2 * 10^8 bits: the exact path gives it up,
+    # and the enclosures of the difference straddle 0 at every precision
+    proc = subprocess.run(
+        [sys.executable, "-m", "groundbound", "bound-solve", "--M", "1", "--B", "1",
+         "--R", "1/2", "--S", "1 + sqrt((10^1000)^60000 - (10^1000)^60000)"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("undecidable: ")
 
 
 def test_precision_cap_only_on_bound_solve(capsys):
@@ -381,7 +402,7 @@ def test_precision_cap_only_on_bound_solve(capsys):
         capsys,
     )
     assert code == 0 and "result=22" in out
-    for args in (["datasets"], ["polytope", "--nmax", "20"], ["reproduce-all", "--kmax", "100"]):
+    for args in (["datasets"], ["polytope"], ["reproduce-all", "--kmax", "100"]):
         code, _, err = run_cli([*args, "--precision-cap", "512"], capsys)
         assert code == 3 and "--precision-cap" in err
 
@@ -395,7 +416,7 @@ SUBCOMMANDS = (
     ["graph-family", "--family", "g1"],
     ["search-pairs", "--kind", "gamma4", "--kmax", "100"],
     ["refine-pair", "--kind", "gamma5", "--k", "31", "--s", "3"],
-    ["polytope", "--nmax", "20"],
+    ["polytope"],
     ["datasets"],
     ["reproduce-all", "--kmax", "100"],
 )
@@ -408,10 +429,10 @@ def test_jobs_is_a_usage_error(capsys):
 
 
 def test_verbose_only_on_polytope(capsys):
-    code, out, _ = run_cli(["polytope", "--nmax", "20", "--verbose"], capsys)
+    code, out, _ = run_cli(["polytope", "--verbose"], capsys)
     assert code == 0
     assert "counting-argument intermediates" in out and "counting chain at n=10" in out
-    code, out, _ = run_cli(["polytope", "--nmax", "20"], capsys)
+    code, out, _ = run_cli(["polytope"], capsys)
     assert code == 0 and "counting chain" not in out
     for args in SUBCOMMANDS:
         if args[0] != "polytope":

@@ -10,7 +10,7 @@ from groundbound.balls import Ball, floor_of, scaled, within_one_integer_step
 from groundbound.cyclo import euler_phi, gamma_norm_constant
 from groundbound.fixed import (
     FIXED_BITS, LN_GUARD_BITS, _exp_fine, _fixed_ln, _fixed_ln_ratio, _fixed_neg_ln_sin,
-    _ln_fine, _machin, _pi_fine, _sinc_fine, _trig_fine,
+    _inverse_series, _ln_fine, _machin, _pi_fine, _sinc_fine, _trig_fine,
 )
 from groundbound.pairs import TAIL_START
 
@@ -133,6 +133,49 @@ def _dyadic_arguments(rng, count):
         m = rng.getrandbits(rng.randint(1, 100)) * rng.choice((1, -1)) or 1
         out.append((m, rng.randint(-200, 12) - m.bit_length()))
     return out
+
+
+def _fixed_atanh_inverse(n, bits):
+    """The atanh(1/n) series as `fixed` summed it before it shared one loop
+    with atan: the oracle of `_inverse_series(n, bits, False)`."""
+    one, nn = 1 << bits, n * n
+    lo = hi = 0
+    j, power = 0, n  # power = n^(2j + 1)
+    down, up = one // n, -(-one // n)  # floor and ceil of 2^bits / power
+    while power <= one:
+        lo += down // (2 * j + 1)
+        hi -= -up // (2 * j + 1)
+        j, power = j + 1, power * nn
+        down, up = down // nn, -(-up // nn)
+    hi -= -(one * nn) // ((2 * j + 1) * power * (nn - 1))
+    return lo, hi
+
+
+def _atan_inverse(n, w):
+    """The atan(1/n) series as `fixed` summed it before: the oracle of
+    `_inverse_series(n, w, True)`."""
+    one, nn = 1 << w, n * n
+    lo = hi = 0
+    j, power = 0, n  # power = n^(2j + 1)
+    down, up = one // n, -(-one // n)  # floor and ceil of 2^w / power
+    while power <= one:
+        if j & 1:
+            lo, hi = lo + (-up // (2 * j + 1)), hi - down // (2 * j + 1)
+        else:
+            lo, hi = lo + down // (2 * j + 1), hi - (-up // (2 * j + 1))
+        j, power = j + 1, power * nn
+        down, up = down // nn, -(-up // nn)
+    return lo - 1, hi + 1
+
+
+def test_one_inverse_series_gives_the_integers_of_both_old_ones():
+    for w in (64, 65, 80, 128, 333, 1024, 4096):
+        for n in (3, 5, 239):
+            assert _inverse_series(n, w, False) == _fixed_atanh_inverse(n, w), (n, w)
+            assert _inverse_series(n, w, True) == _atan_inverse(n, w), (n, w)
+        # atanh(1/3) = ln(2) / 2; each of the J < w summed terms widens the
+        # bounds by at most one unit (atan is covered by `test_pi_kernel`)
+        assert _encloses(_inverse_series(3, w, False), _oracle(lambda: iv.log(2) / 2, w, 2 * w), w)
 
 
 def test_pi_kernel():
