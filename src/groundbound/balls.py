@@ -36,7 +36,7 @@ DEFAULT_CAP_BITS = 4096
 BALL_STR_DIGITS = 12
 BALL_STR_BITS = 192
 _BALL_STR_SCALE = 10**4  # decimal exponents beyond which `ball_str` prints a scaled value
-_EXACT_POWER_BITS = 1 << 20  # the largest power `exact_value` computes
+_EXACT_POWER_BITS = 1 << 20  # the largest power `exact_value` or floor `floor_of` computes
 
 
 @dataclass(frozen=True)
@@ -538,8 +538,18 @@ def scaled(ball: Ball, bits: int) -> tuple[int, int]:
     return _shifted(ball.lo, ball.exponent + bits)[0], _shifted(ball.hi, ball.exponent + bits)[1]
 
 
+def _floor_bits(ball: Ball) -> int:
+    """The bit length of the floor of the ball's lower end, give or take one."""
+    return ball.lo.bit_length() + ball.exponent
+
+
 def floor_of(ball: Ball) -> int:
-    """Exact floor of the lower end of the ball."""
+    """Exact floor of the lower end of the ball; UndecidableError when it
+    has more than _EXACT_POWER_BITS bits."""
+    bits = _floor_bits(ball)
+    if bits > _EXACT_POWER_BITS:
+        raise UndecidableError(f"a floor of about {bits} bits is above the "
+                               f"{_EXACT_POWER_BITS}-bit limit of exact integers")
     return _shifted(ball.lo, ball.exponent)[0]
 
 
@@ -765,12 +775,13 @@ def certified_floor(expr) -> int:
     """floor(expr): exact for an exactly rational value, otherwise from an
     enclosure certified inside one integer step; raises UndecidableError
     when the value sits on an integer that interval arithmetic cannot
-    separate."""
+    separate, or when its floor is too large to compute (`floor_of`)."""
     expr = as_expr(expr)
     exact = exact_value(expr)
     if isinstance(exact, Fraction):
         return exact.numerator // exact.denominator
-    return floor_of(eval_ball(expr, accept=within_one_integer_step))
+    return floor_of(eval_ball(expr, accept=lambda ball: _floor_bits(ball) > _EXACT_POWER_BITS
+                              or within_one_integer_step(ball)))
 
 
 def _decimal_exponent(m: int, e: int) -> int:

@@ -8,10 +8,10 @@ gcd(den, *num) = 1 (the layout of FLINT's fmpq_poly), so every element has
 exactly one representation.  b is an algebraic integer, so sums, products,
 rational scaling, the reduction modulo psi_n, Galois conjugation and the
 embedding into a larger modulus (a Dickson substitution b -> D_j(b) by
-Horner's rule) all stay in integers; only `inverse` runs the extended
-Euclidean algorithm over Q.  `coeffs` is the read-only view of the
-coordinates num[i] / den as reduced Fractions, for callers that evaluate
-or print them one by one.
+Horner's rule) all stay in integers, and so does `inverse`, which divides
+the product of the other conjugates by the norm.  `coeffs` is the
+read-only view of the coordinates num[i] / den as reduced Fractions, for
+callers that evaluate or print them one by one.
 
 All values are immutable after construction.
 """
@@ -24,23 +24,7 @@ from math import gcd, isqrt, lcm
 
 from .errors import InvalidModulus
 from . import polyint as P
-
-
-def _factorize(n: int) -> tuple:
-    """((p, v), ...) with n = prod p^v, primes increasing, by trial division."""
-    out = []
-    x, p = n, 2
-    while p * p <= x:
-        if x % p == 0:
-            v = 0
-            while x % p == 0:
-                x //= p
-                v += 1
-            out.append((p, v))
-        p += 1
-    if x > 1:
-        out.append((x, 1))
-    return tuple(out)
+from .polyint import _factorize
 
 
 def _smallest_prime_factors(limit: int) -> list[int]:
@@ -227,21 +211,20 @@ class CycloElement:
         return out
 
     def inverse(self) -> "CycloElement":
-        """Multiplicative inverse via the extended Euclidean algorithm over
-        Q: t num = 1 modulo psi_n, and x^-1 = den t."""
+        """Multiplicative inverse from the norm: y = den x is an algebraic
+        integer, p = prod sigma_a(y) over 2 <= a < n/2 with gcd(a, n) = 1 is
+        the product of its other conjugates, y p = N(y) is a nonzero
+        integer, and x^-1 = den p / N(y)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        a = P.cos_minpoly(self.n)
-        b = P.trim(self.num)
-        # extended gcd over Q: s*a + t*b = g (constant)
-        r0, r1 = a, b
-        t0, t1 = (), (Fraction(1),)
-        while r1:
-            q, r = P.pdivmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, P.psub(t0, P.pmul(q, t1))
-        assert P.degree(r0) == 0, "minimal polynomial must be irreducible"
-        return CycloElement(self.n, P.pscale(t0, self.den / Fraction(r0[0])))
+        y = _element(self.n, list(self.num), 1)
+        p = _element(self.n, [1], 1)
+        for a in range(2, (self.n + 1) // 2):
+            if gcd(a, self.n) == 1:
+                p = p * y.conjugate(a)
+        norm = y * p
+        assert norm.is_rational(), "the product of all conjugates is rational"
+        return _element(self.n, [self.den * c for c in p.num], norm.num[0])
 
     # -- predicates & conversions ---------------------------------------
 

@@ -39,6 +39,7 @@ from .balls import AlgConst, Const, Expr, Pow, certify_compare, certify_sign
 from .cyclo import CycloElement, field_degree
 from .errors import GroundboundError, InvalidInput, SearchExhausted
 from .fields import Embedding, RealCyclotomicField, field_discriminant
+from .polyint import cos_minpoly
 
 # Bits kept below the smallest Chebyshev diagonal entry when the exact
 # forms are scaled to integers, and the Lovasz constant of the reduction.
@@ -104,27 +105,17 @@ def integral_basis(field: RealCyclotomicField) -> tuple[CycloElement, ...]:
 
 
 def _field_sqrt(field: RealCyclotomicField, d: int) -> CycloElement:
-    """The positive square root of the squarefree integer d inside F."""
-    beta = CycloElement.generator(field.n)
-    trace = CycloElement.rational(field.n, 0)
-    for h in field.fixing_group:
-        trace = trace + beta.conjugate(h)
-    emb = field.embeddings()
-    t_conj = emb[1].apply(trace)
-    p = trace + t_conj
-    q = trace * t_conj
-    if not (p.is_rational() and q.is_rational()):
-        raise GroundboundError("trace generator did not produce rational invariants")
-    disc0 = p.as_rational() ** 2 - 4 * q.as_rational()
-    ratio = disc0 / d
-    f = Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator))
-    if f * f != ratio:
-        raise GroundboundError(f"disc0/d = {ratio} is not a rational square")
-    sq = (2 * trace - p.as_rational()) / f
-    if certify_sign(AlgConst(sq)) == balls.LESS:
-        sq = -sq
-    assert (sq * sq) == d
-    return sq
+    """The positive square root of the squarefree integer d inside F of
+    degree 2, which is all of Q(b), b = 2cos(2pi/n): psi_n = x^2 + p x + q
+    gives (2b + p)^2 = p^2 - 4q = f^2 d, so the root is +-(2b + p)/f, with
+    the sign `certify_sign` proves positive."""
+    q, p, _ = cos_minpoly(field.n)
+    disc = p * p - 4 * q
+    f = isqrt(disc // d)
+    if f * f * d != disc:
+        raise GroundboundError(f"p^2 - 4q = {disc} is not {d} times a square")
+    sq = (2 * CycloElement.generator(field.n) + p) / f
+    return -sq if certify_sign(AlgConst(sq)) == balls.LESS else sq
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import polyint as P
-from .cyclo import CycloElement, _factorize, euler_phi, field_degree, gamma_norm_constant, sin2_pi_over
+from .polyint import _factorize
+from .cyclo import CycloElement, euler_phi, field_degree, gamma_norm_constant, sin2_pi_over
 from .errors import ElementNotInField, InvalidModulus
 
 RATIONAL_COSINE_MODULI = frozenset({3, 4, 6})

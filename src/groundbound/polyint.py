@@ -1,15 +1,17 @@
-"""Dense polynomial arithmetic over Z and Q.
+"""Dense polynomial arithmetic over Z.
 
-Polynomials are tuples of coefficients, constant term first, trailing
-zeros stripped; the zero polynomial is the empty tuple.  Everything here
-is exact: integer coefficients stay integers, rational coefficients are
-`fractions.Fraction`.
+Polynomials are tuples of integer coefficients, constant term first,
+trailing zeros stripped; the zero polynomial is the empty tuple.  Nothing
+here divides except exactly: the cyclotomic polynomial Phi_n is the
+Moebius product of the binomials x^e - 1, the minimal polynomial psi_n of
+2cos(2pi/n) is read off Phi_n as a sum of Dickson polynomials, and the
+Dickson polynomials come from their integer three-term recurrence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 
 Poly = tuple  # coefficient tuple, low degree first
@@ -27,27 +29,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def padd(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return trim(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
-def pneg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def psub(p: Poly, q: Poly) -> Poly:
-    return padd(p, pneg(q))
-
-
-def pscale(p: Poly, a) -> Poly:
-    if a == 0:
-        return ()
-    return trim(a * c for c in p)
-
-
 def pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
@@ -60,29 +41,6 @@ def pmul(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division; exact over Q.  Coefficients become Fractions,
-    except that a monic q divides without any, so integer inputs give
-    integer quotient and remainder."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    monic = q[-1] == 1
-    rem = list(p) if monic else [Fraction(c) for c in p]
-    quo = [0 if monic else Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq, lc = degree(q), Fraction(q[-1])
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] if monic else rem[-1] / lc
-        quo[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-    return trim(quo), trim(rem)
-
-
 def peval(p: Poly, x):
     """Horner evaluation; exact for Fraction/int x."""
     acc = 0
@@ -91,20 +49,57 @@ def peval(p: Poly, x):
     return acc
 
 
+def _factorize(n: int) -> tuple:
+    """((p, v), ...) with n = prod p^v, primes increasing, by trial division."""
+    out = []
+    x, p = n, 2
+    while p * p <= x:
+        if x % p == 0:
+            v = 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            out.append((p, v))
+        p += 1
+    if x > 1:
+        out.append((x, 1))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
-    """Integer coefficients of the n-th cyclotomic polynomial."""
+    """Integer coefficients of the n-th cyclotomic polynomial,
+    Phi_n = prod_(e | n) (x^e - 1)^mu(n/e): the binomials with mu = 1
+    multiplied in first, then each with mu = -1 divided out exactly,
+    q_i = q_(i-e) - p_i for q (x^e - 1) = p."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    p = trim([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = pdivmod(p, cyclotomic(d))
-            assert not r
-            p = q
-    return tuple(int(c) for c in p)
+    signed = [1]  # mu(s) s for the squarefree divisors s of n
+    for p, _ in _factorize(n):
+        signed += [-s * p for s in signed]
+    out = [1]
+    for s in sorted(signed, reverse=True):
+        e = n // abs(s)
+        if s > 0:
+            out = [0] * e + out
+            for i in range(len(out) - e):
+                out[i] -= out[i + e]
+        else:
+            for i in range(len(out) - e):
+                out[i] = (out[i - e] if i >= e else 0) - out[i]
+            del out[len(out) - e:]
+    return tuple(out)
+
+
+def _dicksons():
+    """D_0, D_1, D_2, ...: D_0 = 2, D_1 = x, D_(k+1) = x D_k - D_(k-1)."""
+    a, b = (2,), (0, 1)
+    while True:
+        yield a
+        out = [0, *b]
+        for i, c in enumerate(a):
+            out[i] -= c
+        a, b = b, tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +107,9 @@ def cos_minpoly(n: int) -> Poly:
     """Minimal polynomial of 2*cos(2*pi/n) over Q, monic with integer
     coefficients, of degree phi(n)/2 for n >= 3.
 
-    Uses the palindromic factorization Phi_n(x) = x^d * psi_n(x + 1/x).
+    Phi_n = sum_i c_i z^i of degree 2d is palindromic, so
+    z^-d Phi_n(z) = c_d + sum_(j >= 1) c_(d+j) (z^j + z^-j) and
+    psi_n = c_d + sum_(j >= 1) c_(d+j) D_j, since D_j(z + 1/z) = z^j + z^-j.
     """
     if n == 1:
         return (-2, 1)  # 2cos(0) = 2
@@ -120,37 +117,14 @@ def cos_minpoly(n: int) -> Poly:
         return (2, 1)  # 2cos(pi) = -2
     phi_n = cyclotomic(n)
     d = degree(phi_n) // 2
-    rem = list(phi_n) + [0] * 2  # room for safety
-    out = [0] * (d + 1)
-    # Phi_n = sum_j a_j * x^(d-j) * (x^2+1)^j; peel off from the top.
-    for j in range(d, -1, -1):
-        a = rem[d + j]
-        out[j] = a
-        if a:
-            term = pmul(trim([0] * (d - j) + [1]), pbinom_x2plus1(j))
-            for i, c in enumerate(term):
-                rem[i] -= a * c
-    assert not any(rem), f"cos_minpoly extraction failed for n={n}"
-    return trim(out)
-
-
-@lru_cache(maxsize=None)
-def pbinom_x2plus1(j: int) -> Poly:
-    """(x^2 + 1)^j as an integer polynomial."""
-    out = (1,)
-    for _ in range(j):
-        out = pmul(out, (1, 0, 1))
-    return out
+    out = [phi_n[d]] + [0] * d
+    for c, dj in zip(phi_n[d + 1:], islice(_dicksons(), 1, None)):
+        for i, x in enumerate(dj):
+            out[i] += c * x
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def dickson(m: int) -> Poly:
     """Dickson polynomial D_m with D_m(2cos t) = 2cos(m t)."""
-    if m == 0:
-        return (2,)
-    if m == 1:
-        return (0, 1)
-    a, b = (2,), (0, 1)
-    for _ in range(m - 1):
-        a, b = b, psub(pmul((0, 1), b), a)
-    return b
+    return next(islice(_dicksons(), m, None))

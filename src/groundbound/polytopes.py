@@ -19,17 +19,6 @@ TAKEUCHI_A = Fraction("29.099")
 TAKEUCHI_B = Fraction("8.3185")
 
 
-@dataclass(frozen=True)
-class FaceAverageQuery:
-    i: int
-    k: int
-    m: int
-
-    def validate(self):
-        if not (0 <= self.i <= self.k and 2 <= self.k and 2 * self.k - 1 <= self.m):
-            raise InadmissibleQuery(f"(i, k, m) = ({self.i}, {self.k}, {self.m})")
-
-
 def face_average_bound(i: int, k: int, m: int) -> Fraction:
     """Upper bound for the average number of i-faces in k-faces of a
     simple m-polytope:
@@ -38,7 +27,8 @@ def face_average_bound(i: int, k: int, m: int) -> Fraction:
         -------------------------------------------
               C([m/2], k) + C(m-[m/2], k)
     """
-    FaceAverageQuery(i, k, m).validate()
+    if not (0 <= i <= k and 2 <= k and 2 * k - 1 <= m):
+        raise InadmissibleQuery(f"(i, k, m) = ({i}, {k}, {m})")
     h = m // 2
     num = comb(m - i, k - i) * (comb(h, i) + comb(m - h, i))
     den = comb(h, k) + comb(m - h, k)

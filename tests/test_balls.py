@@ -399,6 +399,15 @@ def test_certified_floor_shared_by_pairs_and_polytopes():
         balls.certified_floor(Ln(Const(Fraction(4))) / Ln(Const(Fraction(2))))
 
 
+def test_certified_floor_of_a_huge_value_names_its_size():
+    # a floor above 2^20 bits is not built: 10^(10^20) and the exact point
+    # 2^(10^20) are undecidable with their size named, not a MemoryError
+    for base, bits in ((10, "332192809488736234788"), (2, "100000000000000000001")):
+        with pytest.raises(UndecidableError, match=f"about {bits} bits"):
+            balls.certified_floor(Pow(Const(Fraction(base)), Fraction(10**20)))
+    assert balls.certified_floor(Pow(Const(Fraction(10)), Fraction(-10**20))) == 0
+
+
 # -- the mpmath.iv oracle ----------------------------------------------------
 #
 # The evaluator written on mpmath's interval context (`mpmath.ctx_iv`),

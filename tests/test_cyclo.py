@@ -150,9 +150,9 @@ def test_galois_action_and_embedding_match_high_precision_values():
 # -- the Fraction-coordinate oracle -----------------------------------------
 # The arithmetic that `CycloElement` ran before it held integer numerators
 # over one denominator: a tuple of reduced Fraction coordinates, reduced
-# modulo psi_n by `polyint.pdivmod` over Q and conjugated by a Fraction
-# Horner substitution.  Every operation of the integer layout is checked
-# against it, coordinate for coordinate.
+# modulo psi_n by Euclidean division over Q and conjugated by a Fraction
+# Horner substitution, on the Q polynomial helpers below.  Every operation
+# of the integer layout is checked against it, coordinate for coordinate.
 
 
 class FractionCyclo:
@@ -233,11 +233,11 @@ class FractionCyclo:
         r0, r1 = P.cos_minpoly(self.n), P.trim(self.coeffs)
         t0, t1 = (), (Fraction(1),)
         while r1:
-            q, r = P.pdivmod(r0, r1)
+            q, r = _qdivmod(r0, r1)
             r0, r1 = r1, r
-            t0, t1 = t1, P.psub(t0, P.pmul(q, t1))
+            t0, t1 = t1, _qsub(t0, P.pmul(q, t1))
         assert P.degree(r0) == 0
-        return FractionCyclo(self.n, _old_reduce(P.pscale(t0, 1 / Fraction(r0[0])), self.n))
+        return FractionCyclo(self.n, _old_reduce(P.trim(c / r0[0] for c in t0), self.n))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -261,18 +261,41 @@ class FractionCyclo:
         return _old_dickson_substitute(self.coeffs, m // self.n, m)
 
 
+def _qadd(p, q):
+    n = max(len(p), len(q))
+    return P.trim((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
+
+
+def _qsub(p, q):
+    return _qadd(p, tuple(-c for c in q))
+
+
+def _qdivmod(p, q):
+    """Euclidean division over Q, on Fraction coefficients."""
+    rem = [Fraction(c) for c in p]
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        factor = rem[-1] / q[-1]
+        shift = len(rem) - len(q)
+        quo[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+        rem = list(P.trim(rem))
+    return P.trim(quo), tuple(rem)
+
+
 def _old_reduce(coeffs, n: int):
     coeffs = P.trim(coeffs)
     if len(coeffs) <= field_degree(n):
         return coeffs
-    return P.pdivmod(tuple(coeffs), P.cos_minpoly(n))[1]
+    return _qdivmod(tuple(coeffs), P.cos_minpoly(n))[1]
 
 
 def _old_dickson_substitute(coeffs, j: int, m: int) -> FractionCyclo:
     image = _old_reduce(P.dickson(j), m)
     out = ()
     for c in reversed(P.trim(coeffs)):
-        out = P.padd(_old_reduce(P.pmul(out, image), m), (c,))
+        out = _qadd(_old_reduce(P.pmul(out, image), m), (c,))
     return FractionCyclo(m, out)
 
 
