@@ -18,7 +18,6 @@ rounded decimal it settles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -29,6 +28,7 @@ from .fixed import (
     EQUAL, FIXED_BITS, GREATER, LESS, LN_GUARD_BITS, UNDECIDED,
     _exp_fine, _ln_fine, _pi_fine, _shifted, _trig_fine,
 )
+from .frozen import Frozen, set_field
 
 # the first rung of every schedule is the fixed-point unit of the integer certificates
 DEFAULT_START_BITS = FIXED_BITS
@@ -39,15 +39,17 @@ _BALL_STR_SCALE = 10**4  # decimal exponents beyond which `ball_str` prints a sc
 _EXACT_POWER_BITS = 1 << 20  # the largest power `exact_value` or floor `floor_of` computes
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Frozen):
     """Interval enclosure [lo 2^exponent, hi 2^exponent] of a real number,
     from an evaluation at `precision_bits`."""
 
-    lo: int
-    hi: int
-    exponent: int
-    precision_bits: int
+    __slots__ = ("lo", "hi", "exponent", "precision_bits")
+
+    def __init__(self, lo: int, hi: int, exponent: int, precision_bits: int):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "exponent", exponent)
+        set_field(self, "precision_bits", precision_bits)
 
     def certainly_positive(self) -> bool:
         return self.lo > 0
@@ -59,7 +61,7 @@ class Ball:
 # -- expression nodes ---------------------------------------------------
 
 
-class Expr:
+class Expr(Frozen):
     """Immutable real-expression tree node."""
 
     __slots__ = ()
@@ -94,27 +96,32 @@ class Expr:
     def __pow__(self, exponent):
         return Pow(self, Fraction(exponent))
 
-    def __reduce__(self):
-        # frozen slotted nodes cannot take the default copy/pickle path,
-        # which sets attributes on a bare instance; rebuild from the fields
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+def _rational(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     __slots__ = ("value",)
-    value: Fraction
+
+    def __init__(self, value: Fraction | int):
+        set_field(self, "value", _rational(value))
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class AlgConst(Expr):
     """Exact cyclotomic value at the identity embedding."""
 
     __slots__ = ("value",)
-    value: CycloElement
+
+    def __init__(self, value: CycloElement):
+        set_field(self, "value", value)
 
     def __str__(self):
         if self.value.is_rational():
@@ -146,14 +153,15 @@ PI = _PiConst()
 E = _EConst()
 
 
-@dataclass(frozen=True)
 class _Binary(Expr):
     """left OP right; subclasses set OP."""
 
     __slots__ = ("left", "right")
-    left: Expr
-    right: Expr
     OP = ""
+
+    def __init__(self, left: Expr, right: Expr):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     def __str__(self):
         return f"({self.left} {self.OP} {self.right})"
@@ -179,13 +187,14 @@ class Div(_Binary):
     OP = "/"
 
 
-@dataclass(frozen=True)
 class _Unary(Expr):
     """One-argument node printed through FORMAT; subclasses set FORMAT."""
 
     __slots__ = ("arg",)
-    arg: Expr
     FORMAT = ""
+
+    def __init__(self, arg: Expr):
+        set_field(self, "arg", arg)
 
     def __str__(self):
         return self.FORMAT.format(self.arg)
@@ -216,14 +225,15 @@ class Sin(_Unary):
     FORMAT = "sin({})"
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
     """arg ** exponent for an exact rational exponent; arg > 0 unless the
     exponent is a nonnegative integer."""
 
     __slots__ = ("arg", "exponent")
-    arg: Expr
-    exponent: Fraction
+
+    def __init__(self, arg: Expr, exponent: Fraction | int):
+        set_field(self, "arg", arg)
+        set_field(self, "exponent", _rational(exponent))
 
     def __str__(self):
         return f"({self.arg})^({self.exponent})"
@@ -233,7 +243,7 @@ def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
+        return Const(x)
     if isinstance(x, CycloElement):
         return AlgConst(x)
     raise TypeError(f"cannot build an expression from {x!r}")

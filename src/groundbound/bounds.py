@@ -26,7 +26,6 @@ its admissible interval and the radius r of its exceptional interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
@@ -38,32 +37,36 @@ from .cyclo import CycloElement
 from .errors import DomainError, HypothesisViolated, InvalidInput, UndecidableError
 from .fields import RealCyclotomicField, field_discriminant
 from .fixed import _fixed_ln, _fixed_sign
+from .frozen import Frozen, set_field
 
 SOLVE_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class BoundProblem:
+class BoundProblem(Frozen):
     """The quadruple (M, B, R, S) plus the exceptional-interval count m."""
 
-    m_field_degree: int
-    b_disc_root: Expr
-    r_ratio: Expr
-    s_factor: Expr
-    exceptional_count: int = 1
+    __slots__ = ("m_field_degree", "b_disc_root", "r_ratio", "s_factor", "exceptional_count")
 
-    def __post_init__(self):
-        if self.m_field_degree < 1:
+    def __init__(self, m_field_degree: int, b_disc_root: Expr, r_ratio: Expr,
+                 s_factor: Expr, exceptional_count: int = 1):
+        if m_field_degree < 1:
             raise InvalidInput("M must be >= 1")
-        if self.exceptional_count < 1:
+        if exceptional_count < 1:
             raise InvalidInput("m must be >= 1")
+        set_field(self, "m_field_degree", m_field_degree)
+        set_field(self, "b_disc_root", b_disc_root)
+        set_field(self, "r_ratio", r_ratio)
+        set_field(self, "s_factor", s_factor)
+        set_field(self, "exceptional_count", exceptional_count)
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    least_n: int
-    degree_bound: int
-    problem: BoundProblem
+class BoundResult(Frozen):
+    __slots__ = ("least_n", "degree_bound", "problem")
+
+    def __init__(self, least_n: int, degree_bound: int, problem: BoundProblem):
+        set_field(self, "least_n", least_n)
+        set_field(self, "degree_bound", degree_bound)
+        set_field(self, "problem", problem)
 
 
 def method_a_problem(

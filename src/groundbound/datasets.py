@@ -13,16 +13,19 @@ diff them byte for byte:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from .frozen import Frozen, set_field
 
-@dataclass(frozen=True)
-class FieldRecord:
-    name: str
-    degree: int
-    generator: str
+
+class FieldRecord(Frozen):
+    __slots__ = ("name", "degree", "generator")
+
+    def __init__(self, name: str, degree: int, generator: str):
+        set_field(self, "name", name)
+        set_field(self, "degree", degree)
+        set_field(self, "generator", generator)
 
 
 def _data_text(filename: str) -> str:

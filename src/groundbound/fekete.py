@@ -29,7 +29,6 @@ bug signal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -39,6 +38,7 @@ from .balls import AlgConst, Const, Expr, Pow, certify_compare, certify_sign
 from .cyclo import CycloElement, field_degree
 from .errors import GroundboundError, InvalidInput, SearchExhausted
 from .fields import Embedding, RealCyclotomicField, field_discriminant
+from .frozen import Frozen, set_field
 from .polyint import cos_minpoly
 
 # Bits kept below the smallest Chebyshev diagonal entry when the exact
@@ -118,8 +118,7 @@ def _field_sqrt(field: RealCyclotomicField, d: int) -> CycloElement:
     return -sq if certify_sign(AlgConst(sq)) == balls.LESS else sq
 
 
-@dataclass(frozen=True)
-class ChebyshevForms:
+class ChebyshevForms(Frozen):
     """Exact matrix of the linear forms A_{k,sigma} = sum c_{k sigma i j} a_{ij}.
 
     Rows are indexed by (k, sigma) and columns by (i, j), both
@@ -129,12 +128,16 @@ class ChebyshevForms:
     per embedding: cheb_{sigma}[i][k] = cheb[sigma][i][k] / scales[sigma]^i.
     """
 
-    field: RealCyclotomicField
-    degree_n: int
-    intervals: tuple  # ((Embedding, (a, b)), ...) in embedding order
-    basis: tuple  # integral basis as CycloElements
-    cheb: tuple  # cheb[sigma_idx][i][k], integers (`chebyshev_coefficients`)
-    scales: tuple  # scales[sigma_idx] = s (`chebyshev_scale`)
+    __slots__ = ("field", "degree_n", "intervals", "basis", "cheb", "scales")
+
+    def __init__(self, field: RealCyclotomicField, degree_n: int, intervals: tuple,
+                 basis: tuple, cheb: tuple, scales: tuple):
+        set_field(self, "field", field)
+        set_field(self, "degree_n", degree_n)
+        set_field(self, "intervals", intervals)  # ((Embedding, (a, b)), ...) in embedding order
+        set_field(self, "basis", basis)  # integral basis as CycloElements
+        set_field(self, "cheb", cheb)  # cheb[sigma_idx][i][k], integers (`chebyshev_coefficients`)
+        set_field(self, "scales", scales)  # scales[sigma_idx] = s (`chebyshev_scale`)
 
     def entry(self, k: int, sigma_idx: int, i: int, j: int) -> CycloElement:
         emb = self.intervals[sigma_idx][0]
@@ -313,14 +316,17 @@ def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
     return CycloElement.from_numerators(field_n, total, total_den)
 
 
-@dataclass(frozen=True)
-class FeketeCertificate:
-    field: RealCyclotomicField
-    degree_n: int
-    alpha: tuple  # integer coordinates alpha[i][j] over the integral basis
-    coefficients: tuple  # polynomial coefficients as field elements
-    sup_bounds: tuple  # exact per-embedding bounds, in embedding order
-    theoretical_bound: Expr
+class FeketeCertificate(Frozen):
+    __slots__ = ("field", "degree_n", "alpha", "coefficients", "sup_bounds", "theoretical_bound")
+
+    def __init__(self, field: RealCyclotomicField, degree_n: int, alpha: tuple,
+                 coefficients: tuple, sup_bounds: tuple, theoretical_bound: Expr):
+        set_field(self, "field", field)
+        set_field(self, "degree_n", degree_n)
+        set_field(self, "alpha", alpha)  # integer coordinates alpha[i][j] over the integral basis
+        set_field(self, "coefficients", coefficients)  # polynomial coefficients as field elements
+        set_field(self, "sup_bounds", sup_bounds)  # exact per-embedding bounds, in embedding order
+        set_field(self, "theoretical_bound", theoretical_bound)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.alpha)
@@ -469,11 +475,14 @@ def _lll(matrix):
 # -- Lagrange growth ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthBound:
-    factorial_bound: Fraction
-    stirling_bound: float
-    exponential_bound: float
+class GrowthBound(Frozen):
+    __slots__ = ("factorial_bound", "stirling_bound", "exponential_bound")
+
+    def __init__(self, factorial_bound: Fraction, stirling_bound: float,
+                 exponential_bound: float):
+        set_field(self, "factorial_bound", factorial_bound)
+        set_field(self, "stirling_bound", stirling_bound)
+        set_field(self, "exponential_bound", exponential_bound)
 
 
 def lagrange_growth_bound(m0, a, b, n: int, x) -> GrowthBound:

@@ -19,7 +19,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -28,6 +27,7 @@ from . import polyint as P
 from .polyint import _factorize
 from .cyclo import CycloElement, euler_phi, field_degree, gamma_norm_constant, sin2_pi_over
 from .errors import ElementNotInField, InvalidModulus
+from .frozen import Frozen, set_field
 
 RATIONAL_COSINE_MODULI = frozenset({3, 4, 6})
 # sin^2(pi/l) for l = 2 and the rational-cosine moduli
@@ -50,12 +50,14 @@ def compositum_info(l: int, m: int) -> dict:
     return {"lcm": n, "rho": rho, "degree": euler_phi(n) // (2 * rho)}
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Frozen):
     """A real embedding of the field: residue class a mod n, modulo +-H."""
 
-    field: "RealCyclotomicField"
-    representative: int
+    __slots__ = ("field", "representative")
+
+    def __init__(self, field: RealCyclotomicField, representative: int):
+        set_field(self, "field", field)
+        set_field(self, "representative", representative)
 
     @property
     def is_identity(self) -> bool:
@@ -98,13 +100,16 @@ class RealCyclotomicField:
             n = 1
             fixing = (1,)
             degree = 1
-        object.__setattr__(self, "moduli", tuple(ms))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "fixing_group", fixing)
-        object.__setattr__(self, "degree", degree)
+        set_field(self, "moduli", tuple(ms))
+        set_field(self, "n", n)
+        set_field(self, "fixing_group", fixing)
+        set_field(self, "degree", degree)
 
     def __setattr__(self, *a):
         raise AttributeError("RealCyclotomicField is immutable")
+
+    def __reduce__(self):
+        return RealCyclotomicField, (self.moduli,)
 
     def __eq__(self, other):
         return (

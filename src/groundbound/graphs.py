@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -45,6 +44,7 @@ from .errors import (
     MissingRange,
 )
 from .fields import RealCyclotomicField, field_norm
+from .frozen import Frozen, set_field
 
 MINIMALITY = 14
 
@@ -85,20 +85,21 @@ class Feasibility(enum.Enum):
     IMPOSSIBLE = "IMPOSSIBLE"
 
 
-@dataclass(frozen=True)
-class EdgeGraphCase:
-    family: Family
-    s: int | None = None
-    k: int | None = None
-    r: int | None = None
-    p: int | None = None
+class EdgeGraphCase(Frozen):
+    __slots__ = ("family", "s", "k", "r", "p")
 
-    def __post_init__(self):
-        names = _param_names(self.family)
+    def __init__(self, family: Family, s: int | None = None, k: int | None = None,
+                 r: int | None = None, p: int | None = None):
+        set_field(self, "family", family)
+        set_field(self, "s", s)
+        set_field(self, "k", k)
+        set_field(self, "r", r)
+        set_field(self, "p", p)
+        names = _param_names(family)
         given = tuple(n for n in "skrp" if getattr(self, n) is not None)
         if given != names or any(getattr(self, n) < 2 for n in names):
             raise InvalidInput(
-                f"{self.family.value} takes exactly {', '.join(names)}, each >= 2"
+                f"{family.value} takes exactly {', '.join(names)}, each >= 2"
             )
 
     def params(self) -> tuple:
@@ -109,20 +110,20 @@ class EdgeGraphCase:
         return f"{self.family.value}({inner})"
 
 
-@dataclass(frozen=True)
-class FundamentalMatrix:
+class FundamentalMatrix(Frozen):
     """Symmetric Gram matrix with diagonal -2; entries are exact."""
 
-    size: int
-    entries: tuple
+    __slots__ = ("size", "entries")
 
-    def __post_init__(self):
-        for i in range(self.size):
-            if self.entries[i][i] != -2:
+    def __init__(self, size: int, entries: tuple):
+        for i in range(size):
+            if entries[i][i] != -2:
                 raise ValueError("diagonal must be -2")
-            for j in range(self.size):
-                if self.entries[i][j] != self.entries[j][i]:
+            for j in range(size):
+                if entries[i][j] != entries[j][i]:
                     raise ValueError("matrix must be symmetric")
+        set_field(self, "size", size)
+        set_field(self, "entries", entries)
 
     def minimality(self, t: int = MINIMALITY) -> bool:
         """All off-diagonal entries certified < t."""
@@ -438,17 +439,22 @@ def _feasible_problem(case: EdgeGraphCase, variant: Variant, m: int) -> BoundPro
 # -- per-case and per-family bounds ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseBound:
-    case: EdgeGraphCase
-    variant: Variant | None
-    m: int
-    mechanism: str  # "solver" or "forced_degree"
-    field_degree: int
-    least_n: int | None
-    bound: int
-    published_bound: int | None
-    problem: BoundProblem | None
+class CaseBound(Frozen):
+    __slots__ = ("case", "variant", "m", "mechanism", "field_degree", "least_n", "bound",
+                 "published_bound", "problem")
+
+    def __init__(self, case: EdgeGraphCase, variant: Variant | None, m: int,
+                 mechanism: str, field_degree: int, least_n: int | None, bound: int,
+                 published_bound: int | None, problem: BoundProblem | None):
+        set_field(self, "case", case)
+        set_field(self, "variant", variant)
+        set_field(self, "m", m)
+        set_field(self, "mechanism", mechanism)  # "solver" or "forced_degree"
+        set_field(self, "field_degree", field_degree)
+        set_field(self, "least_n", least_n)
+        set_field(self, "bound", bound)
+        set_field(self, "published_bound", published_bound)
+        set_field(self, "problem", problem)
 
     @property
     def match(self) -> bool | None:
@@ -457,12 +463,14 @@ class CaseBound:
         return self.bound == self.published_bound
 
 
-@dataclass(frozen=True)
-class FamilyTable:
-    family: Family
-    rows: tuple
-    maximum: int
-    argmax: EdgeGraphCase
+class FamilyTable(Frozen):
+    __slots__ = ("family", "rows", "maximum", "argmax")
+
+    def __init__(self, family: Family, rows: tuple, maximum: int, argmax: EdgeGraphCase):
+        set_field(self, "family", family)
+        set_field(self, "rows", rows)
+        set_field(self, "maximum", maximum)
+        set_field(self, "argmax", argmax)
 
 
 PUBLISHED_G1_M1 = {

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
@@ -61,6 +60,7 @@ from .fields import RealCyclotomicField, norm_4sin2_closed_form
 from .fixed import (
     FIXED_BITS, _fixed_ln, _fixed_neg_ln_sin, _fixed_sign, _ln_pi_fine, _pi_fine, _to_fixed,
 )
+from .frozen import Frozen, set_field
 from .graphs import Family, FamilyTable, Variant, family_bound, variant_width
 
 LN2 = log(2.0)
@@ -73,9 +73,10 @@ TAIL_START = 4096
 #     phi(n) > n / (e^gamma ln ln n + 2.50637 / ln ln n)
 # except n = 223092870; the constant 2.51 covers every n >= 3.
 RS_CONSTANT = Fraction(251, 100)
-# rational upper bound for e^gamma = 1.7810724179901979... (gamma =
-# 0.5772156649015328..., OEIS A001620); a larger e^gamma only weakens
-# the lower bound for phi
+# rational upper bound for e^gamma = 1.7810724179901979..., certified from
+# gamma < H_10 - ln 10 - 1/20 + 1/1200 (Euler-Maclaurin) by
+# tests/test_pairs.py::test_exp_gamma_upper_is_certified; a larger e^gamma
+# only weakens the lower bound for phi
 EXP_GAMMA_UPPER = Fraction(17811, 10000)
 
 
@@ -93,20 +94,27 @@ class PairKind(enum.Enum):
         return Variant.U_SQUARED if self is PairKind.GAMMA5 else Variant.U_TILDE
 
 
-@dataclass(frozen=True)
-class PairReport:
-    kind: PairKind
-    k: int
-    s: int
-    coefficient: float
-    field_degree: int
-    bound_kf: int
-    bound_k: int
-    refined_kf: int | None
-    final_bound: int
-    published_bound_kf: int | None = None
-    published_bound_k: int | None = None
-    published_final: int | None = None
+class PairReport(Frozen):
+    __slots__ = ("kind", "k", "s", "coefficient", "field_degree", "bound_kf", "bound_k",
+                 "refined_kf", "final_bound", "published_bound_kf", "published_bound_k",
+                 "published_final")
+
+    def __init__(self, kind: PairKind, k: int, s: int, coefficient: float, field_degree: int,
+                 bound_kf: int, bound_k: int, refined_kf: int | None, final_bound: int,
+                 published_bound_kf: int | None = None, published_bound_k: int | None = None,
+                 published_final: int | None = None):
+        set_field(self, "kind", kind)
+        set_field(self, "k", k)
+        set_field(self, "s", s)
+        set_field(self, "coefficient", coefficient)
+        set_field(self, "field_degree", field_degree)
+        set_field(self, "bound_kf", bound_kf)
+        set_field(self, "bound_k", bound_k)
+        set_field(self, "refined_kf", refined_kf)
+        set_field(self, "final_bound", final_bound)
+        set_field(self, "published_bound_kf", published_bound_kf)
+        set_field(self, "published_bound_k", published_bound_k)
+        set_field(self, "published_final", published_final)
 
     @property
     def intermediates_match(self) -> bool | None:
@@ -465,8 +473,7 @@ def scan_table(limit: int) -> ScanTable:
 # -- the tail k > TAIL_START -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailCertificate:
+class TailCertificate(Frozen):
     """No pair with start < k <= k_max survives.
 
     `blocks` is the number of dyadic blocks, one certified comparison
@@ -474,10 +481,13 @@ class TailCertificate:
     lhs - rhs (see `tail_certificate`) over the blocks.
     """
 
-    start: int
-    k_max: int
-    blocks: int
-    min_slack: int
+    __slots__ = ("start", "k_max", "blocks", "min_slack")
+
+    def __init__(self, start: int, k_max: int, blocks: int, min_slack: int):
+        set_field(self, "start", start)
+        set_field(self, "k_max", k_max)
+        set_field(self, "blocks", blocks)
+        set_field(self, "min_slack", min_slack)
 
 
 def _tail_block_sides(kind: PairKind, a: int, b: int) -> tuple[Expr, Expr]:
@@ -541,15 +551,19 @@ def tail_certificate(kind: PairKind, k_max: int, start: int = TAIL_START) -> Tai
 # -- the search ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    kind: PairKind
-    k_max: int
-    survivors: tuple  # PairReport, sorted by (k, s)
-    exceptional: tuple
-    candidate_k_count: int
-    checked_pairs: int
-    tail: TailCertificate | None  # covers TAIL_START < k <= k_max
+class SearchResult(Frozen):
+    __slots__ = ("kind", "k_max", "survivors", "exceptional", "candidate_k_count",
+                 "checked_pairs", "tail")
+
+    def __init__(self, kind: PairKind, k_max: int, survivors: tuple, exceptional: tuple,
+                 candidate_k_count: int, checked_pairs: int, tail: TailCertificate | None):
+        set_field(self, "kind", kind)
+        set_field(self, "k_max", k_max)
+        set_field(self, "survivors", survivors)  # PairReport, sorted by (k, s)
+        set_field(self, "exceptional", exceptional)
+        set_field(self, "candidate_k_count", candidate_k_count)
+        set_field(self, "checked_pairs", checked_pairs)
+        set_field(self, "tail", tail)  # covers TAIL_START < k <= k_max
 
 
 def check_k_max(k_max: int) -> None:
@@ -621,15 +635,20 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
 # -- global bounds -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlobalBound:
-    kind: PairKind
-    maximum: int
-    argmax: tuple
-    search_result: SearchResult | None
-    exceptional_bounds: tuple
-    # GAMMA4: the Method-A family table over 2 <= k <= min(k_max, 6)
-    method_a_small_k_table: FamilyTable | None = None
+class GlobalBound(Frozen):
+    __slots__ = ("kind", "maximum", "argmax", "search_result", "exceptional_bounds",
+                 "method_a_small_k_table")
+
+    def __init__(self, kind: PairKind, maximum: int, argmax: tuple,
+                 search_result: SearchResult | None, exceptional_bounds: tuple,
+                 method_a_small_k_table: FamilyTable | None = None):
+        set_field(self, "kind", kind)
+        set_field(self, "maximum", maximum)
+        set_field(self, "argmax", argmax)
+        set_field(self, "search_result", search_result)
+        set_field(self, "exceptional_bounds", exceptional_bounds)
+        # GAMMA4: the Method-A family table over 2 <= k <= min(k_max, 6)
+        set_field(self, "method_a_small_k_table", method_a_small_k_table)
 
     @property
     def method_a_small_k_max(self) -> int | None:

@@ -8,12 +8,12 @@ certified rounding for the final floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .balls import PI, Const, Ln, Pow, as_expr, certified_floor, pi_multiple
 from .errors import GroundboundError, InadmissibleQuery, InadmissibleSignature
+from .frozen import Frozen, set_field
 
 TAKEUCHI_A = Fraction("29.099")
 TAKEUCHI_B = Fraction("8.3185")
@@ -43,12 +43,14 @@ def narrow_face_vertex_bound(n: int) -> Fraction:
     return Fraction(4) + (Fraction(4, n - 2) if n % 2 == 0 else Fraction(4, n - 3))
 
 
-@dataclass(frozen=True)
-class ExistenceCheck:
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
+class ExistenceCheck(Frozen):
+    __slots__ = ("n", "lhs", "rhs", "holds")
+
+    def __init__(self, n: int, lhs: Fraction, rhs: Fraction, holds: bool):
+        set_field(self, "n", n)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "holds", holds)
 
 
 def counting_chain(n: int) -> dict:

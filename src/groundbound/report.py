@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balls import Expr, ball_str
+from .frozen import Frozen, set_field
 
 
 def render_value(x, decimals: dict) -> dict:
@@ -35,17 +35,20 @@ def render_value(x, decimals: dict) -> dict:
     return {"decimal": str(x), "exact": str(x)}
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Frozen):
     """One report line: a pipeline result with its provenance."""
 
-    pipeline: str
-    case: str
-    inputs: dict
-    result: int | str | None
-    paper_expected: int | None
-    match: bool | None
-    note: str = ""
+    __slots__ = ("pipeline", "case", "inputs", "result", "paper_expected", "match", "note")
+
+    def __init__(self, pipeline: str, case: str, inputs: dict, result: int | str | None,
+                 paper_expected: int | None, match: bool | None, note: str = ""):
+        set_field(self, "pipeline", pipeline)
+        set_field(self, "case", case)
+        set_field(self, "inputs", inputs)
+        set_field(self, "result", result)
+        set_field(self, "paper_expected", paper_expected)
+        set_field(self, "match", match)
+        set_field(self, "note", note)
 
     def to_json_dict(self, decimals: dict) -> dict:
         return {
@@ -59,11 +62,13 @@ class Record:
         }
 
 
-@dataclass
 class Report:
-    title: str
-    records: list = field(default_factory=list)
-    sections: list = field(default_factory=list)  # (heading, [Record])
+    __slots__ = ("title", "records", "sections")
+
+    def __init__(self, title: str):
+        self.title = title
+        self.records = []
+        self.sections = []  # (heading, [Record])
 
     def add_section(self, heading: str, records) -> None:
         records = list(records)

@@ -408,6 +408,20 @@ def test_certified_floor_of_a_huge_value_names_its_size():
     assert balls.certified_floor(Pow(Const(Fraction(10)), Fraction(-10**20))) == 0
 
 
+def test_const_and_pow_take_an_int_as_a_fraction():
+    # an int leaf or exponent is stored as the Fraction `as_expr` would
+    # build, so the exact path and the floors see a rational
+    assert certify_compare(Const(2), Const(3)) == LESS
+    assert balls.certified_floor(Pow(Const(10), 3)) == 1000
+    assert Const(2) == Const(Fraction(2)) and hash(Const(2)) == hash(Const(Fraction(2)))
+    assert type(Const(2).value) is Fraction and type(Pow(PI, 3).exponent) is Fraction
+    for bad in (2.0, "2", None):
+        with pytest.raises(TypeError):
+            Const(bad)
+        with pytest.raises(TypeError):
+            Pow(PI, bad)
+
+
 # -- the mpmath.iv oracle ----------------------------------------------------
 #
 # The evaluator written on mpmath's interval context (`mpmath.ctx_iv`),

@@ -664,6 +664,23 @@ def test_no_mpmath_at_run_time(tmp_path):
     assert proc.stdout.strip() == "[False, False, False, False]"
 
 
+def test_no_dataclasses_or_inspect_at_run_time(tmp_path):
+    # the value classes are plain slotted classes (`frozen.Frozen`), so a
+    # fresh `reproduce-all` imports neither `dataclasses` nor `inspect`
+    code = (
+        "import sys\n"
+        "import groundbound.cli\n"
+        "code = groundbound.cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    argv = ["reproduce-all", "--kmax", "2000", "--out", str(tmp_path / "report.txt")]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=300, env=env, check=True)
+    assert proc.stdout.strip() == "1 []"
+
+
 def _readme_cli_lines():
     """(argv, expected result or None) for each command of the README's CLI block."""
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()

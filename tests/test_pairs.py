@@ -160,6 +160,17 @@ def test_tail_certificate():
             assert cert.min_slack > 0
 
 
+def test_exp_gamma_upper_is_certified():
+    # Euler-Maclaurin: H_n = ln n + gamma + 1/(2n) - 1/(12n^2) + eps with
+    # 0 < eps < 1/(120n^4), so gamma < H_10 - ln 10 - 1/20 + 1/1200, and
+    # e^gamma < EXP_GAMMA_UPPER follows from one certified comparison
+    from groundbound.balls import LESS, ExpNode, certify_compare
+
+    h10 = sum(Fraction(1, k) for k in range(1, 11))
+    gamma_upper = Const(h10 - Fraction(1, 20) + Fraction(1, 1200)) - Ln(Const(Fraction(10)))
+    assert certify_compare(ExpNode(gamma_upper), Const(pairs.EXP_GAMMA_UPPER)) == LESS
+
+
 def test_tail_certificate_below_crossover_raises():
     # the path-family block [1024, 2048] fails the comparison (float
     # sizing: lhs ~133 against rhs ~311); it must raise, never report void
