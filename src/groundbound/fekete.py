@@ -9,18 +9,24 @@ so every Chebyshev value below is an integer quotient, not a Fraction.
 The exact forms are scaled by 2^p and rounded to an integer matrix, p
 chosen so that the smallest Chebyshev diagonal entry 2((b-a)/4)^n keeps
 LLL_MARGIN_BITS = 32 bits.  An exact integral LLL (Cohen, GTM 138,
-Alg. 2.6.7) on its columns proposes small integer coefficient vectors.
+Alg. 2.6.7) on its columns proposes small integer coefficient vectors; it
+carries only the unimodular transform, never the reduced vectors.
 32 guard bits suffice: the rounded matrix only proposes, so coarser
 rounding can at worst cost a longer vector, never a wrong certificate.  A
 rounding error of 1/2 stays 2^-32 below even the smallest form, and in
 every problem measured the first reduced vector still certifies, while
 each Gram determinant d_i the reduction carries is 64 i bits shorter than
-at 64 guard bits.  The proposals are certified exactly (the
-coefficient-sum bound sum_k |A_{k,sigma}| is an exact algebraic number,
-summed as integer coordinate vectors over one denominator; a rational
-A_{k,sigma} is signed in integers, an irrational one by `certify_sign`) in
+at 64 guard bits.  The proposals are certified exactly, in integers, in
 one order: the reduced vectors as LLL returns them, then one bounded box
-of small combinations of the first few.  A certificate whose sup bounds
+of small combinations of the first few.  The search runs over fields of
+degree <= 2, so each field element is (X + Y sqrt(D)) / den with
+D = p^2 - 4q for psi_n = x^2 + p x + q, and 2b + p = +sqrt(D) for
+b = 2cos(2pi/n) (`_surd_of_psi`).  The coefficient-sum bound
+sup = sum_k |A_{k,sigma}| is summed as integer coordinate vectors over one
+denominator, each A_{k,sigma} signed exactly in Z[sqrt D] (`_surd_sign`),
+and sup is compared with the theoretical bound of `fekete_bound_expr`
+through their powers E = 2m(n+1), which clear its roots (`within_bound`):
+no enclosure decides a certificate.  A certificate whose sup bounds
 exceed the theoretical bound is never returned; exhausting the box raises
 SearchExhausted, which the theory says cannot happen and is treated as a
 bug signal.
@@ -32,9 +38,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import balls
-from .balls import AlgConst, Const, Expr, Pow, certify_compare, certify_sign
+from .balls import AlgConst, Const, Expr, Pow
 from .cyclo import CycloElement, field_degree
 from .errors import GroundboundError, InvalidInput, SearchExhausted
 from .fields import Embedding, RealCyclotomicField, field_discriminant
@@ -106,16 +113,47 @@ def integral_basis(field: RealCyclotomicField) -> tuple[CycloElement, ...]:
 
 def _field_sqrt(field: RealCyclotomicField, d: int) -> CycloElement:
     """The positive square root of the squarefree integer d inside F of
-    degree 2, which is all of Q(b), b = 2cos(2pi/n): psi_n = x^2 + p x + q
-    gives (2b + p)^2 = p^2 - 4q = f^2 d, so the root is +-(2b + p)/f, with
-    the sign `certify_sign` proves positive."""
-    q, p, _ = cos_minpoly(field.n)
-    disc = p * p - 4 * q
+    degree 2, which is all of Q(b), b = 2cos(2pi/n): 2b + p = +sqrt(D) for
+    psi_n = x^2 + p x + q and D = p^2 - 4q (`_surd_of_psi`), so with
+    D = f^2 d the root is (2b + p)/f."""
+    p, disc = _surd_of_psi(field.n)
     f = isqrt(disc // d)
     if f * f * d != disc:
         raise GroundboundError(f"p^2 - 4q = {disc} is not {d} times a square")
-    sq = (2 * CycloElement.generator(field.n) + p) / f
-    return -sq if certify_sign(AlgConst(sq)) == balls.LESS else sq
+    return (2 * CycloElement.generator(field.n) + p) / f
+
+
+@lru_cache(maxsize=None)
+def _surd_of_psi(n: int) -> tuple[int, int]:
+    """(p, D) for psi_n = x^2 + p x + q of degree 2, D = p^2 - 4q.
+
+    b = 2cos(2pi/n) is the larger root of psi_n, as cos falls on [0, pi]
+    and its conjugates are 2cos(2pi a/n) for 1 < a < n/2, so
+    b = (-p + sqrt(D))/2 and 2b + p = +sqrt(D) with no enclosure.
+    """
+    if field_degree(n) != 2:
+        raise GroundboundError(f"Q(cos 2pi/{n}) is not of degree 2")
+    q, p, _ = cos_minpoly(n)
+    return p, p * p - 4 * q
+
+
+def _surd(num, n: int) -> tuple[int, int, int]:
+    """(X, Y, D) with 2 (num[0] + num[1] b) = X + Y sqrt(D), b = 2cos(2pi/n),
+    for the integer coordinates `num` of an element of Q(b) of degree
+    <= 2; a rational element is (2 num[0], 0, 0)."""
+    if len(num) == 1:
+        return 2 * num[0], 0, 0
+    p, disc = _surd_of_psi(n)
+    return 2 * num[0] - p * num[1], num[1], disc
+
+
+def _surd_sign(x: int, y: int, disc: int) -> int:
+    """The sign of x + y sqrt(disc), disc >= 0 not a square unless y = 0:
+    when the signs of x and y differ, x^2 against y^2 disc decides."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx * sy >= 0:
+        return sx or sy
+    return sx if x * x > y * y * disc else sy
 
 
 class ChebyshevForms(Frozen):
@@ -241,9 +279,7 @@ def chebyshev_linear_forms(field: RealCyclotomicField, intervals: dict, n: int) 
 def fekete_bound_expr(field: RealCyclotomicField, intervals: dict, n: int) -> Expr:
     """|disc F|^(1/2M) * 2^(n/(n+1)) * (n+1) * (prod (b-a)/4)^(n/2M)."""
     m = field.degree
-    prod = Fraction(1)
-    for a, b in intervals.values():
-        prod *= (Fraction(b) - Fraction(a)) / 4
+    prod = _quarter_widths(intervals)
     disc = field_discriminant(field)
     out: Expr = Const(Fraction(n + 1))
     if disc != 1:
@@ -252,6 +288,48 @@ def fekete_bound_expr(field: RealCyclotomicField, intervals: dict, n: int) -> Ex
         out = out * Pow(Const(Fraction(2)), Fraction(n, n + 1))
         out = out * Pow(Const(prod), Fraction(n, 2 * m))
     return out
+
+
+def fekete_bound_power(field: RealCyclotomicField, intervals: dict, n: int) -> tuple[int, Fraction]:
+    """(E, bound^E) for the value of `fekete_bound_expr`, with E = 2m(n+1),
+    m = [F : Q], a power that clears its roots:
+
+        bound^E = (n+1)^E |disc F|^(n+1) 2^(2mn) (prod (b-a)/4)^(n(n+1)).
+    """
+    m = field.degree
+    e = 2 * m * (n + 1)
+    prod = _quarter_widths(intervals)
+    return e, (n + 1) ** e * field_discriminant(field) ** (n + 1) * 2 ** (2 * m * n) * prod ** (n * (n + 1))
+
+
+def _quarter_widths(intervals: dict) -> Fraction:
+    """prod (b-a)/4 over the intervals."""
+    prod = Fraction(1)
+    for a, b in intervals.values():
+        prod *= (Fraction(b) - Fraction(a)) / 4
+    return prod
+
+
+def within_bound(sup: CycloElement, e: int, bound_e: Fraction) -> bool:
+    """Whether sup <= bound, for (e, bound_e) = `fekete_bound_power` and a
+    sup bound of `certify_sup_norm`.
+
+    Both sides are >= 0, so this is sup^e <= bound^e.  With
+    2 den sup = X + Y sqrt(D) (`_surd`), (X + Y sqrt(D))^e = U + V sqrt(D)
+    by square and multiply on integer pairs, and the decision is the exact
+    sign of N (2 den)^e - L U - L V sqrt(D), bound^e = N / L: what
+    `certify_compare` decides on enclosures, but never UNDECIDED.
+    """
+    x, y, disc = _surd(sup.num, sup.n)
+    u, v, e_left = 1, 0, e
+    while e_left:
+        if e_left & 1:
+            u, v = u * x + v * y * disc, u * y + v * x
+        e_left >>= 1
+        if e_left:
+            x, y = x * x + y * y * disc, 2 * x * y
+    top, bottom = bound_e.numerator, bound_e.denominator
+    return _surd_sign(top * (2 * sup.den) ** e - bottom * u, -bottom * v, disc) >= 0
 
 
 def _over_one_denominator(elements) -> tuple[int, list[list[int]]]:
@@ -287,8 +365,8 @@ def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
     images L v_i are the integer combinations of the cached power-basis
     images `_power_images(embedding)`, so that
     A_k L s^n = sum_i R_i[k] s^(n-i) v_i is an integer coordinate vector
-    (R_i, s from `chebyshev_coefficients`).  A rational A_k takes its sign
-    from that integer; only an irrational one is signed by `certify_sign`.
+    (R_i, s from `chebyshev_coefficients`), and its sign is exact in
+    Z[sqrt D] (`_surd_sign`).  Implemented for fields of degree <= 2.
     """
     a, b = Fraction(interval[0]), Fraction(interval[1])
     n = len(coeffs) - 1
@@ -307,11 +385,7 @@ def certify_sup_norm(coeffs, embedding: Embedding, interval) -> CycloElement:
             c = row[k]
             if c:
                 form = [f + c * x for f, x in zip(form, vector)]
-        if any(form[1:]):
-            value = CycloElement.from_numerators(field_n, form, total_den)
-            sign = -1 if certify_sign(AlgConst(value)) == balls.LESS else 1
-        else:
-            sign = -1 if form[0] < 0 else 1
+        sign = -1 if _surd_sign(*_surd(form, field_n)) < 0 else 1
         total = [t + sign * f for t, f in zip(total, form)]
     return CycloElement.from_numerators(field_n, total, total_den)
 
@@ -348,7 +422,8 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int) -
 
     Search: integral LLL on the columns of the exactly scaled
     Chebyshev-form matrix (`ChebyshevForms.scaled_matrix`); the reduced
-    vectors are certified in the order `_lll` returns them, then the box
+    vectors, the rows of the transform `_lll` returns, are certified in
+    order, then the box
     `_box_combinations` over the first BOX_VECTORS of them.  In every
     problem measured so far the first reduced vector certifies.
     """
@@ -365,21 +440,21 @@ def find_small_polynomial(field: RealCyclotomicField, intervals: dict, n: int) -
             raise InvalidInput(f"interval [{a}, {b}] at {emb} is empty")
     forms = chebyshev_linear_forms(field, intervals, n)
     bound = fekete_bound_expr(field, intervals, n)
+    e, bound_e = fekete_bound_power(field, intervals, n)
 
     def certify(alpha) -> FeketeCertificate | None:
         coeffs = _coefficients_from_alpha(field, forms.basis, alpha)
         sups = []
         for emb, interval in forms.intervals:
             sup = certify_sup_norm(coeffs, emb, interval)
-            cmp = certify_compare(AlgConst(sup), bound)
-            if cmp == balls.GREATER or cmp == balls.UNDECIDED:
+            if not within_bound(sup, e, bound_e):
                 return None
             sups.append(sup)
         return FeketeCertificate(field=field, degree_n=n, alpha=alpha,
                                  coefficients=coeffs, sup_bounds=tuple(sups),
                                  theoretical_bound=bound)
 
-    _, transform = _lll(forms.scaled_matrix())
+    transform = _lll(forms.scaled_matrix())
     dim, m = len(transform), field.degree
     units = (tuple(int(i == t) for i in range(dim)) for t in range(dim))
     for combo in itertools.chain(units, _box_combinations(min(BOX_VECTORS, dim))):
@@ -410,66 +485,70 @@ def _lll(matrix):
 
     Exact throughout: d_i = prod_{l <= i} |b*_l|^2 and lambda_{i,j} =
     d_j mu_{i,j} are integers, updated incrementally by size reduction
-    (REDI) and swaps (SWAPI), with Lovasz constant LLL_DELTA.  Returns
-    (reduced_vectors, transform): reduced_vectors[i] is the image of the
-    integer vector transform[i].  Proposals only; all certification is
+    (REDI) and swaps (SWAPI), with Lovasz constant LLL_DELTA.  Returns the
+    transform only: row i holds the integer coordinates of reduced vector i
+    over the columns, and the reduced vectors are never formed.  When k is
+    first reached, vector k is still column k, and every vector j < k is a
+    combination of the columns c < k alone, so
+    <b_k, b_j> = sum_c transform[j][c] <col_k, col_c> over exact inner
+    products of the columns: the same integers, so the same d, lambda and
+    decisions, as on the vectors.  Proposals only; all certification is
     exact downstream.
     """
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
-    rows, size = len(matrix), len(matrix[0])
-    # vectors[i] is basis vector i followed by its transform row, so that
-    # one pass over it updates both
-    vectors = [[row[c] for row in matrix] + [int(i == c) for i in range(size)]
-               for c in range(size)]
+    size = len(matrix[0])
+    columns = list(zip(*matrix))
+    transform = [[int(i == c) for i in range(size)] for c in range(size)]
     d = [1] * (size + 1)  # d[i + 1] is d_i of the 0-based vectors 0..i
     lam = [[0] * size for _ in range(size)]
-
-    def redi(k, l):  # called only when 2 |lambda_{k,l}| > d_l
-        lam_k, lam_l, d_l = lam[k], lam[l], d[l + 1]
-        q = (2 * lam_k[l] + d_l) // (2 * d_l)
-        vectors[k] = [x - q * y for x, y in zip(vectors[k], vectors[l])]
-        lam_k[l] -= q * d_l
-        lam_k[:l] = [x - q * y for x, y in zip(lam_k, lam_l[:l])]
-
-    d[1] = sum(x * x for x in vectors[0][:rows])
+    d[1] = sum(map(mul, columns[0], columns[0]))
     k, k_max = 1, 0
     while k < size:
         lam_k = lam[k]
         if k > k_max:
             k_max = k
-            b_k = vectors[k][:rows]
+            col_k = columns[k]
+            gram = [sum(map(mul, col_k, col)) for col in columns[:k + 1]]
             for j in range(k + 1):
                 lam_j = lam[j]
-                u = sum(x * y for x, y in zip(b_k, vectors[j]))
+                # map stops at the k + 1 entries of gram; transform[j][k] = 0
+                u = sum(map(mul, transform[j], gram)) if j < k else gram[k]
                 for i in range(j):
                     u = (d[i + 1] * u - lam_k[i] * lam_j[i]) // d[i]
                 if j < k:
                     lam_k[j] = u
                 else:
                     d[k + 1] = u
-        if 2 * abs(lam_k[k - 1]) > d[k]:
-            redi(k, k - 1)
-        d_prev, d_k, d_next, mu = d[k - 1], d[k], d[k + 1], lam_k[k - 1]
-        t = d_prev * d_next + mu * mu
-        if den * t < num * d_k * d_k:  # the Lovasz condition fails
-            # SWAPI: exchange vectors k - 1 and k
-            vectors[k], vectors[k - 1] = vectors[k - 1], vectors[k]
-            lam_prev = lam[k - 1]
-            lam_k[:k - 1], lam_prev[:k - 1] = lam_prev[:k - 1], lam_k[:k - 1]
-            b = t // d_k
-            for i in range(k + 1, k_max + 1):
-                lam_i = lam[i]
-                old = lam_i[k]
-                lam_i[k] = new = (d_next * lam_i[k - 1] - mu * old) // d_k
-                lam_i[k - 1] = (b * old + mu * new) // d_next
-            d[k] = b
-            k = max(k - 1, 1)
+        # REDI(k, l) for l = k - 1, then the Lovasz test; if it holds, REDI
+        # for l = k - 2 .. 0 and on to k + 1
+        for l in range(k - 1, -1, -1):
+            d_l = d[l + 1]
+            if 2 * abs(lam_k[l]) > d_l:
+                q = (2 * lam_k[l] + d_l) // (2 * d_l)
+                transform[k] = [x - q * y for x, y in zip(transform[k], transform[l])]
+                lam_k[l] -= q * d_l
+                lam_k[:l] = [x - q * y for x, y in zip(lam_k, lam[l][:l])]
+            if l < k - 1:
+                continue
+            d_prev, d_k, d_next, mu = d[k - 1], d_l, d[k + 1], lam_k[l]
+            t = d_prev * d_next + mu * mu
+            if den * t < num * d_k * d_k:  # the Lovasz condition fails
+                # SWAPI: exchange vectors k - 1 and k
+                transform[k], transform[l] = transform[l], transform[k]
+                lam_prev = lam[l]
+                lam_k[:l], lam_prev[:l] = lam_prev[:l], lam_k[:l]
+                b = t // d_k
+                for i in range(k + 1, k_max + 1):
+                    lam_i = lam[i]
+                    old = lam_i[k]
+                    lam_i[k] = new = (d_next * lam_i[l] - mu * old) // d_k
+                    lam_i[l] = (b * old + mu * new) // d_next
+                d[k] = b
+                k = max(l, 1)
+                break
         else:
-            for l in range(k - 2, -1, -1):
-                if 2 * abs(lam_k[l]) > d[l + 1]:
-                    redi(k, l)
             k += 1
-    return [v[:rows] for v in vectors], [v[rows:] for v in vectors]
+    return transform
 
 
 # -- Lagrange growth ----------------------------------------------------------

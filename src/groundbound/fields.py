@@ -11,8 +11,8 @@ Conventions
   phi([l,m]) / (2 rho(l,m)) for two.
 * embeddings are residue classes of (Z/n)* modulo H, canonicalized as
   the smallest representative; the identity embedding is the class of 1.
-* norms are exact products of conjugates (with a fast resultant-style
-  path for linear elements of the full field); discriminants come from
+* norms are exact: a resultant with psi_n in the full field, a product
+  of conjugates in a proper subfield; discriminants come from
   the conductor-discriminant formula, whose conductor exponents are
   counted by the indices of H in the unit groups (Z/d)* for d | n.
 """
@@ -191,15 +191,11 @@ def field_norm(field: RealCyclotomicField, x) -> Fraction:
     x = field.element(x)
     if not field.contains(x):
         raise ElementNotInField(f"{x!r} is not fixed by the fixing group")
-    if field.degree == field_degree(field.n) and not any(x.num[2:]):
-        # full real cyclotomic field, linear element (a + b*beta) / D:
-        # N = (-b)^d psi(-a/b) / D^d = (-1)^d sum_j psi_j (-a)^j b^(d-j) / D^d
-        # with psi the monic minimal polynomial of beta, all in integers
+    if field.degree == field_degree(field.n):
+        # the full field Q(beta), x = P(beta) / D: N = Res(psi_n, P) / D^d,
+        # psi_n the monic minimal polynomial of beta, of degree d
         psi = P.cos_minpoly(field.n)
-        d = P.degree(psi)
-        a, b = x.num[0], x.num[1] if len(x.num) > 1 else 0
-        return Fraction((-1) ** d * sum(c * (-a) ** j * b ** (d - j) for j, c in enumerate(psi)),
-                        x.den**d)
+        return Fraction(P.resultant(psi, P.trim(x.num)), x.den ** P.degree(psi))
     prod = CycloElement.rational(field.n, 1)
     for emb in field.embeddings():
         prod = prod * emb.apply(x)

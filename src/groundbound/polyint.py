@@ -5,7 +5,8 @@ trailing zeros stripped; the zero polynomial is the empty tuple.  Nothing
 here divides except exactly: the cyclotomic polynomial Phi_n is the
 Moebius product of the binomials x^e - 1, the minimal polynomial psi_n of
 2cos(2pi/n) is read off Phi_n as a sum of Dickson polynomials, and the
-Dickson polynomials come from their integer three-term recurrence.
+Dickson polynomials come from their integer three-term recurrence.  The
+resultant with a monic polynomial is one fraction-free determinant.
 """
 
 from __future__ import annotations
@@ -47,6 +48,57 @@ def peval(p: Poly, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def resultant(f: Poly, g: Poly) -> int:
+    """Res(f, g) = prod g(r) over the roots r of a monic f, in integers.
+
+    With d = deg f, m = deg g >= 1 and c the leading coefficient of g, the
+    monic g~(y) = c^(m-1) g(y/c) has the roots c s of g, and
+    f_c(y) = c^d f(y/c) is integral, so
+    Res(f, g) = (-1)^(dm) c^d prod_s f(s) = (-1)^(dm) c^(d(1-m)) det M,
+    M the multiplication by f_c(y) on Z[y]/(g~) (its columns f_c y^j,
+    j < m), f_c evaluated by Horner's rule modulo g~ and det M by
+    fraction-free (Bareiss) elimination.  m = 0 gives c^d, g = 0 gives 0.
+    """
+    if not g:
+        return 0
+    d, m, c = degree(f), degree(g), g[-1]
+    if m == 0:
+        return c**d
+    # v y modulo g~ = y^m + sum_(i < m) g_i c^(m-1-i) y^i, for v = (v_0, .., v_(m-1))
+    low0, low = -c ** (m - 1) * g[0], [x * c ** (m - 1 - i) for i, x in enumerate(g[1:m], 1)]
+    r, scale = [0] * m, 1
+    for a in reversed(f):  # Horner's rule on f_c = sum f_i c^(d-i) y^i
+        top = r[-1]
+        r = [top * low0 + a * scale] + [x - top * t for x, t in zip(r, low)]
+        scale *= c
+    columns = [r]
+    for _ in range(m - 1):
+        top = r[-1]
+        r = [top * low0] + [x - top * t for x, t in zip(r, low)]
+        columns.append(r)
+    return (-1) ** (d * m) * _bareiss(columns) // c ** (d * (m - 1))
+
+
+def _bareiss(rows) -> int:
+    """The determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination: every division is exact."""
+    rows = [list(row) for row in rows]
+    size, sign, prev = len(rows), 1, 1
+    for k in range(size - 1):
+        if not rows[k][k]:
+            pivot = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if pivot is None:
+                return 0
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pivot_row, p = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            x = row[k]
+            row[k + 1:] = [(p * y - x * z) // prev for y, z in zip(row[k + 1:], pivot_row[k + 1:])]
+        prev = p
+    return sign * rows[-1][-1]
 
 
 def _factorize(n: int) -> tuple:

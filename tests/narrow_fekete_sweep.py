@@ -9,7 +9,11 @@ problems).  Q(sqrt5): first-embedding widths 1/10 and 2/10, second 1/10,
 certified GREATER than the theoretical bound; prints one line per failure
 and a summary, and exits 1 if anything failed.  The summary also counts the
 problems that needed more than the first LLL-reduced vector: a wrapper
-counts `certify_sup_norm` calls, one per embedding for each candidate.
+counts `certify_sup_norm` calls, one per embedding for each candidate.  It
+also gives the seconds spent in two layers of the search, timed by
+wrappers: the reduction `fekete._lll`, and the certification, that is
+`certify_sup_norm` and the exact comparison `within_bound` with the
+theoretical bound.
 """
 
 import sys
@@ -44,14 +48,22 @@ def problems():
 
 def main() -> int:
     calls = 0
-    certify_sup_norm = fekete.certify_sup_norm
+    seconds = {"lll": 0.0, "certification": 0.0}
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return certify_sup_norm(*args)
+    def timed(layer, function, counted=False):
+        def wrapper(*args):
+            nonlocal calls
+            calls += counted
+            t0 = time.perf_counter()
+            try:
+                return function(*args)
+            finally:
+                seconds[layer] += time.perf_counter() - t0
+        return wrapper
 
-    fekete.certify_sup_norm = counting
+    fekete._lll = timed("lll", fekete._lll)
+    fekete.certify_sup_norm = timed("certification", fekete.certify_sup_norm, counted=True)
+    fekete.within_bound = timed("certification", fekete.within_bound)
     start = time.perf_counter()
     total = failed = beyond_first = 0
     for field, ivs, n in problems():
@@ -70,7 +82,8 @@ def main() -> int:
             failed += 1
             print(f"FAIL field n={field.n} degree {n} intervals {list(ivs.values())}: {outcome}")
     print(f"{total} problems, {failed} failed, {beyond_first} needed more than the "
-          f"first reduced vector, {time.perf_counter() - start:.1f} s")
+          f"first reduced vector, {time.perf_counter() - start:.1f} s "
+          f"(_lll {seconds['lll']:.2f} s, certification {seconds['certification']:.2f} s)")
     return 1 if failed else 0
 
 

@@ -395,6 +395,17 @@ def test_exact_power_of_a_large_base_is_left_to_the_enclosures():
     assert proc.stderr.startswith("undecidable: ")
 
 
+def test_graph_case_of_degree_504_finishes():
+    # F = Q(cos 2pi/1009) has degree 504: N(W) is one integer resultant with
+    # psi_1009, where the product of 504 conjugates ran for minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "groundbound", "graph-case", "--family", "g5", "--s", "3",
+         "--k", "1009"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0 and "Gamma5(s=3,k=1009)" in proc.stdout
+
+
 def test_precision_cap_only_on_bound_solve(capsys):
     code, out, _ = run_cli(
         ["bound-solve", "--M", "1", "--B", "1", "--R", "1/sqrt(2)", "--S", "16*e",

@@ -6,6 +6,7 @@ import pytest
 
 from groundbound.balls import (
     DEFAULT_CAP_BITS,
+    EQUAL,
     GREATER,
     LESS,
     AlgConst,
@@ -19,13 +20,18 @@ from groundbound.fekete import (
     LLL_MARGIN_BITS,
     _coefficients_from_alpha,
     _lll,
+    _surd,
+    _surd_sign,
     chebyshev_coefficients,
     chebyshev_linear_forms,
     chebyshev_scale,
     certify_sup_norm,
+    fekete_bound_expr,
+    fekete_bound_power,
     find_small_polynomial,
     integral_basis,
     lagrange_growth_bound,
+    within_bound,
 )
 from groundbound.fields import RealCyclotomicField, field_discriminant
 
@@ -375,6 +381,72 @@ def test_proposals_are_pinned():
         assert find_small_polynomial(field, ivs, n).alpha == alpha, (field, ivs, n)
 
 
+def _decisions(field, ivs, n, alpha):
+    """(integer, enclosure) accept decisions of each embedding's sup bound
+    of the polynomial with coordinates `alpha`."""
+    coeffs = _coefficients_from_alpha(field, integral_basis(field), alpha)
+    power, bound = fekete_bound_power(field, ivs, n), fekete_bound_expr(field, ivs, n)
+    out = []
+    for emb in field.embeddings():
+        sup = certify_sup_norm(coeffs, emb, ivs[emb])
+        out.append((within_bound(sup, *power),
+                    certify_compare(AlgConst(sup), bound) != GREATER))
+    return out
+
+
+def test_integer_bound_decision_matches_enclosures():
+    # every LLL-reduced vector of the pinned and worked problems, so that
+    # both accepted and rejected sup bounds are compared
+    seen = set()
+    for field, ivs, n in PINNED_PROBLEMS:
+        transform = _lll(chebyshev_linear_forms(field, ivs, n).scaled_matrix())
+        m = field.degree
+        for row in transform:
+            alpha = tuple(tuple(row[i:i + m]) for i in range(0, len(row), m))
+            for exact, enclosed in _decisions(field, ivs, n, alpha):
+                assert exact == enclosed, (field, ivs, n, alpha)
+                seen.add(exact)
+    assert seen == {True, False}
+
+
+def test_integer_bound_decision_at_a_tie_and_far_above():
+    # Q, n = 0: the constant 1 has sup 1 and the bound is exactly 1
+    ivs = {Q.identity_embedding(): (F(-1, 2), F(1, 2))}
+    assert fekete_bound_power(Q, ivs, 0) == (2, 1)
+    sup = certify_sup_norm([CycloElement.rational(1, 1)], Q.identity_embedding(), ivs[Q.identity_embedding()])
+    assert certify_compare(AlgConst(sup), fekete_bound_expr(Q, ivs, 0)) == EQUAL
+    assert _decisions(Q, ivs, 0, ((1,),)) == [(True, True)]
+    # a large alpha is far above the bound, on both decisions
+    assert _decisions(Q, ivs, 2, ((10**6,), (-3,), (10**5,))) == [(False, False)]
+    ivs5 = dict(zip(F5.embeddings(), [(F(-1, 4), F(1, 4))] * 2))
+    assert _decisions(F5, ivs5, 2, ((0, 0), (7, 10**4), (-10**5, 3))) == [(False, False)] * 2
+
+
+@pytest.mark.parametrize("n", [5, 8, 10, 12])
+def test_surd_sign_matches_certify_sign(n):
+    # x + y b with b = 2cos(2pi/n): random pairs, and pairs from the
+    # continued fraction of b, where x + y b is close to 0; certify_sign
+    # decides on enclosures, _surd_sign in Z[sqrt D]
+    rng = random.Random(n)
+    pairs = [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(150)]
+    pairs += [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    # h1 / k1 runs through the convergents of b, each pair tried on both
+    # sides of 0 and one off
+    x = midpoint(eval_ball(AlgConst(CycloElement.generator(n)), 256))
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    for _ in range(25):
+        a = x.numerator // x.denominator
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        pairs += [(-h1, k1), (h1, -k1), (-h1 - 1, k1), (1 - h1, k1)]
+        if x == a:
+            break
+        x = 1 / (x - a)
+    for x, y in pairs:
+        element = CycloElement.from_numerators(n, [x, y], 1)
+        expected = {LESS: -1, EQUAL: 0, GREATER: 1}[certify_sign(AlgConst(element))]
+        assert _surd_sign(*_surd(element.num, n)) == expected, (n, x, y)
+
+
 def _fraction_scaled_matrix(forms):
     """`scaled_matrix` by its Fraction formula: round(2^p gamma_j^sigma
     cheb_sigma[i][k]) on the exact rows, with the exact ball centre of an
@@ -491,13 +563,76 @@ def _exact_det(rows):
     return det
 
 
+def _basis_lll(matrix):
+    """The integral LLL that carries the basis vectors along with the
+    transform (Cohen, GTM 138, Alg. 2.6.7): the oracle for the
+    transform-only `_lll`.  Returns (reduced_vectors, transform)."""
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
+    rows, size = len(matrix), len(matrix[0])
+    vectors = [[row[c] for row in matrix] + [int(i == c) for i in range(size)]
+               for c in range(size)]
+    d = [1] * (size + 1)
+    lam = [[0] * size for _ in range(size)]
+
+    def redi(k, l):
+        lam_k, lam_l, d_l = lam[k], lam[l], d[l + 1]
+        q = (2 * lam_k[l] + d_l) // (2 * d_l)
+        vectors[k] = [x - q * y for x, y in zip(vectors[k], vectors[l])]
+        lam_k[l] -= q * d_l
+        lam_k[:l] = [x - q * y for x, y in zip(lam_k, lam_l[:l])]
+
+    d[1] = sum(x * x for x in vectors[0][:rows])
+    k, k_max = 1, 0
+    while k < size:
+        lam_k = lam[k]
+        if k > k_max:
+            k_max = k
+            b_k = vectors[k][:rows]
+            for j in range(k + 1):
+                lam_j = lam[j]
+                u = sum(x * y for x, y in zip(b_k, vectors[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam_k[i] * lam_j[i]) // d[i]
+                if j < k:
+                    lam_k[j] = u
+                else:
+                    d[k + 1] = u
+        if 2 * abs(lam_k[k - 1]) > d[k]:
+            redi(k, k - 1)
+        d_prev, d_k, d_next, mu = d[k - 1], d[k], d[k + 1], lam_k[k - 1]
+        t = d_prev * d_next + mu * mu
+        if den * t < num * d_k * d_k:
+            vectors[k], vectors[k - 1] = vectors[k - 1], vectors[k]
+            lam_prev = lam[k - 1]
+            lam_k[:k - 1], lam_prev[:k - 1] = lam_prev[:k - 1], lam_k[:k - 1]
+            b = t // d_k
+            for i in range(k + 1, k_max + 1):
+                lam_i = lam[i]
+                old = lam_i[k]
+                lam_i[k] = new = (d_next * lam_i[k - 1] - mu * old) // d_k
+                lam_i[k - 1] = (b * old + mu * new) // d_next
+            d[k] = b
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                if 2 * abs(lam_k[l]) > d[l + 1]:
+                    redi(k, l)
+            k += 1
+    return [v[:rows] for v in vectors], [v[rows:] for v in vectors]
+
+
 def _assert_lll_reduced(matrix, label):
+    """`_lll` returns the oracle's transform, and the vectors it stands
+    for, B T with the columns of `matrix` as B, are LLL-reduced."""
     dim = len(matrix[0])
-    reduced, transform = _lll(matrix)
-    assert (reduced, transform) == _lll(matrix)
+    transform = _lll(matrix)
+    assert transform == _lll(matrix)
+    oracle_reduced, oracle_transform = _basis_lll(matrix)
+    assert transform == oracle_transform, label
     columns = [[row[c] for row in matrix] for c in range(dim)]
-    for vec, coeffs in zip(reduced, transform):
-        assert vec == [sum(t * col[r] for t, col in zip(coeffs, columns)) for r in range(len(matrix))]
+    reduced = [[sum(t * col[r] for t, col in zip(coeffs, columns)) for r in range(len(matrix))]
+               for coeffs in transform]
+    assert reduced == oracle_reduced, label
     assert abs(_exact_det(transform)) == 1
     mu, norms = _exact_gram_schmidt(reduced)
     for i in range(1, dim):

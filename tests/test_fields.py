@@ -54,6 +54,28 @@ def test_field_norm_membership_check():
         field_norm(sub, not_fixed)
 
 
+def test_resultant_norm_equals_conjugate_product():
+    # every full field Q(cos 2pi/n), n < 40, on random elements of
+    # beta-degree 0 .. 4 over small denominators, zero included
+    import random
+
+    rng = random.Random(4040)
+    for n in range(3, 40):
+        field = RealCyclotomicField([n])
+        d = field_degree(field.n)
+        assert field.degree == d
+        for trial in range(8):
+            m = min(trial % 5, d - 1)
+            num = [rng.randint(-9, 9) for _ in range(m + 1)] + [0] * (d - m - 1)
+            if trial == 7:
+                num = [0] * d
+            x = CycloElement.from_numerators(field.n, num, rng.randint(1, 6))
+            product = CycloElement.rational(field.n, 1)
+            for emb in field.embeddings():
+                product = product * emb.apply(x)
+            assert field_norm(field, x) == product.as_rational(), (n, num)
+
+
 def test_norm_closed_form_examples():
     f313 = RealCyclotomicField([31, 3])
     assert norm_4sin2_closed_form(f313, 31) == 31
