@@ -29,6 +29,7 @@ from .fixed import (
     _exp_fine, _ln_fine, _pi_fine, _shifted, _trig_fine,
 )
 from .frozen import Frozen, set_field
+from .polyint import trim
 
 # the first rung of every schedule is the fixed-point unit of the integer certificates
 DEFAULT_START_BITS = FIXED_BITS
@@ -123,10 +124,10 @@ class AlgConst(Expr):
     def __init__(self, value: CycloElement):
         set_field(self, "value", value)
 
-    def __str__(self):
+    def __str__(self):  # one text per value: `report.render_value` keys on it
         if self.value.is_rational():
             return str(self.value.as_rational())
-        return f"cyclo(n={self.value.n}, {list(self.value.coeffs)})"
+        return f"cyclo(n={self.value.n}, [{', '.join(map(str, trim(self.value.coeffs)))}])"
 
 
 class _PiConst(Expr):

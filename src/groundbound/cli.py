@@ -233,7 +233,7 @@ def _cmd_search_pairs(args) -> Report:
 
     kind = PairKind[args.kind.upper()]
     result = search(kind, k_max=args.kmax)
-    report = Report(title=f"pair search {kind.value}, k <= {args.kmax}")
+    report = Report(title=f"pair search {kind.value}, {result.k_scope}")
     rows = [Record(pipeline="search-pairs", case="survivors", inputs={},
                    result=len(result.survivors), paper_expected=None, match=None),
             Record(pipeline="search-pairs", case="max surviving k", inputs={},

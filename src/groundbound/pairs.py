@@ -36,10 +36,12 @@ schedule of the integer certificates, `balls.settle` (64 bits first, as
 in the least-N solver), until they settle, and raise UndecidableError at
 the cap; there is no interval-expression path, and `reproduce-all` never
 needs more than 64 bits.  Any bound above 120 is refined through the
-least-N solver.  Pairs with 4096 < k <= k_max are ruled out by
-`tail_certificate`: the Rosser-Schoenfeld lower bound for phi (1962,
-Thm 15, with the constant 2.51) exceeds the survival budget on every
-dyadic block, each block decided by one certified comparison.
+least-N solver.  Pairs with k > 4096 are ruled out by
+`tail_certificate`, two certified comparisons per family: the
+Rosser-Schoenfeld lower bound for phi (1962, Thm 15, with the constant
+2.51) exceeds the survival budget on [4096, 8192] with some slack, and a
+growth bound keeps that slack on every later dyadic block.  So k_max
+only caps the scan: every k_max >= 4096 gives the same result.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ from .fixed import (
 from .frozen import Frozen, set_field
 from .graphs import Family, FamilyTable, Variant, family_bound, variant_width
 
-LN2 = log(2.0)
 REFINE_THRESHOLD = 120
 # the sieve limit: the sieve and the pair scan cover k up to here, and
-# tail_certificate, whose dyadic blocks certify from here on, covers larger k
+# tail_certificate covers every larger k
 TAIL_START = 4096
 # Rosser-Schoenfeld, "Approximate formulas for some functions of prime
 # numbers", Illinois J. Math. 6 (1962), Thm 15: for n >= 3,
@@ -324,7 +325,7 @@ def _report(k: int, s: int, kind: PairKind, bound_kf: int,
 
 
 def _coefficient_float(k: int, s: int) -> float:
-    out = LN2
+    out = log(2)
     for x in (k, s):
         g = gamma_norm_constant(x)
         if g != 1:
@@ -474,78 +475,72 @@ def scan_table(limit: int) -> ScanTable:
 
 
 class TailCertificate(Frozen):
-    """No pair with start < k <= k_max survives.
+    """No pair with k > start survives; every block's slack is at least
+    `min_slack` (see `tail_certificate`)."""
 
-    `blocks` is the number of dyadic blocks, one certified comparison
-    each; `min_slack` is the floor of the least certified lower bound of
-    lhs - rhs (see `tail_certificate`) over the blocks.
-    """
+    __slots__ = ("start", "min_slack")
 
-    __slots__ = ("start", "k_max", "blocks", "min_slack")
-
-    def __init__(self, start: int, k_max: int, blocks: int, min_slack: int):
+    def __init__(self, start: int, min_slack: int):
         set_field(self, "start", start)
-        set_field(self, "k_max", k_max)
-        set_field(self, "blocks", blocks)
         set_field(self, "min_slack", min_slack)
 
 
-def _tail_block_sides(kind: PairKind, a: int, b: int) -> tuple[Expr, Expr]:
-    """(lhs, rhs) with lhs > rhs ruling out every pair with a <= k <= b."""
-    ka = Const(Fraction(a))
-    half_b = Ln(Const(Fraction(b, 2)))
-    c_low = Ln(Const(Fraction(2))) - Ln(Const(Fraction(3))) / 2 - 2 * Ln(ka) / ka
-    rhs_max = Ln(Const(Fraction(kind.log_constant))) + half_b
-    rhs_max += half_b if kind is PairKind.GAMMA5 else Ln(Const(Fraction(5, 2)))
-    rs_denominator = EXP_GAMMA_UPPER * Ln(Ln(Const(Fraction(b)))) + RS_CONSTANT / Ln(Ln(ka))
-    return ka * c_low, 4 * rhs_max * rs_denominator
+def _tail_terms(kind: PairKind, a: int) -> tuple[Expr, Expr]:
+    """(h(a), a c_low(a) - A - 2B): block slack and growth margin, see `tail_certificate`."""
+    ka, ln_a, ln_2a = Const(Fraction(a)), Ln(Const(Fraction(a))), Ln(Const(Fraction(2 * a)))
+    rho1 = 2 if kind is PairKind.GAMMA5 else 1
+    lhs = ka * (Ln(Const(Fraction(2))) - Ln(Const(Fraction(3))) / 2 - 2 * ln_a / ka)
+    rho = Ln(Const(Fraction(kind.log_constant))) + ln_a
+    rho += ln_a if rho1 == 2 else Ln(Const(Fraction(5, 2)))
+    d, v = EXP_GAMMA_UPPER * Ln(ln_2a) + RS_CONSTANT / Ln(ln_a), EXP_GAMMA_UPPER / ln_2a
+    return lhs - 4 * rho * d, lhs - 4 * (rho * v + rho1 * d) - 8 * rho1 * v
 
 
-def tail_certificate(kind: PairKind, k_max: int, start: int = TAIL_START) -> TailCertificate:
-    """Certify that no pair with start < k <= k_max survives.
+def tail_certificate(kind: PairKind, start: int = TAIL_START) -> TailCertificate:
+    """Certify that no pair with k > start survives.
 
     A pair (k, s) of either family with c(k, s) > 0 survives only if
-    phi([k,s]) / (2 rho) < rhs(k, s) / c(k, s).  Since phi(k) divides
-    phi([k,s]) and rho <= 2, survival implies
-
-        phi(k) < 4 rhs_max(k) / c_low(k),
-
-    where sin(pi/x) >= 2/x and s <= k (path) or s <= 5 (star) give
+    phi([k,s]) / (2 rho) < rhs(k, s) / c(k, s), so, as phi(k) divides
+    phi([k,s]) and rho <= 2, only if phi(k) < 4 rhs_max(k) / c_low(k):
+    sin(pi/x) >= 2/x and s <= k (path) or s <= 5 (star) give
     rhs <= rhs_max(k) = ln 7 + 2 ln(k/2), resp. ln 8 + ln(k/2) + ln(5/2),
-    and g(s) <= ln 3/2 for s >= 3 and g(k) <= 2 ln k / k give
-    c(k, s) >= c_low(k) = ln 2 - ln 3/2 - 2 ln k / k.  Rosser-Schoenfeld
-    gives phi(k) > k / (e^gamma ln ln k + 2.51 / ln ln k) for k >= 3.
+    and g(s) <= ln 3/2, g(k) <= 2 ln k / k give c(k, s) >= c_low(k) =
+    ln 2 - ln 3/2 - 2 ln k / k.  Rosser-Schoenfeld gives
+    phi(k) > k / (e^gamma ln ln k + 2.51 / ln ln k) for k >= 3.  So, with
+    each monotone piece at its worst end, no k in [a, 2a] survives (and
+    no pair there is exceptional, as c >= c_low(a) > 0) when
 
-    On a block a <= k <= b every monotone piece is replaced by its worst
-    endpoint: k, c_low(k) and 2.51 / ln ln k at a; rhs_max(k) and
-    e^gamma ln ln k at b.  So when
+        h(a) = a c_low(a) - 4 rhs_max(2a) D(a) > 0,
+        D(a) = E ln ln 2a + 2.51 / ln ln a,   E >= e^gamma.
 
-        a c_low(a) > 4 rhs_max(b) (E ln ln b + 2.51 / ln ln a),   E >= e^gamma,
-
-    which forces c(k, s) >= c_low(a) > 0 (no pair in the block is
-    exceptional), no k in the block survives.  The blocks
-    [start, 2 start], [2 start, 4 start], ... cover (start, k_max], and
-    each is decided by one enclosure of lhs - rhs, which also gives the
-    block's slack; a block whose enclosure is not certified positive
-    below the precision cap raises UndecidableError.
+    The blocks a = start 2^j cover every k > start.  With a0 = start,
+    t = ln(a / a0) >= 0 and c0 = c_low(a0), for every a >= a0:
+      - c_low(a) >= c0, because ln a / a decreases for a > e;
+      - 2.51 / ln ln a <= 2.51 / ln ln a0;
+      - ln ln 2a <= ln ln 2a0 + t / ln 2a0 (tangent line; ln is concave);
+      - rhs_max(2a) = rho0 + rho1 t, rho0 = rhs_max(2 a0), rho1 = 2 (path)
+        or 1 (star);
+      - so with D0 = D(a0) and v = E / ln 2a0, D(a) <= D0 + v t and
+        4 rhs_max(2a) D(a) <= 4 rho0 D0 + A t + B t^2, where
+        A = 4 (rho0 v + rho1 D0) > 0 and B = 4 rho1 v > 0;
+      - a c0 = a0 c0 e^t >= a0 c0 (1 + t + t^2 / 2) when c0 >= 0.
+    Hence h(a) >= h(a0) + (a0 c0 - A) t + (a0 c0 / 2 - B) t^2.  A positive
+    growth margin a0 c0 - A - 2B makes c0, a0 c0 - A (> 2B) and
+    a0 c0 / 2 - B (> A / 2) positive, so every block has slack >= h(a0).
+    The two comparisons h(a0) > 0 and a0 c0 - A - 2B > 0 are one enclosure
+    each (`_tail_terms`); `min_slack` is the floor of the lower end of
+    h(a0)'s.  One not certified below the cap raises UndecidableError.
     """
-    if start < 3 or k_max <= start:
-        raise ValueError("the tail needs 3 <= start < k_max")
-    blocks = 0
-    min_slack = None
-    a = start
-    while a < k_max:
-        b = min(2 * a, k_max)
-        lhs, rhs = _tail_block_sides(kind, a, b)
+    if start < 3:
+        raise ValueError("the tail needs start >= 3")
+    enclosures = []
+    for name, term in zip((f"block [{start}, {2 * start}]", "growth margin"),
+                          _tail_terms(kind, start)):
         try:
-            ball = eval_ball(lhs - rhs, accept=Ball.certainly_positive)
+            enclosures.append(eval_ball(term, accept=Ball.certainly_positive))
         except UndecidableError:
-            raise UndecidableError(f"{kind.value} tail block [{a}, {b}] not certified") from None
-        slack = floor_of(ball)
-        min_slack = slack if min_slack is None else min(min_slack, slack)
-        blocks += 1
-        a = b
-    return TailCertificate(start=start, k_max=k_max, blocks=blocks, min_slack=min_slack)
+            raise UndecidableError(f"{kind.value} tail {name} not certified") from None
+    return TailCertificate(start=start, min_slack=floor_of(enclosures[0]))
 
 
 # -- the search ----------------------------------------------------------------
@@ -563,7 +558,11 @@ class SearchResult(Frozen):
         set_field(self, "exceptional", exceptional)
         set_field(self, "candidate_k_count", candidate_k_count)
         set_field(self, "checked_pairs", checked_pairs)
-        set_field(self, "tail", tail)  # covers TAIL_START < k <= k_max
+        set_field(self, "tail", tail)  # covers k > TAIL_START
+
+    @property
+    def k_scope(self) -> str:  # the k whose survivors are listed
+        return "all k" if self.tail is not None else f"k <= {self.k_max}"
 
 
 def check_k_max(k_max: int) -> None:
@@ -581,8 +580,9 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
     is dropped when deg * c_lo > rhs_hi, each an inequality between
     integers (see `ScanTable`).  Every other pair outside the complete
     list `exceptional_pairs` has c(k, s) > 0 and gets its one certificate
-    from `pair_floor`, which also gives the survivor's bound_kf.  Larger k up to k_max are
-    covered by `tail_certificate`.  Results are deterministic.
+    from `pair_floor`, which also gives the survivor's bound_kf.  Once the
+    scan reaches TAIL_START, `tail_certificate` covers every larger k.
+    Results are deterministic.
     """
     check_k_max(k_max)
     table = scan_table(min(k_max, TAIL_START))
@@ -628,7 +628,7 @@ def search(kind: PairKind, k_max: int = 10**7) -> SearchResult:
         kind=kind, k_max=k_max, survivors=tuple(survivors),
         exceptional=tuple(sorted(exceptional, key=lambda p: (p[1], p[0]))),
         candidate_k_count=candidates, checked_pairs=checked,
-        tail=tail_certificate(kind, k_max) if k_max > TAIL_START else None,
+        tail=tail_certificate(kind) if k_max >= TAIL_START else None,
     )
 
 

@@ -12,7 +12,6 @@ resultant with a monic polynomial is one fraction-free determinant.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 
 
 Poly = tuple  # coefficient tuple, low degree first
@@ -143,15 +142,20 @@ def cyclotomic(n: int) -> Poly:
     return tuple(out)
 
 
-def _dicksons():
-    """D_0, D_1, D_2, ...: D_0 = 2, D_1 = x, D_(k+1) = x D_k - D_(k-1)."""
-    a, b = (2,), (0, 1)
-    while True:
-        yield a
-        out = [0, *b]
-        for i, c in enumerate(a):
+_DICKSONS = [(2,), (0, 1)]
+
+
+def dickson(m: int) -> Poly:
+    """Dickson polynomial D_m with D_m(2cos t) = 2cos(m t): D_0 = 2, D_1 = x,
+    D_(k+1) = x D_k - D_(k-1), read from the one list `_DICKSONS` of every
+    D_k built so far, which the recurrence extends one step per new D_k."""
+    ds = _DICKSONS
+    while len(ds) <= m:
+        out = [0, *ds[-1]]
+        for i, c in enumerate(ds[-2]):
             out[i] -= c
-        a, b = b, tuple(out)
+        ds.append(tuple(out))
+    return ds[m]
 
 
 @lru_cache(maxsize=None)
@@ -170,13 +174,7 @@ def cos_minpoly(n: int) -> Poly:
     phi_n = cyclotomic(n)
     d = degree(phi_n) // 2
     out = [phi_n[d]] + [0] * d
-    for c, dj in zip(phi_n[d + 1:], islice(_dicksons(), 1, None)):
-        for i, x in enumerate(dj):
+    for j, c in enumerate(phi_n[d + 1:], 1):
+        for i, x in enumerate(dickson(j)):
             out[i] += c * x
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def dickson(m: int) -> Poly:
-    """Dickson polynomial D_m with D_m(2cos t) = 2cos(m t)."""
-    return next(islice(_dicksons(), m, None))

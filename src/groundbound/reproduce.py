@@ -41,7 +41,7 @@ def dataset_records() -> list[Record]:
 def polytope_records() -> list[Record]:
     out = []
     dim = polytopes.max_admissible_dimension()
-    out.append(Record(pipeline="polytope", case="max admissible dimension (n <= 10000)",
+    out.append(Record(pipeline="polytope", case="max admissible dimension",
                       inputs={}, result=dim, paper_expected=9, match=dim == 9))
     tie = polytopes.existence_inequality(10)
     out.append(Record(pipeline="polytope", case="n=10 counting inequality",
@@ -50,7 +50,7 @@ def polytope_records() -> list[Record]:
                       paper_expected=None, match=not tie.holds,
                       note="exact tie 180 vs 180 resolved as failure of the strict inequality"))
     identity_ok = polytopes.narrow_face_identity()
-    out.append(Record(pipeline="polytope", case="narrow-face bound identity (4 <= n <= 200)",
+    out.append(Record(pipeline="polytope", case="narrow-face bound identity (n >= 4)",
                       inputs={}, result="exact" if identity_ok else "broken",
                       paper_expected=None, match=identity_ok))
     return out
@@ -106,13 +106,14 @@ def family_records(table: FamilyTable) -> list[Record]:
 
 
 def tail_record(pipeline: str, tail: TailCertificate) -> Record:
-    """The certified statement that no pair with tail.start < k <= tail.k_max survives."""
-    return Record(pipeline=pipeline, case=f"tail certificate ({tail.start} < k <= {tail.k_max})",
-                  inputs={"comparisons": tail.blocks, "min_slack": tail.min_slack},
+    """The certified statement that no pair with k > tail.start survives."""
+    return Record(pipeline=pipeline, case=f"tail certificate (k > {tail.start})",
+                  inputs={"min_slack": tail.min_slack},
                   result="void", paper_expected=None, match=None,
                   note=("phi(k) > k/(e^gamma ln ln k + 2.51/ln ln k) (Rosser-Schoenfeld 1962, "
-                        "Thm 15; e^gamma <= 1.7811) exceeds the survival budget "
-                        "4 rhs_max(k)/c_low(k) on every dyadic block of k"))
+                        "Thm 15; e^gamma <= 1.7811) exceeds the survival budget 4 rhs_max(k)/"
+                        f"c_low(k) on [{tail.start}, {2 * tail.start}] and, by a certified "
+                        "growth bound, on every later dyadic block"))
 
 
 def pair_records(gb: GlobalBound) -> list[Record]:
@@ -124,7 +125,7 @@ def pair_records(gb: GlobalBound) -> list[Record]:
                       paper_expected=14 if kind is PairKind.GAMMA5 else None,
                       match=(len(result.exceptional) == 14) if kind is PairKind.GAMMA5 else None))
     out.append(Record(pipeline=f"pairs-{kind.value}",
-                      case=f"surviving non-exceptional pairs (k <= {result.k_max})",
+                      case=f"surviving non-exceptional pairs ({result.k_scope})",
                       inputs={}, result=len(result.survivors), paper_expected=None, match=None))
     if result.tail is not None:
         out.append(tail_record(f"pairs-{kind.value}", result.tail))

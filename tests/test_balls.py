@@ -365,6 +365,19 @@ def test_exact_algebraic_sign_may_exceed_the_cap():
     assert certify_compare(Ln(Const(Fraction(2))), 0, cap_bits=32) == UNDECIDED
 
 
+def test_alg_const_prints_plain_coordinates():
+    # each coordinate as a rational, up to the last nonzero one: no
+    # Fraction reprs, and one text per value at a modulus (the report's
+    # decimal memo keys on the text)
+    assert str(AlgConst(CycloElement(5, [2, -2]))) == "cyclo(n=5, [2, -2])"
+    w = CycloElement(1009, [Fraction(9, 4), Fraction(-9, 4), Fraction(9, 16)])
+    assert str(AlgConst(w)) == "cyclo(n=1009, [9/4, -9/4, 9/16])"
+    assert str(AlgConst(CycloElement(7, [Fraction(-1, 2)]))) == "-1/2"
+    values = {(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in (0, Fraction(1, 3))}
+    texts = {str(AlgConst(CycloElement(7, list(v)))) for v in values}
+    assert len(texts) == len(values)
+
+
 def test_certify_sign_takes_no_exact_difference_with_zero(monkeypatch):
     # the sign of an exact algebraic value is taken of the value itself,
     # not of value - 0 in cyclotomic arithmetic

@@ -145,7 +145,9 @@ def test_polytope_command(capsys):
     code, out, _ = run_cli(["polytope"], capsys)
     assert code == 0
     assert "result=9" in out and "result=46" in out
-    assert "max admissible dimension (n <= 10000)" in out
+    # the closed-form proofs cover every n, and the labels say so
+    assert "max admissible dimension " in out and "(n <= " not in out
+    assert "narrow-face bound identity (n >= 4)" in out
 
 
 def test_nmax_is_a_usage_error(capsys):
@@ -227,10 +229,23 @@ def test_search_pairs_prints_tail_certificate(capsys):
     )
     assert code == 0
     records = {r["case"]: r for s in json.loads(out)["sections"] for r in s["records"]}
-    tail = records["tail certificate (4096 < k <= 10000000)"]
+    tail = records["tail certificate (k > 4096)"]
     assert tail["result"] == "void"
-    assert tail["inputs"]["comparisons"]["exact"] == "12"
+    assert set(tail["inputs"]) == {"min_slack"} and tail["inputs"]["min_slack"]["exact"] == "341"
     assert records["survivors"]["result"] == 265
+    assert json.loads(out)["title"] == "pair search gamma4, all k"
+    code, out, _ = run_cli(["search-pairs", "--kind", "gamma4", "--kmax", "2000"], capsys)
+    assert code == 0 and out.startswith("pair search gamma4, k <= 2000")
+    assert "tail certificate" not in out
+
+
+def test_reproduce_all_is_the_same_for_every_kmax_from_4096():
+    # the tail covers every k > 4096, so --kmax above it only caps the scan
+    from groundbound.reproduce import reproduce_all
+
+    text = reproduce_all(4096).render("text")
+    assert text == reproduce_all(10**7).render("text")
+    assert "surviving non-exceptional pairs (all k)" in text
 
 
 def test_fekete_command(capsys):
@@ -548,15 +563,15 @@ def test_invalid_expression(capsys):
 # sha256 of the `reproduce-all --kmax 2000` reports (written with --out);
 # an evaluator change that moves one printed digit changes them
 REPRODUCE_2000_SHA256 = {
-    "text": "2428e27813c9df9da088fd2fa2a9484d3cdc0d83d4bb5e41b002bdc9f0cb297e",
-    "json": "17f09e33e85bfdff40a8ea406d9d8586bd010355f17ad72aa2d1470a6a14c7f2",
+    "text": "c6dba622f0221f4351970bcff04372ce9696b761f4bdd287d51cf5d5a7d6056d",
+    "json": "d966e674a310f97d5445ca248d996c192554402dad0b35d0ef276909282b8430",
 }
 
 
 # sha256 of the `reproduce-all --kmax 10000000` reports, the full run
 REPRODUCE_FULL_SHA256 = {
-    "text": "c3689efeeadad49133d7a18a9eb90f3307ad364abf2f396d74b89e9c1b83d622",
-    "json": "7d5657d22ee04a4d27d6a6578adbcf06fb0ec8f18e86d17bcd12a61a6deecf8f",
+    "text": "c93dde166d2e86cd4b2ed52778d1d811742250099d7321313db6acc2d7b3fee9",
+    "json": "f15135c0613025a394e8e5eabbc8051d99fb4bb2b67caee3a84b8a5d3acca96b",
 }
 
 
@@ -604,12 +619,12 @@ def test_reproduce_all_runs_without_numpy(tmp_path):
 # rows of every family table, including the Gamma5 rows that
 # `reproduce-all` does not print
 GRAPH_FAMILY_SHA256 = {
-    ("g1",): "0f63dabfdd3a8734a5b1b9e41e1a48bf345ad1ba55ed37ecf4f7abfb6c458b4d",
-    ("g2",): "ec17b15a13ab21bc63963e1ec48bfece640959c2659c1b28d2ffc588c8f0d228",
-    ("g3",): "93b4384151757896801822820ca4ed1f85bcd58c8a0b2a0a6e5eb8965bebac7d",
-    ("g4",): "9a7a090d35e6cfa4339cedb7ed7d4a914cbdbf9c16e0a9c7753abec2818e72d6",
+    ("g1",): "fb7c0a2ad9a190f810b4e2e75aa26df5d68dac46fa651af8f92fc9de4162c37d",
+    ("g2",): "723a1455dbb6d51a54fe280668af73abf7781f54e7d663fe6eee3f575fa871b5",
+    ("g3",): "99317dcf8f54d2f64a4032325ad56d602c424583c51c976f15d374efe3bf4346",
+    ("g4",): "7fc3ece664dcb2a2bc899cf82bbff0c5e497e54b82d1b69ff7c4aad9eae05471",
     ("g5", "--kmin", "3", "--kmax-family", "8"):
-        "8671ac6ba7da9a38065391704babd8df9d38a1b1302071a2eae59152324167ab",
+        "bf0f23213c6cc2f4a5628d00d35d5f1a23d860004e34fda3576ed00416f0f71e",
 }
 
 

@@ -56,14 +56,13 @@ def test_fields_cannot_be_assigned(value, name):
 def test_reprs_name_every_field():
     assert repr(Const(Fraction(2))) == "Const(value=Fraction(2, 1))"
     assert repr(Ball(1, 2, -3, 64)) == "Ball(lo=1, hi=2, exponent=-3, precision_bits=64)"
-    assert repr(TailCertificate(4096, 10**7, 12, 3)) == \
-        "TailCertificate(start=4096, k_max=10000000, blocks=12, min_slack=3)"
+    assert repr(TailCertificate(4096, 3)) == "TailCertificate(start=4096, min_slack=3)"
     assert repr(_embedding()) == "Embedding(2 mod 5)"  # its own repr wins
 
 
 def test_values_survive_copy_and_pickle():
     samples = [Ball(1, 2, -3, 64), _record(), _embedding(),
-               TailCertificate(4096, 10**7, 12, 3),
+               TailCertificate(4096, 3),
                EdgeGraphCase(Family.G2, s=3, k=4, p=5),
                BoundProblem(2, Const(Fraction(5)), Const(Fraction(1, 2)), PI, 2)]
     for x in samples:

@@ -153,11 +153,21 @@ def test_pruning_soundness(gamma5_search):
 
 
 def test_tail_certificate():
-    for kind in (G5, G4):
-        for k_max, blocks in ((10**7, 12), (10**12, 28)):
-            cert = tail_certificate(kind, k_max)
-            assert (cert.start, cert.k_max, cert.blocks) == (TAIL_START, k_max, blocks)
-            assert cert.min_slack > 0
+    # oracle for the growth bound: every dyadic block [a, 2a] from 4096 on,
+    # enclosed on its own, keeps at least the slack certified at the anchor
+    for kind, min_slack in ((G5, 193), (G4, 341)):
+        cert = tail_certificate(kind)
+        assert (cert.start, cert.min_slack) == (TAIL_START, min_slack)
+        for j in range(100):
+            slack, _ = pairs._tail_terms(kind, TAIL_START << j)
+            assert floor_of(eval_ball(slack)) >= min_slack, (kind, j)
+
+
+@pytest.mark.parametrize("kind, margin", [(G5, 513), (G4, 541)])
+def test_tail_growth_margin_is_certified_positive(kind, margin):
+    # a0 c0 - A - 2B at a0 = 4096: 513.9 (path) and 541.6 (star) in floats
+    ball = eval_ball(pairs._tail_terms(kind, TAIL_START)[1])
+    assert ball.certainly_positive() and floor_of(ball) == margin
 
 
 def test_exp_gamma_upper_is_certified():
@@ -175,11 +185,12 @@ def test_tail_certificate_below_crossover_raises():
     # the path-family block [1024, 2048] fails the comparison (float
     # sizing: lhs ~133 against rhs ~311); it must raise, never report void
     with pytest.raises(UndecidableError, match=r"tail block \[1024, 2048\] not certified"):
-        tail_certificate(G5, 10**7, start=1024)
+        tail_certificate(G5, start=1024)
 
 
-def test_tail_block_is_one_enclosure(monkeypatch):
-    # the sign and the slack of a block come from the same enclosure
+def test_tail_certificate_is_two_enclosures(monkeypatch):
+    # the anchor block, whose enclosure also gives the slack, and the
+    # growth margin: nothing depends on how far the scan went
     from groundbound import balls
 
     calls = []
@@ -191,8 +202,8 @@ def test_tail_block_is_one_enclosure(monkeypatch):
 
     monkeypatch.setattr(balls, "eval_ball", spy)
     monkeypatch.setattr(pairs, "eval_ball", spy)
-    cert = tail_certificate(G4, 10**7)
-    assert len(calls) == cert.blocks == 12
+    tail_certificate(G4)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", [G5, G4])
@@ -212,7 +223,8 @@ def test_search_sieves_only_to_tail_start(kind, monkeypatch):
     assert full.survivors == scanned.survivors
     assert full.candidate_k_count == scanned.candidate_k_count
     assert full.checked_pairs == scanned.checked_pairs
-    assert full.tail.k_max == 10**7 and scanned.tail is None
+    assert full.tail == scanned.tail == tail_certificate(kind)
+    assert search(kind, k_max=TAIL_START - 1).tail is None
 
 
 def test_global_bounds(gamma5_global, gamma4_global):
@@ -740,8 +752,9 @@ def test_bounds_that_never_settle_raise_naming_the_pair(monkeypatch):
 def test_reproduce_all_never_needs_the_ratio_ball(monkeypatch):
     # at both k_max of the benchmark the 64-bit integer bounds settle
     # every coefficient sign and pair certificate: no precision rises, and
-    # `pairs` encloses nothing but the 12 tail blocks per family past
-    # k = 4096 (its `certified_floor` serves only `certified_floor_ratio`)
+    # `pairs` encloses nothing but the two tail comparisons per family once
+    # the scan reaches k = 4096 (its `certified_floor` serves only
+    # `certified_floor_ratio`)
     from groundbound.reproduce import reproduce_all
 
     enclosed, certified = [], []
@@ -759,7 +772,7 @@ def test_reproduce_all_never_needs_the_ratio_ball(monkeypatch):
     spy("certified_floor", enclosed)
     spy("pair_floor", certified)
     raised = _spy_raises(monkeypatch)
-    for k_max, tail_blocks in ((2000, 0), (10**7, 24)):
+    for k_max, tail_blocks in ((2000, 0), (10**7, 4)):
         enclosed.clear()
         certified.clear()
         reproduce_all(k_max)

@@ -114,6 +114,27 @@ def test_dickson_matches_the_old_recurrence():
         assert P.dickson(m) == _old_dickson(m), m
 
 
+def test_dickson_walks_the_recurrence_once(monkeypatch):
+    # one list serves every m and `cos_minpoly`: the first 500 values, asked
+    # for from the top down and then again from the bottom up, take at most
+    # 500 recurrence steps in all, and psi_1009 (degree 504) a few more
+    steps = []
+
+    class Counting(list):
+        def append(self, item):
+            steps.append(item)
+            super().append(item)
+
+    monkeypatch.setattr(P, "_DICKSONS", Counting([(2,), (0, 1)]))
+    for m in [*range(499, -1, -1), *range(500)]:
+        P.dickson(m)
+    assert len(steps) <= 500
+    P.cos_minpoly.cache_clear()
+    P.cos_minpoly(1009)
+    assert len(steps) <= 505
+    assert [P.dickson(m) for m in range(60)] == [_old_dickson(m) for m in range(60)]
+
+
 def test_exact_layer_constructs_no_fraction():
     # Phi_n, psi_n and the inverse in Q(cos 2pi/n) run on integers alone:
     # not one `Fraction` is built, the caches of the constructions cleared
@@ -127,8 +148,9 @@ def test_exact_layer_constructs_no_fraction():
         calls.append(args)
         return real(cls, *args, **kwargs)
 
-    for cached in (P.cyclotomic, P.cos_minpoly, P.dickson, cyclo._psi_terms, cyclo._dickson_image):
+    for cached in (P.cyclotomic, P.cos_minpoly, cyclo._psi_terms, cyclo._dickson_image):
         cached.cache_clear()
+    del P._DICKSONS[2:]
     Fraction.__new__ = staticmethod(spy)
     try:
         for n in (105, 180, 231):
